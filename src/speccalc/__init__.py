@@ -13,6 +13,5 @@ Subpackage map:
 
 __version__ = "0.1.0"
 
-from . import _kernels
-
-KERNEL_BACKEND = _kernels.BACKEND
+# The one kernel path; perfbench stamps it into every report it writes.
+KERNEL_BACKEND = "numpy"

@@ -1,221 +1,82 @@
-"""Hot inner loops with a numba fast path and a pure-numpy fallback.
-
-The backend is chosen once at import time: numba when it imports cleanly,
-numpy when it does not or when the environment variable SPECCALC_NO_NUMBA
-is set to 1.  Both paths implement the same functions with identical
-semantics; benchmarks/bench_kernels.py times them against each other.
+"""Hot inner loops, vectorized with numpy.
 
 Kernels:
+  sign_rows(K, start, stop) rows start..stop-1 of the sign enumeration
+  random_signs(gen, S, K)  S independent rows of K fair signs
+  row_norms(Y, p)          row-wise l^p norms, p may be inf
   enum_mean_norm(X, p)     exact E||sum_k eps_k X_k||_p over all sign patterns
   mc_mean_norm(X, p, S)    the same average over a precomputed sign batch
-  sliding_min(a, w)        out[i] = min(a[i:i+w]), van Herk / sliding window
+  sliding_min(a, w)        out[i] = min(a[i:i+w])
   lattice_abs_sum(a, stride, shifts)
                            out[i] = sum_{k<shifts} a[i + k*stride]
 """
 
-import os
-
 import numpy as np
-
-_WANT_NUMBA = os.environ.get("SPECCALC_NO_NUMBA", "0") != "1"
-
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        BACKEND = "numba"
-    except ImportError:
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
+from numpy.lib.stride_tricks import sliding_window_view
 
 
-def _lp_rows(Y, p):
-    """Row-wise l^p norms of a complex matrix, vectorized."""
+def sign_rows(K, start, stop):
+    """Rows start..stop-1 of the 2^{K-1} sign patterns with eps_K = +1.
+
+    Row i has eps_k = +1 where bit k of i is set and -1 where it is
+    clear (k < K-1); the global sign symmetry of a Rademacher average
+    fixes the last sign and halves the enumeration.
+    """
+    idx = np.arange(start, stop, dtype=np.uint64)
+    bits = np.arange(K - 1, dtype=np.uint64)
+    signs = np.empty((idx.size, K), dtype=np.float64)
+    signs[:, :-1] = (((idx[:, None] >> bits) & 1) * 2.0) - 1.0
+    signs[:, -1] = 1.0
+    return signs
+
+
+def random_signs(gen, samples, K):
+    """A (samples, K) batch of independent fair signs drawn from gen."""
+    return np.where(gen.random((samples, K)) < 0.5, -1.0, 1.0)
+
+
+def row_norms(Y, p):
+    """Row-wise l^p norms of a complex matrix; p = inf takes the max."""
     A = np.abs(Y)
     if p == 2.0:
         return np.sqrt(np.einsum("ij,ij->i", A, A))
     if p == 1.0:
         return A.sum(axis=1)
+    if np.isinf(p):
+        return A.max(axis=1)
     return (A**p).sum(axis=1) ** (1.0 / p)
 
 
-def _enum_mean_norm_numpy(X, p):
-    K, n = X.shape
+def enum_mean_norm(X, p):
+    X = np.asarray(X, dtype=np.complex128)
+    p = float(p)
+    K = X.shape[0]
     M = 1 << (K - 1)
     chunk = min(M, 1 << 15)
-    bits = np.arange(K - 1, dtype=np.uint64)
     total = 0.0
     for start in range(0, M, chunk):
-        idx = np.arange(start, min(start + chunk, M), dtype=np.uint64)
-        signs = np.empty((idx.size, K), dtype=np.float64)
-        signs[:, :-1] = (((idx[:, None] >> bits) & 1) * 2.0) - 1.0
-        signs[:, -1] = 1.0  # global sign symmetry halves the enumeration
-        total += _lp_rows(signs @ X, p).sum()
-    return total / M
+        signs = sign_rows(K, start, min(start + chunk, M))
+        total += row_norms(signs @ X, p).sum()
+    return float(total / M)
 
 
-def _mc_mean_norm_numpy(X, p, signs):
-    vals = _lp_rows(signs @ X, p)
+def mc_mean_norm(X, p, signs):
+    X = np.asarray(X, dtype=np.complex128)
+    vals = row_norms(np.asarray(signs, dtype=np.float64) @ X, float(p))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return mean, stderr
 
 
-def _sliding_min_numpy(a, w):
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    return sliding_window_view(a, w).min(axis=1)
+def sliding_min(a, w):
+    return sliding_window_view(np.asarray(a, dtype=np.float64), int(w)).min(axis=1)
 
 
-def _lattice_abs_sum_numpy(a, stride, shifts):
+def lattice_abs_sum(a, stride, shifts):
+    a = np.asarray(a, dtype=np.float64)
+    stride, shifts = int(stride), int(shifts)
     n_out = len(a) - (shifts - 1) * stride
     out = np.zeros(n_out, dtype=a.dtype)
     for k in range(shifts):
         out += a[k * stride : k * stride + n_out]
     return out
-
-
-if BACKEND == "numba":
-
-    @njit(cache=True)
-    def _row_norm(sR, sI, p):
-        n = sR.shape[0]
-        if p == 2.0:
-            acc = 0.0
-            for j in range(n):
-                acc += sR[j] * sR[j] + sI[j] * sI[j]
-            return np.sqrt(acc)
-        if p == 1.0:
-            acc = 0.0
-            for j in range(n):
-                acc += np.sqrt(sR[j] * sR[j] + sI[j] * sI[j])
-            return acc
-        acc = 0.0
-        for j in range(n):
-            acc += (sR[j] * sR[j] + sI[j] * sI[j]) ** (p / 2.0)
-        return acc ** (1.0 / p)
-
-    @njit(cache=True)
-    def _enum_mean_norm_jit(XR, XI, p):
-        K, n = XR.shape
-        sR = np.zeros(n)
-        sI = np.zeros(n)
-        for k in range(K):
-            for j in range(n):
-                sR[j] += XR[k, j]
-                sI[j] += XI[k, j]
-        signs = np.ones(K - 1, dtype=np.int8)
-        M = 1 << (K - 1)
-        total = 0.0
-        for idx in range(1, M + 1):
-            total += _row_norm(sR, sI, p)
-            if idx == M:
-                break
-            # reflected Gray code: flip the lowest set bit position of idx
-            g = idx
-            b = 0
-            while g & 1 == 0:
-                g >>= 1
-                b += 1
-            s = -2.0 * signs[b]
-            signs[b] = -signs[b]
-            for j in range(n):
-                sR[j] += s * XR[b, j]
-                sI[j] += s * XI[b, j]
-        return total / M
-
-    @njit(cache=True)
-    def _mc_mean_norm_jit(XR, XI, signs, p):
-        B, K = signs.shape
-        n = XR.shape[1]
-        vals = np.empty(B)
-        sR = np.empty(n)
-        sI = np.empty(n)
-        for b in range(B):
-            for j in range(n):
-                sR[j] = 0.0
-                sI[j] = 0.0
-            for k in range(K):
-                s = signs[b, k]
-                for j in range(n):
-                    sR[j] += s * XR[k, j]
-                    sI[j] += s * XI[k, j]
-            vals[b] = _row_norm(sR, sI, p)
-        return vals
-
-    @njit(cache=True)
-    def _sliding_min_jit(a, w):
-        # van Herk two-pass block decomposition, O(n)
-        n = a.shape[0]
-        n_out = n - w + 1
-        pref = np.empty(n)
-        suff = np.empty(n)
-        for start in range(0, n, w):
-            stop = min(start + w, n)
-            suff[stop - 1] = a[stop - 1]
-            for i in range(stop - 2, start - 1, -1):
-                suff[i] = min(a[i], suff[i + 1])
-            pref[start] = a[start]
-            for i in range(start + 1, stop):
-                pref[i] = min(a[i], pref[i - 1])
-        out = np.empty(n_out)
-        for i in range(n_out):
-            out[i] = min(suff[i], pref[i + w - 1])
-        return out
-
-    @njit(cache=True)
-    def _lattice_abs_sum_jit(a, stride, shifts):
-        n_out = a.shape[0] - (shifts - 1) * stride
-        out = np.zeros(n_out)
-        for k in range(shifts):
-            off = k * stride
-            for i in range(n_out):
-                out[i] += a[off + i]
-        return out
-
-    def enum_mean_norm(X, p):
-        X = np.ascontiguousarray(X, dtype=np.complex128)
-        return float(
-            _enum_mean_norm_jit(
-                np.ascontiguousarray(X.real), np.ascontiguousarray(X.imag), float(p)
-            )
-        )
-
-    def mc_mean_norm(X, p, signs):
-        X = np.ascontiguousarray(X, dtype=np.complex128)
-        vals = _mc_mean_norm_jit(
-            np.ascontiguousarray(X.real),
-            np.ascontiguousarray(X.imag),
-            np.ascontiguousarray(signs, dtype=np.float64),
-            float(p),
-        )
-        mean = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        return mean, stderr
-
-    def sliding_min(a, w):
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        return _sliding_min_jit(a, int(w))
-
-    def lattice_abs_sum(a, stride, shifts):
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        return _lattice_abs_sum_jit(a, int(stride), int(shifts))
-
-else:
-
-    def enum_mean_norm(X, p):
-        X = np.asarray(X, dtype=np.complex128)
-        return float(_enum_mean_norm_numpy(X, float(p)))
-
-    def mc_mean_norm(X, p, signs):
-        X = np.asarray(X, dtype=np.complex128)
-        return _mc_mean_norm_numpy(X, float(p), np.asarray(signs, dtype=np.float64))
-
-    def sliding_min(a, w):
-        return _sliding_min_numpy(np.asarray(a, dtype=np.float64), int(w))
-
-    def lattice_abs_sum(a, stride, shifts):
-        return _lattice_abs_sum_numpy(
-            np.asarray(a, dtype=np.float64), int(stride), int(shifts)
-        )

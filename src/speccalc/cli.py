@@ -109,15 +109,11 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        """Check every field; operator specs are parsed by build_operators."""
         if not isinstance(self.operators, list) or not all(
             isinstance(s, str) for s in self.operators
         ):
             raise ConfigError("'operators' must be a list of preset strings")
-        for spec in self.operators:
-            try:
-                ops.operator_from_spec(spec)
-            except Exception as e:
-                raise ConfigError(f"operator {spec!r}: {e}") from e
         bad = sorted(set(self.suites) - set(SUITES))
         if bad:
             raise ConfigError(
@@ -131,6 +127,16 @@ class RunConfig:
             raise ConfigError("space must be an exponent p >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+
+    def build_operators(self) -> dict:
+        """{spec: SectorialOperator} for every configured operator, parsed once."""
+        operators = {}
+        for spec in dict.fromkeys(self.operators):
+            try:
+                operators[spec] = ops.operator_from_spec(spec)
+            except Exception as e:
+                raise ConfigError(f"operator {spec!r}: {e}") from e
+        return operators
 
     def hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -239,8 +245,9 @@ def write_plot_csv(path: Path, cfg_hash: str, columns, data, comments=()):
 
 
 # ---------------------------------------------------------------------------
-# suite runners; each returns (rows, plots) where plots maps a file stem
-# to (columns, data, comments)
+# suite runners; each takes the config and the parsed operators by spec
+# and returns (rows, plots) where plots maps a file stem to
+# (columns, data, comments)
 
 
 def _skip(operator, suite_name, condition, param, err) -> Row:
@@ -256,7 +263,7 @@ def _skip(operator, suite_name, condition, param, err) -> Row:
     )
 
 
-def run_norms(cfg: RunConfig):
+def run_norms(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
     symbols = load_corpus()
     for f in symbols:
@@ -284,7 +291,7 @@ def run_norms(cfg: RunConfig):
                 {"gamma": cfg.alpha, "divergent": res.divergent}, True)
         )
     for spec in cfg.operators:
-        op = ops.operator_from_spec(spec)
+        op = operators[spec]
         for f in symbols:
             if f.coordinate != "log":
                 continue
@@ -294,7 +301,7 @@ def run_norms(cfg: RunConfig):
                 rows.append(_skip(spec, "norms", "applied-error", f.name, e))
                 continue
             if op.diagonalizable:
-                ref = (op.eigenvectors * f.eval(np.abs(op.eigenvalues))[None, :]) @ op.eigenvectors_inv
+                ref = ops._eig_apply(op, f.eval(np.abs(op.eigenvalues)))
                 scale = float(np.linalg.norm(ref, 2))
                 err = (
                     float(np.linalg.norm(applied - ref, 2) / scale)
@@ -314,7 +321,7 @@ def run_norms(cfg: RunConfig):
     return rows, plots
 
 
-def run_identities(cfg: RunConfig):
+def run_identities(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
 
     # finite-difference Gamma products and their integral representations
@@ -358,7 +365,7 @@ def run_identities(cfg: RunConfig):
 
     t_spot = np.linspace(-3.0, 3.0, 13)
     for spec in cfg.operators:
-        op = ops.operator_from_spec(spec)
+        op = operators[spec]
         if not op.diagonalizable:
             rows.append(
                 _skip(spec, "identities", "mellin-identities", "eigenbasis",
@@ -381,7 +388,7 @@ def run_identities(cfg: RunConfig):
         gam = special.gamma(zt) * np.exp(1j * np.pi * zt / 2.0)
         lam = op.eigenvalues
         fv = gam[:, None] * np.exp(-zt[:, None] * np.log(lam[None, :]))
-        ref_stack = (op.eigenvectors[None, :, :] * fv[:, None, :]) @ op.eigenvectors_inv
+        ref_stack = ops._eig_apply_stack(op, fv)
         rel = float(
             np.max(np.linalg.norm(lhs - ref_stack, axis=(1, 2)))
             / np.max(np.linalg.norm(ref_stack, axis=(1, 2)))
@@ -415,8 +422,7 @@ def run_identities(cfg: RunConfig):
         # contour calculus against the eigenbasis
         rho = lambda z: z / (1.0 + z) ** 2
         contour_val = ops.holomorphic_calculus(op, rho)
-        lam = op.eigenvalues
-        eig_val = (op.eigenvectors * rho(lam)[None, :]) @ op.eigenvectors_inv
+        eig_val = ops._eig_apply(op, rho(op.eigenvalues))
         rel = float(
             np.linalg.norm(contour_val - eig_val, 2) / np.linalg.norm(eig_val, 2)
         )
@@ -427,7 +433,7 @@ def run_identities(cfg: RunConfig):
     return rows, plots
 
 
-def run_rbound(cfg: RunConfig):
+def run_rbound(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
     gen = np.random.default_rng(cfg.seed)
 
@@ -488,10 +494,10 @@ def run_rbound(cfg: RunConfig):
     return rows, plots
 
 
-def run_theorem_equivalence(cfg: RunConfig):
+def run_theorem_equivalence(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
     for spec in cfg.operators:
-        op = ops.operator_from_spec(spec)
+        op = operators[spec]
         rep = experiments.equivalence_report(
             op,
             SpaceSpec(p=cfg.space, n=op.dim),
@@ -523,10 +529,10 @@ def run_theorem_equivalence(cfg: RunConfig):
     return rows, plots
 
 
-def run_paley_littlewood(cfg: RunConfig):
+def run_paley_littlewood(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
     for spec in cfg.operators:
-        op = ops.operator_from_spec(spec)
+        op = operators[spec]
         try:
             lo, hi = experiments.paley_littlewood_check(
                 op, SpaceSpec(p=cfg.space, n=op.dim), trials=cfg.trials, seed=cfg.seed
@@ -550,7 +556,7 @@ def run_paley_littlewood(cfg: RunConfig):
     return rows, plots
 
 
-def run_sea_to_ha(cfg: RunConfig):
+def run_sea_to_ha(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
     xs = (1e-1, 1e-2, 1e-3)
     hs = []
@@ -603,6 +609,7 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     cfg.validate()
+    operators = cfg.build_operators()
     cfg_hash = cfg.hash()
 
     out = Path(args.out)
@@ -613,7 +620,7 @@ def cmd_run(args) -> int:
     outputs, plot_files = {}, []
     failed_total = 0
     for name in cfg.suites:
-        rows, plots = RUNNERS[name](cfg)
+        rows, plots = RUNNERS[name](cfg, operators)
         csv_path = out / f"{name}.csv"
         json_path = out / f"{name}.json"
         write_suite_csv(csv_path, rows, cfg_hash)

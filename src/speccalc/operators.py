@@ -393,6 +393,10 @@ def holomorphic_calculus(
     lo, hi = op.spectral_bounds()
     if contour.r_min > lo / 10.0 or contour.r_max < hi * 10.0:
         raise ContourError("contour radii must bracket the spectrum by a decade")
+    # a node is too close when it lies within 1e-9 |lambda_j| of some
+    # lambda_j; an absolute 1e-9 max|lambda| would reject the nodes passing
+    # the small end of a wide spectrum (diag-logspaced:30 spans 2^29)
+    near = 1e-9 * np.abs(op.eigenvalues)
 
     def evaluate(n_nodes: int) -> np.ndarray:
         u, w = _tanh_sinh_nodes(np.log(contour.r_min), np.log(contour.r_max), n_nodes)
@@ -403,7 +407,7 @@ def holomorphic_calculus(
         for sgn in (-1.0, +1.0):
             e = np.exp(1j * sgn * contour.angle)
             z = r * e
-            if np.min(np.abs(z[:, None] - op.eigenvalues[None, :])) < 1e-9 * hi:
+            if np.any(np.abs(z[:, None] - op.eigenvalues[None, :]) < near[None, :]):
                 raise ContourError("contour node too close to the spectrum")
             fz = np.asarray(f(z), dtype=np.complex128)
             acc = np.zeros_like(op.matrix)

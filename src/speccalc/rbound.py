@@ -141,11 +141,10 @@ def rademacher_norm(X, space=2.0, rng=None, exact_limit: int = 20, samples: int 
         raise DomainError("space dimension does not match the vectors")
     K = X.shape[0]
     if K <= exact_limit:
-        return float(_kernels.enum_mean_norm(X, float(p))), 0.0, True
-    gen = _rng(rng)
-    signs = np.where(gen.random((samples, K)) < 0.5, -1.0, 1.0)
-    mean, stderr = _kernels.mc_mean_norm(X, float(p), signs)
-    return float(mean), float(stderr), False
+        return _kernels.enum_mean_norm(X, p), 0.0, True
+    signs = _kernels.random_signs(_rng(rng), samples, K)
+    mean, stderr = _kernels.mc_mean_norm(X, p, signs)
+    return mean, stderr, False
 
 
 def square_sum_norm(X, space=2.0) -> float:
@@ -214,20 +213,12 @@ def _transfer_constant(p: float, n: int) -> float:
 def _mean_sq_norm(X, p, rng, exact_limit: int = 14, samples: int = 2048) -> float:
     """E || sum_k eps_k X[k] ||_p^2, enumerated exactly for small K."""
     X = np.asarray(X, dtype=np.complex128)
-    K, n = X.shape
+    K = X.shape[0]
     if K <= exact_limit:
-        # fix eps_K = +1 by symmetry
-        bits = np.arange(1 << max(K - 1, 0))[:, None] >> np.arange(K)[None, :]
-        signs = np.where(bits & 1, -1.0, 1.0)
-        signs[:, -1] = 1.0
+        signs = _kernels.sign_rows(K, 0, 1 << (K - 1))
     else:
-        signs = np.where(_rng(rng).random((samples, K)) < 0.5, -1.0, 1.0)
-    sums = signs @ X
-    a = np.abs(sums)
-    if np.isinf(p):
-        norms = a.max(axis=1)
-    else:
-        norms = np.sum(a**p, axis=1) ** (1.0 / p)
+        signs = _kernels.random_signs(_rng(rng), samples, K)
+    norms = _kernels.row_norms(signs @ X, p)
     return float(np.mean(norms**2))
 
 

@@ -202,11 +202,10 @@ class NormResult:
         return float(self.value)
 
 
-def _edge_ratio(values: np.ndarray) -> float:
-    """Max |f| over the outer 5% of samples relative to the global max."""
-    n = len(values)
-    k = max(1, n // 20)
-    a = np.abs(values)
+def _edge_ratio(values: np.ndarray, parts: int = 20) -> float:
+    """Max |f| over the outer 1/parts of the samples relative to the global max."""
+    a = np.abs(np.asarray(values))
+    k = max(1, len(a) // parts)
     peak = float(a.max())
     if peak == 0.0:
         return 0.0

@@ -45,7 +45,13 @@ from .grids import (
     trapezoid_weights,
 )
 from .rbound import OperatorFamily, SpaceSpec, r_bound, r_l2_bound
-from .spaces import hoermander_norm, make_partition, mihlin_norm, sobexp_norm
+from .spaces import (
+    _edge_ratio,
+    hoermander_norm,
+    make_partition,
+    mihlin_norm,
+    sobexp_norm,
+)
 
 __all__ = [
     "ConditionValue",
@@ -160,23 +166,6 @@ class SuiteReport:
 # the calculus through imaginary powers
 
 
-def _edge(vals: np.ndarray) -> float:
-    a = np.abs(np.asarray(vals))
-    top = float(a.max())
-    if top == 0.0:
-        return 0.0
-    k = max(1, len(a) // 50)
-    return float(max(a[:k].max(), a[-k:].max()) / top)
-
-
-def _apply_eigvals(op: ops.SectorialOperator, g: np.ndarray) -> np.ndarray:
-    return (op.eigenvectors * g[None, :]) @ op.eigenvectors_inv
-
-
-def _apply_eigvals_stack(op: ops.SectorialOperator, G: np.ndarray) -> np.ndarray:
-    return (op.eigenvectors[None, :, :] * G[:, None, :]) @ op.eigenvectors_inv
-
-
 def sobolev_calculus_apply(A, f: SampledFunction) -> np.ndarray:
     """f(A) through the imaginary-power representation.
 
@@ -197,7 +186,7 @@ def sobolev_calculus_apply(A, f: SampledFunction) -> np.ndarray:
     f.require_cover(lo, hi, "symbol grid")
     if float(np.max(np.abs(f.values))) == 0.0:
         return np.zeros((op.dim, op.dim), dtype=np.complex128)
-    edge = _edge(f.values)
+    edge = _edge_ratio(f.values, 50)
     if edge > 1e-2:
         raise ConvergenceError(
             f"symbol has not decayed at the grid edges (edge ratio {edge:.2e}); "
@@ -205,7 +194,7 @@ def sobolev_calculus_apply(A, f: SampledFunction) -> np.ndarray:
         )
     fe = SampledFunction("linear", f.u0, f.du, f.values, name=f.name)
     fh = fourier_transform(fe)
-    band = _edge(fh.values)
+    band = _edge_ratio(fh.values, 50)
     if band > 1e-3:
         raise ConvergenceError(
             f"transform has not decayed within the frequency band "
@@ -215,7 +204,7 @@ def sobolev_calculus_apply(A, f: SampledFunction) -> np.ndarray:
     t = fh.u
     if op.diagonalizable:
         g = np.exp(1j * np.outer(np.log(op.eigenvalues), t)) @ coef
-        return _apply_eigvals(op, g)
+        return ops._eig_apply(op, g)
     stack = ops.imaginary_powers(op, t)
     return np.tensordot(coef, stack, axes=(0, 0))
 
@@ -301,7 +290,7 @@ def _corpus_image(op: ops.SectorialOperator, corpus: MultiplierCorpus) -> np.nda
     coef = corpus.coefficients * w[None, :] / (2.0 * np.pi)
     if op.diagonalizable:
         P = np.exp(1j * np.outer(t, np.log(op.eigenvalues)))
-        return _apply_eigvals_stack(op, coef @ P)
+        return ops._eig_apply_stack(op, coef @ P)
     stack = ops.imaginary_powers(op, t)
     return np.tensordot(coef, stack, axes=(1, 0))
 
@@ -692,7 +681,7 @@ def general_averaged_check(
             fv = np.asarray(phi.fn(np.outer(ts, lam)), dtype=np.complex128)
         else:
             fv = np.stack([phi.eval(t * lam.real) for t in ts])
-        mats = _apply_eigvals_stack(op, fv)
+        mats = ops._eig_apply_stack(op, fv)
     else:
         if phi.fn is None:
             raise NotSectorialError(
@@ -770,7 +759,7 @@ def paley_littlewood_check(
         wv = np.asarray(pou.window(n)(lamr), dtype=np.complex128)
         if float(np.max(np.abs(wv))) < 1e-14:
             continue
-        blocks.append(_apply_eigvals(op, wv))
+        blocks.append(ops._eig_apply(op, wv))
     if not blocks:
         raise CoverageError("no window meets the spectrum")
 
@@ -848,7 +837,7 @@ def multiplier_experiment(A, f: SampledFunction, alpha: float = 1.0, gamma: floa
     applied = sobolev_calculus_apply(op, f)
     err = float("nan")
     if op.diagonalizable:
-        ref = _apply_eigvals(op, f.eval(np.abs(op.eigenvalues)))
+        ref = ops._eig_apply(op, f.eval(np.abs(op.eigenvalues)))
         scale = float(np.linalg.norm(ref, 2))
         if scale > 0:
             err = float(np.linalg.norm(applied - ref, 2) / scale)

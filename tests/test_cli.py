@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from speccalc import operators as ops
 from speccalc.cli import RunConfig, main
 from speccalc.errors import ConfigError
 
@@ -104,6 +105,23 @@ class TestRun:
         assert man["suites"] == ["sea-to-ha"]
         assert man["seed"] == 9
         assert not (out / "rbound.csv").exists()
+
+    def test_each_operator_is_parsed_once(self, tmp_path, monkeypatch):
+        built = []
+        wrap = ops.sectorial
+
+        def counting(A, *args, **kwargs):
+            if not isinstance(A, ops.SectorialOperator):
+                built.append(A)
+            return wrap(A, *args, **kwargs)
+
+        monkeypatch.setattr(ops, "sectorial", counting)
+        specs = ["diag:1,2", "diag-logspaced:4"]
+        path = write_config(
+            tmp_path, operators=specs, suites=["identities", "paley-littlewood"]
+        )
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == len(specs)
 
     def test_norms_suite_records_expected_skips(self, tmp_path):
         path = write_config(tmp_path, suites=["norms"])

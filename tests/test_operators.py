@@ -150,6 +150,15 @@ class TestMatrixFunctions:
         want = np.diag(rho(np.array([1.0, 2.0, 4.0], dtype=complex)))
         assert np.linalg.norm(got - want, 2) < 1e-7
 
+    def test_holomorphic_calculus_wide_spectrum(self):
+        # the spectrum spans 2^29, so contour nodes pass within 1e-9 max|lambda|
+        # of the smallest eigenvalues while staying far from them relatively
+        op = ops.operator_from_spec("diag-logspaced:30")
+        rho = lambda z: z / (1.0 + z) ** 2
+        got = ops.holomorphic_calculus(op, rho)
+        want = ops._eig_apply(op, rho(op.eigenvalues))
+        assert np.linalg.norm(got - want, 2) < 1e-9 * np.linalg.norm(want, 2)
+
     def test_holomorphic_calculus_jordan(self):
         rho = lambda z: z / (1.0 + z) ** 2
         rho_p = lambda z: (1.0 - z) / (1.0 + z) ** 3

@@ -1,5 +1,6 @@
 """Randomized sums, R-bound brackets, and weighted family averages."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speccalc import _kernels
 from speccalc.errors import DomainError
 from speccalc.grids import log_grid
 from speccalc.rbound import (
@@ -14,6 +16,7 @@ from speccalc.rbound import (
     OperatorFamily,
     RBoundEstimate,
     SpaceSpec,
+    _mean_sq_norm,
     averaged_operator,
     family_value,
     kernel_norm,
@@ -64,6 +67,26 @@ class TestRademacherSums:
             # on ell^2 the second moment is exactly the square function
             if p == 2.0:
                 assert first <= square_sum_norm(X, p) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+    def test_enumeration_matches_brute_force(self, p, K):
+        rng = np.random.default_rng(K)
+        X = rng.standard_normal((K, 3)) + 1j * rng.standard_normal((K, 3))
+        norms = np.array([
+            SpaceSpec(p=p, n=3).vector_norm(np.array(eps) @ X)
+            for eps in itertools.product((-1.0, 1.0), repeat=K)
+        ])
+        assert _kernels.enum_mean_norm(X, p) == pytest.approx(norms.mean(), rel=1e-12)
+        assert _mean_sq_norm(X, p, None) == pytest.approx(np.mean(norms**2), rel=1e-12)
+
+    def test_sup_norm_takes_the_largest_entry(self):
+        # every sign sum is (+-3, +-4), whose sup norm is 4
+        X = np.array([[3.0, 0.0], [0.0, 4.0]])
+        assert rademacher_norm(X, np.inf) == (4.0, 0.0, True)
+        mean, stderr, exact = rademacher_norm(X, np.inf, rng=0, exact_limit=0, samples=64)
+        assert not exact
+        assert (mean, stderr) == (4.0, 0.0)
 
     def test_shape_guards(self):
         with pytest.raises(DomainError):

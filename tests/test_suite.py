@@ -211,6 +211,15 @@ class TestPaleyLittlewood:
         assert 0.1 <= lo <= hi <= 10.0
         assert hi / lo <= 1.5  # ell^2 blocks are nearly tight frames
 
+    def test_sup_norm_ratios_are_contractions(self):
+        # the windows are nonnegative and sum to one on the spectrum, so
+        # each coordinate of sum_n eps_n psi_n(A) x is at most |x_j|
+        op = ops.operator_from_spec("diag-logspaced:6")
+        lo, hi = suite.paley_littlewood_check(
+            op, SpaceSpec(p=np.inf, n=6), trials=20, seed=0
+        )
+        assert 0.0 < lo < hi <= 1.0 + 1e-12
+
     def test_partition_must_cover(self):
         op = ops.operator_from_spec("diag-logspaced:16")
         with pytest.raises(CoverageError):
