@@ -2,7 +2,7 @@
 
 Subpackage map:
     special    Gamma, finite-difference symbols, kernel integrals
-    grids      uniform sample grids, Fourier/Mellin transforms
+    grids      uniform sample grids, Fourier transforms, quadrature grids
     spaces     partitions of unity and multiplier norms
     corpus     named test-function corpus
     operators  sectorial matrices, calculi, operator families

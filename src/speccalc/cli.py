@@ -321,6 +321,14 @@ def run_norms(cfg: RunConfig, operators: dict):
     return rows, plots
 
 
+def _stack_rel_error(lhs, rhs) -> float:
+    """max_k ||L_k - R_k|| / max_k ||R_k|| over two (K, n, n) stacks."""
+    return float(
+        np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)))
+        / np.max(np.linalg.norm(rhs, axis=(1, 2)))
+    )
+
+
 def run_identities(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
 
@@ -374,10 +382,7 @@ def run_identities(cfg: RunConfig, operators: dict):
             continue
         lhs = ops.wave_mellin_lhs(op, t_spot, alpha=1.0, m=2)
         rhs = ops.wave_mellin_rhs(op, t_spot, alpha=1.0, m=2)
-        rel = float(
-            np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)))
-            / np.max(np.linalg.norm(rhs, axis=(1, 2)))
-        )
+        rel = _stack_rel_error(lhs, rhs)
         rows.append(
             Row(spec, "identities", "wave-mellin", "alpha=1,m=2",
                 rel, 1e-3, {"t_points": len(t_spot)}, rel <= 1e-3)
@@ -389,10 +394,7 @@ def run_identities(cfg: RunConfig, operators: dict):
         lam = op.eigenvalues
         fv = gam[:, None] * np.exp(-zt[:, None] * np.log(lam[None, :]))
         ref_stack = ops._eig_apply_stack(op, fv)
-        rel = float(
-            np.max(np.linalg.norm(lhs - ref_stack, axis=(1, 2)))
-            / np.max(np.linalg.norm(ref_stack, axis=(1, 2)))
-        )
+        rel = _stack_rel_error(lhs, ref_stack)
         rows.append(
             Row(spec, "identities", "wave-taylor-mellin", "alpha=1.7,m=1",
                 rel, 1e-3, {"t_points": len(t_spot)}, rel <= 1e-3)
@@ -400,10 +402,7 @@ def run_identities(cfg: RunConfig, operators: dict):
 
         s_spot = np.linspace(-1.5, 1.5, 5)
         lhs, rhs = ops.resolvent_bip_mellin(op, 0.5, np.pi / 2, s_spot)
-        rel = float(
-            np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)))
-            / np.max(np.linalg.norm(rhs, axis=(1, 2)))
-        )
+        rel = _stack_rel_error(lhs, rhs)
         rows.append(
             Row(spec, "identities", "resolvent-bip-mellin", "beta=0.5,theta=pi/2",
                 rel, 1e-3, {"s_points": len(s_spot)}, rel <= 1e-3)
@@ -602,9 +601,6 @@ RUNNERS = {
 def cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config)
     if args.suite:
-        bad = sorted(set(args.suite) - set(SUITES))
-        if bad:
-            raise ConfigError(f"unknown suites: {', '.join(bad)}")
         cfg.suites = list(args.suite)
     if args.seed is not None:
         cfg.seed = args.seed

@@ -1,4 +1,4 @@
-"""Uniform sample grids and discrete Fourier/Mellin transforms.
+"""Uniform sample grids, the discrete Fourier pair and quadrature grids.
 
 Functions live on uniform grids in an abstract coordinate u.  A "linear"
 grid samples f(u) directly; a "log" grid samples f(s) at s = e^u, so that
@@ -16,7 +16,7 @@ samples to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -149,10 +149,6 @@ class SampledFunction:
             "log", self.u0, self.du, vals, fn=new_fn, name=f"{self.name}@{t:g}"
         )
 
-    def l2_norm(self) -> float:
-        """L2 norm in du: for log grids this is the L2(ds/s) norm."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.du))
-
 
 def fourier_grid(n: int, du: float) -> np.ndarray:
     """Conjugate frequency grid, monotone, centered at 0."""
@@ -201,9 +197,3 @@ def log_grid(lo: float, hi: float, n: int):
         raise DomainError("log grid needs 0 < lo < hi")
     u = np.linspace(np.log(lo), np.log(hi), n)
     return np.exp(u), trapezoid_weights(n, u[1] - u[0])
-
-
-def linear_grid(lo: float, hi: float, n: int):
-    """Uniform nodes and trapezoid weights for integrals against dx."""
-    x = np.linspace(lo, hi, n)
-    return x, trapezoid_weights(n, x[1] - x[0])

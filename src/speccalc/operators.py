@@ -2,22 +2,22 @@
 
 A SectorialOperator wraps a square matrix with spectrum in a sector
 strictly inside the cut plane.  Matrices with an orthogonal kernel are
-compressed onto their range first (CalculusCoreProjection records the
+compressed onto their range first (RangeReduction records the
 compression); spectrum on the negative real axis, or a nilpotent part
 at zero, is rejected.
 
 On top of that live the concrete calculi: the holomorphic contour
 calculus for decaying analytic functions, imaginary and fractional
-powers, semigroups and resolvents, Mellin transforms of operator
-families, and the sampled operator families whose averaged norms the
-suite estimates.
+powers, the sampled operator families whose averaged norms the suite
+estimates, and the Mellin identities tying those families to the
+imaginary powers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -25,13 +25,11 @@ import scipy.linalg
 from .errors import (
     ContourError,
     ConvergenceError,
-    CoverageError,
     DomainError,
     NotSectorialError,
 )
-from .grids import SampledFunction, fourier_grid, trapezoid_weights
+from .grids import log_grid, trapezoid_weights
 from .rbound import OperatorFamily
-from .spaces import PartitionOfUnity, make_partition
 from .special import h_kernel, w_alpha_kernel
 
 MAX_DIM = 512
@@ -80,7 +78,7 @@ class SectorialOperator:
         return float(a.min()), float(a.max())
 
 
-def sectorial(A, name: str = "", tol: float = 1e-10) -> SectorialOperator:
+def sectorial(A, name: str = "") -> SectorialOperator:
     """Wrap a matrix for the calculus, compressing away an orthogonal kernel."""
     if isinstance(A, SectorialOperator):
         return A
@@ -93,9 +91,10 @@ def sectorial(A, name: str = "", tol: float = 1e-10) -> SectorialOperator:
     if scale == 0.0:
         raise NotSectorialError("the zero matrix has no sectorial calculus")
 
+    tol = 1e-10
     reduction = None
-    w = np.linalg.eigvals(A)
-    if np.any(np.abs(w) <= tol * scale):
+    lam, V = np.linalg.eig(A)
+    if np.any(np.abs(lam) <= tol * scale):
         # compress onto the range; valid only when the kernel is orthogonal
         U, s, _ = np.linalg.svd(A)
         r = int(np.sum(s > tol * s[0]))
@@ -111,18 +110,17 @@ def sectorial(A, name: str = "", tol: float = 1e-10) -> SectorialOperator:
             basis=Q, original_dim=A.shape[0], core_dim=r, residual=residual
         )
         A = core
-        w = np.linalg.eigvals(A)
-        if np.any(np.abs(w) <= tol * scale):
+        lam, V = np.linalg.eig(A)
+        if np.any(np.abs(lam) <= tol * scale):
             raise NotSectorialError("nilpotent part at zero survives compression")
 
-    on_cut = (w.real < 0) & (np.abs(w.imag) <= tol * np.abs(w))
+    on_cut = (lam.real < 0) & (np.abs(lam.imag) <= tol * np.abs(lam))
     if np.any(on_cut):
         raise NotSectorialError(
-            f"eigenvalue {w[on_cut][0]} lies on the negative real axis"
+            f"eigenvalue {lam[on_cut][0]} lies on the negative real axis"
         )
-    omega = float(np.max(np.abs(np.angle(w))))
+    omega = float(np.max(np.abs(np.angle(lam))))
 
-    lam, V = np.linalg.eig(A)
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
     V = V[:, order]
@@ -194,55 +192,6 @@ def operator_from_spec(spec: str) -> SectorialOperator:
 
 
 # ---------------------------------------------------------------------------
-# sectoriality check
-
-
-@dataclass
-class SectorialityReport:
-    omega: float
-    rows: list
-
-
-def check_sectoriality(A, angles: Sequence[float] | None = None) -> SectorialityReport:
-    """Measure C_theta = sup_{arg lambda = theta} ||lambda (lambda - A)^{-1}||
-    along rays, for each requested angle.
-
-    Angles at or inside the spectral angle are reported unbounded.
-    """
-    op = sectorial(A)
-    if angles is None:
-        lo = op.omega + (np.pi - op.omega) * 0.15
-        angles = list(np.linspace(lo, np.pi, 6))
-    lo_r, hi_r = op.spectral_bounds()
-    r = np.exp(np.linspace(np.log(lo_r) - 7.0, np.log(hi_r) + 7.0, 160))
-    I = np.eye(op.dim)
-    rows = []
-    for theta in angles:
-        worst = 0.0
-        for sgn in (+1.0, -1.0):
-            lam = r * np.exp(1j * sgn * theta)
-            for lm in lam:
-                d = np.min(np.abs(lm - op.eigenvalues))
-                if d < 1e-14 * hi_r:
-                    worst = np.inf
-                    break
-                Rm = np.linalg.solve(lm * I - op.matrix, I)
-                worst = max(worst, float(np.abs(lm) * np.linalg.norm(Rm, 2)))
-            if not np.isfinite(worst):
-                break
-            if abs(theta - np.pi) < 1e-14:
-                break  # the two rays coincide
-        rows.append(
-            {
-                "theta": float(theta),
-                "C": worst,
-                "bounded": bool(np.isfinite(worst) and worst < 1e12),
-            }
-        )
-    return SectorialityReport(omega=op.omega, rows=rows)
-
-
-# ---------------------------------------------------------------------------
 # matrix functions
 
 
@@ -254,44 +203,6 @@ def _eig_apply(op: SectorialOperator, fvals: np.ndarray) -> np.ndarray:
 def _eig_apply_stack(op: SectorialOperator, fvals: np.ndarray) -> np.ndarray:
     """Stacked V diag(fvals[k]) V^{-1}; fvals has shape (K, dim)."""
     return np.einsum("ij,kj,jl->kil", op.eigenvectors, fvals, op.eigenvectors_inv)
-
-
-def _derivatives_by_cauchy(fn: Callable, a: float, order: int, radius: float):
-    """f(a), f'(a), .., f^(order)(a) for analytic fn via circle quadrature."""
-    M = 128
-    th = 2.0 * np.pi * np.arange(M) / M
-    zs = a + radius * np.exp(1j * th)
-    fz = np.asarray(fn(zs), dtype=np.complex128)
-    ks = np.arange(order + 1)
-    # f^(k)(a) = k! r^{-k} mean_j fz_j e^{-i k th_j}
-    phases = np.exp(-1j * np.outer(ks, th))
-    moments = phases @ fz / M
-    facts = np.array([math.factorial(int(k)) for k in ks], dtype=float)
-    return moments * facts / radius**ks
-
-
-def _matrix_function(op: SectorialOperator, fn: Callable) -> np.ndarray:
-    """fn(A) for data-driven fn: eigen path, or Taylor on a + nilpotent."""
-    if op.diagonalizable:
-        return _eig_apply(op, np.asarray(fn(op.eigenvalues), dtype=np.complex128))
-    lam = op.eigenvalues
-    if np.max(np.abs(lam - lam[0])) < 1e-10 * max(1.0, abs(lam[0])):
-        a = lam[0]
-        if abs(a.imag) > 1e-12 * abs(a):
-            raise NotSectorialError("defective complex eigenvalue not supported")
-        a = float(a.real)
-        N = op.matrix - a * np.eye(op.dim)
-        radius = 0.45 * a
-        ders = _derivatives_by_cauchy(fn, a, op.dim - 1, radius)
-        out = np.zeros_like(op.matrix)
-        P = np.eye(op.dim, dtype=np.complex128)
-        for k in range(op.dim):
-            out += ders[k] / math.factorial(k) * P
-            P = P @ N
-            if np.all(np.abs(P) < 1e-300):
-                break
-        return out
-    raise NotSectorialError("defective matrix with distinct eigenvalues not supported")
 
 
 def imaginary_powers(A, t):
@@ -316,41 +227,8 @@ def fractional_power(A, gamma: float) -> np.ndarray:
     return scipy.linalg.expm(gamma * L)
 
 
-def semigroup(A, z) -> np.ndarray:
-    """e^{-zA} for |arg z| < pi/2 - omega (boundary allowed, not beyond)."""
-    op = sectorial(A)
-    z = complex(z)
-    if z != 0 and abs(np.angle(z)) > np.pi / 2.0 - op.omega + 1e-12:
-        raise DomainError(
-            f"arg z = {np.angle(z):.3f} outside the decay sector for omega = {op.omega:.3f}"
-        )
-    if op.diagonalizable:
-        return _eig_apply(op, np.exp(-z * op.eigenvalues))
-    return scipy.linalg.expm(-z * op.matrix)
-
-
-def resolvent(A, lam) -> np.ndarray:
-    """(lam - A)^{-1}, guarded against lam on the spectrum."""
-    op = sectorial(A)
-    lam = complex(lam)
-    gap = float(np.min(np.abs(lam - op.eigenvalues)))
-    if gap < 1e-12 * max(1.0, float(np.max(np.abs(op.eigenvalues)))):
-        raise DomainError(f"lambda = {lam} is within {gap:.2e} of the spectrum")
-    return np.linalg.solve(lam * np.eye(op.dim) - op.matrix, np.eye(op.dim))
-
-
 # ---------------------------------------------------------------------------
 # holomorphic contour calculus
-
-
-@dataclass
-class ContourSpec:
-    """Two-ray sector boundary with geometric tanh-sinh nodes."""
-
-    angle: float
-    r_min: float
-    r_max: float
-    nodes_per_ray: int = 384
 
 
 def _tanh_sinh_nodes(a: float, b: float, n: int):
@@ -363,49 +241,35 @@ def _tanh_sinh_nodes(a: float, b: float, n: int):
     return mid + half * g, half * gp * dtau
 
 
-def default_contour(op: SectorialOperator, margin: float = 1e7) -> ContourSpec:
-    # the truncated-tail error of a first-order symbol scales like
-    # 1/r_max, so the radii overshoot the spectrum by seven decades
-    lo, hi = op.spectral_bounds()
-    angle = min(max(1.5 * op.omega, 0.35), 0.5 * (op.omega + np.pi))
-    return ContourSpec(angle=angle, r_min=lo / margin, r_max=hi * margin)
-
-
-def holomorphic_calculus(
-    A, f: Callable, contour: ContourSpec | None = None, rtol: float = 1e-9
-) -> np.ndarray:
+def holomorphic_calculus(A, f: Callable) -> np.ndarray:
     """f(A) = (2 pi i)^{-1} oint f(z) (z - A)^{-1} dz over the sector boundary.
 
-    f must be analytic on the sector |arg z| <= angle and decay at 0 and
-    infinity (an integrable power of |z| suffices).  Node counts double
-    until the result stabilizes; diagonalizable inputs are additionally
-    cross-checked against the eigenbasis value.
+    The contour is the pair of rays arg z = +-angle with
+    angle = min(max(1.5 omega, 0.35), (omega + pi)/2), cut to radii seven
+    decades beyond the spectrum.  f must be analytic on the sector
+    |arg z| <= angle and decay at 0 and infinity (an integrable power of
+    |z| suffices).  Node counts double until the result changes by less
+    than 1e-9 relative.
     """
     op = sectorial(A)
-    if contour is None:
-        contour = default_contour(op)
-    if contour.angle <= op.omega + 1e-12:
-        raise ContourError(
-            f"contour angle {contour.angle:.3f} does not clear omega = {op.omega:.3f}"
-        )
-    if contour.angle >= np.pi:
-        raise ContourError("contour angle must stay inside the cut plane")
     lo, hi = op.spectral_bounds()
-    if contour.r_min > lo / 10.0 or contour.r_max < hi * 10.0:
-        raise ContourError("contour radii must bracket the spectrum by a decade")
+    angle = min(max(1.5 * op.omega, 0.35), 0.5 * (op.omega + np.pi))
+    # the truncated-tail error of a first-order symbol scales like
+    # 1/r_max, so the radii overshoot the spectrum by seven decades
+    u_min, u_max = np.log(lo / 1e7), np.log(hi * 1e7)
     # a node is too close when it lies within 1e-9 |lambda_j| of some
     # lambda_j; an absolute 1e-9 max|lambda| would reject the nodes passing
     # the small end of a wide spectrum (diag-logspaced:30 spans 2^29)
     near = 1e-9 * np.abs(op.eigenvalues)
 
     def evaluate(n_nodes: int) -> np.ndarray:
-        u, w = _tanh_sinh_nodes(np.log(contour.r_min), np.log(contour.r_max), n_nodes)
+        u, w = _tanh_sinh_nodes(u_min, u_max, n_nodes)
         r = np.exp(u)
         wr = w * r  # dr = r du
         total = np.zeros_like(op.matrix)
         I = np.eye(op.dim)
         for sgn in (-1.0, +1.0):
-            e = np.exp(1j * sgn * contour.angle)
+            e = np.exp(1j * sgn * angle)
             z = r * e
             if np.any(np.abs(z[:, None] - op.eigenvalues[None, :]) < near[None, :]):
                 raise ContourError("contour node too close to the spectrum")
@@ -419,7 +283,7 @@ def holomorphic_calculus(
             total += (-sgn) * e * acc  # down the upper ray, out the lower
         return total / (2.0j * np.pi)
 
-    n = contour.nodes_per_ray
+    n = 384
     prev = evaluate(n)
     for _ in range(4):
         n *= 2
@@ -427,7 +291,7 @@ def holomorphic_calculus(
         gap = float(
             np.linalg.norm(cur - prev, 2) / max(np.linalg.norm(cur, 2), 1e-300)
         )
-        if gap < rtol:
+        if gap < 1e-9:
             return cur
         prev = cur
     raise ConvergenceError(
@@ -436,155 +300,7 @@ def holomorphic_calculus(
 
 
 # ---------------------------------------------------------------------------
-# extended calculus through partitions
-
-
-def extended_hoermander_apply(
-    A,
-    f: SampledFunction,
-    partition: PartitionOfUnity | None = None,
-):
-    """f(A) assembled window-by-window over a dyadic partition.
-
-    Each window piece psi_n(A) f(A) is evaluated through the eigen
-    decomposition (or the defective-matrix fallback) and the pieces are
-    summed over every window meeting the spectrum.  Returns the matrix
-    and a report of the windows used.
-    """
-    op = sectorial(A)
-    if f.coordinate != "log":
-        raise DomainError("extended calculus expects a log-grid symbol")
-    if partition is None:
-        partition = make_partition("dyadic")
-    if partition.kind != "dyadic":
-        raise DomainError("extended calculus localizes dyadically")
-    lam = op.eigenvalues
-    if np.any(np.abs(lam.imag) > 1e-10 * np.abs(lam)):
-        raise DomainError("window calculus needs spectrum on the positive axis")
-    lo, hi = op.spectral_bounds()
-    f.require_cover(lo, hi, "symbol grid")
-    ns = partition.indices_for(lo, hi)
-    info = {"windows": list(ns), "spectral_bounds": (lo, hi)}
-    if not op.diagonalizable:
-        # window pieces are smooth but not analytic; for a defective
-        # matrix apply the full symbol instead (the windows sum to one)
-        if f.fn is None:
-            raise NotSectorialError(
-                "defective matrix needs an analytic symbol, not samples"
-            )
-        info["defective_fallback"] = True
-        return _matrix_function(op, f.fn), info
-    lam = op.eigenvalues.real
-    total = np.zeros_like(op.matrix)
-    norms = {}
-    fvals = f.eval(lam)
-    for n in ns:
-        piece = _eig_apply(op, partition.window(n)(lam) * fvals)
-        pnorm = float(np.linalg.norm(piece, 2))
-        if pnorm > 0:
-            norms[n] = pnorm
-        total += piece
-    info["window_norms"] = norms
-    return total, info
-
-
-@dataclass
-class CalculusCoreProjection:
-    """Dyadic spectral window projector P = sum_{|n| <= N} psi_n(A)."""
-
-    half_width: int
-    matrix: np.ndarray
-    covers_spectrum: bool
-    defect: float  # ||P - I||_2
-    window_indices: list
-
-
-def calculus_core_projection(A, half_width: int | None = None) -> CalculusCoreProjection:
-    """Sum the dyadic calculus windows psi_n(A) over |n| <= N.
-
-    When the spectrum sits inside [2^{-N+1}, 2^{N-1}] the windows sum to
-    one on a neighborhood of it and P is the identity; otherwise P drops
-    the spectral mass outside the window range and the defect records
-    how far from the identity that leaves it.
-    """
-    op = sectorial(A)
-    lam = op.eigenvalues
-    if np.any(np.abs(lam.imag) > 1e-10 * np.abs(lam)):
-        raise DomainError("window projection needs spectrum on the positive axis")
-    lo, hi = op.spectral_bounds()
-    if half_width is None:
-        half_width = int(max(math.ceil(abs(np.log2(lo))), math.ceil(abs(np.log2(hi))))) + 1
-    N = int(half_width)
-    covers = bool(lo >= 2.0 ** (-N + 1) - 1e-12 * lo and hi <= 2.0 ** (N - 1) + 1e-12 * hi)
-    pou = make_partition("dyadic")
-    if not op.diagonalizable:
-        if not covers:
-            raise NotSectorialError(
-                "window projection of a defective matrix needs full coverage"
-            )
-        # the window sum is identically one near the spectrum
-        P = np.eye(op.dim, dtype=np.complex128)
-    else:
-        x = lam.real
-        total = np.zeros(op.dim)
-        for n in range(-N, N + 1):
-            total = total + pou.window(n)(x)
-        P = _eig_apply(op, total.astype(np.complex128))
-    defect = float(np.linalg.norm(P - np.eye(op.dim), 2))
-    return CalculusCoreProjection(
-        half_width=N,
-        matrix=P,
-        covers_spectrum=covers,
-        defect=defect,
-        window_indices=list(range(-N, N + 1)),
-    )
-
-
-def sampled_apply(A, f: SampledFunction) -> np.ndarray:
-    """f(A) for a log-grid symbol, without windowing."""
-    op = sectorial(A)
-    lo, hi = op.spectral_bounds()
-    f.require_cover(lo, hi, "symbol grid")
-    if op.diagonalizable:
-        return _eig_apply(op, f.eval(op.eigenvalues.real))
-    if f.fn is None:
-        raise NotSectorialError("defective matrix needs an analytic symbol")
-    return _matrix_function(op, f.fn)
-
-
-# ---------------------------------------------------------------------------
-# Mellin transforms
-
-
-def mellin_transform(f: SampledFunction, t_grid=None, isometric: bool = False):
-    """M f(t) = int_0^inf f(s) s^{it} ds/s.
-
-    With t_grid None the full FFT conjugate grid is returned as a
-    SampledFunction; otherwise values at the requested frequencies are
-    computed by direct summation.  Plancherel: ||Mf||^2_{L^2(dt)} =
-    2 pi ||f||^2_{L^2(ds/s)}; isometric=True folds the (2 pi)^{-1/2}
-    into the values so the transform preserves the norm exactly.
-    """
-    if f.coordinate != "log":
-        raise DomainError("mellin transform expects a log grid")
-    scale = (2.0 * np.pi) ** -0.5 if isometric else 1.0
-    if t_grid is not None:
-        t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-        return scale * (np.exp(1j * np.outer(t, f.u)) @ f.values) * f.du
-    n, du = f.n, f.du
-    t = fourier_grid(n, du)
-    raw = np.fft.ifft(f.values) * n  # sum_j f_j e^{+2pi i jk/N}
-    vals = scale * du * np.exp(1j * t * f.u0) * np.fft.fftshift(raw)
-    return SampledFunction("linear", t[0], t[1] - t[0], vals, name=f"M[{f.name}]")
-
-
-# ---------------------------------------------------------------------------
 # operator families
-
-
-def _family_grid_log(lo, hi, n):
-    u = np.linspace(np.log(lo), np.log(hi), n)
-    return np.exp(u), trapezoid_weights(n, u[1] - u[0])
 
 
 def family_samples(
@@ -677,7 +393,7 @@ def family_samples(
         if abs(theta) <= op.omega:
             raise DomainError("ray angle must clear the spectral angle")
         n = int(g.get("n", 1024))
-        t, w = _family_grid_log(lo * 1e-5, hi * 1e5, n)
+        t, w = log_grid(lo * 1e-5, hi * 1e5, n)
         e = np.exp(1j * theta)
         if defective:
             Afrac = fractional_power(op, 1.0 - beta)
@@ -701,7 +417,7 @@ def family_samples(
         u_th = np.linspace(np.log(th_min), np.log(theta0), n_th)
         th_abs = np.exp(u_th)
         w_th = trapezoid_weights(n_th, u_th[1] - u_th[0]) * th_abs  # dtheta
-        t, w_t = _family_grid_log(lo * 1e-4, hi * 1e4, n_t)
+        t, w_t = log_grid(lo * 1e-4, hi * 1e4, n_t)
         pts, wts, vals, stacks = [], [], [], []
         Afrac = fractional_power(op, 1.0 - beta) if defective else None
         for sgn in (+1.0, -1.0):
@@ -740,7 +456,7 @@ def family_samples(
         if abs(theta) >= np.pi / 2.0 - op.omega:
             raise DomainError("semigroup ray outside the decay sector")
         n = int(g.get("n", 1024))
-        t, w = _family_grid_log(1e-6 / hi, 60.0 / (lo * np.cos(theta)), n)
+        t, w = log_grid(1e-6 / hi, 60.0 / (lo * np.cos(theta)), n)
         z = np.exp(1j * theta)
         if defective:
             Ah = fractional_power(op, 0.5)
@@ -755,7 +471,7 @@ def family_samples(
         alpha = float(p.get("alpha", 1.0))
         n_x = int(g.get("n_x", 48))
         n_psi = int(g.get("n_psi", 49))
-        x, wx = _family_grid_log(1e-6 / hi, 60.0 / lo, n_x)  # wx: dx/x weights
+        x, wx = log_grid(1e-6 / hi, 60.0 / lo, n_x)  # wx: dx/x weights
         eps_psi = float(g.get("eps_psi", 5e-3))
         psi = np.linspace(-np.pi / 2 + eps_psi, np.pi / 2 - eps_psi, n_psi)
         wpsi = trapezoid_weights(n_psi, psi[1] - psi[0])
@@ -798,7 +514,7 @@ def family_samples(
         n = int(g.get("n", 768))
         s_min = float(g.get("s_min", 1e-4 / hi))
         s_max = float(g.get("s_max", 2e3 / lo))
-        s_abs, w_log = _family_grid_log(s_min, s_max, n)
+        s_abs, w_log = log_grid(s_min, s_max, n)
         pts, wts, vals, stacks = [], [], [], []
         Apre = fractional_power(op, 0.5 - alpha) if defective else None
         for sgn in (+1.0, -1.0):
@@ -837,7 +553,7 @@ def family_samples(
         n = int(g.get("n", 1024))
         s_min = float(g.get("s_min", 1e-4 / hi))
         s_max = float(g.get("s_max", 1e3 / lo))
-        s_abs, w_log = _family_grid_log(s_min, s_max, n)
+        s_abs, w_log = log_grid(s_min, s_max, n)
         pts, wts, vals, stacks = [], [], [], []
         Apre = fractional_power(op, 0.5 - alpha) if defective else None
         for sgn in (+1.0, -1.0):
@@ -876,7 +592,7 @@ def family_samples(
         n = int(g.get("n", 1 << 17))
         s_min = float(g.get("s_min", 1e-7 / hi))
         s_max = float(g.get("s_max", 200.0))
-        s, w = _family_grid_log(s_min, s_max, n)
+        s, w = log_grid(s_min, s_max, n)
         fvals = s[:, None] ** (0.5 - alpha) * (
             np.exp(1j * sign * s[:, None] * lam[None, :].real) - 1.0
         ) ** m
@@ -899,15 +615,14 @@ def w_alpha_kernel_outer(s, lam, alpha, m):
 # Mellin identities for the wave family
 
 
-def wave_mellin_lhs(
-    A, t_grid, alpha: float, m: int, sign: int = -1, phi: float = 0.42
-):
+def wave_mellin_lhs(A, t_grid, alpha: float, m: int, sign: int = -1):
     """Mellin transform (in s) of s^{1/2-alpha} (e^{i sign s A} - 1)^m.
 
     Returns a (T, n, n) stack: for each t the matrix
     int_0^inf s^{(1/2-alpha)+it} (e^{i sign s A} - 1)^m ds/s, computed
-    after rotating the ray by phi into the damped quadrant (the arcs
-    vanish for 1/2 < alpha < m + 1/2).  Equals h_sign(t) A^{alpha-1/2-it}.
+    after rotating the ray by phi = 0.42 into the damped quadrant (the
+    arcs vanish for 1/2 < alpha < m + 1/2).  Equals
+    h_sign(t) A^{alpha-1/2-it}.
     """
     op = sectorial(A)
     if not op.diagonalizable:
@@ -917,6 +632,7 @@ def wave_mellin_lhs(
     if sign not in (-1, 1):
         raise DomainError("sign must be -1 or +1")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    phi = 0.42
     c = 0.5 - alpha
     left_rate = m + c
     right_rate = -c
@@ -1025,7 +741,7 @@ def _exp_remainder(w, m):
     return direct
 
 
-def resolvent_bip_mellin(A, beta: float, theta: float, s_grid, n_quad: int = 4096):
+def resolvent_bip_mellin(A, beta: float, theta: float, s_grid):
     """Both sides of the resolvent-to-imaginary-powers Mellin identity.
 
     lhs(s) = e^{i theta beta} A^{1-beta} int_0^inf t^{beta+is} (e^{i theta} t + A)^{-1} dt/t
@@ -1044,7 +760,7 @@ def resolvent_bip_mellin(A, beta: float, theta: float, s_grid, n_quad: int = 409
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     lam = op.eigenvalues
     lo, hi = op.spectral_bounds()
-    t, w = _family_grid_log(lo * 1e-7, hi * 1e7, n_quad)
+    t, w = log_grid(lo * 1e-7, hi * 1e7, 4096)
     e = np.exp(1j * theta)
     lhs_vals = np.empty((len(s_grid), len(lam)), dtype=np.complex128)
     # eigenvalue-wise quadrature of t^{beta+is-1} / (e^{i theta} t + a)

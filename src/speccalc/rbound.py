@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -230,20 +230,15 @@ def _ratio(mats, X, p, rng) -> float:
     return math.sqrt(num / den) if den > 0 else 0.0
 
 
-def r_bound(
-    mats,
-    space: SpaceSpec,
-    rng=None,
-    restarts: int = 16,
-    steps: int = 60,
-) -> RBoundEstimate:
+def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
     """Bracket the R-bound of a finite matrix family on ell^p.
 
     On ell^2 the value is exactly max_j ||T_j||_2 (Rademacher sums are
     orthogonal in Hilbert space) and lower == upper.  Otherwise the
     lower estimate is the best witness found (singletons are exact) and
     the upper estimate min(sqrt(sum_j ||T_j||_p^2), transfer through
-    ell^2).
+    ell^2).  The witness search makes 16 random restarts of 60
+    perturbation steps each.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim == 2:
@@ -271,13 +266,13 @@ def r_bound(
     lower = float(norms_p.max())
     witness = {"operator": int(norms_p.argmax()), "kind": "singleton"}
     sizes = sorted({s for s in (1, 2, min(4, K), K) if 1 <= s <= K})
-    for _ in range(restarts):
+    for _ in range(16):
         k = int(gen.choice(sizes))
         idx = gen.choice(K, size=k, replace=False)
         sub = mats[idx]
         X = gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n))
         val = _ratio(sub, X, p, gen)
-        for _ in range(steps):
+        for _ in range(60):
             Y = X + 0.3 * (
                 gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n))
             )
@@ -303,12 +298,12 @@ def r_bound(
     )
 
 
-def r_l1_vs_rbound(mats, space: SpaceSpec, rng=None, ball_samples: int = 64):
+def r_l1_vs_rbound(mats, space: SpaceSpec, rng=None):
     """(R, R_L1): the family's R-bound and that of its l1-average set.
 
     R_L1 estimates the R-bound of {sum_k f_k T_k : sum_k |f_k| <= 1},
     sampled at the vertices (the family itself, so R <= R_L1 is
-    structural) plus random points of the l1 sphere.  The two-point
+    structural) plus 64 random points of the l1 sphere.  The two-point
     contraction gives R_L1 <= 2 R on the other side.
     """
     mats = np.asarray(mats, dtype=np.complex128)
@@ -318,7 +313,7 @@ def r_l1_vs_rbound(mats, space: SpaceSpec, rng=None, ball_samples: int = 64):
     gen = _rng(rng)
     R = r_bound(mats, space, rng=gen)
     ball = [T for T in mats]
-    for _ in range(ball_samples):
+    for _ in range(64):
         f = gen.standard_normal(K) + 1j * gen.standard_normal(K)
         f /= np.sum(np.abs(f))
         ball.append(np.tensordot(f, mats, axes=(0, 0)))
@@ -377,13 +372,7 @@ def _block_legendre_basis(weights: np.ndarray, n_blocks: int = 16, degree: int =
 
 
 def r_l2_bound(
-    family: OperatorFamily,
-    space: SpaceSpec | None = None,
-    restarts: int = 8,
-    iters: int = 80,
-    tol: float = 1e-12,
-    rng=None,
-    basis_samples: int = 256,
+    family: OperatorFamily, space: SpaceSpec | None = None, rng=None
 ) -> RBoundEstimate:
     """R[L2] bound of the averaged family N_h = sum_k w_k h(k) N_k.
 
@@ -391,13 +380,16 @@ def r_l2_bound(
     sup_{|x|=|x'|=1} sqrt(sum_k w_k |<N_k x, x'>|^2), found by
     alternating eigen steps: for fixed x' the optimal x is the top
     eigenvector of sum_k w_k (N_k^H x')(N_k^H x')^H, and symmetrically.
-    Monotone in the objective; restarted from random and canonical
-    starts.  The flattened Gram bound (optimum over all matrices, not
-    just rank-one x x'^H) is reported as a diagnostic upper bound.
+    Monotone in the objective; each start runs at most 80 alternations
+    and stops when a step gains less than 1e-12 relative.  Started from
+    the first unit vector, the top left singular vector of sum_k w_k N_k
+    and 8 random vectors.  The flattened Gram bound (optimum over all
+    matrices, not just rank-one x x'^H) is reported as a diagnostic
+    upper bound.
 
     On other spaces the unit ball of L2(mu) is sampled: an orthonormal
     piecewise-polynomial basis on blocks of the grid, the basis
-    elements themselves plus `basis_samples` random unit combinations,
+    elements themselves plus 256 random unit combinations,
     and the R-bound of the resulting averaged operators is bracketed.
     """
     N = family.matrices
@@ -414,7 +406,7 @@ def r_l2_bound(
         nrm = math.sqrt(float(np.sum(w * prof**2)))
         if nrm > 0:
             hs.append((prof / nrm).astype(np.complex128))
-        for _ in range(basis_samples):
+        for _ in range(256):
             c = gen.standard_normal(len(H)) + 1j * gen.standard_normal(len(H))
             c /= np.linalg.norm(c)
             hs.append(c @ H)
@@ -464,7 +456,7 @@ def r_l2_bound(
     S = np.tensordot(w, N, axes=(0, 0))
     u, _, vh = np.linalg.svd(S)
     starts.append(u[:, 0])
-    for _ in range(restarts):
+    for _ in range(8):
         v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
         starts.append(v / np.linalg.norm(v))
 
@@ -472,10 +464,10 @@ def r_l2_bound(
     for s in starts:
         xp = s if s is not None else np.eye(n, dtype=np.complex128)[:, 0]
         val = 0.0
-        for _ in range(iters):
+        for _ in range(80):
             v1, x = half_step_x(xp)
             v2, xp = half_step_xp(x)
-            if v2 <= val * (1.0 + tol):
+            if v2 <= val * (1.0 + 1e-12):
                 val = max(val, v2)
                 break
             val = v2
@@ -505,96 +497,3 @@ def r_l2_bound(
 def family_value(family: OperatorFamily, **kw) -> float:
     """Shorthand for the bilinear square-function value of a family."""
     return r_l2_bound(family, **kw).lower
-
-
-# ---------------------------------------------------------------------------
-# Mellin transforms at the family level
-
-
-@dataclass
-class MellinTail:
-    """Analytic continuation of the truncated power-law tail.
-
-    If the samples behave like coefficient * s^{exponent} (modulo terms
-    that oscillate themselves to integrability) beyond the cutoff S,
-    the missing integral of s^{exponent + it} ds/s is
-    -coefficient * S^{exponent + it} / (exponent + it), valid whenever
-    Re(exponent) < 0.
-    """
-
-    coefficient: np.ndarray
-    exponent: complex
-    cutoff: float
-
-    def __post_init__(self):
-        if complex(self.exponent).real >= 0:
-            raise DomainError("tail exponent must have negative real part")
-
-
-def mellin_kernel(family: OperatorFamily, t_grid, exponent: float = 0.0) -> np.ndarray:
-    """Discrete Mellin character rows s_k^{exponent + i t} w_k.
-
-    The family weights must already encode the intended measure (ds/s
-    for a Mellin integral); they are folded into the kernel rows so the
-    kernel acts on bare samples.
-    """
-    pts = np.asarray(family.points, dtype=float)
-    if pts.ndim != 1 or np.any(pts <= 0):
-        raise DomainError("Mellin kernel needs 1-D positive sample points")
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    z = exponent + 1j * t
-    return np.exp(np.outer(z, np.log(pts))) * family.weights[None, :]
-
-
-def kernel_norm(kernel: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> float:
-    """L2(mu_in) -> L2(mu_out) norm of a discrete kernel with folded weights."""
-    kernel = np.asarray(kernel, dtype=np.complex128)
-    d_out = np.sqrt(np.asarray(w_out, dtype=float))
-    d_in = np.sqrt(np.asarray(w_in, dtype=float))
-    if np.any(d_in <= 0):
-        raise DomainError("input weights must be positive")
-    return float(np.linalg.norm(d_out[:, None] * kernel / d_in[None, :], 2))
-
-
-def transform_family(
-    family: OperatorFamily,
-    kernel: np.ndarray,
-    out_points=None,
-    out_weights=None,
-    out_measure: str = "count",
-    tail: MellinTail | None = None,
-    label: str | None = None,
-) -> OperatorFamily:
-    """Apply a linear kernel to the family samples: M_t = sum_k kernel[t,k] N_k.
-
-    The kernel is any matrix on the grid samples (identity, discrete
-    Fourier or Mellin characters, multiplication by a weight); rows are
-    expected to carry the quadrature weights already, as mellin_kernel
-    does.  An optional MellinTail adds the analytic continuation of the
-    truncated power tail.  Returns a new OperatorFamily on out_points.
-    """
-    kernel = np.asarray(kernel, dtype=np.complex128)
-    if kernel.ndim != 2 or kernel.shape[1] != len(family):
-        raise DomainError("kernel must be (T, K) against K family samples")
-    out = np.tensordot(kernel, family.matrices, axes=(1, 0))
-    T = kernel.shape[0]
-    if tail is not None:
-        if out_points is None:
-            raise DomainError("a Mellin tail needs the output frequencies")
-        t = np.asarray(out_points, dtype=float)
-        g = complex(tail.exponent) + 1j * t
-        fac = -np.power(tail.cutoff, g) / g
-        out = out + fac[:, None, None] * np.asarray(tail.coefficient)[None, :, :]
-    if out_points is None:
-        out_points = np.arange(T, dtype=float)
-    if out_weights is None:
-        out_weights = np.ones(T)
-    return OperatorFamily(
-        label=label or f"{family.label}|transformed",
-        points=np.asarray(out_points),
-        weights=np.asarray(out_weights, dtype=float),
-        matrices=out,
-        measure=out_measure,
-        params=dict(family.params),
-        diagnostics={"source": family.label},
-    )

@@ -9,11 +9,9 @@ Norms implemented (all on SampledFunction grids, FFT-based):
     mihlin_norm     sup_{t>0, k <= k_max} |t^k f^(k)(t)|
     hoermander_norm H^alpha:  sup over unit translates of the localized
                     W^alpha norm in log coordinates
-    classical_hoermander     sup_R of annulus L2 averages of t^k f^(k)
-    modern_hoermander        sup over dilations t of ||psi f(t .)||_{W^alpha}
 
-The three partition kinds share one construction: a smooth (or C^k) ramp
-S with S = 0 left of 0 and S = 1 right of 1, differenced into a bump.
+The three partition kinds share one construction: a C-infinity ramp S
+with S = 0 left of 0 and S = 1 right of 1, differenced into a bump.
 Their pointwise sums telescope to 1 exactly, including in floating
 point, because adjacent windows reuse identical ramp evaluations.
 """
@@ -22,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -47,58 +45,35 @@ def _ramp_smooth(x):
     return out
 
 
-def _ramp_finite(order: int):
-    """C^order ramp: the regularized incomplete beta I_x(order+1, order+1)."""
-    from scipy.special import betainc
-
-    def ramp(x):
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return betainc(order + 1, order + 1, x)
-
-    return ramp
-
-
 @dataclass
 class PartitionOfUnity:
-    """A family of windows summing to one.
+    """A family of C-infinity windows summing to one.
 
-    kind "equidistant": windows phi(u - n s) on the line, spacing s;
+    kind "equidistant": windows phi(u - n) on the line, unit spacing;
     kind "dyadic": windows phi(log2 x - n) on (0, inf);
     kind "fourier-dyadic": symmetric frequency blocks: a central window
     around 0 and dyadic annuli at +-[2^{n-1}, 2^{n+1}].
-    order None means C-infinity windows, an integer k means C^k.
     """
 
     kind: str
-    spacing: float = 1.0
-    order: Optional[int] = None
-    generator: Optional[SampledFunction] = None
 
     def __post_init__(self):
         if self.kind not in ("equidistant", "dyadic", "fourier-dyadic"):
             raise DomainError(f"unknown partition kind {self.kind!r}")
-        if self.order is not None and self.order < 1:
-            raise DomainError("finite smoothness order must be >= 1")
-        self._ramp = (
-            _ramp_smooth if self.order is None else _ramp_finite(int(self.order))
-        )
 
     # base bump on [-1, 1] with value 1 at 0
     def _bump(self, y):
-        return self._ramp(y + 1.0) - self._ramp(y)
+        return _ramp_smooth(y + 1.0) - _ramp_smooth(y)
 
     def window(self, n: int) -> Callable:
         """The n-th window as a callable in the natural coordinate."""
         if self.kind == "equidistant":
-            s = self.spacing
-            return lambda u: self._bump(np.asarray(u, dtype=float) / s - n)
+            return lambda u: self._bump(np.asarray(u, dtype=float) - n)
         if self.kind == "dyadic":
             return lambda x: self._bump(np.log2(np.asarray(x, dtype=float)) - n)
         # fourier-dyadic
-        ramp = self._ramp
-
         def u_half(t):  # 0 below 1/2, 1 above 1
-            return ramp(2.0 * np.asarray(t, dtype=float) - 1.0)
+            return _ramp_smooth(2.0 * np.asarray(t, dtype=float) - 1.0)
 
         if n == 0:
             return lambda t: 1.0 - u_half(t) - u_half(-np.asarray(t, dtype=float))
@@ -111,24 +86,10 @@ class PartitionOfUnity:
 
         return win
 
-    def support(self, n: int):
-        """Closed support of window n in the natural coordinate."""
-        if self.kind == "equidistant":
-            return ((n - 1) * self.spacing, (n + 1) * self.spacing)
-        if self.kind == "dyadic":
-            return (2.0 ** (n - 1), 2.0 ** (n + 1))
-        if n == 0:
-            return (-1.0, 1.0)
-        k = abs(n)
-        lo, hi = 2.0 ** (k - 2), 2.0**k
-        return (lo, hi) if n > 0 else (-hi, -lo)
-
     def indices_for(self, lo: float, hi: float):
         """Window indices whose support meets [lo, hi]."""
         if self.kind == "equidistant":
-            return list(
-                range(math.floor(lo / self.spacing), math.ceil(hi / self.spacing) + 1)
-            )
+            return list(range(math.floor(lo), math.ceil(hi) + 1))
         if self.kind == "dyadic":
             if not (0 < lo <= hi):
                 raise DomainError("dyadic windows live on (0, inf)")
@@ -158,24 +119,9 @@ class PartitionOfUnity:
         return total
 
 
-def make_partition(kind: str, params: dict | None = None) -> PartitionOfUnity:
-    """Build a partition of unity.
-
-    params: spacing (equidistant only, default 1.0) and order (default
-    None, meaning C-infinity windows).
-    """
-    params = dict(params or {})
-    spacing = float(params.pop("spacing", 1.0))
-    order = params.pop("order", None)
-    if params:
-        raise DomainError(f"unknown partition parameters {sorted(params)}")
-    if spacing <= 0:
-        raise DomainError("spacing must be positive")
-    pou = PartitionOfUnity(kind=kind, spacing=spacing, order=order)
-    pou.generator = SampledFunction.from_callable(
-        pou._bump, "linear", -2.0, 2.0, 64, name=f"{kind}-bump"
-    )
-    return pou
+def make_partition(kind: str) -> PartitionOfUnity:
+    """Build a partition of unity of the given kind."""
+    return PartitionOfUnity(kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +279,6 @@ def besov_norm(f: SampledFunction, alpha: float) -> NormResult:
     )
 
 
-def _log_spectral_factorial_derivative(f: SampledFunction, k: int) -> np.ndarray:
-    """t^k f^(k)(t) evaluated on the log grid via (D-0)(D-1)..(D-k+1) f_e.
-
-    D is d/du computed spectrally; exact for trigonometric interpolants,
-    spectrally accurate for smooth decaying f_e.
-    """
-    n, du = f.n, f.du
-    t = 2.0 * np.pi * np.fft.fftfreq(n, d=du)
-    g = f.values.copy()
-    for j in range(k):
-        gh = np.fft.fft(g)
-        g = np.fft.ifft((1j * t) * gh) - j * g
-    return g
-
-
 def mihlin_norm(f: SampledFunction, gamma: float) -> NormResult:
     """M^gamma norm: the Besov norm of the log-coordinate symbol.
 
@@ -363,51 +294,6 @@ def mihlin_norm(f: SampledFunction, gamma: float) -> NormResult:
         alpha=float(gamma),
         divergent=res.divergent,
         diagnostics=res.diagnostics,
-    )
-
-
-def classical_hoermander(f: SampledFunction, alpha1: int) -> NormResult:
-    """sum_{k <= alpha1} sup_R R^{2k-1} int_{R/2}^{2R} |f^(k)(t)|^2 dt.
-
-    Each derivative order takes its own sup over the annuli before the
-    orders are summed; no root is applied.  R runs over a log-spaced
-    grid in the inner part of the sample range so every annulus the sup
-    sees is fully covered by samples.
-    """
-    _require_log(f)
-    if not (isinstance(alpha1, (int, np.integer)) and alpha1 >= 0):
-        raise DomainError("alpha1 must be a nonnegative integer")
-    u = f.u
-    n = f.n
-    i_lo = int(0.15 * n)
-    i_hi = int(0.85 * n)
-    ln2 = math.log(2.0)
-    per_order = []
-    worst_R = []
-    for k in range(alpha1 + 1):
-        gk = _log_spectral_factorial_derivative(f, k)  # t^k f^(k)
-        # |f^(k)(t)|^2 dt = |g_k|^2 e^{(1-2k)u} du on the log grid
-        dens = np.abs(gk) ** 2 * np.exp((1.0 - 2.0 * k) * u)
-        best = 0.0
-        best_R = None
-        for i in range(i_lo, i_hi, max(1, n // 256)):
-            uc = u[i]
-            sel = (u >= uc - ln2) & (u <= uc + ln2)
-            if not np.any(sel):
-                continue
-            val = float(np.sum(dens[sel]) * f.du * np.exp((2.0 * k - 1.0) * uc))
-            if val > best:
-                best = val
-                best_R = float(np.exp(uc))
-        per_order.append(best)
-        worst_R.append(best_R)
-    edge = _edge_ratio(f.values)
-    return NormResult(
-        value=float(np.sum(per_order)),
-        kind="classical-hoermander",
-        alpha=float(alpha1),
-        divergent=bool(edge > 1e-1),
-        diagnostics={"per_order": per_order, "worst_R": worst_R, "edge_ratio": edge},
     )
 
 
@@ -427,27 +313,21 @@ def _localized_sobolev(
     return float(np.sqrt(np.sum(np.abs(fh * w) ** 2) * dt / (2.0 * np.pi)))
 
 
-def hoermander_norm(
-    f: SampledFunction, alpha: float, partition: PartitionOfUnity | None = None
-) -> NormResult:
+def hoermander_norm(f: SampledFunction, alpha: float) -> NormResult:
     """H^alpha norm: sup over window translates of the localized W^alpha
     norm of the log-coordinate symbol.
 
-    Uses an equidistant partition in u (default spacing 1, smooth
-    windows).  Windows whose support leaves the grid are skipped and the
-    skipped mass is reported in the diagnostics.
+    Uses the equidistant partition in u (unit spacing, smooth windows).
+    Windows whose support leaves the grid are skipped and the skipped
+    mass is reported in the diagnostics.
     """
     _require_log(f)
     if alpha <= 0.5:
         raise DomainError("the localized norm needs alpha > 1/2")
-    if partition is None:
-        partition = make_partition("equidistant")
-    if partition.kind != "equidistant":
-        raise DomainError("hoermander_norm localizes with an equidistant partition")
+    partition = make_partition("equidistant")
     u = f.u
-    sp = partition.spacing
-    n_lo = int(np.ceil((u[0]) / sp)) + 1
-    n_hi = int(np.floor((u[-1]) / sp)) - 1
+    n_lo = int(np.ceil(u[0])) + 1
+    n_hi = int(np.floor(u[-1])) - 1
     if n_hi < n_lo:
         raise CoverageError("grid too short for even one interior window")
     per_window = {}
@@ -461,10 +341,10 @@ def hoermander_norm(
         val = _localized_sobolev(piece, f.du, alpha)
         per_window[n] = val
         best = max(best, val)
-    skipped = float(np.max(np.abs(f.values[u < (n_lo - 1) * sp])) if np.any(u < (n_lo - 1) * sp) else 0.0)
+    skipped = float(np.max(np.abs(f.values[u < n_lo - 1])) if np.any(u < n_lo - 1) else 0.0)
     skipped = max(
         skipped,
-        float(np.max(np.abs(f.values[u > (n_hi + 1) * sp])) if np.any(u > (n_hi + 1) * sp) else 0.0),
+        float(np.max(np.abs(f.values[u > n_hi + 1])) if np.any(u > n_hi + 1) else 0.0),
     )
     # a localized norm does not need |f| to decay (constant-modulus
     # symbols are its central inhabitants); the sup is untrustworthy only
@@ -490,45 +370,4 @@ def hoermander_norm(
             "skipped_edge_peak": skipped,
             "argmax_window": max(per_window, key=per_window.get) if per_window else None,
         },
-    )
-
-
-def modern_hoermander(
-    f: SampledFunction, alpha: float, psi: Callable | None = None
-) -> NormResult:
-    """sup over dilations t of || psi * f(t .) ||_{W^alpha} in the linear
-    variable.
-
-    psi defaults to the smooth dyadic bump supported on [1/2, 2].  The
-    dilation grid is log-spaced over the range the sample grid covers.
-    """
-    _require_log(f)
-    if psi is None:
-        pou = make_partition("dyadic")
-        psi = pou.window(0)
-    s_nodes = np.linspace(1.0 / 16.0, 4.0, 512)  # linear grid holding supp psi
-    du = s_nodes[1] - s_nodes[0]
-    psi_vals = np.asarray(psi(s_nodes), dtype=np.complex128)
-    xg = f.x
-    t_lo = xg[0] / 0.5 * 1.0000001
-    t_hi = xg[-1] / 2.0 * 0.9999999
-    if not t_lo < t_hi:
-        raise CoverageError("grid too short to dilate even once")
-    t_grid = np.exp(np.linspace(np.log(t_lo), np.log(t_hi), 65))
-    best = 0.0
-    best_t = None
-    for t in t_grid:
-        sel = psi_vals != 0
-        vals = np.zeros_like(psi_vals)
-        vals[sel] = psi_vals[sel] * f.eval(t * s_nodes[sel])
-        v = _localized_sobolev(vals, du, alpha, pad_factor=2)
-        if v > best:
-            best = v
-            best_t = float(t)
-    return NormResult(
-        value=best,
-        kind="modern-hoermander",
-        alpha=float(alpha),
-        divergent=False,
-        diagnostics={"t_range": (float(t_lo), float(t_hi)), "argmax_t": best_t},
     )

@@ -402,9 +402,6 @@ class LowerBoundCertificate:
     N: int
     diagnostics: dict = field(default_factory=dict)
 
-    def as_tuple(self):
-        return (self.C, self.epsilon, self.delta, self.N)
-
 
 def find_lower_bound_constants(
     m: int, beta: float, search: dict | None = None

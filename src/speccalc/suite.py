@@ -38,44 +38,26 @@ from .errors import (
     DomainError,
     NotSectorialError,
 )
-from .grids import (
-    SampledFunction,
-    fourier_transform,
-    log_grid,
-    trapezoid_weights,
-)
-from .rbound import OperatorFamily, SpaceSpec, r_bound, r_l2_bound
-from .spaces import (
-    _edge_ratio,
-    hoermander_norm,
-    make_partition,
-    mihlin_norm,
-    sobexp_norm,
-)
+from .grids import SampledFunction, fourier_transform, log_grid, trapezoid_weights
+from .rbound import SpaceSpec, r_bound, r_l2_bound, rademacher_norm
+from .spaces import _edge_ratio, make_partition
 
 __all__ = [
     "ConditionValue",
     "MultiplierCorpus",
-    "MultiplierExperiment",
     "SuiteReport",
     "condition_c1",
     "condition_c2_to_c8",
     "equivalence_report",
-    "general_averaged_check",
     "multiplier_corpus",
-    "multiplier_experiment",
     "paley_littlewood_check",
     "sea_to_ha_decomposition",
     "sobolev_calculus_apply",
 ]
 
-# default grids: transform side [-50, 50] at step 2^-5, symbol side
-# [1e-4, 1e4] with 2^12 geometric points
+# default transform grid: [-50, 50] at step 2^-5
 DEFAULT_T = 50.0
 DEFAULT_DT = 2.0**-5
-DEFAULT_S_LO = 1e-4
-DEFAULT_S_HI = 1e4
-DEFAULT_S_N = 1 << 12
 
 _TOLERANCES = {
     "c1": 0.05,
@@ -136,15 +118,6 @@ class MultiplierCorpus:
         return replace(
             self, coefficients=self.coefficients * c, radius=self.radius * c
         )
-
-
-@dataclass
-class MultiplierExperiment:
-    """Norm panel of one symbol plus its calculus application error."""
-
-    label: str
-    norms: dict
-    applied_error: float
 
 
 @dataclass
@@ -355,9 +328,10 @@ def condition_c2_to_c8(A, space: SpaceSpec | None = None, params: dict | None = 
     Single-parameter conditions give one row each; the ray conditions c3
     and c5 give a row per angle plus a fitted-exponent row (slope of the
     log value against the log of the distance to the critical angle).
-    params accepts alpha, beta, T, theta_grid, psi_grid, fit_tol, refine
-    (grid multiplier for convergence studies), only (restrict to a
-    subset of conditions), and grid (per-family size overrides).
+    params accepts alpha, beta, theta_grid, psi_grid, fit_tol, refine
+    (grid multiplier for convergence studies) and only (restrict to a
+    subset of conditions).  The imaginary powers run over [-DEFAULT_T,
+    DEFAULT_T].
     """
     op = ops.sectorial(A)
     if space is None:
@@ -365,7 +339,6 @@ def condition_c2_to_c8(A, space: SpaceSpec | None = None, params: dict | None = 
     p = dict(params or {})
     alpha = float(p.get("alpha", 1.0))
     beta = float(p.get("beta", 0.5))
-    T = float(p.get("T", DEFAULT_T))
     theta_grid = tuple(p.get("theta_grid", (np.pi, np.pi / 2, np.pi / 4, np.pi / 8)))
     psi_grid = tuple(
         p.get("psi_grid", (0.0, np.pi / 4, 3 * np.pi / 8, 7 * np.pi / 16))
@@ -373,10 +346,9 @@ def condition_c2_to_c8(A, space: SpaceSpec | None = None, params: dict | None = 
     fit_tol = float(p.get("fit_tol", 0.15))
     refine = float(p.get("refine", 1.0))
     only = p.get("only")
-    sizes = dict(p.get("grid", {}))
 
-    def n_of(key, default):
-        return int(round(sizes.get(key, default) * refine))
+    def n_of(default):
+        return int(round(default * refine))
 
     def wanted(c):
         return only is None or c in only
@@ -389,7 +361,7 @@ def condition_c2_to_c8(A, space: SpaceSpec | None = None, params: dict | None = 
         out["c2"] = [
             _family_row(
                 op, space, rng, "c2", f"alpha={alpha:g}",
-                "bip", {"alpha": alpha, "T": T}, {"n": n_of("bip_n", 3201)},
+                "bip", {"alpha": alpha, "T": DEFAULT_T}, {"n": n_of(3201)},
                 _TOLERANCES["c2"],
             )
         ]
@@ -401,7 +373,7 @@ def condition_c2_to_c8(A, space: SpaceSpec | None = None, params: dict | None = 
                 _family_row(
                     op, space, rng, "c3", f"theta={th:.6g}",
                     "resolvent-ray", {"beta": beta, "theta": th},
-                    {"n": n_of("ray_n", 1024)}, _TOLERANCES["c3"],
+                    {"n": n_of(1024)}, _TOLERANCES["c3"],
                 )
             )
         x = [-math.log(abs(th)) for th in theta_grid]
@@ -425,7 +397,7 @@ def condition_c2_to_c8(A, space: SpaceSpec | None = None, params: dict | None = 
             _family_row(
                 op, space, rng, "c4", f"beta={beta:g}",
                 "resolvent-2d", {"alpha": alpha, "beta": beta, "theta0": np.pi},
-                {"n_t": n_of("plane_n_t", 192), "n_theta": n_of("plane_n_theta", 48)},
+                {"n_t": n_of(192), "n_theta": n_of(48)},
                 _TOLERANCES["c4"],
             )
         ]
@@ -437,7 +409,7 @@ def condition_c2_to_c8(A, space: SpaceSpec | None = None, params: dict | None = 
                 _family_row(
                     op, space, rng, "c5", f"theta={th:.6g}",
                     "semigroup-ray", {"theta": th},
-                    {"n": n_of("semi_n", 1024)}, _TOLERANCES["c5"],
+                    {"n": n_of(1024)}, _TOLERANCES["c5"],
                 )
             )
         x = [-math.log(np.pi / 2 - abs(th)) for th in psi_grid]
@@ -461,7 +433,7 @@ def condition_c2_to_c8(A, space: SpaceSpec | None = None, params: dict | None = 
             _family_row(
                 op, space, rng, "c6", f"alpha={alpha:g}",
                 "semigroup-2d", {"alpha": alpha},
-                {"n_x": n_of("halfplane_n_x", 48), "n_psi": n_of("halfplane_n_psi", 49)},
+                {"n_x": n_of(48), "n_psi": n_of(49)},
                 _TOLERANCES["c6"],
             )
         ]
@@ -471,7 +443,7 @@ def condition_c2_to_c8(A, space: SpaceSpec | None = None, params: dict | None = 
             _family_row(
                 op, space, rng, "c7", f"alpha={alpha:g},m={m7}",
                 "wave", {"alpha": alpha, "m": m7},
-                {"n": n_of("wave_n", 2048)}, _TOLERANCES["c7"],
+                {"n": n_of(2048)}, _TOLERANCES["c7"],
             )
         ]
 
@@ -480,7 +452,7 @@ def condition_c2_to_c8(A, space: SpaceSpec | None = None, params: dict | None = 
             _family_row(
                 op, space, rng, "c8", f"alpha={alpha:g},m={m8}",
                 "wave-taylor", {"alpha": alpha, "m": m8},
-                {"n": n_of("taylor_n", 2048)}, _TOLERANCES["c8"],
+                {"n": n_of(2048)}, _TOLERANCES["c8"],
             )
         ]
 
@@ -511,7 +483,7 @@ def equivalence_report(
     p = dict(params or {})
     alpha = float(p.get("alpha", 1.0))
     fit_tol = float(p.get("fit_tol", 0.15))
-    beta_sweep = tuple(p.get("beta_sweep", (0.25, 0.5, 0.75)))
+    beta_sweep = (0.25, 0.5, 0.75)
     gen = np.random.default_rng(seed)
     rows, runtimes = [], {}
 
@@ -626,7 +598,7 @@ def equivalence_report(
         params={
             "alpha": alpha,
             "beta": float(p.get("beta", 0.5)),
-            "T": float(p.get("T", DEFAULT_T)),
+            "T": DEFAULT_T,
             "fit_tol": fit_tol,
             "corpus_size": len(corpus),
             "beta_sweep": [float(b) for b in beta_sweep],
@@ -641,84 +613,11 @@ def equivalence_report(
 
 
 # ---------------------------------------------------------------------------
-# the general averaged bound
-
-
-def general_averaged_check(
-    A, phi, alpha: float, space: SpaceSpec | None = None, n_t: int = 1024, rng=None
-):
-    """Averaged dilation bound against the transform-side supremum.
-
-    Returns (bound, kernel_sup): the square-average bound of the
-    dilation family {phi(tA)} over the geometric t grid with dt/t
-    weights, and sup_xi |M phi(xi)| <xi>^alpha where M phi is the
-    multiplicative transform of phi.  The first is controlled by the
-    second times the imaginary-power bound of A.
-    """
-    op = ops.sectorial(A)
-    if callable(phi) and not isinstance(phi, SampledFunction):
-        phi = SampledFunction.from_callable(
-            phi, "log", DEFAULT_S_LO, DEFAULT_S_HI, DEFAULT_S_N, name="phi"
-        )
-    if phi.coordinate != "log":
-        raise DomainError("the dilation family needs a log-grid symbol")
-    lo, hi = op.spectral_bounds()
-    sg = phi.x
-    t_lo, t_hi = sg[0] / lo, sg[-1] / hi
-    if not t_lo < t_hi:
-        raise CoverageError(
-            "symbol grid too short to dilate across the whole spectrum"
-        )
-    ts, w = log_grid(t_lo, t_hi, n_t)
-
-    if op.diagonalizable:
-        lam = op.eigenvalues
-        if float(np.max(np.abs(lam.imag))) > 1e-9 * float(np.max(np.abs(lam))):
-            if phi.fn is None:
-                raise DomainError(
-                    "complex spectrum needs a closed-form symbol to dilate"
-                )
-            fv = np.asarray(phi.fn(np.outer(ts, lam)), dtype=np.complex128)
-        else:
-            fv = np.stack([phi.eval(t * lam.real) for t in ts])
-        mats = ops._eig_apply_stack(op, fv)
-    else:
-        if phi.fn is None:
-            raise NotSectorialError(
-                "a defective matrix needs a closed-form symbol to dilate"
-            )
-        mats = np.stack(
-            [ops._matrix_function(op, lambda x, _t=t: phi.fn(_t * x)) for t in ts]
-        )
-    fam = OperatorFamily(
-        label=f"dilation[{phi.name or 'phi'}]",
-        points=ts,
-        weights=w,
-        matrices=mats,
-        measure="dt/t",
-    )
-    use_space = None if space is None or float(space.p) == 2.0 else space
-    bound = float(r_l2_bound(fam, use_space, rng=rng).lower)
-
-    M = ops.mellin_transform(phi)
-    xi = M.u
-    kernel_sup = float(np.max(np.abs(M.values) * (1.0 + xi * xi) ** (alpha / 2.0)))
-    return bound, kernel_sup
-
-
-# ---------------------------------------------------------------------------
 # randomized block two-sidedness
 
 
 def paley_littlewood_check(
-    A,
-    space: SpaceSpec | None = None,
-    trials: int = 100,
-    seed: int = 0,
-    partition=None,
-    indices=None,
-    exact_limit: int = 12,
-    samples: int = 4096,
+    A, space: SpaceSpec | None = None, trials: int = 100, seed: int = 0, indices=None
 ):
     """Two-sided randomized square-function ratios over dyadic blocks.
 
@@ -726,10 +625,8 @@ def paley_littlewood_check(
     is collected (first moment over independent signs); the return value
     is (min, max) over the trials.  The windows must sum to one on the
     spectrum, otherwise CoverageError.  Sign enumeration is exact up to
-    `exact_limit` blocks, Monte Carlo with `samples` draws beyond.
+    12 blocks, Monte Carlo with 4096 draws beyond.
     """
-    from .rbound import rademacher_norm
-
     op = ops.sectorial(A)
     if not op.diagonalizable:
         raise NotSectorialError(
@@ -743,7 +640,7 @@ def paley_littlewood_check(
     if float(np.max(np.abs(lam.imag))) > 1e-9 * float(np.max(np.abs(lam))):
         raise DomainError("dyadic blocks slice the positive axis; spectrum is complex")
     lamr = lam.real
-    pou = partition if partition is not None else make_partition("dyadic")
+    pou = make_partition("dyadic")
     lo, hi = op.spectral_bounds()
     idx = list(indices) if indices is not None else list(pou.indices_for(lo, hi))
     unity = np.zeros_like(lamr)
@@ -769,9 +666,7 @@ def paley_littlewood_check(
         x = gen.standard_normal(op.dim) + 1j * gen.standard_normal(op.dim)
         x /= space.vector_norm(x)
         X = np.stack([B @ x for B in blocks])
-        mean, _, _ = rademacher_norm(
-            X, space, rng=gen, exact_limit=exact_limit, samples=samples
-        )
+        mean, _, _ = rademacher_norm(X, space, rng=gen, exact_limit=12, samples=4096)
         ratios[i] = mean
     return float(ratios.min()), float(ratios.max())
 
@@ -813,36 +708,3 @@ def sea_to_ha_decomposition(z, n: int = 1 << 12):
         ray = np.exp(sgn * 1j * np.pi / 8.0)
         g_norm = max(g_norm, float(np.max(np.exp(-r * ((z + 1.0) * ray).real))))
     return float(g_norm), float(h_norm)
-
-
-# ---------------------------------------------------------------------------
-# norm panel for one symbol
-
-
-def multiplier_experiment(A, f: SampledFunction, alpha: float = 1.0, gamma: float = 1.0) -> MultiplierExperiment:
-    """Norms of one symbol plus the error of applying it to A.
-
-    The panel holds the weighted-transform norm, the localized norm
-    (when alpha > 1/2), and the dyadic-block norm of the log-variable
-    symbol.  The applied error compares the imaginary-power calculus
-    against direct eigenvalue evaluation; it is NaN when no closed form
-    or eigenbasis is available for the reference.
-    """
-    op = ops.sectorial(A)
-    norms = {"sobexp": sobexp_norm(f, alpha)}
-    if alpha > 0.5:
-        norms["hoermander"] = hoermander_norm(f, alpha)
-    norms["mihlin"] = mihlin_norm(f, gamma)
-
-    applied = sobolev_calculus_apply(op, f)
-    err = float("nan")
-    if op.diagonalizable:
-        ref = ops._eig_apply(op, f.eval(np.abs(op.eigenvalues)))
-        scale = float(np.linalg.norm(ref, 2))
-        if scale > 0:
-            err = float(np.linalg.norm(applied - ref, 2) / scale)
-        else:
-            err = float(np.linalg.norm(applied, 2))
-    return MultiplierExperiment(
-        label=f.name or "symbol", norms=norms, applied_error=err
-    )

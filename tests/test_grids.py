@@ -12,7 +12,6 @@ from speccalc.grids import (
     fourier_grid,
     fourier_transform,
     inverse_fourier_transform,
-    linear_grid,
     log_grid,
     trapezoid_weights,
 )
@@ -71,10 +70,6 @@ class TestSampledFunction:
         with pytest.raises(DomainError):
             lin.scaled(2.0)
 
-    def test_l2_norm_is_du_weighted(self):
-        f = SampledFunction("linear", 0.0, 0.25, np.ones(16))
-        assert f.l2_norm() == pytest.approx(np.sqrt(16 * 0.25))
-
 
 class TestFourierPair:
     def test_gaussian_transform_closed_form(self):
@@ -129,10 +124,6 @@ class TestQuadratureGrids:
         # int_0^inf t e^{-t} dt/t = 1
         ts, w = log_grid(1e-9, 1e2, 4097)
         assert float(w @ (ts * np.exp(-ts))) == pytest.approx(1.0, rel=1e-8)
-
-    def test_linear_grid_integrates_dx(self):
-        x, w = linear_grid(0.0, np.pi, 20001)
-        assert float(w @ np.sin(x)) == pytest.approx(2.0, rel=1e-8)
 
     def test_log_grid_guards(self):
         with pytest.raises(DomainError):

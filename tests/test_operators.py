@@ -13,9 +13,7 @@ import scipy.linalg
 
 from speccalc import operators as ops
 from speccalc import special
-from speccalc.errors import CoverageError, DomainError, NotSectorialError
-from speccalc.grids import SampledFunction
-from speccalc.spaces import make_partition
+from speccalc.errors import DomainError, NotSectorialError
 
 
 def jordan2(a=1.0):
@@ -90,14 +88,23 @@ class TestPresets:
 
 class TestSectorialityCheck:
     def test_positive_diagonal_is_sectorial_everywhere(self):
-        rep = ops.check_sectoriality(np.diag([1.0, 3.0, 9.0]))
-        assert rep.omega == 0.0
-        assert all(row["bounded"] for row in rep.rows)
-        # the ray constant grows as the ray closes on the spectrum
-        cs = [row["C"] for row in sorted(rep.rows, key=lambda r: r["theta"])]
-        assert cs[0] >= cs[-1]
-        # the sup along a ray tends to 1 from below at large radius, and
-        # the finite radius grid stops just short of the limit
+        op = ops.sectorial(np.diag([1.0, 3.0, 9.0]))
+        assert op.omega == 0.0
+        # ray constant sup_t ||A (e^{i theta} t - A)^{-1}|| from the
+        # resolvent-ray family at beta = 0: finite on every ray off the
+        # spectrum, and growing as the ray closes on it
+        thetas = (np.pi / 8, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi)
+        cs = []
+        for theta in thetas:
+            fam = ops.family_samples(op, "resolvent-ray", {"beta": 0.0, "theta": theta})
+            norms = np.linalg.norm(fam.matrices, 2, axis=(1, 2))
+            assert np.all(np.isfinite(norms))
+            cs.append(float(norms.max()))
+        assert all(a >= b for a, b in zip(cs, cs[1:]))
+        # sup_t |a / (e^{i theta} t - a)| is 1/sin(theta) below pi/2 and the
+        # t -> 0 limit 1 beyond; the log grid stops just short of t = 0
+        assert cs[0] == pytest.approx(1.0 / np.sin(np.pi / 8), rel=1e-3)
+        assert cs[1] == pytest.approx(np.sqrt(2.0), rel=1e-3)
         assert min(cs) >= 0.99
 
 
@@ -130,18 +137,28 @@ class TestMatrixFunctions:
             assert np.allclose(H @ H, op.matrix, atol=1e-9)
 
     def test_semigroup_matches_expm(self):
-        op = jordan2(1.5)
-        z = 0.7 + 0.2j
-        got = ops.semigroup(op, z)
-        want = scipy.linalg.expm(-z * op.matrix)
-        assert np.allclose(got, want, atol=1e-11)
+        # (tA)^{1/2} e^{-ztA} on the ray z = e^{i theta}, against scipy's
+        # expm and sqrtm, on the defective and the eigenbasis path
+        theta = float(np.angle(0.7 + 0.2j))
+        for op in (jordan2(1.5), ops.sectorial(np.array([[1.5, 1.0], [0.0, 2.5]]))):
+            fam = ops.family_samples(op, "semigroup-ray", {"theta": theta}, {"n": 64})
+            Ah = scipy.linalg.sqrtm(op.matrix)
+            for k in range(0, 64, 9):
+                t = fam.points[k]
+                z = np.exp(1j * theta) * t
+                want = np.sqrt(t) * scipy.linalg.expm(-z * op.matrix) @ Ah
+                assert np.allclose(fam.matrices[k], want, atol=1e-11)
 
     def test_resolvent_value(self):
-        A = np.diag([1.0, 2.0])
-        lam = 3.0 + 1.0j
-        got = ops.resolvent(A, lam)
-        want = np.linalg.inv(lam * np.eye(2) - A)
-        assert np.allclose(got, want, atol=1e-13)
+        # t (e^{i theta} t - A)^{-1} on the ray through 3 + i, against a
+        # direct inverse, for a non-normal diagonalizable A
+        A = np.array([[1.0, 1.0], [0.0, 2.0]])
+        theta = float(np.angle(3.0 + 1.0j))
+        fam = ops.family_samples(A, "resolvent-ray", {"beta": 1.0, "theta": theta}, {"n": 64})
+        for k in range(0, 64, 9):
+            t = fam.points[k]
+            want = t * np.linalg.inv(np.exp(1j * theta) * t * np.eye(2) - A)
+            assert np.allclose(fam.matrices[k], want, atol=1e-13)
 
     def test_holomorphic_calculus_against_eigen(self):
         op = ops.sectorial(np.diag([1.0, 2.0, 4.0]))
@@ -165,70 +182,6 @@ class TestMatrixFunctions:
         got = ops.holomorphic_calculus(jordan2(), rho)
         want = closed_form_2x2(rho, rho_p)
         assert np.linalg.norm(got - want, 2) < 1e-7
-
-
-class TestWindowCalculus:
-    def test_projection_is_identity_when_covered(self):
-        P = ops.calculus_core_projection(np.diag([0.5, 1.0, 2.0]))
-        assert P.covers_spectrum
-        assert P.defect < 1e-12
-
-    def test_projection_drops_uncovered_mass(self):
-        P = ops.calculus_core_projection(np.diag([0.125, 1.0, 8.0]), half_width=2)
-        assert not P.covers_spectrum
-        assert P.defect > 0.5
-
-    def test_windowed_apply_matches_direct(self):
-        op = ops.sectorial(np.diag([1.0, 2.0, 4.0]))
-        f = SampledFunction.from_callable(
-            lambda s: s / (1.0 + s) ** 2, "log", 1e-6, 1e6, 1 << 10
-        )
-        windowed, info = ops.extended_hoermander_apply(op, f)
-        direct = ops.sampled_apply(op, f)
-        assert np.linalg.norm(windowed - direct, 2) < 1e-10
-        assert len(info["window_norms"]) >= 2
-
-    def test_windowed_apply_defective_needs_closed_form(self):
-        f = SampledFunction.from_callable(
-            lambda s: s / (1.0 + s) ** 2, "log", 1e-4, 1e4, 1 << 9
-        )
-        out, info = ops.extended_hoermander_apply(jordan2(), f)
-        assert info.get("defective_fallback")
-        want = closed_form_2x2(
-            lambda z: z / (1.0 + z) ** 2, lambda z: (1.0 - z) / (1.0 + z) ** 3
-        )
-        assert np.linalg.norm(out - want, 2) < 1e-8
-        samples_only = SampledFunction("log", f.u0, f.du, f.values)
-        with pytest.raises(NotSectorialError):
-            ops.extended_hoermander_apply(jordan2(), samples_only)
-
-    def test_coverage_guard(self):
-        f = SampledFunction.from_callable(lambda s: 1.0 / (1.0 + s), "log", 0.5, 2.0, 16)
-        with pytest.raises(CoverageError):
-            ops.sampled_apply(np.diag([0.1, 10.0]), f)
-
-
-class TestMellinTransform:
-    def test_gamma_shift_closed_form(self):
-        f = SampledFunction.from_callable(
-            lambda s: s * np.exp(-s), "log", 1e-9, 1e3, 1 << 12
-        )
-        t = np.array([-2.0, 0.0, 1.5])
-        got = ops.mellin_transform(f, t_grid=t)
-        want = special.gamma(1.0 + 1j * t)
-        assert np.max(np.abs(got - want)) < 1e-9
-
-    def test_plancherel_isometric(self):
-        f = SampledFunction.from_callable(
-            lambda s: np.exp(-np.log(s) ** 2), "log", 1e-9, 1e9, 1 << 11
-        )
-        M = ops.mellin_transform(f, isometric=True)
-        assert M.l2_norm() == pytest.approx(f.l2_norm(), rel=1e-10)
-
-    def test_requires_log_grid(self):
-        f = SampledFunction.from_callable(np.cos, "linear", -3.0, 3.0, 64)
-        with pytest.raises(DomainError):
-            ops.mellin_transform(f)
 
 
 class TestFamilies:

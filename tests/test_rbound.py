@@ -5,29 +5,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from speccalc import _kernels
 from speccalc.errors import DomainError
 from speccalc.grids import log_grid
 from speccalc.rbound import (
-    MellinTail,
     OperatorFamily,
     RBoundEstimate,
     SpaceSpec,
     _mean_sq_norm,
     averaged_operator,
     family_value,
-    kernel_norm,
-    mellin_kernel,
     operator_norm,
     r_bound,
     r_l1_vs_rbound,
     r_l2_bound,
     rademacher_norm,
     square_sum_norm,
-    transform_family,
 )
 
 
@@ -216,71 +210,3 @@ class TestAveragedFamilies:
             OperatorFamily("bad", ts, w[:-1], np.ones((16, 2, 2)), "dt/t")
         with pytest.raises(DomainError):
             OperatorFamily("bad", ts, -w, np.ones((16, 2, 2)), "dt/t")
-
-
-class TestMellinKernels:
-    def test_kernel_rows_are_characters(self):
-        fam = decay_family(K=64)
-        ker = mellin_kernel(fam, [0.0, 1.0])
-        assert ker.shape == (2, 64)
-        assert np.allclose(ker[0], fam.weights)
-        assert np.allclose(ker[1], fam.points ** 1j * fam.weights)
-
-    def test_plancherel_constant(self):
-        # the Mellin characters map L2(ds/s) onto L2(dt) with norm
-        # sqrt(1/dt resolution): on matched FFT-style grids the operator
-        # norm approaches sqrt(2 pi / dt) ... use the direct bound: the
-        # kernel column-normalized by the two quadratures has norm close
-        # to sqrt(2 pi) after dividing by sqrt(dt window)
-        ts, w = log_grid(1e-8, 1e8, 2048)
-        fam = OperatorFamily(
-            "flat", ts, w, np.ones((2048, 1, 1), dtype=complex), "ds/s"
-        )
-        t_grid = np.linspace(-3.0, 3.0, 121)
-        dt = t_grid[1] - t_grid[0]
-        ker = mellin_kernel(fam, t_grid)
-        val = kernel_norm(ker, w, np.full(len(t_grid), dt))
-        assert val == pytest.approx(math.sqrt(2.0 * math.pi), rel=0.05)
-
-    def test_transform_family_applies_kernel(self):
-        fam = decay_family(K=64)
-        ker = mellin_kernel(fam, [0.0])
-        out = transform_family(fam, ker, out_points=[0.0])
-        want = np.tensordot(fam.weights, fam.matrices, axes=(0, 0))
-        assert np.allclose(out.matrices[0], want)
-
-    def test_mellin_tail_continuation(self):
-        # truncating e^{-t}-free tail t^{-1} at S and adding the analytic
-        # continuation reproduces the full integral of t^{-1+it}
-        ts, w = log_grid(1e-6, 10.0, 4097)
-        fam = OperatorFamily(
-            "pow", ts, w, (ts ** -1.0)[:, None, None] * np.eye(1)[None], "ds/s"
-        )
-        t_out = np.array([0.7])
-        ker = mellin_kernel(fam, t_out)
-        tail = MellinTail(
-            coefficient=np.eye(1, dtype=complex), exponent=-1.0, cutoff=10.0
-        )
-        out = transform_family(fam, ker, out_points=t_out, tail=tail)
-        # int_0^inf t^{-1+it} dt/t diverges at 0; compare on [1e-6, inf):
-        # int_S^inf t^{z} dt/t = -S^z / z continues the cut part, so the
-        # total must match the quadrature up to its own truncation error
-        z = -1.0 + 0.7j
-        want = (10.0**z / z - 1e-6**z / z) + (-(10.0**z) / z)
-        got = complex(out.matrices[0, 0, 0])
-        assert got == pytest.approx(want, rel=1e-4)
-
-    def test_tail_needs_decay(self):
-        with pytest.raises(DomainError):
-            MellinTail(coefficient=np.eye(1), exponent=0.5, cutoff=1.0)
-
-    @given(st.integers(min_value=0, max_value=3))
-    @settings(max_examples=8, deadline=None)
-    def test_kernel_norm_monotone_in_rows(self, k):
-        # adding output rows can only grow the L2 -> L2 norm
-        fam = decay_family(K=128)
-        base = np.linspace(-1.0, 1.0, 4 + k)
-        ker = mellin_kernel(fam, base)
-        v1 = kernel_norm(ker[: 4 + k - 1], fam.weights, np.ones(4 + k - 1))
-        v2 = kernel_norm(ker, fam.weights, np.ones(4 + k))
-        assert v2 >= v1 - 1e-12

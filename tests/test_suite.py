@@ -66,6 +66,11 @@ class TestCalculusApply:
         with pytest.raises(ConvergenceError):
             suite.sobolev_calculus_apply(diag124, f)
 
+    def test_coverage_guard(self):
+        f = SampledFunction.from_callable(lambda s: 1.0 / (1.0 + s), "log", 0.5, 2.0, 16)
+        with pytest.raises(CoverageError):
+            suite.sobolev_calculus_apply(np.diag([0.1, 10.0]), f)
+
 
 class TestCorpus:
     def test_ball_normalization(self, corpus124):
@@ -191,17 +196,6 @@ class TestEquivalenceReport:
         assert bridge.value == pytest.approx(1.0, rel=1e-3)
 
 
-class TestGeneralAveraged:
-    def test_inverse_power_profile(self, diag124):
-        phi = SampledFunction.from_callable(
-            lambda s: s / (1.0 + s) ** 2, "log", 1e-7, 1e7, 1 << 11
-        )
-        bound, ker_sup = suite.general_averaged_check(diag124, phi, alpha=1.0)
-        # int (s/(1+s)^2)^2 ds/s = 1/6; the Mellin symbol peaks at 1
-        assert bound == pytest.approx(1.0 / math.sqrt(6.0), rel=1e-3)
-        assert ker_sup == pytest.approx(1.0, rel=1e-2)
-
-
 class TestPaleyLittlewood:
     def test_two_sided_frame_on_log_spectrum(self):
         op = ops.operator_from_spec("diag-logspaced:16")
@@ -257,17 +251,3 @@ class TestBoundaryDecomposition:
             suite.sea_to_ha_decomposition(2.0 + 0.0j)
         with pytest.raises(DomainError):
             suite.sea_to_ha_decomposition(complex(-0.1, math.sqrt(1 - 0.01)))
-
-
-class TestMultiplierExperiment:
-    def test_norm_menu_and_applied_error(self, diag124):
-        f = rho_symbol()
-        exp = suite.multiplier_experiment(diag124, f, alpha=1.0)
-        assert {"sobexp", "hoermander", "mihlin"} <= set(exp.norms)
-        assert all(v.value > 0 for v in exp.norms.values())
-        assert exp.applied_error < 1e-8
-
-    def test_defective_has_no_reference(self):
-        op = ops.operator_from_spec("jordan:1,2")
-        exp = suite.multiplier_experiment(op, rho_symbol(), alpha=1.0)
-        assert math.isnan(exp.applied_error)
