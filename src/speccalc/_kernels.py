@@ -31,8 +31,17 @@ def sign_rows(K, start, stop):
 
 
 def random_signs(gen, samples, K):
-    """A (samples, K) batch of independent fair signs drawn from gen."""
-    return np.where(gen.random((samples, K)) < 0.5, -1.0, 1.0)
+    """A (samples, K) batch of independent fair signs drawn from gen.
+
+    u < 1/2 maps to -1 and u >= 1/2 to +1, as floor(2u) * 2 - 1 computed
+    in place on the uniform draws.
+    """
+    u = gen.random((samples, K))
+    u *= 2.0
+    np.floor(u, out=u)
+    u *= 2.0
+    u -= 1.0
+    return u
 
 
 def row_norms(Y, p):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -116,12 +115,9 @@ def entry_to_function(entry: dict) -> SampledFunction:
     )
 
 
-def load_corpus(path: str | Path | None = None) -> list[SampledFunction]:
-    """Load the default shipped corpus, or one from an explicit path."""
-    if path is None:
-        text = resources.files("speccalc").joinpath("data/corpus.json").read_text()
-    else:
-        text = Path(path).read_text()
+def load_corpus() -> list[SampledFunction]:
+    """Load the corpus shipped in data/corpus.json."""
+    text = resources.files("speccalc").joinpath("data/corpus.json").read_text()
     entries = json.loads(text)
     if not isinstance(entries, list):
         raise ConfigError("corpus file must hold a JSON list")

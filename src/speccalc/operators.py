@@ -241,6 +241,9 @@ def _tanh_sinh_nodes(a: float, b: float, n: int):
     return mid + half * g, half * gp * dtau
 
 
+_SOLVE_CHUNK = 256  # contour nodes per stacked resolvent solve
+
+
 def holomorphic_calculus(A, f: Callable) -> np.ndarray:
     """f(A) = (2 pi i)^{-1} oint f(z) (z - A)^{-1} dz over the sector boundary.
 
@@ -275,11 +278,14 @@ def holomorphic_calculus(A, f: Callable) -> np.ndarray:
                 raise ContourError("contour node too close to the spectrum")
             fz = np.asarray(f(z), dtype=np.complex128)
             acc = np.zeros_like(op.matrix)
-            for k in range(len(r)):
-                if fz[k] == 0.0 and wr[k] == 0.0:
-                    continue
-                Rm = np.linalg.solve(z[k] * I - op.matrix, I)
-                acc += (wr[k] * fz[k]) * Rm
+            nodes = np.flatnonzero((fz != 0.0) | (wr != 0.0))
+            # stacked solves in chunks bound the (chunk, n, n) resolvent
+            # stack; the sum stays in node order so its rounding is fixed
+            for lo_k in range(0, len(nodes), _SOLVE_CHUNK):
+                ks = nodes[lo_k : lo_k + _SOLVE_CHUNK]
+                Rs = np.linalg.solve(z[ks, None, None] * I - op.matrix, I)
+                for c, Rm in zip(wr[ks] * fz[ks], Rs):
+                    acc += c * Rm
             total += (-sgn) * e * acc  # down the upper ray, out the lower
         return total / (2.0j * np.pi)
 

@@ -238,7 +238,9 @@ def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
     lower estimate is the best witness found (singletons are exact) and
     the upper estimate min(sqrt(sum_j ||T_j||_p^2), transfer through
     ell^2).  The witness search makes 16 random restarts of 60
-    perturbation steps each.
+    perturbation steps each.  When the witness exceeds that upper end
+    the reported upper is raised to the witness and
+    diagnostics["bracket_violation"] records both ends.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim == 2:
@@ -283,18 +285,22 @@ def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
             lower = val
             witness = {"operator": idx.tolist(), "kind": "search", "vectors": X}
 
-    upper = min(
+    proven = min(
         float(np.sqrt(np.sum(norms_p**2))),
         _transfer_constant(p, n) * float(norms_2.max()),
     )
-    upper = max(upper, lower)
+    diagnostics = {"operator_norms_p": norms_p, "operator_norms_2": norms_2}
+    if proven < lower:
+        # the witness beats the upper end: report the inverted bracket
+        # instead of hiding it behind the clamp that keeps lower <= upper
+        diagnostics["bracket_violation"] = {"lower": lower, "proven_upper": proven}
     return RBoundEstimate(
         lower=lower,
-        upper=upper,
+        upper=max(proven, lower),
         method="search+transfer",
         witness=witness,
         rng_seed=seed,
-        diagnostics={"operator_norms_p": norms_p, "operator_norms_2": norms_2},
+        diagnostics=diagnostics,
     )
 
 
@@ -371,6 +377,12 @@ def _block_legendre_basis(weights: np.ndarray, n_blocks: int = 16, degree: int =
     return np.stack(rows)
 
 
+def _top_eig(G):
+    """Top eigenvalues (S,) and unit eigenvectors (S, n) of a Hermitian stack."""
+    vals, vecs = np.linalg.eigh(G)
+    return vals[:, -1], vecs[:, :, -1]
+
+
 def r_l2_bound(
     family: OperatorFamily, space: SpaceSpec | None = None, rng=None
 ) -> RBoundEstimate:
@@ -379,13 +391,25 @@ def r_l2_bound(
     On ell^2 (space None or p = 2) this is
     sup_{|x|=|x'|=1} sqrt(sum_k w_k |<N_k x, x'>|^2), found by
     alternating eigen steps: for fixed x' the optimal x is the top
-    eigenvector of sum_k w_k (N_k^H x')(N_k^H x')^H, and symmetrically.
+    eigenvector of G = sum_k w_k (N_k^H x')(N_k^H x')^H, and symmetrically
+    x' is the top eigenvector of H = sum_k w_k (N_k x)(N_k x)^H.
     Monotone in the objective; each start runs at most 80 alternations
     and stops when a step gains less than 1e-12 relative.  Started from
     the first unit vector, the top left singular vector of sum_k w_k N_k
-    and 8 random vectors.  The flattened Gram bound (optimum over all
-    matrices, not just rank-one x x'^H) is reported as a diagnostic
-    upper bound.
+    and 8 random vectors; the result is the first start with the largest
+    value.  The flattened Gram bound (optimum over all matrices, not
+    just rank-one x x'^H) is reported as a diagnostic upper bound.
+
+    For long families (K >= 2 n^2, n^2 <= 1024) the K samples are
+    collapsed once into the Gram tensor
+    T[i,j,k,l] = sum_m w_m conj(N_m[i,j]) N_m[k,l], read as two
+    (n^2, n^2) matrices Px and Pxp with vec G = Px vec(x' x'^H) and
+    vec H = Pxp vec(x x^H), so each half step is one matrix-vector
+    product; shorter families form G and H from the samples directly.
+    The ten starts advance in lockstep: each alternation makes one
+    stacked product and one stacked eigh over the starts still running,
+    and a start leaves the stack when it stops.  Each start sees the
+    same arithmetic as if it ran alone.
 
     On other spaces the unit ball of L2(mu) is sampled: an orthonormal
     piecewise-polynomial basis on blocks of the grid, the basis
@@ -420,59 +444,53 @@ def r_l2_bound(
 
     # the objective sum_k w_k |<N_k x, x'>|^2 only sees the family through
     # the (n^2, n^2) Gram tensor, so for long families the K dimension is
-    # collapsed once and every iteration runs on the small tensor
+    # collapsed once and every iteration runs on the small tensor.
+    # half_step maps a stack of start vectors to their Hermitian matrices
+    # with one matrix-vector product per start (a stacked matmul), never
+    # one product for the whole batch: BLAS rounds a batched product
+    # differently with the batch size, and starts drop out as they stop
     T4 = None
     if n * n <= 1024 and K >= 2 * n * n:
         V = N.reshape(K, n * n)
         T4 = ((V.conj() * w[:, None]).T @ V).reshape(n, n, n, n)
+        # vec G = Px vec(x' x'^H) and vec H = Pxp vec(x x^H)
+        maps = (
+            T4.transpose(1, 3, 0, 2).reshape(n * n, n * n),
+            T4.conj().transpose(0, 2, 1, 3).reshape(n * n, n * n),
+        )
 
-    if T4 is not None:
-
-        def half_step_x(xp):
-            G = np.einsum("ijkl,i,k->jl", T4, xp, xp.conj())
-            vals, vecs = np.linalg.eigh(G)
-            return float(vals[-1]), vecs[:, -1]
-
-        def half_step_xp(x):
-            H = np.einsum("ijkl,j,l->ik", T4.conj(), x, x.conj())
-            vals, vecs = np.linalg.eigh(H)
-            return float(vals[-1]), vecs[:, -1]
+        def half_step(P, vs):
+            outer = vs[:, :, None] * vs.conj()[:, None, :]
+            return np.matmul(P, outer.reshape(-1, n * n, 1)).reshape(-1, n, n)
 
     else:
+        # G = sum_k w_k y_k y_k^H with y_k = N_k^H x', H alike with N_k x
+        maps = (N.conj().transpose(0, 2, 1).reshape(K * n, n), N.reshape(K * n, n))
 
-        def half_step_x(xp):
-            y = np.einsum("kji,j->ki", N.conj(), xp)  # N_k^H x'
-            G = np.einsum("k,ki,kj->ij", w, y, y.conj())
-            vals, vecs = np.linalg.eigh(G)
-            return float(vals[-1]), vecs[:, -1]
+        def half_step(P, vs):
+            Y = np.matmul(P, vs[:, :, None]).reshape(-1, K, n)
+            return np.matmul((Y * w[:, None]).transpose(0, 2, 1), Y.conj())
 
-        def half_step_xp(x):
-            z = np.einsum("kij,j->ki", N, x)  # N_k x
-            H = np.einsum("k,ki,kj->ij", w, z, z.conj())
-            vals, vecs = np.linalg.eigh(H)
-            return float(vals[-1]), vecs[:, -1]
-
-    starts = [None]
-    S = np.tensordot(w, N, axes=(0, 0))
-    u, _, vh = np.linalg.svd(S)
-    starts.append(u[:, 0])
-    for _ in range(8):
+    XP = np.empty((10, n), dtype=np.complex128)
+    XP[0] = np.eye(n)[0]
+    XP[1] = np.linalg.svd(np.tensordot(w, N, axes=(0, 0)))[0][:, 0]
+    for i in range(2, 10):
         v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        starts.append(v / np.linalg.norm(v))
+        XP[i] = v / np.linalg.norm(v)
 
-    best, bx, bxp = 0.0, None, None
-    for s in starts:
-        xp = s if s is not None else np.eye(n, dtype=np.complex128)[:, 0]
-        val = 0.0
-        for _ in range(80):
-            v1, x = half_step_x(xp)
-            v2, xp = half_step_xp(x)
-            if v2 <= val * (1.0 + 1e-12):
-                val = max(val, v2)
-                break
-            val = v2
-        if val > best:
-            best, bx, bxp = val, x, xp
+    X = np.zeros_like(XP)
+    val = np.zeros(len(XP))
+    live = np.arange(len(XP))
+    for _ in range(80):
+        _, x = _top_eig(half_step(maps[0], XP[live]))
+        v2, xp = _top_eig(half_step(maps[1], x))
+        X[live], XP[live] = x, xp
+        stop = v2 <= val[live] * (1.0 + 1e-12)
+        val[live] = np.where(stop, np.maximum(val[live], v2), v2)
+        live = live[~stop]
+        if not live.size:
+            break
+    b = int(np.argmax(val))
 
     diag = {}
     upper = float("inf")
@@ -484,12 +502,12 @@ def r_l2_bound(
         M = (vecs.conj() * w[:, None]).T @ vecs
         upper = float(np.linalg.eigvalsh(M)[-1])
         diag["flattened_gram"] = math.sqrt(max(upper, 0.0))
-    value = math.sqrt(max(best, 0.0))
+    value = math.sqrt(max(float(val[b]), 0.0))
     return RBoundEstimate(
         lower=value,
         upper=diag.get("flattened_gram", value),
         method="bilinear-power",
-        witness={"x": bx, "x_prime": bxp},
+        witness={"x": X[b], "x_prime": XP[b]},
         diagnostics=diag,
     )
 

@@ -109,15 +109,6 @@ class PartitionOfUnity:
                 out.append(-k)
         return sorted(out)
 
-    def unity(self, x) -> np.ndarray:
-        """Sum of all windows at the points x (should be identically 1)."""
-        x = np.asarray(x, dtype=float)
-        lo, hi = float(np.min(x)), float(np.max(x))
-        total = np.zeros_like(x)
-        for n in self.indices_for(lo, hi):
-            total = total + self.window(n)(x)
-        return total
-
 
 def make_partition(kind: str) -> PartitionOfUnity:
     """Build a partition of unity of the given kind."""

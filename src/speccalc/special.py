@@ -226,7 +226,7 @@ def h_kernel(t, alpha: float, m: int, sign: int = -1):
     return out[0] if scalar else out
 
 
-def wave_kernel_integral(z, m: int, quadrature: dict | None = None):
+def wave_kernel_integral(z, m: int):
     """int_0^inf s^{z-1} (e^{-s} - 1)^m ds by adaptive quadrature.
 
     Converges for -m < Re z < 0 and equals Gamma(z) f_m(z) there.  The
@@ -238,8 +238,6 @@ def wave_kernel_integral(z, m: int, quadrature: dict | None = None):
     if not (-m < z.real < 0):
         raise DomainError(f"need -m < Re z < 0, got Re z = {z.real} with m = {m}")
     opts = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 400}
-    if quadrature:
-        opts.update(quadrature)
 
     def integrand(u):
         # stable at both ends: e^{(z+m)u} growth cap on the left,

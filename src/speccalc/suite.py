@@ -191,12 +191,11 @@ def multiplier_corpus(
     alpha: float,
     size: int = 200,
     seed: int = 0,
-    t_max: float = DEFAULT_T,
-    dt: float = DEFAULT_DT,
 ) -> MultiplierCorpus:
     """A ball-normalized symbol corpus saturating the single-function sup.
 
-    Members are stored by their transform samples on [-t_max, t_max].
+    Members are stored by their transform samples on [-DEFAULT_T,
+    DEFAULT_T] at spacing DEFAULT_DT.
     The mix: stationary-phase extremals <t>^{-2 alpha} e^{-it log a}
     centered at every eigenvalue (these attain the supremum for the
     weighted ball), the same shape at random centers, gaussian packets
@@ -206,8 +205,8 @@ def multiplier_corpus(
     if size < 1:
         raise DomainError("corpus size must be positive")
     gen = np.random.default_rng(seed)
-    t = np.arange(-t_max, t_max + dt / 2.0, dt)
-    w = trapezoid_weights(len(t), dt)
+    t = np.arange(-DEFAULT_T, DEFAULT_T + DEFAULT_DT / 2.0, DEFAULT_DT)
+    w = trapezoid_weights(len(t), DEFAULT_DT)
     bracket = 1.0 + t * t
 
     members, labels = [], []
@@ -250,7 +249,7 @@ def multiplier_corpus(
     return MultiplierCorpus(
         alpha=float(alpha),
         t0=float(t[0]),
-        dt=float(dt),
+        dt=float(DEFAULT_DT),
         labels=labels[:size],
         coefficients=C,
     )
@@ -675,7 +674,7 @@ def paley_littlewood_check(
 # splitting the shifted semigroup symbol
 
 
-def sea_to_ha_decomposition(z, n: int = 1 << 12):
+def sea_to_ha_decomposition(z):
     """Split e^{-z lambda} into a sector-bounded part and a square part.
 
     The bounded part g_z(lambda) = e^{-(z+1) lambda} is measured in sup
@@ -695,7 +694,7 @@ def sea_to_ha_decomposition(z, n: int = 1 << 12):
     if not x > 0:
         raise DomainError("need Re z > 0")
 
-    t, w = log_grid(1e-7, max(60.0, 60.0 / x), n)
+    t, w = log_grid(1e-7, max(60.0, 60.0 / x), 1 << 12)
     decay = np.exp(-z * t)
     ramp = -np.expm1(-t)  # 1 - e^{-t}
     h = decay * ramp

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from speccalc import _kernels
+from speccalc import _kernels, rbound
 from speccalc.errors import DomainError
 from speccalc.grids import log_grid
 from speccalc.rbound import (
@@ -23,6 +23,68 @@ from speccalc.rbound import (
     rademacher_norm,
     square_sum_norm,
 )
+
+
+def random_family(n, K, seed):
+    gen = np.random.default_rng(seed)
+    N = gen.standard_normal((K, n, n)) + 1j * gen.standard_normal((K, n, n))
+    return OperatorFamily("random", np.arange(K), gen.uniform(0.1, 1.0, K), N, "dt")
+
+
+def serial_r_l2_bound(family, gen):
+    """(lower, upper, x, x') of the l2 bilinear power iteration, run one
+    start after another with one unstacked product per half step."""
+    N, w = family.matrices, family.weights
+    K, n, _ = N.shape
+    V = N.reshape(K, n * n)
+    gram = (V.conj() * w[:, None]).T @ V
+    if K >= 2 * n * n:
+        T4 = gram.reshape(n, n, n, n)
+        Px = T4.transpose(1, 3, 0, 2).reshape(n * n, n * n)
+        Pxp = T4.conj().transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+        def G(xp):
+            return (Px @ np.outer(xp, xp.conj()).ravel()).reshape(n, n)
+
+        def H(x):
+            return (Pxp @ np.outer(x, x.conj()).ravel()).reshape(n, n)
+
+    else:
+
+        def sum_outer(M, v):
+            y = (M @ v).reshape(K, n)
+            return (y * w[:, None]).T @ y.conj()
+
+        def G(xp):
+            return sum_outer(N.conj().transpose(0, 2, 1).reshape(K * n, n), xp)
+
+        def H(x):
+            return sum_outer(N.reshape(K * n, n), x)
+
+    def top(M):
+        vals, vecs = np.linalg.eigh(M)
+        return vals[-1], vecs[:, -1]
+
+    starts = [np.eye(n, dtype=np.complex128)[0]]
+    starts.append(np.linalg.svd(np.tensordot(w, N, axes=(0, 0)))[0][:, 0])
+    for _ in range(8):
+        v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        starts.append(v / np.linalg.norm(v))
+
+    best, bx, bxp = 0.0, None, None
+    for xp in starts:
+        val = 0.0
+        for _ in range(80):
+            _, x = top(G(xp))
+            v2, xp = top(H(x))
+            if v2 <= val * (1.0 + 1e-12):
+                val = max(val, v2)
+                break
+            val = v2
+        if val > best:
+            best, bx, bxp = val, x, xp
+    upper = float(np.linalg.eigvalsh(gram)[-1])
+    return math.sqrt(best), math.sqrt(upper), bx, bxp
 
 
 def decay_family(n=2, lo=1e-8, hi=1e3, K=1024):
@@ -81,6 +143,23 @@ class TestRademacherSums:
         mean, stderr, exact = rademacher_norm(X, np.inf, rng=0, exact_limit=0, samples=64)
         assert not exact
         assert (mean, stderr) == (4.0, 0.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (2048, 70), (33, 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_random_signs_match_the_threshold_reference(self, seed, shape):
+        gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _kernels.random_signs(gen, *shape)
+        want = np.where(ref.random(shape) < 0.5, -1.0, 1.0)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_random_signs_split_at_one_half(self):
+        class Fixed:
+            def random(self, shape):
+                return np.array([0.0, 0.25, 0.5 - 2.0**-54, 0.5, 0.75, 1.0 - 2.0**-53])
+
+        got = _kernels.random_signs(Fixed(), 1, 6)
+        assert got.tolist() == [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0]
 
     def test_shape_guards(self):
         with pytest.raises(DomainError):
@@ -145,6 +224,16 @@ class TestRBound:
             assert R.lower <= RL1.lower * 1.05
             assert RL1.lower <= 2.0 * R.lower * 1.05
 
+    def test_clamped_bracket_is_recorded(self, monkeypatch):
+        # a transfer constant far too small drives the proven upper end
+        # below the singleton witness; the clamp must leave a trace
+        monkeypatch.setattr(rbound, "_transfer_constant", lambda p, n: 1e-6)
+        mats = [np.eye(2), np.diag([1.0, -1.0])]
+        est = r_bound(mats, SpaceSpec(p=1.0, n=2), rng=np.random.default_rng(0))
+        violation = est.diagnostics["bracket_violation"]
+        assert violation["lower"] == est.lower == est.upper
+        assert violation["proven_upper"] == pytest.approx(1e-6)
+
     def test_bracket_never_inverted(self):
         with pytest.raises(DomainError):
             RBoundEstimate(lower=2.0, upper=1.0, method="x")
@@ -190,6 +279,21 @@ class TestAveragedFamilies:
         # scalar multiples of the identity: the averaged square function
         # is the same scalar profile in every ell^p
         assert v1 == pytest.approx(v2, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "n, K",
+        [(2, 8), (3, 18), (4, 40), (6, 100), (2, 7), (3, 17), (5, 30), (6, 64)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lockstep_starts_match_serial_starts(self, n, K, seed):
+        # K >= 2 n^2 takes the Gram-matrix half steps, K < 2 n^2 the
+        # direct ones; both must reproduce every start bit for bit
+        fam = random_family(n, K, seed)
+        est = r_l2_bound(fam, rng=np.random.default_rng(seed + 7))
+        lower, upper, x, xp = serial_r_l2_bound(fam, np.random.default_rng(seed + 7))
+        assert (est.lower, est.upper) == (lower, upper)
+        assert np.array_equal(est.witness["x"], x)
+        assert np.array_equal(est.witness["x_prime"], xp)
 
     def test_averaged_operator_shape_guard(self):
         fam = decay_family(K=64)

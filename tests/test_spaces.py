@@ -29,6 +29,11 @@ def rho(s):
     return s / (1.0 + s) ** 2
 
 
+def window_sum(pou, x):
+    """Sum at the point x of every window whose support meets it."""
+    return sum(pou.window(n)(np.array([x]))[0] for n in pou.indices_for(x, x))
+
+
 @pytest.fixture()
 def gauss_log():
     return SampledFunction.from_callable(log_gauss, "log", 1e-8, 1e8, 1 << 11, name="g")
@@ -44,19 +49,19 @@ class TestPartitions:
     @settings(max_examples=50, deadline=None)
     def test_equidistant_unity(self, u):
         pou = make_partition("equidistant")
-        assert pou.unity(np.array([u]))[0] == pytest.approx(1.0, abs=1e-12)
+        assert window_sum(pou, u) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(min_value=-6.0, max_value=6.0))
     @settings(max_examples=50, deadline=None)
     def test_dyadic_unity(self, e):
         pou = make_partition("dyadic")
-        assert pou.unity(np.array([10.0**e]))[0] == pytest.approx(1.0, abs=1e-12)
+        assert window_sum(pou, 10.0**e) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(min_value=-200.0, max_value=200.0))
     @settings(max_examples=50, deadline=None)
     def test_fourier_dyadic_unity(self, t):
         pou = make_partition("fourier-dyadic")
-        assert pou.unity(np.array([t]))[0] == pytest.approx(1.0, abs=1e-12)
+        assert window_sum(pou, t) == pytest.approx(1.0, abs=1e-12)
 
     def test_window_supports(self):
         # window 3 is supported on [4, 16] and peaks at 8

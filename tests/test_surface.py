@@ -3,10 +3,12 @@
 The library is what `speccalc run` reaches: a public function that no
 module of the package references is reachable only from tests, and is
 either given a suite row or deleted.  The scan walks the AST of every
-module; a function or method counts as referenced when its name appears
-as a name or an attribute anywhere in the package outside the
-`if __name__ == "__main__":` blocks.  Names are matched by spelling, so
-two methods of one name share their references.
+module and looks for references outside the `if __name__ == "__main__":`
+blocks.  A module-level function counts as referenced when its name
+appears as a name or an attribute; a method only when it appears as an
+attribute (`obj.method`), so a local variable that happens to share a
+method's name does not hide an orphan.  Names are matched by spelling,
+so two methods of one name share their references.
 """
 
 import ast
@@ -38,43 +40,51 @@ def _is_main_block(node) -> bool:
 
 
 def scan():
-    """({name: [qualified names]} of public functions, set of referenced names)."""
-    defined, referenced = {}, set()
+    """Public functions as {name: [(qualified name, is_method)]}, and the
+    sets of names used as plain names and as attributes."""
+    defined, names, attrs = {}, set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if _is_main_block(node):
                 continue
             if isinstance(node, ast.ClassDef):
-                members = [(f"{path.stem}.{node.name}.", item) for item in node.body]
+                members = [(f"{path.stem}.{node.name}.", item, True) for item in node.body]
             else:
-                members = [(f"{path.stem}.", node)]
-            for prefix, item in members:
+                members = [(f"{path.stem}.", node, False)]
+            for prefix, item, is_method in members:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if not item.name.startswith("_"):
-                        defined.setdefault(item.name, []).append(prefix + item.name)
+                        defined.setdefault(item.name, []).append(
+                            (prefix + item.name, is_method)
+                        )
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
-                    referenced.add(sub.id)
+                    names.add(sub.id)
                 elif isinstance(sub, ast.Attribute):
-                    referenced.add(sub.attr)
-    return defined, referenced
+                    attrs.add(sub.attr)
+    return defined, names, attrs
+
+
+def unreferenced():
+    """Qualified names of the public functions no package code references."""
+    defined, names, attrs = scan()
+    return {
+        qual
+        for name, quals in defined.items()
+        for qual, is_method in quals
+        if name not in attrs and (is_method or name not in names)
+    }
 
 
 def test_every_public_function_has_a_package_caller():
-    defined, referenced = scan()
     orphans = sorted(
-        qual
-        for name, quals in defined.items()
-        if name not in referenced and name not in ALLOWED
-        for qual in quals
+        qual for qual in unreferenced() if qual.rsplit(".", 1)[1] not in ALLOWED
     )
     assert not orphans, "public functions no package code references: " + ", ".join(orphans)
 
 
 def test_allowlist_names_only_uncalled_functions():
-    defined, referenced = scan()
-    stale = sorted(
-        name for name in ALLOWED if name not in defined or name in referenced
-    )
+    orphans = {qual.rsplit(".", 1)[1] for qual in unreferenced()}
+    stale = sorted(name for name in ALLOWED if name not in orphans)
     assert not stale, "allowlist entries that are gone or now called: " + ", ".join(stale)
