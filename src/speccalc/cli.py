@@ -500,12 +500,10 @@ def run_theorem_equivalence(cfg: RunConfig, operators: dict):
         rep = experiments.equivalence_report(
             op,
             SpaceSpec(p=cfg.space, n=op.dim),
-            params={
-                "alpha": cfg.alpha,
-                "beta": cfg.beta,
-                "fit_tol": cfg.fit_tol,
-                "corpus_size": cfg.corpus_size,
-            },
+            alpha=cfg.alpha,
+            beta=cfg.beta,
+            fit_tol=cfg.fit_tol,
+            corpus_size=cfg.corpus_size,
             seed=cfg.seed,
         )
         for r in rep.rows:

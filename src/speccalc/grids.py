@@ -37,7 +37,7 @@ class SampledFunction:
     coordinate: "linear" holds samples of f(u) on u0 + k du;
                 "log" holds samples of f(s) at s = exp(u0 + k du).
     fn:         optional callable in the natural coordinate (u for linear,
-                s for log) used for exact off-grid evaluation.
+                s for log); eval and scaled need it.
     """
 
     coordinate: str
@@ -97,28 +97,10 @@ class SampledFunction:
         return cls(coordinate, u0, du, vals, fn=fn, name=name)
 
     def eval(self, x):
-        """Evaluate at points in the natural coordinate.
-
-        Uses the closed form when available, otherwise a cubic spline
-        through the samples (zero outside the grid span).
-        """
-        x = np.asarray(x, dtype=float)
-        if self.fn is not None:
-            return np.asarray(self.fn(x), dtype=np.complex128)
-        from scipy.interpolate import CubicSpline
-
-        if self.coordinate == "log":
-            if np.any(x <= 0):
-                raise DomainError("log-grid functions are defined for x > 0")
-            ux = np.log(x)
-        else:
-            ux = x
-        ug = self.u
-        sp_r = CubicSpline(ug, self.values.real)
-        sp_i = CubicSpline(ug, self.values.imag)
-        out = sp_r(ux) + 1j * sp_i(ux)
-        inside = (ux >= ug[0]) & (ux <= ug[-1])
-        return np.where(inside, out, 0.0)
+        """Evaluate the closed form at points in the natural coordinate."""
+        if self.fn is None:
+            raise DomainError("no closed form to evaluate off the grid")
+        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=np.complex128)
 
     def require_cover(self, lo, hi, label="grid"):
         """Raise CoverageError unless [lo, hi] lies inside the natural span."""
@@ -130,21 +112,16 @@ class SampledFunction:
             )
 
     def scaled(self, t: float) -> "SampledFunction":
-        """The dilate f(t * .) on the same grid (log coordinate only)."""
+        """The dilate f(t * .) on the same grid (log coordinate only).
+
+        Needs the closed form: eval raises DomainError without one.
+        """
         if self.coordinate != "log":
             raise DomainError("dilation is defined on log grids")
         if not t > 0:
             raise DomainError("dilation factor must be positive")
-        if self.fn is not None:
-            fn = self.fn
-            new_fn = lambda s, _f=fn, _t=t: _f(_t * np.asarray(s))
-        else:
-            new_fn = None
-        vals = (
-            self.eval(np.exp(self.u) * t)
-            if new_fn is None
-            else np.asarray(new_fn(np.exp(self.u)), dtype=np.complex128)
-        )
+        vals = self.eval(t * np.exp(self.u))
+        new_fn = lambda s, _f=self.fn, _t=t: _f(_t * np.asarray(s))
         return SampledFunction(
             "log", self.u0, self.du, vals, fn=new_fn, name=f"{self.name}@{t:g}"
         )

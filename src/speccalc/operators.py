@@ -309,14 +309,36 @@ def holomorphic_calculus(A, f: Callable) -> np.ndarray:
 # operator families
 
 
+# half-width of the imaginary-power window [-BIP_T, BIP_T]; the suite's
+# corpus transform grid spans the same window, which the bridge
+# c2 / (2 pi c1) needs
+BIP_T = 50.0
+
+# grid size of each family when the caller passes none; the 2-D families
+# have fixed grids
+_DEFAULT_N = {
+    "bip": 3201,
+    "resolvent-ray": 1024,
+    "semigroup-ray": 1024,
+    "wave": 2048,
+    "wave-taylor": 2048,
+}
+
+
 def family_samples(
-    A, family: str, params: dict | None = None, grid: dict | None = None
+    A,
+    family: str,
+    alpha: float = 1.0,
+    beta: float = 0.5,
+    theta: float = 0.0,
+    m: int = 1,
+    n: int | None = None,
 ) -> OperatorFamily:
     """Sample one of the averaged families the equivalence suite studies.
 
     family keys and their elements (mu is the quadrature measure):
 
-      bip             <t>^{-alpha} A^{it},                 mu = dt on [-T, T]
+      bip             <t>^{-alpha} A^{it},        mu = dt on [-BIP_T, BIP_T]
       resolvent-ray   t^beta A^{1-beta} (e^{i theta} t - A)^{-1},  mu = dt/t
       resolvent-2d    |theta|^{alpha-1/2} t^beta A^{1-beta}
                       (e^{i theta} t - A)^{-1},   mu = dtheta x dt/t
@@ -326,10 +348,17 @@ def family_samples(
       wave            |s|^{-alpha} A^{1/2-alpha} (e^{isA} - 1)^m,  mu = ds
       wave-taylor     A^{1/2-alpha}|s|^{-alpha}(e^{isA} - T_m(isA)),
                                                            mu = ds on R
+
+    Each family reads only the arguments in its formula.  n is the number
+    of grid points (for the two waves, per sign of s); it defaults to
+    _DEFAULT_N, the grids the suite reports.  The 2-D families have fixed
+    grids: resolvent-2d 48 angles log-spaced in [1e-2, pi] of each sign
+    times 192 radii, semigroup-2d 49 angles psi = arg(x + iy) in
+    [-pi/2 + 5e-3, pi/2 - 5e-3] times 48 values of x.
     """
     op = sectorial(A)
-    p = dict(params or {})
-    g = dict(grid or {})
+    if n is None:
+        n = _DEFAULT_N.get(family)
     lam = op.eigenvalues
     lo, hi = op.spectral_bounds()
     defective = not op.diagonalizable
@@ -342,7 +371,6 @@ def family_samples(
             weights=np.asarray(weights, dtype=float),
             matrices=mats,
             measure=measure,
-            params={**p, "operator": op.name},
             diagnostics=diagnostics or {},
         )
 
@@ -382,10 +410,8 @@ def family_samples(
         return out
 
     if family == "bip":
-        alpha = float(p.get("alpha", 1.0))
-        T = float(p.get("T", 50.0))
-        n = int(g.get("n", 2048))
-        t, w = np.linspace(-T, T, n), trapezoid_weights(n, 2 * T / (n - 1))
+        t = np.linspace(-BIP_T, BIP_T, n)
+        w = trapezoid_weights(n, 2 * BIP_T / (n - 1))
         weight = (1.0 + t * t) ** (-alpha / 2.0)
         if defective:
             stack = weight[:, None, None] * imaginary_powers(op, t)
@@ -394,11 +420,8 @@ def family_samples(
         return build(t, w, weight[:, None] * fvals, "dt", f"bip[{alpha:g}]")
 
     if family == "resolvent-ray":
-        beta = float(p.get("beta", 0.5))
-        theta = float(p["theta"])
         if abs(theta) <= op.omega:
             raise DomainError("ray angle must clear the spectral angle")
-        n = int(g.get("n", 1024))
         t, w = log_grid(lo * 1e-5, hi * 1e5, n)
         e = np.exp(1j * theta)
         if defective:
@@ -414,12 +437,7 @@ def family_samples(
         return build(t, w, fvals, "dt/t", f"resolvent-ray[{theta:g}]")
 
     if family == "resolvent-2d":
-        beta = float(p.get("beta", 0.5))
-        alpha = float(p.get("alpha", 1.0))
-        theta0 = float(p.get("theta0", np.pi))
-        n_t = int(g.get("n_t", 192))
-        n_th = int(g.get("n_theta", 48))
-        th_min = float(g.get("theta_min", 1e-2))
+        theta0, th_min, n_t, n_th = np.pi, 1e-2, 192, 48
         u_th = np.linspace(np.log(th_min), np.log(theta0), n_th)
         th_abs = np.exp(u_th)
         w_th = trapezoid_weights(n_th, u_th[1] - u_th[0]) * th_abs  # dtheta
@@ -458,10 +476,8 @@ def family_samples(
         )
 
     if family == "semigroup-ray":
-        theta = float(p.get("theta", 0.0))
         if abs(theta) >= np.pi / 2.0 - op.omega:
             raise DomainError("semigroup ray outside the decay sector")
-        n = int(g.get("n", 1024))
         t, w = log_grid(1e-6 / hi, 60.0 / (lo * np.cos(theta)), n)
         z = np.exp(1j * theta)
         if defective:
@@ -474,11 +490,8 @@ def family_samples(
         return build(t, w, fvals, "dt/t", f"semigroup-ray[{theta:g}]")
 
     if family == "semigroup-2d":
-        alpha = float(p.get("alpha", 1.0))
-        n_x = int(g.get("n_x", 48))
-        n_psi = int(g.get("n_psi", 49))
+        n_x, n_psi, eps_psi = 48, 49, 5e-3
         x, wx = log_grid(1e-6 / hi, 60.0 / lo, n_x)  # wx: dx/x weights
-        eps_psi = float(g.get("eps_psi", 5e-3))
         psi = np.linspace(-np.pi / 2 + eps_psi, np.pi / 2 - eps_psi, n_psi)
         wpsi = trapezoid_weights(n_psi, psi[1] - psi[0])
         pts, wts, vals, stacks = [], [], [], []
@@ -513,13 +526,9 @@ def family_samples(
         )
 
     if family == "wave":
-        alpha = float(p.get("alpha", 1.0))
-        m = int(p.get("m", 1))
         if not (m - 0.5 < alpha < m + 0.5):
             raise DomainError("need m - 1/2 < alpha < m + 1/2")
-        n = int(g.get("n", 768))
-        s_min = float(g.get("s_min", 1e-4 / hi))
-        s_max = float(g.get("s_max", 2e3 / lo))
+        s_min, s_max = 1e-4 / hi, 2e3 / lo
         s_abs, w_log = log_grid(s_min, s_max, n)
         pts, wts, vals, stacks = [], [], [], []
         Apre = fractional_power(op, 0.5 - alpha) if defective else None
@@ -554,11 +563,7 @@ def family_samples(
         )
 
     if family == "wave-taylor":
-        alpha = float(p["alpha"])
-        m = int(p["m"])
-        n = int(g.get("n", 1024))
-        s_min = float(g.get("s_min", 1e-4 / hi))
-        s_max = float(g.get("s_max", 1e3 / lo))
+        s_min, s_max = 1e-4 / hi, 1e3 / lo
         s_abs, w_log = log_grid(s_min, s_max, n)
         pts, wts, vals, stacks = [], [], [], []
         Apre = fractional_power(op, 0.5 - alpha) if defective else None
@@ -585,26 +590,6 @@ def family_samples(
             stack=np.concatenate(stacks) if defective else None,
         )
 
-    if family == "wave-mellin":
-        # single-sign Mellin integrand s^{1/2-alpha} (e^{i sign s A} - 1)^m,
-        # measure ds/s; its character transform is h_sign(t) A^{alpha-1/2-it}
-        alpha = float(p["alpha"])
-        m = int(p["m"])
-        sign = int(p.get("sign", -1))
-        if not (0.5 < alpha < m + 0.5):
-            raise DomainError("need 1/2 < alpha < m + 1/2")
-        if defective:
-            raise NotSectorialError("the Mellin identity path uses the eigen decomposition")
-        n = int(g.get("n", 1 << 17))
-        s_min = float(g.get("s_min", 1e-7 / hi))
-        s_max = float(g.get("s_max", 200.0))
-        s, w = log_grid(s_min, s_max, n)
-        fvals = s[:, None] ** (0.5 - alpha) * (
-            np.exp(1j * sign * s[:, None] * lam[None, :].real) - 1.0
-        ) ** m
-        diag = {"s_max": s_max, "tail_exponent": 0.5 - alpha}
-        return build(s, w, fvals, "ds/s", f"wave-mellin[{alpha:g},{m},{sign:+d}]", diag)
-
     raise DomainError(f"unknown family {family!r}")
 
 
@@ -621,22 +606,21 @@ def w_alpha_kernel_outer(s, lam, alpha, m):
 # Mellin identities for the wave family
 
 
-def wave_mellin_lhs(A, t_grid, alpha: float, m: int, sign: int = -1):
-    """Mellin transform (in s) of s^{1/2-alpha} (e^{i sign s A} - 1)^m.
+def wave_mellin_lhs(A, t_grid, alpha: float, m: int):
+    """Mellin transform (in s) of s^{1/2-alpha} (e^{-isA} - 1)^m.
 
     Returns a (T, n, n) stack: for each t the matrix
-    int_0^inf s^{(1/2-alpha)+it} (e^{i sign s A} - 1)^m ds/s, computed
+    int_0^inf s^{(1/2-alpha)+it} (e^{-isA} - 1)^m ds/s, computed
     after rotating the ray by phi = 0.42 into the damped quadrant (the
     arcs vanish for 1/2 < alpha < m + 1/2).  Equals
-    h_sign(t) A^{alpha-1/2-it}.
+    h_{-1}(t) A^{alpha-1/2-it} with h_sign from special.h_kernel.
     """
     op = sectorial(A)
     if not op.diagonalizable:
         raise NotSectorialError("wave Mellin path uses the eigen decomposition")
     if not (0.5 < alpha < m + 0.5):
         raise DomainError("need 1/2 < alpha < m + 1/2")
-    if sign not in (-1, 1):
-        raise DomainError("sign must be -1 or +1")
+    sign = -1  # the group direction e^{i sign s A}
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     phi = 0.42
     c = 0.5 - alpha
@@ -670,13 +654,13 @@ def wave_mellin_lhs(A, t_grid, alpha: float, m: int, sign: int = -1):
     return _eig_apply_stack(op, vals)
 
 
-def wave_mellin_rhs(A, t_grid, alpha: float, m: int, sign: int = -1):
-    """h_sign(t) A^{alpha - 1/2 - it} as a (T, n, n) stack."""
+def wave_mellin_rhs(A, t_grid, alpha: float, m: int):
+    """h_{-1}(t) A^{alpha - 1/2 - it} as a (T, n, n) stack."""
     op = sectorial(A)
     if not op.diagonalizable:
         raise NotSectorialError("wave Mellin path uses the eigen decomposition")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    h = h_kernel(t_grid, alpha, m, sign=sign)
+    h = h_kernel(t_grid, alpha, m, sign=-1)
     lam = op.eigenvalues
     fvals = h[:, None] * np.exp(
         (alpha - 0.5 - 1j * t_grid[:, None]) * np.log(lam[None, :])

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -81,7 +80,6 @@ class OperatorFamily:
     weights: np.ndarray
     matrices: np.ndarray
     measure: str
-    params: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -108,7 +106,6 @@ class RBoundEstimate:
     upper: float
     method: str
     witness: dict = field(default_factory=dict)
-    rng_seed: Optional[int] = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -263,7 +260,6 @@ def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
             diagnostics={"operator_norms": norms_2},
         )
 
-    seed = DEFAULT_SEED if rng is None else None
     gen = _rng(rng)
     lower = float(norms_p.max())
     witness = {"operator": int(norms_p.argmax()), "kind": "singleton"}
@@ -299,7 +295,6 @@ def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
         upper=max(proven, lower),
         method="search+transfer",
         witness=witness,
-        rng_seed=seed,
         diagnostics=diagnostics,
     )
 

@@ -39,7 +39,10 @@ def _ramp_smooth(x):
     mid = (x > 0.0) & (x < 1.0)
     if np.any(mid):
         xm = x[mid]
-        a = np.exp(-1.0 / xm)
+        # -1/xm overflows to -inf for xm below ~1e-308; exp then gives the
+        # exact limit 0
+        with np.errstate(over="ignore"):
+            a = np.exp(-1.0 / xm)
         b = np.exp(-1.0 / (1.0 - xm))
         out[mid] = a / (a + b)
     return out

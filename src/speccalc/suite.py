@@ -55,8 +55,8 @@ __all__ = [
     "sobolev_calculus_apply",
 ]
 
-# default transform grid: [-50, 50] at step 2^-5
-DEFAULT_T = 50.0
+# corpus transform grid: [-BIP_T, BIP_T] (the window of the c2 family)
+# at step 2^-5
 DEFAULT_DT = 2.0**-5
 
 _TOLERANCES = {
@@ -194,8 +194,8 @@ def multiplier_corpus(
 ) -> MultiplierCorpus:
     """A ball-normalized symbol corpus saturating the single-function sup.
 
-    Members are stored by their transform samples on [-DEFAULT_T,
-    DEFAULT_T] at spacing DEFAULT_DT.
+    Members are stored by their transform samples on [-BIP_T, BIP_T]
+    at spacing DEFAULT_DT.
     The mix: stationary-phase extremals <t>^{-2 alpha} e^{-it log a}
     centered at every eigenvalue (these attain the supremum for the
     weighted ball), the same shape at random centers, gaussian packets
@@ -205,7 +205,7 @@ def multiplier_corpus(
     if size < 1:
         raise DomainError("corpus size must be positive")
     gen = np.random.default_rng(seed)
-    t = np.arange(-DEFAULT_T, DEFAULT_T + DEFAULT_DT / 2.0, DEFAULT_DT)
+    t = np.arange(-ops.BIP_T, ops.BIP_T + DEFAULT_DT / 2.0, DEFAULT_DT)
     w = trapezoid_weights(len(t), DEFAULT_DT)
     bracket = 1.0 + t * t
 
@@ -298,163 +298,100 @@ def condition_c1(A, space: SpaceSpec, corpus: MultiplierCorpus, rng=None) -> Con
 # conditions (2) through (8)
 
 
-def _fit_exponent(x, vals):
-    """Least-squares slope of log(value) against the given abscissae."""
-    x = np.asarray(x, dtype=float)
-    y = np.log(np.asarray(vals, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+# the ray angles of c3 (the resolvent rays close on the spectrum as the
+# angle goes to 0) and of c5 (the semigroup rays leave the decay sector
+# as the angle goes to pi/2)
+RESOLVENT_ANGLES = (np.pi, np.pi / 2, np.pi / 4, np.pi / 8)
+SEMIGROUP_ANGLES = (0.0, np.pi / 4, 3 * np.pi / 8, 7 * np.pi / 16)
+# condition: (its ray angles, the critical angle they approach)
+_RAY_FITS = {"c3": (RESOLVENT_ANGLES, 0.0), "c5": (SEMIGROUP_ANGLES, np.pi / 2)}
+
+# grid sizes of the doubled-grid convergence study (twice the defaults)
+_REFINED_N = {"c2": 6402, "c7": 4096}
 
 
-def _family_row(op, space, rng, condition, param, family, fparams, fgrid, tol):
+def _condition_table(alpha: float, beta: float) -> list:
+    """The (condition, param, family, kwargs) rows of c2..c8 in report order.
+
+    The order is the order of the rng draws, so it is part of the report.
+    """
+    m7 = int(round(alpha))
+    m8 = int(math.floor(alpha - 0.5))
+    return [
+        ("c2", f"alpha={alpha:g}", "bip", {"alpha": alpha}),
+        *[
+            ("c3", f"theta={th:.6g}", "resolvent-ray", {"beta": beta, "theta": th})
+            for th in RESOLVENT_ANGLES
+        ],
+        ("c4", f"beta={beta:g}", "resolvent-2d", {"alpha": alpha, "beta": beta}),
+        *[
+            ("c5", f"theta={th:.6g}", "semigroup-ray", {"theta": th})
+            for th in SEMIGROUP_ANGLES
+        ],
+        ("c6", f"alpha={alpha:g}", "semigroup-2d", {"alpha": alpha}),
+        ("c7", f"alpha={alpha:g},m={m7}", "wave", {"alpha": alpha, "m": m7}),
+        ("c8", f"alpha={alpha:g},m={m8}", "wave-taylor", {"alpha": alpha, "m": m8}),
+    ]
+
+
+def _family_row(op, space, rng, condition, param, family, kwargs):
     t0 = time.perf_counter()
-    fam = ops.family_samples(op, family, fparams, fgrid)
+    fam = ops.family_samples(op, family, **kwargs)
     est = r_l2_bound(fam, None if float(space.p) == 2.0 else space, rng=rng)
     value = float(est.lower)
     return ConditionValue(
         condition=condition,
         param=param,
         value=value,
-        tolerance=tol,
+        tolerance=_TOLERANCES[condition],
         grid={"samples": len(fam), "measure": fam.measure, **fam.diagnostics},
         finite=bool(np.isfinite(value)),
         extra={"seconds": round(time.perf_counter() - t0, 6), "label": fam.label},
     )
 
 
-def condition_c2_to_c8(A, space: SpaceSpec | None = None, params: dict | None = None, rng=None):
+def _exponent_row(condition, rows, alpha, fit_tol) -> ConditionValue:
+    """Least-squares slope of the log value against minus the log of the
+    distance from each ray angle to the critical angle."""
+    angles, critical = _RAY_FITS[condition]
+    x = [-math.log(abs(abs(th) - critical)) for th in angles]
+    y = [r.value for r in rows]
+    expo = float(np.polyfit(x, np.log(y), 1)[0])
+    return ConditionValue(
+        condition=condition,
+        param="exponent",
+        value=expo,
+        tolerance=fit_tol,
+        grid={"angles": [float(th) for th in angles]},
+        finite=bool(np.isfinite(expo)),
+        extra={"within": bool(expo <= alpha + fit_tol), "x": x, "y": y},
+    )
+
+
+def condition_c2_to_c8(
+    A,
+    space: SpaceSpec,
+    alpha: float = 1.0,
+    beta: float = 0.5,
+    fit_tol: float = 0.15,
+    rng=None,
+) -> dict:
     """Evaluate conditions (2) through (8); returns {condition: [rows]}.
 
-    Single-parameter conditions give one row each; the ray conditions c3
-    and c5 give a row per angle plus a fitted-exponent row (slope of the
-    log value against the log of the distance to the critical angle).
-    params accepts alpha, beta, theta_grid, psi_grid, fit_tol, refine
-    (grid multiplier for convergence studies) and only (restrict to a
-    subset of conditions).  The imaginary powers run over [-DEFAULT_T,
-    DEFAULT_T].
+    Each row of _condition_table samples one family and bounds its
+    averaged norm; the single-parameter conditions give one row each.
+    The ray conditions c3 (RESOLVENT_ANGLES, resolvent exponent beta)
+    and c5 (SEMIGROUP_ANGLES) give a row per angle plus a fitted-exponent
+    row whose growth is capped at alpha + fit_tol.  The imaginary powers
+    run over [-BIP_T, BIP_T].
     """
     op = ops.sectorial(A)
-    if space is None:
-        space = SpaceSpec(p=2.0, n=op.dim)
-    p = dict(params or {})
-    alpha = float(p.get("alpha", 1.0))
-    beta = float(p.get("beta", 0.5))
-    theta_grid = tuple(p.get("theta_grid", (np.pi, np.pi / 2, np.pi / 4, np.pi / 8)))
-    psi_grid = tuple(
-        p.get("psi_grid", (0.0, np.pi / 4, 3 * np.pi / 8, 7 * np.pi / 16))
-    )
-    fit_tol = float(p.get("fit_tol", 0.15))
-    refine = float(p.get("refine", 1.0))
-    only = p.get("only")
-
-    def n_of(default):
-        return int(round(default * refine))
-
-    def wanted(c):
-        return only is None or c in only
-
-    m7 = int(round(alpha))
-    m8 = int(math.floor(alpha - 0.5))
     out = {}
-
-    if wanted("c2"):
-        out["c2"] = [
-            _family_row(
-                op, space, rng, "c2", f"alpha={alpha:g}",
-                "bip", {"alpha": alpha, "T": DEFAULT_T}, {"n": n_of(3201)},
-                _TOLERANCES["c2"],
-            )
-        ]
-
-    if wanted("c3"):
-        rows = []
-        for th in theta_grid:
-            rows.append(
-                _family_row(
-                    op, space, rng, "c3", f"theta={th:.6g}",
-                    "resolvent-ray", {"beta": beta, "theta": th},
-                    {"n": n_of(1024)}, _TOLERANCES["c3"],
-                )
-            )
-        x = [-math.log(abs(th)) for th in theta_grid]
-        y = [r.value for r in rows]
-        expo = _fit_exponent(x, y)
-        rows.append(
-            ConditionValue(
-                condition="c3",
-                param="exponent",
-                value=expo,
-                tolerance=fit_tol,
-                grid={"angles": [float(th) for th in theta_grid]},
-                finite=bool(np.isfinite(expo)),
-                extra={"within": bool(expo <= alpha + fit_tol), "x": x, "y": y},
-            )
-        )
-        out["c3"] = rows
-
-    if wanted("c4"):
-        out["c4"] = [
-            _family_row(
-                op, space, rng, "c4", f"beta={beta:g}",
-                "resolvent-2d", {"alpha": alpha, "beta": beta, "theta0": np.pi},
-                {"n_t": n_of(192), "n_theta": n_of(48)},
-                _TOLERANCES["c4"],
-            )
-        ]
-
-    if wanted("c5"):
-        rows = []
-        for th in psi_grid:
-            rows.append(
-                _family_row(
-                    op, space, rng, "c5", f"theta={th:.6g}",
-                    "semigroup-ray", {"theta": th},
-                    {"n": n_of(1024)}, _TOLERANCES["c5"],
-                )
-            )
-        x = [-math.log(np.pi / 2 - abs(th)) for th in psi_grid]
-        y = [r.value for r in rows]
-        expo = _fit_exponent(x, y)
-        rows.append(
-            ConditionValue(
-                condition="c5",
-                param="exponent",
-                value=expo,
-                tolerance=fit_tol,
-                grid={"angles": [float(th) for th in psi_grid]},
-                finite=bool(np.isfinite(expo)),
-                extra={"within": bool(expo <= alpha + fit_tol), "x": x, "y": y},
-            )
-        )
-        out["c5"] = rows
-
-    if wanted("c6"):
-        out["c6"] = [
-            _family_row(
-                op, space, rng, "c6", f"alpha={alpha:g}",
-                "semigroup-2d", {"alpha": alpha},
-                {"n_x": n_of(48), "n_psi": n_of(49)},
-                _TOLERANCES["c6"],
-            )
-        ]
-
-    if wanted("c7"):
-        out["c7"] = [
-            _family_row(
-                op, space, rng, "c7", f"alpha={alpha:g},m={m7}",
-                "wave", {"alpha": alpha, "m": m7},
-                {"n": n_of(2048)}, _TOLERANCES["c7"],
-            )
-        ]
-
-    if wanted("c8"):
-        out["c8"] = [
-            _family_row(
-                op, space, rng, "c8", f"alpha={alpha:g},m={m8}",
-                "wave-taylor", {"alpha": alpha, "m": m8},
-                {"n": n_of(2048)}, _TOLERANCES["c8"],
-            )
-        ]
-
+    for condition, param, family, kwargs in _condition_table(alpha, beta):
+        row = _family_row(op, space, rng, condition, param, family, kwargs)
+        out.setdefault(condition, []).append(row)
+    for condition in _RAY_FITS:
+        out[condition].append(_exponent_row(condition, out[condition], alpha, fit_tol))
     return out
 
 
@@ -463,7 +400,13 @@ def condition_c2_to_c8(A, space: SpaceSpec | None = None, params: dict | None = 
 
 
 def equivalence_report(
-    A, space: SpaceSpec | None = None, params: dict | None = None, seed: int = 0
+    A,
+    space: SpaceSpec,
+    alpha: float = 1.0,
+    beta: float = 0.5,
+    fit_tol: float = 0.15,
+    corpus_size: int = 200,
+    seed: int = 0,
 ) -> SuiteReport:
     """Measure conditions (1)-(8) on one operator and cross-check them.
 
@@ -477,24 +420,18 @@ def equivalence_report(
     phase, so the two sides are not claimed equal.
     """
     op = ops.sectorial(A)
-    if space is None:
-        space = SpaceSpec(p=2.0, n=op.dim)
-    p = dict(params or {})
-    alpha = float(p.get("alpha", 1.0))
-    fit_tol = float(p.get("fit_tol", 0.15))
+    alpha, beta, fit_tol = float(alpha), float(beta), float(fit_tol)
     beta_sweep = (0.25, 0.5, 0.75)
     gen = np.random.default_rng(seed)
     rows, runtimes = [], {}
 
     t0 = time.perf_counter()
-    corpus = multiplier_corpus(
-        op, alpha, size=int(p.get("corpus_size", 200)), seed=seed
-    )
+    corpus = multiplier_corpus(op, alpha, size=corpus_size, seed=seed)
     c1 = condition_c1(op, space, corpus, rng=gen)
     runtimes["c1"] = round(time.perf_counter() - t0, 6)
     rows.append(c1)
 
-    conds = condition_c2_to_c8(op, space, p, rng=gen)
+    conds = condition_c2_to_c8(op, space, alpha, beta, fit_tol, rng=gen)
     for key in sorted(conds):
         rows.extend(conds[key])
         runtimes[key] = round(
@@ -509,17 +446,11 @@ def equivalence_report(
                 row.extra["recorded_only"] = True
 
     values = {key: conds[key][0].value for key in conds}
-    exponents = {
-        key: r
-        for key in ("c3", "c5")
-        if key in conds
-        for r in conds[key]
-        if r.param == "exponent"
-    }
+    exponents = [conds[key][-1] for key in _RAY_FITS]
 
     ratios = {}
     bridge = float("nan")
-    if "c2" in values and c1.value > 0:
+    if c1.value > 0:
         bridge = values["c2"] / (2.0 * np.pi * c1.value)
         ratios["c2_over_2pi_c1"] = bridge
         rows.append(
@@ -536,7 +467,7 @@ def equivalence_report(
             )
         )
     for key in sorted(values):
-        if key != "c2" and values.get("c2"):
+        if key != "c2" and values["c2"]:
             ratios[f"{key}_over_c2"] = values[key] / values["c2"]
 
     t0 = time.perf_counter()
@@ -545,30 +476,27 @@ def equivalence_report(
             _family_row(
                 op, space, gen, "c3", f"beta={b:g}@theta={np.pi / 2:.6g}",
                 "resolvent-ray", {"beta": b, "theta": np.pi / 2},
-                {"n": 1024}, _TOLERANCES["c3"],
             )
         )
     runtimes["beta_sweep"] = round(time.perf_counter() - t0, 6)
 
+    # the c2 and c7 rows again on grids twice as fine
     convergence = {}
     t0 = time.perf_counter()
-    fine = condition_c2_to_c8(
-        op, space, {**p, "refine": 2.0, "only": ("c2", "c7")}, rng=gen
-    )
-    for key in sorted(fine):
-        base, refined = values[key], fine[key][0].value
+    for condition, param, family, kwargs in _condition_table(alpha, beta):
+        if condition not in _REFINED_N:
+            continue
+        kwargs = {**kwargs, "n": _REFINED_N[condition]}
+        refined = _family_row(op, space, gen, condition, param, family, kwargs).value
+        base = values[condition]
         drift = abs(refined - base) / abs(base) if base else float("inf")
-        convergence[key] = {
-            "base": base,
-            "refined": refined,
-            "drift": drift,
-        }
+        convergence[condition] = {"base": base, "refined": refined, "drift": drift}
         rows.append(
             ConditionValue(
-                condition=key,
+                condition=condition,
                 param="refined",
                 value=refined,
-                tolerance=_TOLERANCES[key],
+                tolerance=_TOLERANCES[condition],
                 grid={"refine": 2.0},
                 finite=bool(np.isfinite(refined)),
                 extra={"drift": drift},
@@ -577,7 +505,7 @@ def equivalence_report(
     runtimes["convergence"] = round(time.perf_counter() - t0, 6)
 
     all_finite = all(r.finite for r in rows)
-    exponents_ok = all(r.extra.get("within", True) for r in exponents.values())
+    exponents_ok = all(r.extra.get("within", True) for r in exponents)
     flags = {
         "all_finite": bool(all_finite),
         "exponents_ok": bool(exponents_ok),
@@ -596,8 +524,8 @@ def equivalence_report(
         space=f"l{space.p:g}:{space.n}",
         params={
             "alpha": alpha,
-            "beta": float(p.get("beta", 0.5)),
-            "T": DEFAULT_T,
+            "beta": beta,
+            "T": ops.BIP_T,
             "fit_tol": fit_tol,
             "corpus_size": len(corpus),
             "beta_sweep": [float(b) for b in beta_sweep],
@@ -615,9 +543,7 @@ def equivalence_report(
 # randomized block two-sidedness
 
 
-def paley_littlewood_check(
-    A, space: SpaceSpec | None = None, trials: int = 100, seed: int = 0, indices=None
-):
+def paley_littlewood_check(A, space: SpaceSpec, trials: int = 100, seed: int = 0):
     """Two-sided randomized square-function ratios over dyadic blocks.
 
     For each random unit x the ratio E || sum_n eps_n psi_n(A) x || / ||x||
@@ -631,8 +557,6 @@ def paley_littlewood_check(
         raise NotSectorialError(
             "the block test needs an eigenbasis: dyadic windows are not analytic"
         )
-    if space is None:
-        space = SpaceSpec(p=2.0, n=op.dim)
     if space.n != op.dim:
         raise DomainError("space dimension does not match the operator")
     lam = op.eigenvalues
@@ -641,7 +565,7 @@ def paley_littlewood_check(
     lamr = lam.real
     pou = make_partition("dyadic")
     lo, hi = op.spectral_bounds()
-    idx = list(indices) if indices is not None else list(pou.indices_for(lo, hi))
+    idx = list(pou.indices_for(lo, hi))
     unity = np.zeros_like(lamr)
     for n in idx:
         unity = unity + np.asarray(pou.window(n)(lamr), dtype=float)

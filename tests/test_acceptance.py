@@ -103,7 +103,7 @@ def test_04_wave_mellin_equals_imaginary_power_bilinearly():
     A = np.diag([1.0, 2.0, 5.0, 10.0])
     t_grid = np.linspace(-3.0, 3.0, 13)
     half = ops.fractional_power(A, -0.5)
-    lhs = half[None] @ ops.wave_mellin_lhs(A, t_grid, alpha=1.0, m=2, sign=-1)
+    lhs = half[None] @ ops.wave_mellin_lhs(A, t_grid, alpha=1.0, m=2)
     h = special.h_kernel(t_grid, 1.0, 2, sign=-1)
     rhs = h[:, None, None] * ops.imaginary_powers(A, -t_grid)
     worst = 0.0
@@ -148,7 +148,7 @@ def test_06_weighted_imaginary_powers_average_near_sqrt_pi():
     }
     devs = {}
     for name, A in spectra.items():
-        fam = ops.family_samples(A, "bip", params={"alpha": 1.0, "T": 50.0})
+        fam = ops.family_samples(A, "bip", alpha=1.0)
         devs[name] = abs(rbound.family_value(fam) / math.sqrt(math.pi) - 1.0)
     ok = all(d <= 0.02 for d in devs.values())
     detail = ", ".join(f"{k}: {v:.4f}" for k, v in devs.items())
@@ -160,7 +160,7 @@ def test_07_corpus_sup_bridges_to_the_family_average():
     space = SpaceSpec(p=2.0, n=3)
     corpus = experiments.multiplier_corpus(op, 1.0, size=200, seed=0)
     c1 = experiments.condition_c1(op, space, corpus).value
-    c2 = experiments.condition_c2_to_c8(op, space, {"only": ("c2",)})["c2"][0].value
+    c2 = experiments.condition_c2_to_c8(op, space)["c2"][0].value
     bridge = c2 / (2.0 * np.pi * c1)
     verdict(
         0.95 <= bridge <= 1.05,
@@ -170,17 +170,12 @@ def test_07_corpus_sup_bridges_to_the_family_average():
 
 
 def test_08_ray_resolvents_scalar_value_and_angle_growth():
-    thetas = (np.pi, np.pi / 2, np.pi / 4, np.pi / 8)
-    scalar_rows = experiments.condition_c2_to_c8(
-        np.diag([1.0]), SpaceSpec(p=2.0, n=1), {"only": ("c3",), "theta_grid": thetas}
-    )["c3"]
+    assert experiments.RESOLVENT_ANGLES == (np.pi, np.pi / 2, np.pi / 4, np.pi / 8)
+    scalar_rows = experiments.condition_c2_to_c8(np.diag([1.0]), SpaceSpec(p=2.0, n=1))["c3"]
     at_pi = next(r.value for r in scalar_rows if r.param == f"theta={np.pi:.6g}")
     expos = []
     for A in (np.diag(np.logspace(-1, 1, 8)), np.diag(np.logspace(0, 2, 6))):
-        rows = experiments.condition_c2_to_c8(
-            A, SpaceSpec(p=2.0, n=A.shape[0]),
-            {"only": ("c3",), "theta_grid": thetas, "alpha": 1.0},
-        )["c3"]
+        rows = experiments.condition_c2_to_c8(A, SpaceSpec(p=2.0, n=A.shape[0]), alpha=1.0)["c3"]
         expos.append(next(r.value for r in rows if r.param == "exponent"))
     ok = abs(at_pi - 1.0) <= 0.01 and all(x <= 1.0 for x in expos)
     verdict(
@@ -195,7 +190,7 @@ def test_08_ray_resolvents_scalar_value_and_angle_growth():
 def test_09_wave_family_average_is_sqrt_two_pi():
     op = ops.sectorial(np.diag(np.logspace(-1, 1, 8)))
     space = SpaceSpec(p=2.0, n=8)
-    c7 = experiments.condition_c2_to_c8(op, space, {"only": ("c7",)})["c7"][0].value
+    c7 = experiments.condition_c2_to_c8(op, space)["c7"][0].value
     err = abs(c7 / math.sqrt(2.0 * np.pi) - 1.0)
     verdict(err <= 0.01, "09 wave average", f"|c7/sqrt(2 pi) - 1| = {err:.4f} (<=0.01)")
 

@@ -48,12 +48,14 @@ class TestSampledFunction:
         x = np.array([0.123, 4.5])
         assert np.allclose(f.eval(x), gauss(x), rtol=1e-15)
 
-    def test_eval_spline_fallback_and_exterior_zero(self):
+    def test_eval_without_closed_form_raises(self):
         g = SampledFunction.from_callable(gauss, "linear", -10.0, 10.0, 256)
         h = SampledFunction("linear", g.u0, g.du, g.values)  # samples only
-        x = np.array([0.3, -2.7])
-        assert np.allclose(h.eval(x), gauss(x), atol=1e-6)
-        assert h.eval(np.array([50.0]))[0] == 0.0
+        with pytest.raises(DomainError):
+            h.eval(np.array([0.3, -2.7]))
+        log_h = SampledFunction("log", 0.0, 0.1, g.values)
+        with pytest.raises(DomainError):
+            log_h.scaled(2.0)
 
     def test_require_cover(self):
         f = SampledFunction.from_callable(lambda s: s, "log", 0.1, 10.0, 32)

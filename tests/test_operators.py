@@ -96,7 +96,7 @@ class TestSectorialityCheck:
         thetas = (np.pi / 8, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi)
         cs = []
         for theta in thetas:
-            fam = ops.family_samples(op, "resolvent-ray", {"beta": 0.0, "theta": theta})
+            fam = ops.family_samples(op, "resolvent-ray", beta=0.0, theta=theta)
             norms = np.linalg.norm(fam.matrices, 2, axis=(1, 2))
             assert np.all(np.isfinite(norms))
             cs.append(float(norms.max()))
@@ -141,7 +141,7 @@ class TestMatrixFunctions:
         # expm and sqrtm, on the defective and the eigenbasis path
         theta = float(np.angle(0.7 + 0.2j))
         for op in (jordan2(1.5), ops.sectorial(np.array([[1.5, 1.0], [0.0, 2.5]]))):
-            fam = ops.family_samples(op, "semigroup-ray", {"theta": theta}, {"n": 64})
+            fam = ops.family_samples(op, "semigroup-ray", theta=theta, n=64)
             Ah = scipy.linalg.sqrtm(op.matrix)
             for k in range(0, 64, 9):
                 t = fam.points[k]
@@ -154,7 +154,7 @@ class TestMatrixFunctions:
         # direct inverse, for a non-normal diagonalizable A
         A = np.array([[1.0, 1.0], [0.0, 2.0]])
         theta = float(np.angle(3.0 + 1.0j))
-        fam = ops.family_samples(A, "resolvent-ray", {"beta": 1.0, "theta": theta}, {"n": 64})
+        fam = ops.family_samples(A, "resolvent-ray", beta=1.0, theta=theta, n=64)
         for k in range(0, 64, 9):
             t = fam.points[k]
             want = t * np.linalg.inv(np.exp(1j * theta) * t * np.eye(2) - A)
@@ -194,7 +194,7 @@ class TestFamilies:
 
     def test_bip_diag(self):
         op = ops.sectorial(np.diag([1.0, 2.0]))
-        fam = ops.family_samples(op, "bip", {"alpha": 1.0, "T": 10.0}, {"n": 64})
+        fam = ops.family_samples(op, "bip", alpha=1.0, n=64)
         t = fam.points
         for k in self.pick(fam):
             want = (1.0 + t[k] ** 2) ** -0.5 * np.diag(
@@ -203,7 +203,7 @@ class TestFamilies:
             assert np.allclose(fam.matrices[k], want, atol=1e-12)
 
     def test_bip_jordan(self):
-        fam = ops.family_samples(jordan2(), "bip", {"alpha": 1.0, "T": 10.0}, {"n": 64})
+        fam = ops.family_samples(jordan2(), "bip", alpha=1.0, n=64)
         t = fam.points
         for k in self.pick(fam):
             want = (1.0 + t[k] ** 2) ** -0.5 * closed_form_2x2(
@@ -214,9 +214,7 @@ class TestFamilies:
 
     def test_resolvent_ray_jordan(self):
         beta, theta = 0.5, np.pi / 2
-        fam = ops.family_samples(
-            jordan2(), "resolvent-ray", {"beta": beta, "theta": theta}, {"n": 64}
-        )
+        fam = ops.family_samples(jordan2(), "resolvent-ray", beta=beta, theta=theta, n=64)
         e = np.exp(1j * theta)
         for k in self.pick(fam):
             t = fam.points[k]
@@ -229,7 +227,7 @@ class TestFamilies:
 
     def test_semigroup_ray_jordan(self):
         theta = np.pi / 4
-        fam = ops.family_samples(jordan2(), "semigroup-ray", {"theta": theta}, {"n": 64})
+        fam = ops.family_samples(jordan2(), "semigroup-ray", theta=theta, n=64)
         z = np.exp(1j * theta)
         for k in self.pick(fam):
             t = fam.points[k]
@@ -241,10 +239,7 @@ class TestFamilies:
 
     def test_wave_jordan(self):
         alpha, m = 1.0, 1
-        fam = ops.family_samples(
-            jordan2(), "wave", {"alpha": alpha, "m": m},
-            {"n": 32, "s_min": 1e-3, "s_max": 1e2},
-        )
+        fam = ops.family_samples(jordan2(), "wave", alpha=alpha, m=m, n=32)
         for k in self.pick(fam):
             s = fam.points[k]
             g = lambda a: abs(s) ** -alpha * a ** (0.5 - alpha) * (np.exp(1j * s * a) - 1) ** m
@@ -261,10 +256,7 @@ class TestFamilies:
 
     def test_wave_taylor_jordan(self):
         alpha, m = 1.7, 1
-        fam = ops.family_samples(
-            jordan2(), "wave-taylor", {"alpha": alpha, "m": m},
-            {"n": 32, "s_min": 1e-3, "s_max": 1e2},
-        )
+        fam = ops.family_samples(jordan2(), "wave-taylor", alpha=alpha, m=m, n=32)
         for k in self.pick(fam):
             s = fam.points[k]
             g = lambda a: abs(s) ** -alpha * a ** (0.5 - alpha) * (
@@ -278,9 +270,7 @@ class TestFamilies:
 
     def test_semigroup_2d_jordan(self):
         alpha = 1.0
-        fam = ops.family_samples(
-            jordan2(), "semigroup-2d", {"alpha": alpha}, {"n_x": 8, "n_psi": 7}
-        )
+        fam = ops.family_samples(jordan2(), "semigroup-2d", alpha=alpha)
         for k in self.pick(fam):
             x, y = fam.points[k]
             zf = 1.0 + 1j * (y / x)
@@ -292,15 +282,11 @@ class TestFamilies:
     def test_ray_angle_guards(self):
         op = ops.sectorial(np.diag([1.0, 2.0]))
         with pytest.raises(DomainError):
-            ops.family_samples(op, "resolvent-ray", {"theta": 0.0})
+            ops.family_samples(op, "resolvent-ray", theta=0.0)
         with pytest.raises(DomainError):
-            ops.family_samples(op, "semigroup-ray", {"theta": np.pi / 2})
+            ops.family_samples(op, "semigroup-ray", theta=np.pi / 2)
         with pytest.raises(DomainError):
             ops.family_samples(op, "nonsense")
-
-    def test_wave_mellin_refuses_defective(self):
-        with pytest.raises(NotSectorialError):
-            ops.family_samples(jordan2(), "wave-mellin", {"alpha": 1.0, "m": 2})
 
 
 class TestMellinIdentities:

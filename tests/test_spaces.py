@@ -1,6 +1,7 @@
 """Partitions of unity and the multiplier norm family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ class TestPartitions:
     def test_fourier_dyadic_unity(self, t):
         pou = make_partition("fourier-dyadic")
         assert window_sum(pou, t) == pytest.approx(1.0, abs=1e-12)
+
+    def test_unity_next_to_a_window_edge_warns_nothing(self):
+        # at x below ~1e-308 the ramp's -1/x overflows to -inf; the value
+        # must stay the exact limit without a RuntimeWarning
+        pou = make_partition("equidistant")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (5e-324, 1e-310, 1e-300):
+                assert window_sum(pou, x) == 1.0
+                assert pou.window(1)(np.array([x]))[0] == 0.0
 
     def test_window_supports(self):
         # window 3 is supported on [4, 16] and peaks at 8

@@ -27,6 +27,7 @@ from speccalc.errors import (
 )
 from speccalc.grids import SampledFunction
 from speccalc.rbound import SpaceSpec
+from speccalc.spaces import PartitionOfUnity
 
 
 @pytest.fixture(scope="module")
@@ -114,9 +115,7 @@ class TestConditionOne:
 class TestConditionTable:
     def test_resolvent_ray_closed_forms(self, diag124):
         thetas = (np.pi, np.pi / 2, np.pi / 4)
-        rows = suite.condition_c2_to_c8(
-            diag124, params={"theta_grid": thetas, "only": ("c3",)}
-        )["c3"]
+        rows = suite.condition_c2_to_c8(diag124, SpaceSpec(p=2.0, n=3))["c3"]
         got = {r.param: r.value for r in rows if r.param != "exponent"}
         for th in thetas:
             want = math.sqrt((np.pi - th) / math.sin(th)) if th != np.pi else 1.0
@@ -124,23 +123,21 @@ class TestConditionTable:
 
     def test_semigroup_ray_closed_forms(self, diag124):
         psis = (0.0, np.pi / 4)
-        rows = suite.condition_c2_to_c8(
-            diag124, params={"psi_grid": psis, "only": ("c5",)}
-        )["c5"]
+        rows = suite.condition_c2_to_c8(diag124, SpaceSpec(p=2.0, n=3))["c5"]
         got = {r.param: r.value for r in rows if r.param != "exponent"}
         for ps in psis:
             want = (2.0 * math.cos(ps)) ** -0.5
             assert got[f"theta={ps:.6g}"] == pytest.approx(want, rel=2e-3), ps
 
     def test_plane_averages_and_wave(self, diag124):
-        rows = suite.condition_c2_to_c8(diag124, params={"only": ("c6", "c7")})
+        rows = suite.condition_c2_to_c8(diag124, SpaceSpec(p=2.0, n=3))
         c6 = rows["c6"][0].value
         c7 = rows["c7"][0].value
         assert c6 == pytest.approx(math.sqrt(math.pi / 2.0), rel=5e-3)
         assert c7 == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-3)
 
     def test_bip_value(self, diag124):
-        rows = suite.condition_c2_to_c8(diag124, params={"only": ("c2",)})
+        rows = suite.condition_c2_to_c8(diag124, SpaceSpec(p=2.0, n=3))
         # int_{-T}^{T} dt / (1 + t^2) -> pi, so the T = 50 average sits
         # just under sqrt(pi)
         val = rows["c2"][0].value
@@ -150,7 +147,7 @@ class TestConditionTable:
 
 class TestEquivalenceReport:
     def test_diagonal_report_asserts_equivalence(self, diag124):
-        rep = suite.equivalence_report(diag124, params={"corpus_size": 40}, seed=0)
+        rep = suite.equivalence_report(diag124, SpaceSpec(p=2.0, n=3), corpus_size=40, seed=0)
         assert rep.flags["diagonalizable"]
         assert rep.flags["all_finite"]
         assert rep.flags["bridge_ok"]
@@ -162,7 +159,7 @@ class TestEquivalenceReport:
         assert all(entry["drift"] <= 0.05 for entry in rep.convergence.values())
 
     def test_beta_sweep_closed_form(self, diag124):
-        rep = suite.equivalence_report(diag124, params={"corpus_size": 40}, seed=0)
+        rep = suite.equivalence_report(diag124, SpaceSpec(p=2.0, n=3), corpus_size=40, seed=0)
         sweep = {
             r.param: r.value
             for r in rep.rows
@@ -177,7 +174,7 @@ class TestEquivalenceReport:
 
     def test_jordan_report_records_without_asserting(self):
         op = ops.operator_from_spec("jordan:1,3")
-        rep = suite.equivalence_report(op, params={"corpus_size": 30}, seed=0)
+        rep = suite.equivalence_report(op, SpaceSpec(p=2.0, n=op.dim), corpus_size=30, seed=0)
         assert not rep.flags["diagonalizable"]
         assert not rep.flags["equivalence_asserted"]
         assert rep.flags["all_finite"]
@@ -189,7 +186,7 @@ class TestEquivalenceReport:
 
     def test_zero_mode_reduction_is_flagged(self):
         op = ops.operator_from_spec("cycle-laplacian:8")
-        rep = suite.equivalence_report(op, params={"corpus_size": 30}, seed=0)
+        rep = suite.equivalence_report(op, SpaceSpec(p=2.0, n=op.dim), corpus_size=30, seed=0)
         assert rep.flags["zero_mode_reduced"]
         assert rep.flags["core_dim"] == 7
         bridge = [r for r in rep.rows if r.condition == "bridge"][0]
@@ -214,12 +211,12 @@ class TestPaleyLittlewood:
         )
         assert 0.0 < lo < hi <= 1.0 + 1e-12
 
-    def test_partition_must_cover(self):
+    def test_partition_must_cover(self, monkeypatch):
+        # two dyadic windows cannot cover a spectrum spanning 2^15
+        monkeypatch.setattr(PartitionOfUnity, "indices_for", lambda self, lo, hi: (0, 1))
         op = ops.operator_from_spec("diag-logspaced:16")
         with pytest.raises(CoverageError):
-            suite.paley_littlewood_check(
-                op, SpaceSpec(p=2.0, n=16), trials=5, seed=0, indices=(0, 1)
-            )
+            suite.paley_littlewood_check(op, SpaceSpec(p=2.0, n=16), trials=5, seed=0)
 
     def test_defective_is_refused(self):
         op = ops.operator_from_spec("jordan:1,3")

@@ -1,4 +1,5 @@
-"""Every public function and method of the package has a caller in it.
+"""Every public function and method of the package has a caller in it,
+and every option it defaults is set by one.
 
 The library is what `speccalc run` reaches: a public function that no
 module of the package references is reachable only from tests, and is
@@ -9,6 +10,14 @@ appears as a name or an attribute; a method only when it appears as an
 attribute (`obj.method`), so a local variable that happens to share a
 method's name does not hide an orphan.  Names are matched by spelling,
 so two methods of one name share their references.
+
+The same goes one level down for options: a defaulted parameter of a
+public function or method must be passed by some call in the package,
+by keyword, by position, or through `*args` or `**kwargs`, otherwise it
+is a setting only tests can change and is folded into its default.  A
+call with `**` counts as passing every parameter, and a `*` argument
+every positional parameter from its place on.  Calls are matched to
+definitions by spelling, as above.
 """
 
 import ast
@@ -29,6 +38,12 @@ ALLOWED = {
     "main": "the console entry point named in pyproject.toml",
 }
 
+# defaulted parameters no package call passes, kept for a reason
+ALLOWED_OPTIONS = {
+    "find_lower_bound_constants(search)": "the certificate search ROADMAP item 1 rewrites",
+    "main(argv)": "the console entry point: tests pass argv, the script passes none",
+}
+
 
 def _is_main_block(node) -> bool:
     return (
@@ -39,30 +54,41 @@ def _is_main_block(node) -> bool:
     )
 
 
+def _top_level():
+    """(module stem, node) for every top-level node outside the
+    `__main__` blocks of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not _is_main_block(node):
+                yield path.stem, node
+
+
+def _public_functions(stem, node):
+    """(qualified name, function node, is_method) for each public function
+    or method a top-level node defines."""
+    if isinstance(node, ast.ClassDef):
+        members = [(f"{stem}.{node.name}.", item, True) for item in node.body]
+    else:
+        members = [(f"{stem}.", node, False)]
+    for prefix, item, is_method in members:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not item.name.startswith("_"):
+                yield prefix + item.name, item, is_method
+
+
 def scan():
     """Public functions as {name: [(qualified name, is_method)]}, and the
     sets of names used as plain names and as attributes."""
     defined, names, attrs = {}, set(), set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if _is_main_block(node):
-                continue
-            if isinstance(node, ast.ClassDef):
-                members = [(f"{path.stem}.{node.name}.", item, True) for item in node.body]
-            else:
-                members = [(f"{path.stem}.", node, False)]
-            for prefix, item, is_method in members:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if not item.name.startswith("_"):
-                        defined.setdefault(item.name, []).append(
-                            (prefix + item.name, is_method)
-                        )
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    attrs.add(sub.attr)
+    for stem, node in _top_level():
+        for qual, item, is_method in _public_functions(stem, node):
+            defined.setdefault(item.name, []).append((qual, is_method))
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                attrs.add(sub.attr)
     return defined, names, attrs
 
 
@@ -88,3 +114,60 @@ def test_allowlist_names_only_uncalled_functions():
     orphans = {qual.rsplit(".", 1)[1] for qual in unreferenced()}
     stale = sorted(name for name in ALLOWED if name not in orphans)
     assert not stale, "allowlist entries that are gone or now called: " + ", ".join(stale)
+
+
+def _defaulted(fn, is_method):
+    """[(parameter, index among the positional arguments of a call or
+    None)] for each parameter of fn that has a default."""
+    offset = int(is_method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+    ))
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i - offset) for i, a in enumerate(positional) if i >= first]
+    out += [
+        (a.arg, None)
+        for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if d is not None
+    ]
+    return out
+
+
+def _passes(call, param, index) -> bool:
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return i <= index
+    return len(call.args) > index
+
+
+def unpassed_options():
+    """"name(param)" for each defaulted parameter of a public function or
+    method that no package call passes."""
+    defs, calls = [], []
+    for stem, node in _top_level():
+        for _, item, is_method in _public_functions(stem, node):
+            defs.append((item.name, _defaulted(item, is_method)))
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                calls.append((getattr(func, "id", None) or getattr(func, "attr", None), sub))
+    return {
+        f"{name}({param})"
+        for name, options in defs
+        for param, index in options
+        if not any(c == name and _passes(call, param, index) for c, call in calls)
+    }
+
+
+def test_every_option_is_set_by_a_package_call():
+    unset = sorted(unpassed_options() - set(ALLOWED_OPTIONS))
+    assert not unset, "defaulted parameters no package call passes: " + ", ".join(unset)
+
+
+def test_option_allowlist_names_only_unset_options():
+    stale = sorted(set(ALLOWED_OPTIONS) - unpassed_options())
+    assert not stale, "option allowlist entries that are gone or now set: " + ", ".join(stale)
