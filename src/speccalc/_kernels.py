@@ -9,6 +9,10 @@ Kernels:
   sliding_min(a, w)        out[i] = min(a[i:i+w])
   lattice_abs_sum(a, stride, shifts)
                            out[i] = sum_{k<shifts} a[i + k*stride]
+
+rbound.rademacher_norm averages through enum_mean_norm and mc_mean_norm;
+the witness search of rbound.r_bound takes one sign_rows or random_signs
+batch per restart and does its own products.
 """
 
 import numpy as np

@@ -314,6 +314,17 @@ def holomorphic_calculus(A, f: Callable) -> np.ndarray:
 # c2 / (2 pi c1) needs
 BIP_T = 50.0
 
+# the arguments each family's formula reads
+_FAMILY_ARGS = {
+    "bip": ("alpha", "n"),
+    "resolvent-ray": ("beta", "theta", "n"),
+    "resolvent-2d": ("alpha", "beta"),
+    "semigroup-ray": ("theta", "n"),
+    "semigroup-2d": ("alpha",),
+    "wave": ("alpha", "m", "n"),
+    "wave-taylor": ("alpha", "m", "n"),
+}
+
 # grid size of each family when the caller passes none; the 2-D families
 # have fixed grids
 _DEFAULT_N = {
@@ -328,10 +339,10 @@ _DEFAULT_N = {
 def family_samples(
     A,
     family: str,
-    alpha: float = 1.0,
-    beta: float = 0.5,
-    theta: float = 0.0,
-    m: int = 1,
+    alpha: float | None = None,
+    beta: float | None = None,
+    theta: float | None = None,
+    m: int | None = None,
     n: int | None = None,
 ) -> OperatorFamily:
     """Sample one of the averaged families the equivalence suite studies.
@@ -349,16 +360,28 @@ def family_samples(
       wave-taylor     A^{1/2-alpha}|s|^{-alpha}(e^{isA} - T_m(isA)),
                                                            mu = ds on R
 
-    Each family reads only the arguments in its formula.  n is the number
-    of grid points (for the two waves, per sign of s); it defaults to
-    _DEFAULT_N, the grids the suite reports.  The 2-D families have fixed
-    grids: resolvent-2d 48 angles log-spaced in [1e-2, pi] of each sign
-    times 192 radii, semigroup-2d 49 angles psi = arg(x + iy) in
+    Each family reads only the arguments in its formula (_FAMILY_ARGS)
+    and raises DomainError when any other is passed.  Unpassed arguments
+    default to alpha = 1, beta = 1/2, theta = 0 and m = 1.  n is the
+    number of grid points (for the two waves, per sign of s); it defaults
+    to _DEFAULT_N, the grids the suite reports.  The 2-D families have
+    fixed grids: resolvent-2d 48 angles log-spaced in [1e-2, pi] of each
+    sign times 192 radii, semigroup-2d 49 angles psi = arg(x + iy) in
     [-pi/2 + 5e-3, pi/2 - 5e-3] times 48 values of x.
     """
+    if family not in _FAMILY_ARGS:
+        raise DomainError(f"unknown family {family!r}")
+    passed = {"alpha": alpha, "beta": beta, "theta": theta, "m": m, "n": n}
+    reads = _FAMILY_ARGS[family]
+    unread = [k for k, v in passed.items() if v is not None and k not in reads]
+    if unread:
+        raise DomainError(f"family {family!r} does not read {', '.join(unread)}")
+    alpha = 1.0 if alpha is None else alpha
+    beta = 0.5 if beta is None else beta
+    theta = 0.0 if theta is None else theta
+    m = 1 if m is None else m
+    n = _DEFAULT_N.get(family) if n is None else n
     op = sectorial(A)
-    if n is None:
-        n = _DEFAULT_N.get(family)
     lam = op.eigenvalues
     lo, hi = op.spectral_bounds()
     defective = not op.diagonalizable
@@ -589,8 +612,6 @@ def family_samples(
             diag,
             stack=np.concatenate(stacks) if defective else None,
         )
-
-    raise DomainError(f"unknown family {family!r}")
 
 
 def w_alpha_kernel_outer(s, lam, alpha, m):

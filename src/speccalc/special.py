@@ -20,10 +20,11 @@ lambda near the imaginary axis, and certifies windowed lower bounds on
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from ._kernels import lattice_abs_sum, sliding_min
 from .errors import ConvergenceError, DomainError, PoleError
@@ -249,10 +250,28 @@ def wave_kernel_integral(z, m: int):
         eu = np.exp(min(u, 700.0))
         return np.exp(z * u) * np.expm1(-eu) ** m
 
-    re, re_err = quad(lambda u: integrand(u).real, -np.inf, np.inf, **opts)
-    im, im_err = quad(lambda u: integrand(u).imag, -np.inf, np.inf, **opts)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        re, re_err = quad(lambda u: integrand(u).real, -np.inf, np.inf, **opts)
+        im, im_err = quad(lambda u: integrand(u).imag, -np.inf, np.inf, **opts)
     val = re + 1j * im
     err = abs(re_err) + abs(im_err)
+    notes = []
+    for w in caught:
+        if issubclass(w.category, IntegrationWarning):
+            note = " ".join(str(w.message).split())
+            if note not in notes:
+                notes.append(note)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if notes:
+        # scipy's warning names neither the point nor the estimate
+        warnings.warn(
+            f"wave_kernel_integral(z={z}, m={m}): {' / '.join(notes)} "
+            f"(error estimate {err:.2e})",
+            IntegrationWarning,
+            stacklevel=2,
+        )
     if err > 1e-6 * max(1.0, abs(val)):
         raise ConvergenceError(f"quadrature error estimate {err:.2e} too large")
     return val

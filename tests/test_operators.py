@@ -288,6 +288,40 @@ class TestFamilies:
         with pytest.raises(DomainError):
             ops.family_samples(op, "nonsense")
 
+    _UNREAD = [
+        ("bip", "beta"), ("bip", "theta"), ("bip", "m"),
+        ("resolvent-ray", "alpha"), ("resolvent-ray", "m"),
+        ("resolvent-2d", "theta"), ("resolvent-2d", "m"), ("resolvent-2d", "n"),
+        ("semigroup-ray", "alpha"), ("semigroup-ray", "beta"), ("semigroup-ray", "m"),
+        ("semigroup-2d", "beta"), ("semigroup-2d", "theta"), ("semigroup-2d", "m"),
+        ("semigroup-2d", "n"),
+        ("wave", "beta"), ("wave", "theta"),
+        ("wave-taylor", "beta"), ("wave-taylor", "theta"),
+    ]
+
+    @pytest.mark.parametrize("family, arg", _UNREAD)
+    def test_arguments_the_family_does_not_read_are_rejected(self, family, arg):
+        # an argument outside the family's formula used to be dropped
+        # silently, e.g. n=10 on resolvent-2d gave the fixed 18432 samples
+        op = ops.sectorial(np.diag([1.0, 2.0]))
+        value = {"alpha": 1.0, "beta": 0.5, "theta": 0.3, "m": 1, "n": 10}[arg]
+        with pytest.raises(DomainError, match=f"does not read {arg}"):
+            ops.family_samples(op, family, **{arg: value})
+
+    def test_every_family_accepts_the_arguments_it_reads(self):
+        op = ops.sectorial(np.diag([1.0, 2.0]))
+        given = {"alpha": 1.0, "beta": 0.5, "theta": 0.7, "m": 1, "n": 16}
+        for family, reads in ops._FAMILY_ARGS.items():
+            # the rejected and the read arguments split the five between them
+            unread = {arg for fam, arg in self._UNREAD if fam == family}
+            assert not unread & set(reads) and unread | set(reads) == set(given)
+            args = {k: given[k] for k in reads}
+            if family == "wave-taylor":
+                args["m"] = 0  # alpha - 1/2 must lie in (m, m + 1)
+            fam = ops.family_samples(op, family, **args)
+            if "n" in reads:
+                assert len(fam) == (32 if family.startswith("wave") else 16)
+
 
 class TestMellinIdentities:
     def test_wave_mellin_identity(self):

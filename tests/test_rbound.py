@@ -13,7 +13,7 @@ from speccalc.rbound import (
     OperatorFamily,
     RBoundEstimate,
     SpaceSpec,
-    _mean_sq_norm,
+    _ratio,
     averaged_operator,
     family_value,
     operator_norm,
@@ -129,12 +129,29 @@ class TestRademacherSums:
     def test_enumeration_matches_brute_force(self, p, K):
         rng = np.random.default_rng(K)
         X = rng.standard_normal((K, 3)) + 1j * rng.standard_normal((K, 3))
-        norms = np.array([
-            SpaceSpec(p=p, n=3).vector_norm(np.array(eps) @ X)
-            for eps in itertools.product((-1.0, 1.0), repeat=K)
-        ])
+        T = rng.standard_normal((K, 3, 3)) + 1j * rng.standard_normal((K, 3, 3))
+        TX = np.einsum("kij,kj->ki", T, X)
+        space = SpaceSpec(p=p, n=3)
+        patterns = [np.array(eps) for eps in itertools.product((-1.0, 1.0), repeat=K)]
+        norms = np.array([space.vector_norm(eps @ X) for eps in patterns])
+        images = np.array([space.vector_norm(eps @ TX) for eps in patterns])
         assert _kernels.enum_mean_norm(X, p) == pytest.approx(norms.mean(), rel=1e-12)
-        assert _mean_sq_norm(X, p, None) == pytest.approx(np.mean(norms**2), rel=1e-12)
+        # the witness ratio over the half enumeration r_bound uses for K <= 14
+        signs = _kernels.sign_rows(K, 0, 1 << (K - 1))
+        want = math.sqrt(np.mean(images**2) / np.mean(norms**2))
+        assert _ratio(T, X, p, signs) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("K, n, S", [(1, 1, 5), (3, 4, 64), (20, 4, 2048)])
+    def test_real_view_product_is_the_complex_product(self, K, n, S):
+        # signs @ Z through the float64 view equals the complex GEMM of the
+        # batch cast to complex
+        rng = np.random.default_rng(K)
+        Z = rng.standard_normal((K, 2 * n)) + 1j * rng.standard_normal((K, 2 * n))
+        signs = _kernels.random_signs(rng, S, K)
+        got = (signs @ Z.view(np.float64)).view(np.complex128)
+        want = signs.astype(np.complex128) @ Z
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_sup_norm_takes_the_largest_entry(self):
         # every sign sum is (+-3, +-4), whose sup norm is 4
@@ -233,6 +250,55 @@ class TestRBound:
         violation = est.diagnostics["bracket_violation"]
         assert violation["lower"] == est.lower == est.upper
         assert violation["proven_upper"] == pytest.approx(1e-6)
+
+    @staticmethod
+    def _record_search(monkeypatch):
+        """Record every random_signs batch and every _ratio call of r_bound."""
+        batches, evals = [], []
+        draw, ratio = _kernels.random_signs, rbound._ratio
+
+        def counted_draw(gen, samples, K):
+            batches.append(draw(gen, samples, K))
+            return batches[-1]
+
+        def counted_ratio(mats, X, p, signs):
+            evals.append((X.shape[0], signs))
+            return ratio(mats, X, p, signs)
+
+        monkeypatch.setattr(_kernels, "random_signs", counted_draw)
+        monkeypatch.setattr(rbound, "_ratio", counted_ratio)
+        return batches, evals
+
+    def test_one_sign_batch_per_sampled_restart(self, monkeypatch):
+        # K = 20 > 14: each restart that picks k = K draws exactly one
+        # (2048, K) batch and scores all 61 of its evaluations on it
+        batches, evals = self._record_search(monkeypatch)
+        K, n = 20, 3
+        gen = np.random.default_rng(5)
+        mats = gen.standard_normal((K, n, n)) + 1j * gen.standard_normal((K, n, n))
+        est = r_bound(mats, SpaceSpec(p=1.0, n=n), rng=np.random.default_rng(9))
+        assert est.lower <= est.upper
+        assert len(evals) == 16 * 61
+        restarts = [evals[i : i + 61] for i in range(0, len(evals), 61)]
+        sampled = [r for r in restarts if r[0][0] == K]
+        assert sampled and len(batches) == len(sampled)
+        for restart, batch in zip(sampled, batches):
+            assert batch.shape == (2048, K)
+            assert all(signs is batch for _, signs in restart)
+        for restart in restarts:
+            k, first = restart[0]
+            assert all(s is first for _, s in restart)
+            if k < K:
+                assert first.shape == (1 << (k - 1), k)
+
+    def test_enumerated_restarts_draw_no_signs(self, monkeypatch):
+        batches, evals = self._record_search(monkeypatch)
+        K, n = 14, 2
+        gen = np.random.default_rng(6)
+        mats = gen.standard_normal((K, n, n)) + 1j * gen.standard_normal((K, n, n))
+        r_bound(mats, SpaceSpec(p=1.0, n=n), rng=np.random.default_rng(0))
+        assert batches == []
+        assert any(k == K for k, _ in evals)
 
     def test_bracket_never_inverted(self):
         with pytest.raises(DomainError):

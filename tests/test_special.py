@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning
 
 from speccalc import special
 from speccalc.errors import DomainError, PoleError
@@ -108,6 +109,17 @@ class TestWaveKernelIntegral:
             got = special.wave_kernel_integral(z, m)
             want = complex(special.gamma_f_m(z, m))
             assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_roundoff_warning_names_its_point(self):
+        # quad hits roundoff at this point; the value is still right, and
+        # the one warning that leaves says where and how large the error is
+        z = -1.92 + 1.2j
+        with pytest.warns(IntegrationWarning, match=r"z=\(-1\.92\+1\.2j\), m=2") as record:
+            got = special.wave_kernel_integral(z, 2)
+        assert len(record) == 1
+        assert "error estimate" in str(record[0].message)
+        want = complex(special.gamma_f_m(z, 2))
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_strip_is_enforced(self):
         with pytest.raises(DomainError):
