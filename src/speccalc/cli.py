@@ -475,7 +475,7 @@ def run_rbound(cfg: RunConfig, operators: dict):
         matrices=(np.sqrt(ts) * np.exp(-ts))[:, None, None] * np.eye(2)[None, :, :],
         measure="dt/t",
     )
-    v = r_l2_bound(fam).lower
+    v = r_l2_bound(fam, SpaceSpec(p=2.0, n=2)).lower
     ref = 1.0 / math.sqrt(2.0)
     rows.append(
         Row("-", "rbound", "decay-family", "e^{-t}I", v, 1e-3,
@@ -497,15 +497,19 @@ def run_theorem_equivalence(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
     for spec in cfg.operators:
         op = operators[spec]
-        rep = experiments.equivalence_report(
-            op,
-            SpaceSpec(p=cfg.space, n=op.dim),
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-            fit_tol=cfg.fit_tol,
-            corpus_size=cfg.corpus_size,
-            seed=cfg.seed,
-        )
+        try:
+            rep = experiments.equivalence_report(
+                op,
+                SpaceSpec(p=cfg.space, n=op.dim),
+                alpha=cfg.alpha,
+                beta=cfg.beta,
+                fit_tol=cfg.fit_tol,
+                corpus_size=cfg.corpus_size,
+                seed=cfg.seed,
+            )
+        except SKIP_ERRORS as e:
+            rows.append(_skip(spec, "theorem-equivalence", "report", "-", e))
+            continue
         for r in rep.rows:
             rows.append(
                 Row(spec, "theorem-equivalence", r.condition, r.param, r.value,

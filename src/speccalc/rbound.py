@@ -13,14 +13,15 @@ sign averages are exact on subfamilies of at most 14 matrices and
 sampled beyond) and the upper end from the square-sum bound and
 transfer through ell^2.
 
-For a weighted family of samples N(t_k) of a continuous family, the
-averaged (square function) bound
+For a weighted family of samples N(t_k) of a continuous family,
+r_l2_bound brackets the averaged (square function) value
 
-    sup_{|x| = |x'| = 1} sqrt( sum_k w_k |<N_k x, x'>|^2 )
+    sup_{||x||_p <= 1, ||x'||_{p'} <= 1} sqrt( sum_k w_k |<N_k x, x'>|^2 ),
 
-is computed by an alternating bilinear power iteration, which is exact
-up to the local search (each half step solves its eigenproblem
-globally, and the iteration is monotone).
+the largest ell^p norm of the averages sum_k w_k h_k N_k over the unit
+ball of L2(w), by one alternating bilinear iteration for every p: a
+feasible witness pair gives the lower end, the flattened Gram bound
+times the ell^2 -> ell^p transfer factor the upper end.
 """
 
 from __future__ import annotations
@@ -119,25 +120,19 @@ class RBoundEstimate:
 # randomized sums of vectors
 
 
-def _p_of(space) -> float:
-    """Accept a SpaceSpec or a bare exponent."""
-    return float(space.p) if isinstance(space, SpaceSpec) else float(space)
-
-
-def rademacher_norm(X, space=2.0, rng=None, exact_limit: int = 20, samples: int = 4096):
+def rademacher_norm(X, space: SpaceSpec, rng=None, exact_limit: int = 20, samples: int = 4096):
     """E || sum_k eps_k X[k] ||_p over independent signs.
 
-    `space` is a SpaceSpec or a bare p.  Exact enumeration for
-    K <= exact_limit, otherwise Monte Carlo with `samples` draws.
-    Returns (mean, stderr, exact_flag); stderr is 0.0 for the
-    enumerated case.
+    Exact enumeration for K <= exact_limit, otherwise Monte Carlo with
+    `samples` draws.  Returns (mean, stderr, exact_flag); stderr is 0.0
+    for the enumerated case.
     """
-    p = _p_of(space)
     X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.ndim != 2:
         raise DomainError("X must be (K, n)")
-    if isinstance(space, SpaceSpec) and X.shape[1] != space.n:
+    if X.shape[1] != space.n:
         raise DomainError("space dimension does not match the vectors")
+    p = float(space.p)
     K = X.shape[0]
     if K <= exact_limit:
         return _kernels.enum_mean_norm(X, p), 0.0, True
@@ -146,16 +141,12 @@ def rademacher_norm(X, space=2.0, rng=None, exact_limit: int = 20, samples: int 
     return mean, stderr, False
 
 
-def square_sum_norm(X, space=2.0) -> float:
+def square_sum_norm(X, space: SpaceSpec) -> float:
     """|| (sum_k |X[k]|^2)^{1/2} ||_p, the square function of the rows."""
-    p = _p_of(space)
     X = np.asarray(X, dtype=np.complex128)
-    if isinstance(space, SpaceSpec) and X.shape[1] != space.n:
+    if X.shape[1] != space.n:
         raise DomainError("space dimension does not match the vectors")
-    s = np.sqrt(np.sum(np.abs(X) ** 2, axis=0))
-    if np.isinf(p):
-        return float(s.max())
-    return float(np.sum(s**p) ** (1.0 / p))
+    return space.vector_norm(np.sqrt(np.sum(np.abs(X) ** 2, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +166,7 @@ def operator_norm(T, p: float) -> float:
     n = T.shape[1]
     gen = np.random.default_rng(7)
     best = 0.0
-    q = p / (p - 1.0)
+    q = _conjugate(p)
     for _ in range(4):
         x = gen.standard_normal(n) + 1j * gen.standard_normal(n)
         x /= np.linalg.norm(x, p)
@@ -197,6 +188,11 @@ def operator_norm(T, p: float) -> float:
             x = gn
         best = max(best, float(np.linalg.norm(T @ x, p)))
     return best
+
+
+def _conjugate(p: float) -> float:
+    """The exponent q with 1/p + 1/q = 1."""
+    return math.inf if p == 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
 
 
 def _transfer_constant(p: float, n: int) -> float:
@@ -344,112 +340,100 @@ def r_l1_vs_rbound(mats, space: SpaceSpec, rng=None):
 # averaged (square function) bound of a weighted family
 
 
-def averaged_operator(family: OperatorFamily, h) -> np.ndarray:
-    """The average integral sum_k w_k h_k N_k."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.shape != (len(family),):
-        raise DomainError("h must supply one value per family sample")
-    return np.tensordot(family.weights * h, family.matrices, axes=(0, 0))
+def _ball_top(M, v, r):
+    """Raise the forms u^H M_s u of a PSD stack M over the unit ball of ell^r.
 
-
-def _block_legendre_basis(weights: np.ndarray, n_blocks: int = 16, degree: int = 3):
-    """Orthonormal piecewise polynomials in L2 of the weighted grid.
-
-    The sample indices are split into contiguous blocks (dyadic pieces
-    of a log grid stay contiguous) and on each block the monomials up
-    to `degree` are Gram-Schmidt orthonormalized against the quadrature
-    weights.  Rows are L2(mu)-orthonormal functions on the grid.
+    Returns the values (S,) and the vectors (S, n).  r = 2 takes the top
+    eigenvector, r = 1 the coordinate vector e_i of the largest diagonal
+    entry: both global maxima, as a convex form peaks at an extreme point
+    of the ball (on ell^1, a unimodular multiple of some e_i).  Any other
+    r steps from the better of v and that e_i to the point u of the ball
+    that maximizes Re <g, u>, g = M v: the dual map
+    u_j = phase(g_j) |g_j|^{r'-1} normalized in ell^r (phase(g) for
+    r = inf).  By convexity f(u) >= f(v) + 2 Re <g, u - v> >= f(v), and
+    v is kept unless u is strictly better, so roundoff cannot lose ground.
     """
-    K = len(weights)
-    n_blocks = max(1, min(n_blocks, K // (degree + 1), K))
-    edges = np.linspace(0, K, n_blocks + 1).astype(int)
-    rows = []
-    for b in range(n_blocks):
-        sl = slice(edges[b], edges[b + 1])
-        m = edges[b + 1] - edges[b]
-        if m == 0:
-            continue
-        xi = np.linspace(-1.0, 1.0, m)
-        wb = weights[sl]
-        basis = []
-        for d in range(min(degree + 1, m)):
-            v = xi**d
-            for q in basis:
-                v = v - np.sum(wb * v * q.conj()) * q
-            nrm = math.sqrt(float(np.sum(wb * np.abs(v) ** 2)))
-            if nrm < 1e-14:
-                continue
-            v = v / nrm
-            basis.append(v)
-            row = np.zeros(K, dtype=np.complex128)
-            row[sl] = v
-            rows.append(row)
-    return np.stack(rows)
+    if r == 2.0:
+        vals, vecs = np.linalg.eigh(M)
+        return vals[:, -1], vecs[:, :, -1]
+    S, n, _ = M.shape
+    d = np.einsum("sii->si", M).real
+    i = d.argmax(axis=1)
+    e = np.eye(n, dtype=np.complex128)[i]
+    best = d[np.arange(S), i]
+    if r == 1.0:
+        return best, e
+
+    def form(u):
+        return np.einsum("si,sij,sj->s", u.conj(), M, u).real
+
+    fv = form(v)
+    v = np.where((fv >= best)[:, None], v, e)
+    fv = np.maximum(fv, best)
+    g = np.matmul(M, v[:, :, None])[:, :, 0]
+    a = np.abs(g)
+    top = a.max(axis=1, keepdims=True)
+    # phase times |g|^{r'-1}, scaled so that the largest entry is 1: the
+    # power cannot overflow, and only negligible entries underflow
+    u = g / np.where(a > 0, a, 1.0) * (a / np.where(top > 0, top, 1.0)) ** (
+        _conjugate(r) - 1.0
+    )
+    nrm = _kernels.row_norms(u, r)
+    u /= np.where(nrm > 0, nrm, 1.0)[:, None]
+    fu = form(u)
+    gain = fu > fv
+    return np.where(gain, fu, fv), np.where(gain[:, None], u, v)
 
 
-def _top_eig(G):
-    """Top eigenvalues (S,) and unit eigenvectors (S, n) of a Hermitian stack."""
-    vals, vecs = np.linalg.eigh(G)
-    return vals[:, -1], vecs[:, :, -1]
+def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEstimate:
+    """Bracket V = sup_h ||N_h||_{p->p}, the averaged value of a family.
 
+    N_h = sum_k w_k h_k N_k runs over the unit ball sum_k w_k |h_k|^2 <= 1
+    of L2(w).  Duality in h and in ell^p gives
 
-def r_l2_bound(
-    family: OperatorFamily, space: SpaceSpec | None = None, rng=None
-) -> RBoundEstimate:
-    """R[L2] bound of the averaged family N_h = sum_k w_k h(k) N_k.
+        V^2 = sup { F(x, x') : ||x||_p <= 1, ||x'||_{p'} <= 1 },
+        F(x, x') = sum_k w_k |<N_k x, x'>|^2,
 
-    On ell^2 (space None or p = 2) this is
-    sup_{|x|=|x'|=1} sqrt(sum_k w_k |<N_k x, x'>|^2), found by
-    alternating eigen steps: for fixed x' the optimal x is the top
-    eigenvector of G = sum_k w_k (N_k^H x')(N_k^H x')^H, and symmetrically
-    x' is the top eigenvector of H = sum_k w_k (N_k x)(N_k x)^H.
-    Monotone in the objective; each start runs at most 80 alternations
-    and stops when a step gains less than 1e-12 relative.  Started from
-    the first unit vector, the top left singular vector of sum_k w_k N_k
-    and 8 random vectors; the result is the first start with the largest
-    value.  The flattened Gram bound (optimum over all matrices, not
-    just rank-one x x'^H) is reported as a diagnostic upper bound.
+    and V is at most the R-bound of {N_h} on ell^p (on ell^2 the two are
+    equal, an R-bound there being the sup of the operator norms).
 
-    For long families (K >= 2 n^2, n^2 <= 1024) the K samples are
-    collapsed once into the Gram tensor
-    T[i,j,k,l] = sum_m w_m conj(N_m[i,j]) N_m[k,l], read as two
-    (n^2, n^2) matrices Px and Pxp with vec G = Px vec(x' x'^H) and
-    vec H = Pxp vec(x x^H), so each half step is one matrix-vector
-    product; shorter families form G and H from the samples directly.
-    The ten starts advance in lockstep: each alternation makes one
-    stacked product and one stacked eigh over the starts still running,
-    and a start leaves the stack when it stops.  Each start sees the
+    Lower end: sqrt(F) at the returned witness (x, x'), which lies in the
+    two unit balls, so it is a value of the supremum.  It is found by
+    alternating half steps.  For fixed x', F is the form x^H G x with
+    G = sum_k w_k (N_k^H x')(N_k^H x')^H, and for fixed x it is x'^H H x'
+    with H = sum_k w_k (N_k x)(N_k x)^H; each half step raises its form
+    over its ball (_ball_top: exact on ell^2 and ell^1, a monotone
+    conditional-gradient step otherwise), so F never decreases.  Each
+    start runs at most 80 alternations and stops when a step gains less
+    than 1e-12 relative; the result is the first start with the largest
+    value.  The ten starts for x' are the first unit vector, the top
+    left singular vector of sum_k w_k N_k and 8 random vectors.  Off
+    ell^2 the first start is instead e_r of the best basis pair
+    (e_i, e_r), the pair that maximizes sum_k w_k |N_k[r, i]|^2, and
+    every start is normalized in ell^{p'}; the first half step from e_r
+    reaches at least that pair, so the lower end is never below it.
+
+    Upper end: for unit x, x' in ell^2, F(x, x') = z^H Gram z with the
+    unit vector z = vec(conj(x') x^T) and the flattened Gram matrix
+    Gram = sum_k w_k conj(vec N_k) vec(N_k)^T, so V^2 <= lambda_max(Gram)
+    on ell^2, and lambda_max <= trace(Gram) = sum_k w_k ||N_k||_F^2 where
+    the Gram is too large to form (n^2 > 4096).  Passing through ell^2
+    costs ||id: ell^2 -> ell^p|| ||id: ell^p -> ell^2|| = n^{|1/p - 1/2|}
+    (_transfer_constant), the factor on the ell^2 bound.
+
+    For long families (K >= 2 n^2, n^2 <= 1024) each half step is one
+    product with the Gram tensor read as an (n^2, n^2) matrix; shorter
+    families form G and H from the samples.  The ten starts advance in
+    lockstep, a start leaving the stack when it stops, and each sees the
     same arithmetic as if it ran alone.
-
-    On other spaces the unit ball of L2(mu) is sampled: an orthonormal
-    piecewise-polynomial basis on blocks of the grid, the basis
-    elements themselves plus 256 random unit combinations,
-    and the R-bound of the resulting averaged operators is bracketed.
     """
     N = family.matrices
     w = family.weights
     K, n, _ = N.shape
-    if space is not None and space.n != n:
+    if space.n != n:
         raise DomainError("space dimension does not match the family")
-    if space is not None and float(space.p) != 2.0:
-        gen = _rng(rng)
-        H = _block_legendre_basis(w)
-        hs = [h for h in H]
-        # matched filter: weight each sample by the family's local strength
-        prof = np.array([np.linalg.norm(M, 2) for M in N])
-        nrm = math.sqrt(float(np.sum(w * prof**2)))
-        if nrm > 0:
-            hs.append((prof / nrm).astype(np.complex128))
-        for _ in range(256):
-            c = gen.standard_normal(len(H)) + 1j * gen.standard_normal(len(H))
-            c /= np.linalg.norm(c)
-            hs.append(c @ H)
-        mats = np.stack([averaged_operator(family, h) for h in hs])
-        est = r_bound(mats, space, rng=gen)
-        est.method = "unit-ball-sample"
-        est.diagnostics["basis_functions"] = len(H)
-        est.diagnostics["ball_samples"] = len(hs)
-        return est
+    p = float(space.p)
+    q = _conjugate(p)
     gen = _rng(rng)
 
     # the objective sum_k w_k |<N_k x, x'>|^2 only sees the family through
@@ -459,10 +443,11 @@ def r_l2_bound(
     # with one matrix-vector product per start (a stacked matmul), never
     # one product for the whole batch: BLAS rounds a batched product
     # differently with the batch size, and starts drop out as they stop
-    T4 = None
+    V = N.reshape(K, n * n)
+    gram = None
     if n * n <= 1024 and K >= 2 * n * n:
-        V = N.reshape(K, n * n)
-        T4 = ((V.conj() * w[:, None]).T @ V).reshape(n, n, n, n)
+        gram = (V.conj() * w[:, None]).T @ V
+        T4 = gram.reshape(n, n, n, n)
         # vec G = Px vec(x' x'^H) and vec H = Pxp vec(x x^H)
         maps = (
             T4.transpose(1, 3, 0, 2).reshape(n * n, n * n),
@@ -487,13 +472,20 @@ def r_l2_bound(
     for i in range(2, 10):
         v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
         XP[i] = v / np.linalg.norm(v)
+    if p != 2.0:
+        # the row of the best basis pair, often the optimum off ell^2
+        # (always, for diagonal families); ell^2 keeps e_0 so that its
+        # reported values and witnesses do not move
+        pairs = np.tensordot(w, np.abs(N) ** 2, axes=(0, 0))
+        XP[0] = np.eye(n)[np.unravel_index(np.argmax(pairs), pairs.shape)[0]]
+        XP /= _kernels.row_norms(XP, q)[:, None]
 
     X = np.zeros_like(XP)
     val = np.zeros(len(XP))
     live = np.arange(len(XP))
     for _ in range(80):
-        _, x = _top_eig(half_step(maps[0], XP[live]))
-        v2, xp = _top_eig(half_step(maps[1], x))
+        _, x = _ball_top(half_step(maps[0], XP[live]), X[live], p)
+        v2, xp = _ball_top(half_step(maps[1], x), XP[live], q)
         X[live], XP[live] = x, xp
         stop = v2 <= val[live] * (1.0 + 1e-12)
         val[live] = np.where(stop, np.maximum(val[live], v2), v2)
@@ -502,26 +494,15 @@ def r_l2_bound(
             break
     b = int(np.argmax(val))
 
-    diag = {}
-    upper = float("inf")
-    if T4 is not None:
-        upper = float(np.linalg.eigvalsh(T4.reshape(n * n, n * n))[-1])
-        diag["flattened_gram"] = math.sqrt(max(upper, 0.0))
-    elif n * n <= 4096:
-        vecs = N.reshape(K, n * n)
-        M = (vecs.conj() * w[:, None]).T @ vecs
-        upper = float(np.linalg.eigvalsh(M)[-1])
-        diag["flattened_gram"] = math.sqrt(max(upper, 0.0))
-    value = math.sqrt(max(float(val[b]), 0.0))
+    if gram is None and n * n <= 4096:
+        gram = (V.conj() * w[:, None]).T @ V
+    if gram is None:
+        top = float(w @ np.sum(np.abs(V) ** 2, axis=1))
+    else:
+        top = float(np.linalg.eigvalsh(gram)[-1])
     return RBoundEstimate(
-        lower=value,
-        upper=diag.get("flattened_gram", value),
+        lower=math.sqrt(max(float(val[b]), 0.0)),
+        upper=_transfer_constant(p, n) * math.sqrt(max(top, 0.0)),
         method="bilinear-power",
         witness={"x": X[b], "x_prime": XP[b]},
-        diagnostics=diag,
     )
-
-
-def family_value(family: OperatorFamily, **kw) -> float:
-    """Shorthand for the bilinear square-function value of a family."""
-    return r_l2_bound(family, **kw).lower

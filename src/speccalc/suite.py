@@ -337,7 +337,7 @@ def _condition_table(alpha: float, beta: float) -> list:
 def _family_row(op, space, rng, condition, param, family, kwargs):
     t0 = time.perf_counter()
     fam = ops.family_samples(op, family, **kwargs)
-    est = r_l2_bound(fam, None if float(space.p) == 2.0 else space, rng=rng)
+    est = r_l2_bound(fam, space, rng=rng)
     value = float(est.lower)
     return ConditionValue(
         condition=condition,
@@ -399,6 +399,14 @@ def condition_c2_to_c8(
 # the full report
 
 
+def _require_original_basis(op, space: SpaceSpec):
+    """A reduced core is written in an orthonormal basis of the range, an
+    isometry on ell^2 only: reject every other ell^p."""
+    if op.reduction is not None and float(space.p) != 2.0:
+        lp = f"l{space.p:g}"
+        raise DomainError(f"{lp} of a reduced core is not {lp} of the operator")
+
+
 def equivalence_report(
     A,
     space: SpaceSpec,
@@ -417,9 +425,11 @@ def equivalence_report(
     eigenbasis the same numbers are reported but the equivalence flag is
     withheld: the estimated quantities are still averages of matrix
     samples, yet the corpus sup is no longer attained by stationary
-    phase, so the two sides are not claimed equal.
+    phase, so the two sides are not claimed equal.  A reduced operator
+    off ell^2 raises DomainError (_require_original_basis).
     """
     op = ops.sectorial(A)
+    _require_original_basis(op, space)
     alpha, beta, fit_tol = float(alpha), float(beta), float(fit_tol)
     beta_sweep = (0.25, 0.5, 0.75)
     gen = np.random.default_rng(seed)
@@ -550,9 +560,11 @@ def paley_littlewood_check(A, space: SpaceSpec, trials: int = 100, seed: int = 0
     is collected (first moment over independent signs); the return value
     is (min, max) over the trials.  The windows must sum to one on the
     spectrum, otherwise CoverageError.  Sign enumeration is exact up to
-    12 blocks, Monte Carlo with 4096 draws beyond.
+    12 blocks, Monte Carlo with 4096 draws beyond.  A reduced operator
+    off ell^2 raises DomainError (_require_original_basis).
     """
     op = ops.sectorial(A)
+    _require_original_basis(op, space)
     if not op.diagonalizable:
         raise NotSectorialError(
             "the block test needs an eigenbasis: dyadic windows are not analytic"

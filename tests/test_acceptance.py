@@ -149,7 +149,8 @@ def test_06_weighted_imaginary_powers_average_near_sqrt_pi():
     devs = {}
     for name, A in spectra.items():
         fam = ops.family_samples(A, "bip", alpha=1.0)
-        devs[name] = abs(rbound.family_value(fam) / math.sqrt(math.pi) - 1.0)
+        value = rbound.r_l2_bound(fam, SpaceSpec(p=2.0, n=fam.dim)).lower
+        devs[name] = abs(value / math.sqrt(math.pi) - 1.0)
     ok = all(d <= 0.02 for d in devs.values())
     detail = ", ".join(f"{k}: {v:.4f}" for k, v in devs.items())
     verdict(ok, "06 bip average", f"|value/sqrt(pi) - 1| <= 0.02 on 3 spectra ({detail})")

@@ -149,6 +149,45 @@ class TestRun:
         assert "equivalence_asserted" in flags
 
 
+class TestLpRuns:
+    def test_l1_report_matches_the_l2_report_on_a_diagonal_operator(self, tmp_path):
+        # for diagonal families the l^p optimum of the averaged square
+        # function is a basis pair, whose value does not depend on p
+        values = {}
+        for space in (2.0, 1.0):
+            path = write_config(
+                tmp_path, operators=["diag-logspaced:4"],
+                suites=["theorem-equivalence"], space=space,
+            )
+            out = tmp_path / f"l{space:g}"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            values[space] = {
+                (r["condition"], r["param"]): float(r["value"])
+                for r in read_rows(out / "theorem-equivalence.csv")
+            }
+        l1, l2 = values[1.0], values[2.0]
+        assert 0.95 <= l1[("bridge", "c2/(2 pi c1)")] <= 1.05
+        families = [key for key in l1 if key[0] in ("c2", "c3", "c4", "c5", "c6", "c7", "c8")]
+        assert len(families) == 20
+        for key in families:
+            assert l1[key] == pytest.approx(l2[key], rel=1e-9), key
+
+    def test_reduced_operator_is_skipped_off_l2(self, tmp_path):
+        # the reduced core lives in an orthonormal basis of the range,
+        # where l^1 is not the l^1 of the graph
+        path = write_config(
+            tmp_path, operators=["cycle-laplacian:6"],
+            suites=["theorem-equivalence", "paley-littlewood"], space=1.0,
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        for name in ("theorem-equivalence", "paley-littlewood"):
+            rows = read_rows(out / f"{name}.csv")
+            assert len(rows) == 1, name
+            assert rows[0]["condition"].startswith("skipped-")
+            assert json.loads(rows[0]["grid"])["reason"] == "DomainError"
+
+
 class TestCompare:
     def test_identical_runs_compare_clean(self, tmp_path, capsys):
         path = write_config(tmp_path)

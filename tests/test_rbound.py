@@ -14,8 +14,6 @@ from speccalc.rbound import (
     RBoundEstimate,
     SpaceSpec,
     _ratio,
-    averaged_operator,
-    family_value,
     operator_norm,
     r_bound,
     r_l1_vs_rbound,
@@ -119,10 +117,11 @@ class TestRademacherSums:
         rng = np.random.default_rng(11)
         X = rng.standard_normal((8, 5))
         for p in (1.0, 2.0, np.inf):
-            first, _, _ = rademacher_norm(X, p)
+            space = SpaceSpec(p=p, n=5)
+            first, _, _ = rademacher_norm(X, space)
             # on ell^2 the second moment is exactly the square function
             if p == 2.0:
-                assert first <= square_sum_norm(X, p) * (1 + 1e-12)
+                assert first <= square_sum_norm(X, space) * (1 + 1e-12)
 
     @pytest.mark.parametrize("K", [1, 2, 5])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
@@ -156,8 +155,9 @@ class TestRademacherSums:
     def test_sup_norm_takes_the_largest_entry(self):
         # every sign sum is (+-3, +-4), whose sup norm is 4
         X = np.array([[3.0, 0.0], [0.0, 4.0]])
-        assert rademacher_norm(X, np.inf) == (4.0, 0.0, True)
-        mean, stderr, exact = rademacher_norm(X, np.inf, rng=0, exact_limit=0, samples=64)
+        space = SpaceSpec(p=np.inf, n=2)
+        assert rademacher_norm(X, space) == (4.0, 0.0, True)
+        mean, stderr, exact = rademacher_norm(X, space, rng=0, exact_limit=0, samples=64)
         assert not exact
         assert (mean, stderr) == (4.0, 0.0)
 
@@ -180,7 +180,7 @@ class TestRademacherSums:
 
     def test_shape_guards(self):
         with pytest.raises(DomainError):
-            rademacher_norm(np.ones((2, 3, 4)))
+            rademacher_norm(np.ones((2, 3, 4)), SpaceSpec(p=2.0, n=4))
         with pytest.raises(DomainError):
             rademacher_norm(np.ones((2, 3)), SpaceSpec(p=2.0, n=4))
 
@@ -307,7 +307,7 @@ class TestRBound:
 
 class TestAveragedFamilies:
     def test_scalar_decay_value(self):
-        est = r_l2_bound(decay_family())
+        est = r_l2_bound(decay_family(), SpaceSpec(p=2.0, n=2))
         # int_0^inf t e^{-2t} dt/t = 1/2
         assert est.lower == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-3)
         assert est.upper >= est.lower * (1 - 1e-12)
@@ -325,7 +325,7 @@ class TestAveragedFamilies:
             P[0, 0] = 1.0
             prof = np.sqrt(ts) * np.exp(-ts)
             fam = OperatorFamily("p1", ts, w, prof[:, None, None] * P[None], "dt/t")
-            got = r_l2_bound(fam, rng=np.random.default_rng(1)).lower
+            got = r_l2_bound(fam, SpaceSpec(p=2.0, n=n), rng=np.random.default_rng(1)).lower
             assert got == pytest.approx(want, rel=5e-3), (n, K)
 
     def test_rank_one_family_witness(self):
@@ -334,13 +334,13 @@ class TestAveragedFamilies:
         ts, w = log_grid(1e-6, 1e2, 768)
         P = np.array([[1.0, 0.0], [0.0, 0.0]])
         fam = OperatorFamily("proj", ts, w, np.exp(-ts)[:, None, None] * P, "dt/t")
-        got = r_l2_bound(fam).lower
+        got = r_l2_bound(fam, SpaceSpec(p=2.0, n=2)).lower
         want = math.sqrt(float(w @ np.exp(-2.0 * ts)))
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_non_hilbert_space_value(self):
         fam = decay_family(n=3, K=256)
-        v2 = r_l2_bound(fam).lower
+        v2 = r_l2_bound(fam, SpaceSpec(p=2.0, n=3)).lower
         v1 = r_l2_bound(fam, SpaceSpec(p=1.0, n=3), rng=np.random.default_rng(2)).lower
         # scalar multiples of the identity: the averaged square function
         # is the same scalar profile in every ell^p
@@ -355,22 +355,43 @@ class TestAveragedFamilies:
         # K >= 2 n^2 takes the Gram-matrix half steps, K < 2 n^2 the
         # direct ones; both must reproduce every start bit for bit
         fam = random_family(n, K, seed)
-        est = r_l2_bound(fam, rng=np.random.default_rng(seed + 7))
+        est = r_l2_bound(fam, SpaceSpec(p=2.0, n=n), rng=np.random.default_rng(seed + 7))
         lower, upper, x, xp = serial_r_l2_bound(fam, np.random.default_rng(seed + 7))
         assert (est.lower, est.upper) == (lower, upper)
         assert np.array_equal(est.witness["x"], x)
         assert np.array_equal(est.witness["x_prime"], xp)
 
-    def test_averaged_operator_shape_guard(self):
-        fam = decay_family(K=64)
-        out = averaged_operator(fam, np.ones(64))
-        assert out.shape == (2, 2)
-        with pytest.raises(DomainError):
-            averaged_operator(fam, np.ones(3))
+    @pytest.mark.parametrize("p, q", [(1.0, np.inf), (1.5, 3.0), (3.0, 1.5), (np.inf, 1.0)])
+    @pytest.mark.parametrize("n, K", [(2, 3), (3, 18), (4, 7), (5, 50), (2, 40)])
+    def test_lp_witness_is_feasible_and_brackets(self, n, K, p, q):
+        # the witness lies in the unit balls of l^p and l^q, reproduces the
+        # lower end, and the lower end sits between the best basis pair and
+        # the transferred Gram bound
+        fam = random_family(n, K, 10 * n + K)
+        est = r_l2_bound(fam, SpaceSpec(p=p, n=n), rng=np.random.default_rng(K))
+        x, xp = est.witness["x"], est.witness["x_prime"]
+        assert SpaceSpec(p=p, n=n).vector_norm(x) <= 1.0 + 1e-12
+        assert SpaceSpec(p=q, n=n).vector_norm(xp) <= 1.0 + 1e-12
+        pairing = np.einsum("r,krs,s->k", xp.conj(), fam.matrices, x)
+        value = math.sqrt(float(fam.weights @ np.abs(pairing) ** 2))
+        assert value == pytest.approx(est.lower, rel=1e-9)
+        pairs = np.tensordot(fam.weights, np.abs(fam.matrices) ** 2, axes=(0, 0))
+        assert math.sqrt(pairs.max()) <= est.lower * (1.0 + 1e-12)
+        assert est.lower <= est.upper
 
-    def test_family_value_shorthand(self):
-        fam = decay_family(K=256)
-        assert family_value(fam) == pytest.approx(r_l2_bound(fam).lower)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_l1_value_matches_a_phase_scan(self, seed):
+        # on l^1_2 the sup sits at x = e_i and x' = (1, e^{i phi}), the
+        # extreme points of the two balls up to a common phase
+        fam = random_family(2, 9, seed)
+        N, w = fam.matrices, fam.weights
+        phase = np.exp(-1j * np.linspace(0.0, 2.0 * np.pi, 200001))
+        scan = max(
+            float(np.max(w @ np.abs(N[:, 0, i, None] + phase * N[:, 1, i, None]) ** 2))
+            for i in range(2)
+        )
+        est = r_l2_bound(fam, SpaceSpec(p=1.0, n=2), rng=np.random.default_rng(seed))
+        assert est.lower == pytest.approx(math.sqrt(scan), rel=1e-9)
 
     def test_family_validation(self):
         ts, w = log_grid(0.1, 1.0, 16)

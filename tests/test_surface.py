@@ -15,9 +15,10 @@ The same goes one level down for options: a defaulted parameter of a
 public function or method must be passed by some call in the package,
 by keyword, by position, or through `*args` or `**kwargs`, otherwise it
 is a setting only tests can change and is folded into its default.  A
-call with `**` counts as passing every parameter, and a `*` argument
-every positional parameter from its place on.  Calls are matched to
-definitions by spelling, as above.
+`**name` argument counts as passing the parameters spelled by the string
+keys of the dict literals in the calling module (where such a dict is
+built), and a `*` argument every positional parameter from its place on.
+Calls are matched to definitions by spelling, as above.
 """
 
 import ast
@@ -31,7 +32,6 @@ PACKAGE = Path(speccalc.__file__).resolve().parent
 ALLOWED = {
     "fourier_at": "direct-summation oracle of the fourier_transform tests",
     "inverse_fourier_transform": "round-trip oracle of the fourier_transform tests",
-    "family_value": "README quick start and acceptance check 06",
     "scaled": "SampledFunction.scaled (acceptance check 10) and "
     "MultiplierCorpus.scaled (the c1 scaling test)",
     "find_lower_bound_constants": "the certificate search ROADMAP item 1 rewrites",
@@ -133,8 +133,10 @@ def _defaulted(fn, is_method):
     return out
 
 
-def _passes(call, param, index) -> bool:
-    if any(k.arg is None or k.arg == param for k in call.keywords):
+def _passes(call, param, index, keys) -> bool:
+    """Whether call passes param; keys are the dict-literal keys of the
+    calling module, the names a `**name` argument can carry."""
+    if any(k.arg == param or (k.arg is None and param in keys) for k in call.keywords):
         return True
     if index is None:
         return False
@@ -147,19 +149,29 @@ def _passes(call, param, index) -> bool:
 def unpassed_options():
     """"name(param)" for each defaulted parameter of a public function or
     method that no package call passes."""
-    defs, calls = [], []
+    defs, calls, keys = [], [], {}
     for stem, node in _top_level():
         for _, item, is_method in _public_functions(stem, node):
             defs.append((item.name, _defaulted(item, is_method)))
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 func = sub.func
-                calls.append((getattr(func, "id", None) or getattr(func, "attr", None), sub))
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.append((name, stem, sub))
+            elif isinstance(sub, ast.Dict):
+                keys.setdefault(stem, set()).update(
+                    k.value
+                    for k in sub.keys
+                    if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                )
     return {
         f"{name}({param})"
         for name, options in defs
         for param, index in options
-        if not any(c == name and _passes(call, param, index) for c, call in calls)
+        if not any(
+            c == name and _passes(call, param, index, keys.get(stem, set()))
+            for c, stem, call in calls
+        )
     }
 
 
