@@ -6,9 +6,6 @@ Kernels:
   row_norms(Y, p)          row-wise l^p norms, p may be inf
   enum_mean_norm(X, p)     exact E||sum_k eps_k X_k||_p over all sign patterns
   mc_mean_norm(X, p, S)    the same average over a precomputed sign batch
-  sliding_min(a, w)        out[i] = min(a[i:i+w])
-  lattice_abs_sum(a, stride, shifts)
-                           out[i] = sum_{k<shifts} a[i + k*stride]
 
 rbound.rademacher_norm averages through enum_mean_norm and mc_mean_norm;
 the witness search of rbound.r_bound takes one sign_rows or random_signs
@@ -16,7 +13,6 @@ batch per restart and does its own products.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def sign_rows(K, start, stop):
@@ -80,16 +76,3 @@ def mc_mean_norm(X, p, signs):
     stderr = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return mean, stderr
 
-
-def sliding_min(a, w):
-    return sliding_window_view(np.asarray(a, dtype=np.float64), int(w)).min(axis=1)
-
-
-def lattice_abs_sum(a, stride, shifts):
-    a = np.asarray(a, dtype=np.float64)
-    stride, shifts = int(stride), int(shifts)
-    n_out = len(a) - (shifts - 1) * stride
-    out = np.zeros(n_out, dtype=a.dtype)
-    for k in range(shifts):
-        out += a[k * stride : k * stride + n_out]
-    return out

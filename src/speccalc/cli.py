@@ -15,7 +15,8 @@ matrix asked for an eigenbasis test, a symbol the grid cannot resolve)
 are recorded as skipped rather than failed.
 
 `compare` checks two manifests for agreement: configuration hash,
-version, per-suite row counts, and the CSV bodies byte for byte.
+version, per-suite row counts, the list of plot files, and the suite and
+plot CSV bodies byte for byte.
 """
 
 from __future__ import annotations
@@ -109,24 +110,37 @@ class RunConfig:
         return cfg
 
     def validate(self):
-        """Check every field; operator specs are parsed by build_operators."""
-        if not isinstance(self.operators, list) or not all(
-            isinstance(s, str) for s in self.operators
-        ):
-            raise ConfigError("'operators' must be a list of preset strings")
+        """Check the type and range of every field; operator specs are
+        parsed by build_operators."""
+
+        def real(x):
+            return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+        def count(x, least):
+            return isinstance(x, int) and not isinstance(x, bool) and x >= least
+
+        for name in ("operators", "suites"):
+            value = getattr(self, name)
+            if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+                raise ConfigError(f"'{name}' must be a list of strings")
         bad = sorted(set(self.suites) - set(SUITES))
         if bad:
             raise ConfigError(
                 f"unknown suites: {', '.join(bad)} (known: {', '.join(SUITES)})"
             )
-        if not self.alpha > 0:
-            raise ConfigError("alpha must be positive")
-        if not 0 < self.beta < 1:
-            raise ConfigError("beta must be in (0, 1)")
-        if not self.space >= 1:
-            raise ConfigError("space must be an exponent p >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        a, b, p, tol = self.alpha, self.beta, self.space, self.fit_tol
+        rules = (
+            ("alpha", real(a) and 0 < a < math.inf, "a finite number > 0"),
+            ("beta", real(b) and 0 < b < 1, "a number in (0, 1)"),
+            ("space", real(p) and p >= 1, "an exponent p >= 1"),
+            ("fit_tol", real(tol) and 0 <= tol < math.inf, "a finite number >= 0"),
+            ("seed", count(self.seed, 0), "an integer >= 0"),
+            ("corpus_size", count(self.corpus_size, 1), "an integer >= 1"),
+            ("trials", count(self.trials, 1), "an integer >= 1"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def build_operators(self) -> dict:
         """{spec: SectorialOperator} for every configured operator, parsed once."""
@@ -676,24 +690,34 @@ def cmd_compare(args) -> int:
         set(man_a.get("outputs", {})) ^ set(man_b.get("outputs", {}))
     ):
         diffs.append(f"suite {name}: present in only one run")
+    files = []  # (label, path in run a, path in run b) of every CSV compared
     for name in common:
         oa, ob = man_a["outputs"][name], man_b["outputs"][name]
         for key in ("rows", "passed", "failed"):
             if oa.get(key) != ob.get(key):
                 diffs.append(f"{name}.{key}: {oa.get(key)} != {ob.get(key)}")
+        files.append((name, oa["csv"], ob["csv"]))
+    plots_a, plots_b = man_a.get("plot_files", []), man_b.get("plot_files", [])
+    if plots_a != plots_b:
+        diffs.append(f"plot_files: {plots_a!r} != {plots_b!r}")
+    files += [(rel, rel, rel) for rel in plots_a if rel in plots_b]
+    for label, rel_a, rel_b in files:
         try:
-            body_a = (path_a.parent / oa["csv"]).read_bytes()
-            body_b = (path_b.parent / ob["csv"]).read_bytes()
+            body_a = (path_a.parent / rel_a).read_bytes()
+            body_b = (path_b.parent / rel_b).read_bytes()
         except OSError as e:
-            diffs.append(f"{name}: cannot read CSV ({e})")
+            diffs.append(f"{label}: cannot read CSV ({e})")
             continue
         if body_a != body_b:
-            diffs.append(f"{name}: CSV bodies differ")
+            diffs.append(f"{label}: CSV bodies differ")
     if diffs:
         for d in diffs:
             print(f"DIFFER  {d}")
         return 1
-    print(f"IDENTICAL  {len(common)} suites, config {man_a.get('config_hash', '')[:12]}")
+    print(
+        f"IDENTICAL  {len(common)} suites, {len(plots_a)} plots, "
+        f"config {man_a.get('config_hash', '')[:12]}"
+    )
     return 0
 
 

@@ -163,20 +163,19 @@ def operator_from_spec(spec: str) -> SectorialOperator:
         if len(vals) == 0:
             raise DomainError("diag needs at least one entry")
         return sectorial(np.diag(vals.astype(np.complex128)), name=spec)
-    if kind == "diag-logspaced":
+    if kind in ("diag-logspaced", "cycle-laplacian", "path-laplacian"):
         n = int(arg)
         if n < 2:
-            raise DomainError("diag-logspaced needs n >= 2")
+            raise DomainError(f"{kind} needs n >= 2")
+    if kind == "diag-logspaced":
         expo = np.arange(n) - (n - 1) / 2.0
         return sectorial(np.diag((2.0**expo).astype(np.complex128)), name=spec)
     if kind == "cycle-laplacian":
-        n = int(arg)
         A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         A[0, -1] -= 1.0
         A[-1, 0] -= 1.0
         return sectorial(A, name=spec)
     if kind == "path-laplacian":
-        n = int(arg)
         A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         A[0, 0] = 1.0
         A[-1, -1] = 1.0

@@ -113,11 +113,6 @@ class PartitionOfUnity:
         return sorted(out)
 
 
-def make_partition(kind: str) -> PartitionOfUnity:
-    """Build a partition of unity of the given kind."""
-    return PartitionOfUnity(kind=kind)
-
-
 # ---------------------------------------------------------------------------
 # norm results
 
@@ -233,7 +228,7 @@ def besov_norm(f: SampledFunction, alpha: float) -> NormResult:
         raise DomainError("alpha must be nonnegative")
     fh = fourier_transform(f)
     t = fh.u
-    pou = make_partition("fourier-dyadic")
+    pou = PartitionOfUnity("fourier-dyadic")
     idx = pou.indices_for(float(t[0]), float(t[-1]))
     blocks = {}
     for n in idx:
@@ -318,7 +313,7 @@ def hoermander_norm(f: SampledFunction, alpha: float) -> NormResult:
     _require_log(f)
     if alpha <= 0.5:
         raise DomainError("the localized norm needs alpha > 1/2")
-    partition = make_partition("equidistant")
+    partition = PartitionOfUnity("equidistant")
     u = f.u
     n_lo = int(np.ceil(u[0])) + 1
     n_hi = int(np.floor(u[-1])) - 1

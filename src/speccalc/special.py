@@ -12,9 +12,13 @@ strip -m < Re z < 0 where the regularized integral
 converges and equals Gamma(z) f_m(z).  The module evaluates the product
 stably near its removable singularities (the integer points -1, ..,
 -(m-1), where the Gamma pole cancels against a zero of f_m), computes the
-integral by quadrature as an independent check, continues it to rays
-lambda near the imaginary axis, and certifies windowed lower bounds on
-|f_m(beta + it)| used by the averaged multiplier estimates.
+integral by quadrature as an independent check, and continues it to rays
+lambda near the imaginary axis.
+
+It also certifies the lower bounds on |f_m(beta + it)| that the averaged
+multiplier estimates use: for m <= 4, constants (epsilon, delta, N) with
+sum_{|j| <= N} |f_m(beta + i(t + j delta))| >= epsilon for every real t,
+checked on the Bohr torus of f_m (see find_lower_bound_constants).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from ._kernels import lattice_abs_sum, sliding_min
 from .errors import ConvergenceError, DomainError, PoleError
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
@@ -404,155 +407,106 @@ def w_alpha_kernel(s, alpha: float, m: int):
     return out[0] if scalar else out
 
 
+# the shifted-sum certificate: lattice steps tried, the cap on N and the
+# number of torus grid nodes per axis
+_CERT_DELTAS = (1.0, 0.5, 0.25, 0.125)
+_CERT_MAX_N = 4
+_CERT_GRID = 1024
+
+
 @dataclass
 class LowerBoundCertificate:
-    """Windowed lower bound data for |f_m(beta + it)|.
+    """Certifies sum_{|j| <= N} |f_m(beta + i(t + j delta))| >= epsilon
+    for every real t."""
 
-    Certifies: every interval of length C contains a subinterval of
-    length delta on which |f| >= epsilon; consequently
-    sum_{|k| <= N} |f(t + k delta)| >= epsilon for every t.
-    """
-
-    C: float
     epsilon: float
     delta: float
     N: int
     diagnostics: dict = field(default_factory=dict)
 
 
-def find_lower_bound_constants(
-    m: int, beta: float, search: dict | None = None
-) -> LowerBoundCertificate:
-    """Search for (C, epsilon, delta, N) making the shifted sums of
-    |f_m(beta + it)| uniformly bounded below.
+def find_lower_bound_constants(m: int, beta: float) -> LowerBoundCertificate:
+    """Certify a uniform lower bound on the shifted sums of |f_m(beta + it)|.
 
-    The scan works on a window [0, W]: sliding minima over length-delta
-    subintervals locate the epsilon-good set, the largest gap between
-    good starts gives C, and N = ceil(C / (2 delta)) lattice shifts
-    guarantee a good subinterval inside [t - N delta, t + N delta].  Grid
-    minima are converted to continuum bounds through the Lipschitz bound
-    L = sum_k C(m,k) k^{-beta} log k.  The certificate is then verified
-    directly on a dense lattice-sum grid before being returned.
+    The returned (epsilon, delta, N) satisfy, for every real t,
+
+        sum_{|j| <= N} |f_m(beta + i(t + j delta))| >= epsilon > 0.
+
+    Proof sketch (Bohr lift).  With c_k = C(m,k)(-1)^{m-k} k^{-beta},
+    v(k) the exponent vector of k over the primes p <= m and
+    l = (log p)_p, f_m(beta + it) = sum_k c_k e^{-it v(k).l} is the
+    restriction of F(theta) = sum_k c_k e^{-i v(k).theta} to the line
+    theta = t l of the torus T^d, d = pi(m).  So the shifted sum at t is
+    S(t l), where S(theta) = sum_{|j| <= N} |F(theta + j delta l)|, and
+    inf_t of it is at least min S (equal to it, since the line is dense
+    by Kronecker).  Since |e^{ix} - e^{iy}| <= |x - y|, F is Lipschitz in
+    the sup norm with L = sum_k |c_k| sum_p v_p(k), and S with (2N+1) L.
+    Every theta lies within h/2 of a node of the uniform G^d grid of
+    spacing h = 2 pi / G in each coordinate, so
+    epsilon = min_grid S - (2N+1) L h / 2 is a lower bound for min S
+    (up to the rounding of the grid evaluation, ~1e-15 sum_k |c_k|).
+
+    N runs up from 0 and delta over 1, 1/2, 1/4, 1/8; the smallest N that
+    certifies epsilon > 0 is returned with the delta of largest epsilon.
+    Raises ConvergenceError when no N <= 4 certifies, and DomainError for
+    m >= 5, where the torus has more than two dimensions.
     """
     _check_order(m)
-    cfg = {
-        "window": 40.0,
-        "verify_factor": 3.0,
-        "deltas": (1.0, 0.5, 0.25, 0.125),
-        "quantiles": (0.9, 0.75, 0.5, 0.25, 0.1),
-        "points_per_delta": 16,
-        "final_points": 10_000,
-    }
-    if search:
-        cfg.update(search)
-    W = float(cfg["window"])
-    W_verify = W * float(cfg["verify_factor"])
-
+    primes = [p for p in range(2, m + 1) if all(p % q for q in range(2, p))]
+    if len(primes) > 2:
+        raise DomainError(f"the torus certificate needs m <= 4, got m={m}")
+    # v(k): the exponent of each prime in k = 1..m
+    expo = [
+        tuple(max(e for e in range(k) if k % p**e == 0) for p in primes)
+        for k in range(1, m + 1)
+    ]
     coef = np.array(
         [math.comb(m, k) * (-1) ** (m - k) * float(k) ** (-beta) for k in range(1, m + 1)]
     )
-    logs = np.array([math.log(k) for k in range(1, m + 1)])
-    lip = float(np.sum(np.abs(coef) * logs))
+    logs = np.log(np.arange(1, m + 1, dtype=float))
+    lip = float(sum(abs(c) * sum(v) for c, v in zip(coef, expo)))
 
-    def fabs(t):
-        t = np.asarray(t, dtype=float)
-        return np.abs(np.exp(-1j * np.outer(t, logs)) @ coef)
+    # F(theta + s l) on the grid: the coefficients of F, indexed by v(k),
+    # contracted with one table of e^{-i a theta_p} per prime
+    theta = (2.0 * np.pi / _CERT_GRID) * np.arange(_CERT_GRID)
+    shape = tuple(max(col) + 1 for col in zip(*expo))
+    factors = [np.exp(-1j * np.outer(np.arange(n), theta)) for n in shape]
 
-    best = None
-    for delta in cfg["deltas"]:
-        w = int(cfg["points_per_delta"])
-        h = delta / w
-        npts = int(np.ceil((W + delta) / h)) + 1
-        tg = h * np.arange(npts)
-        vals = fabs(tg)
-        smin = sliding_min(vals, w + 1)  # minima over [t_i, t_i + delta]
-        margin = 0.5 * lip * h
+    def lifted_abs(s):
+        F = np.zeros(shape, dtype=np.complex128)
+        for c, v, lg in zip(coef, expo, logs):
+            F[v] += c * np.exp(-1j * s * lg)
+        for table in factors:
+            F = np.tensordot(F, table, axes=(0, 0))
+        return np.abs(F)
 
-        candidates = []
-        gmin = float(vals.min())
-        if gmin - margin > 0:
-            candidates.append(("everywhere", gmin - margin))
-        for q in cfg["quantiles"]:
-            e = float(np.quantile(smin, q)) - margin
-            if e > 0:
-                candidates.append((f"q{q:g}", e))
-
-        for tag, eps in candidates:
-            good = np.flatnonzero(smin >= eps + margin)
-            if len(good) == 0:
-                continue
-            if tag == "everywhere":
-                C, N = delta, 0
-            else:
-                gaps = np.diff(tg[good])
-                maxgap = float(gaps.max()) if len(gaps) else 0.0
-                # also count the approach to the window ends as gaps
-                maxgap = max(maxgap, tg[good[0]], tg[-1] - tg[good[-1]])
-                C = maxgap + delta
-                N = int(np.ceil(C / (2.0 * delta)))
-            # verify on a window wider than the scan; the scan-window gap
-            # statistics can miss rarer close approaches, so escalate N a
-            # few times before giving up on this epsilon
-            cert = None
-            for _ in range(4):
-                cert = _verify_certificate(
-                    fabs, W_verify, delta, eps, N, cfg["final_points"], lip
-                )
-                if cert is not None:
-                    break
-                N = N + max(1, N)
-                C = max(C, 2.0 * N * delta)
-            if cert is None:
-                continue
-            cand = LowerBoundCertificate(
-                C=C,
-                epsilon=eps,
+    base = lifted_abs(0.0)
+    sums = {delta: base.copy() for delta in _CERT_DELTAS}
+    for N in range(_CERT_MAX_N + 1):
+        if N:
+            for delta, S in sums.items():
+                S += lifted_abs(N * delta) + lifted_abs(-N * delta)
+        margin = (2 * N + 1) * lip * np.pi / _CERT_GRID
+        eps = {delta: float(S.min()) - margin for delta, S in sums.items()}
+        delta = max(_CERT_DELTAS, key=eps.get)
+        if eps[delta] > 0:
+            return LowerBoundCertificate(
+                epsilon=eps[delta],
                 delta=delta,
                 N=N,
                 diagnostics={
-                    "scan_window": W,
-                    "verify_window": W_verify,
+                    "torus_dim": len(primes),
+                    "grid": _CERT_GRID,
                     "lipschitz": lip,
-                    "grid_step": h,
-                    "candidate": tag,
-                    **cert,
+                    "margin": margin,
                 },
             )
-            if best is None or (cand.epsilon, -cand.N) > (best.epsilon, -best.N):
-                best = cand
-            break  # first (largest) verified epsilon for this delta
-
-    if best is None:
-        raise ConvergenceError(
-            f"no certified lower bound found for m={m}, beta={beta}"
-        )
-    return best
-
-
-def _verify_certificate(fabs, W, delta, eps, N, final_points, lip):
-    """Check sum_{|k|<=N} |f(t + k delta)| >= eps on a dense grid.
-
-    Returns diagnostics on success, None on failure.  The dense grid step
-    is commensurate with delta so the shifted sums reduce to strided
-    lattice sums.
-    """
-    per = max(1, int(np.ceil(delta * final_points / W)))
-    h = delta / per
-    n_main = int(np.ceil(W / h)) + 1
-    ext = fabs(h * np.arange(-N * per, n_main + N * per))
-    sums = lattice_abs_sum(ext, per, 2 * N + 1)
-    smin = float(sums.min())
-    if smin < eps:
-        return None
-    return {
-        "verified_min_sum": smin,
-        "verified_points": n_main,
-        "sum_margin": smin - eps,
-    }
+    raise ConvergenceError(
+        f"no certified lower bound for m={m}, beta={beta} with N <= {_CERT_MAX_N}"
+    )
 
 
 if __name__ == "__main__":
-    for m_ in (1, 2, 3):
+    for m_ in (1, 2, 3, 4):
         cert = find_lower_bound_constants(m_, -0.5)
-        print(f"m={m_}: C={cert.C:.3f} eps={cert.epsilon:.4f} "
-              f"delta={cert.delta:.3f} N={cert.N}")
+        print(f"m={m_}: eps={cert.epsilon:.4f} delta={cert.delta:.3f} N={cert.N}")

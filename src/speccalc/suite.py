@@ -40,7 +40,7 @@ from .errors import (
 )
 from .grids import SampledFunction, fourier_transform, log_grid, trapezoid_weights
 from .rbound import SpaceSpec, r_bound, r_l2_bound, rademacher_norm
-from .spaces import _edge_ratio, make_partition
+from .spaces import PartitionOfUnity, _edge_ratio
 
 __all__ = [
     "ConditionValue",
@@ -575,7 +575,7 @@ def paley_littlewood_check(A, space: SpaceSpec, trials: int = 100, seed: int = 0
     if float(np.max(np.abs(lam.imag))) > 1e-9 * float(np.max(np.abs(lam))):
         raise DomainError("dyadic blocks slice the positive axis; spectrum is complex")
     lamr = lam.real
-    pou = make_partition("dyadic")
+    pou = PartitionOfUnity("dyadic")
     lo, hi = op.spectral_bounds()
     idx = list(pou.indices_for(lo, hi))
     unity = np.zeros_like(lamr)

@@ -24,7 +24,7 @@ from speccalc import rbound, special
 from speccalc import suite as experiments
 from speccalc.grids import SampledFunction
 from speccalc.rbound import SpaceSpec
-from speccalc.spaces import hoermander_norm, make_partition, sobexp_norm
+from speccalc.spaces import PartitionOfUnity, hoermander_norm, sobexp_norm
 
 TWO_LN2 = 2.0 * math.log(2.0)
 
@@ -249,7 +249,7 @@ def test_11_imaginary_power_symbol_grows_like_s_to_alpha():
 def test_12_dyadic_blocks_are_two_sided():
     t0 = time.monotonic()
     op = ops.operator_from_spec("diag-logspaced:32")
-    blocks = list(make_partition("dyadic").indices_for(*op.spectral_bounds()))
+    blocks = list(PartitionOfUnity("dyadic").indices_for(*op.spectral_bounds()))
     lo_r, hi_r = experiments.paley_littlewood_check(
         op, SpaceSpec(p=2.0, n=32), trials=100, seed=0
     )

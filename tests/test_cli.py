@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from speccalc import operators as ops
-from speccalc.cli import RunConfig, main
+from speccalc.cli import SUITES, RunConfig, main
 from speccalc.errors import ConfigError
 
 
@@ -51,10 +51,32 @@ class TestConfig:
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 2
 
-    def test_parameter_ranges(self, tmp_path):
-        for overrides in ({"alpha": -1.0}, {"beta": 1.5}, {"space": 0.5}, {"seed": -2}):
-            path = write_config(tmp_path, **overrides)
-            assert main(["run", "--config", str(path)]) == 2, overrides
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"alpha": -1.0},
+            {"beta": 1.5},
+            {"space": 0.5},
+            {"seed": -2},
+            {"seed": "x"},
+            {"seed": True},
+            {"seed": 1.5},
+            {"alpha": "1"},
+            {"beta": "0.5"},
+            {"space": "2"},
+            {"trials": 0},
+            {"corpus_size": 0},
+            {"corpus_size": True},
+            {"fit_tol": -1},
+            {"fit_tol": float("nan")},
+            {"suites": [1]},
+        ],
+        ids=repr,
+    )
+    def test_parameter_ranges(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, **{"suites": list(SUITES), **overrides})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_hash_ignores_key_order(self, tmp_path):
         a = tmp_path / "a.json"
@@ -223,6 +245,21 @@ class TestCompare:
         )
         assert rc == 1
         assert "bodies differ" in capsys.readouterr().out
+
+    def test_tampered_plot_is_caught(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out1, out2 = tmp_path / "p1", tmp_path / "p2"
+        main(["run", "--config", str(path), "--out", str(out1)])
+        main(["run", "--config", str(path), "--out", str(out2)])
+        plot = out2 / "plots" / "sea-to-ha-slope.csv"
+        lines = plot.read_text().splitlines(keepends=True)
+        lines[-1] = lines[-1].replace(",", ",9", 1)
+        plot.write_text("".join(lines))
+        rc = main(
+            ["compare", str(out1 / "manifest.json"), str(out2 / "manifest.json")]
+        )
+        assert rc == 1
+        assert "plots/sea-to-ha-slope.csv: CSV bodies differ" in capsys.readouterr().out
 
     def test_missing_manifest(self, tmp_path):
         assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2

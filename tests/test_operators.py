@@ -85,6 +85,20 @@ class TestPresets:
         with pytest.raises(NotSectorialError):
             ops.operator_from_spec("jordan:-1,3")
 
+    @pytest.mark.parametrize(
+        "kind", ["cycle-laplacian", "path-laplacian", "diag-logspaced"]
+    )
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_sized_presets_need_two_vertices(self, kind, n):
+        with pytest.raises(DomainError, match="n >= 2"):
+            ops.operator_from_spec(f"{kind}:{n}")
+
+    def test_smallest_path_laplacian(self):
+        # [[1, -1], [-1, 1]] with its zero mode compressed
+        op = ops.operator_from_spec("path-laplacian:2")
+        assert op.reduction.original_dim == 2
+        assert np.allclose(op.eigenvalues, [2.0])
+
 
 class TestSectorialityCheck:
     def test_positive_diagonal_is_sectorial_everywhere(self):

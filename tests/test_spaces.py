@@ -12,9 +12,9 @@ from speccalc.errors import DomainError
 from speccalc.grids import SampledFunction
 from speccalc.spaces import (
     NormResult,
+    PartitionOfUnity,
     besov_norm,
     hoermander_norm,
-    make_partition,
     mihlin_norm,
     sobexp_norm,
     sobolev_norm,
@@ -49,25 +49,25 @@ class TestPartitions:
     @given(st.floats(min_value=-30.0, max_value=30.0))
     @settings(max_examples=50, deadline=None)
     def test_equidistant_unity(self, u):
-        pou = make_partition("equidistant")
+        pou = PartitionOfUnity("equidistant")
         assert window_sum(pou, u) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(min_value=-6.0, max_value=6.0))
     @settings(max_examples=50, deadline=None)
     def test_dyadic_unity(self, e):
-        pou = make_partition("dyadic")
+        pou = PartitionOfUnity("dyadic")
         assert window_sum(pou, 10.0**e) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(min_value=-200.0, max_value=200.0))
     @settings(max_examples=50, deadline=None)
     def test_fourier_dyadic_unity(self, t):
-        pou = make_partition("fourier-dyadic")
+        pou = PartitionOfUnity("fourier-dyadic")
         assert window_sum(pou, t) == pytest.approx(1.0, abs=1e-12)
 
     def test_unity_next_to_a_window_edge_warns_nothing(self):
         # at x below ~1e-308 the ramp's -1/x overflows to -inf; the value
         # must stay the exact limit without a RuntimeWarning
-        pou = make_partition("equidistant")
+        pou = PartitionOfUnity("equidistant")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for x in (5e-324, 1e-310, 1e-300):
@@ -76,19 +76,19 @@ class TestPartitions:
 
     def test_window_supports(self):
         # window 3 is supported on [4, 16] and peaks at 8
-        w = make_partition("dyadic").window(3)
+        w = PartitionOfUnity("dyadic").window(3)
         assert w(np.array([3.9]))[0] == 0.0
         assert w(np.array([8.0]))[0] == pytest.approx(1.0)
         assert w(np.array([16.1]))[0] == 0.0
 
     def test_indices_cover_range(self):
-        pou = make_partition("fourier-dyadic")
+        pou = PartitionOfUnity("fourier-dyadic")
         idx = pou.indices_for(-10.0, 10.0)
         assert 0 in idx and max(idx) >= 4 and min(idx) <= -4
 
     def test_parameter_guards(self):
         with pytest.raises(DomainError):
-            make_partition("triadic")
+            PartitionOfUnity("triadic")
 
 
 class TestSobolevScale:

@@ -1,4 +1,4 @@
-"""Gamma products, wave kernels, and the windowed lower-bound search.
+"""Gamma products, wave kernels, and the lower-bound certificates.
 
 Reference values were frozen from 30-digit mpmath evaluations of the
 defining integrals and series.
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
 from speccalc import special
-from speccalc.errors import DomainError, PoleError
+from speccalc.errors import ConvergenceError, DomainError, PoleError
 
 
 class TestGamma:
@@ -230,3 +230,77 @@ class TestLowerBoundCertificate:
             np.exp(-1j * (t[:, None] + shifts[None, :])[..., None] * logs) @ coef
         )
         assert float(vals.sum(axis=1).min()) >= cert.epsilon
+
+
+# k = 2^a 3^b for k <= 4: the exponents of the lift of f_m to the torus
+TORUS_EXPONENTS = {1: (0, 0), 2: (1, 0), 3: (0, 1), 4: (2, 0)}
+
+
+def _coef_and_logs(m, beta):
+    ks = np.arange(1, m + 1)
+    coef = np.array([math.comb(m, k) * (-1) ** (m - k) * float(k) ** (-beta) for k in ks])
+    return coef, np.log(ks.astype(float))
+
+
+def _shifted_sum(m, beta, cert, t):
+    """sum_{|j| <= N} |f_m(beta + i(t + j delta))| at the points t."""
+    coef, logs = _coef_and_logs(m, beta)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    total = np.zeros(t.shape)
+    for j in range(-cert.N, cert.N + 1):
+        total += np.abs(np.exp(-1j * np.outer(t + j * cert.delta, logs)) @ coef)
+    return total
+
+
+def _torus_min(m, beta, cert, G=2048, rows=256):
+    """The minimum of the shifted sum lifted to T^2, on a G x G grid."""
+    coef, logs = _coef_and_logs(m, beta)
+    theta = 2.0 * np.pi * np.arange(G) / G
+    best = np.inf
+    for r0 in range(0, G, rows):
+        th1 = theta[r0 : r0 + rows]
+        S = np.zeros((len(th1), G))
+        for j in range(-cert.N, cert.N + 1):
+            F = np.zeros((len(th1), G), dtype=np.complex128)
+            for k in range(1, m + 1):
+                a, b = TORUS_EXPONENTS[k]
+                phase = np.exp(-1j * j * cert.delta * logs[k - 1])
+                F += coef[k - 1] * phase * np.outer(
+                    np.exp(-1j * a * th1), np.exp(-1j * b * theta)
+                )
+            S += np.abs(F)
+        best = min(best, float(S.min()))
+    return best
+
+
+class TestTorusCertificate:
+    @pytest.mark.parametrize("beta", [-0.5, 0.3])
+    def test_known_near_cancellations_clear_epsilon(self, beta):
+        # far outside any window a t-scan covers, the sum comes close to 0
+        cert = special.find_lower_bound_constants(3, beta)
+        sums = _shifted_sum(3, beta, cert, [1486.124242, 100328.561254])
+        assert np.all(sums >= cert.epsilon), (cert, sums)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("beta", [-1.2, -0.5, 0.3])
+    def test_certificate_holds_on_the_torus_and_far_out(self, m, beta):
+        cert = special.find_lower_bound_constants(m, beta)
+        assert cert.epsilon > 0 and cert.delta > 0 and cert.N >= 0
+        assert _torus_min(m, beta, cert) >= cert.epsilon
+        t = np.random.default_rng(0).uniform(0.0, 1e7, 100_000)
+        assert float(_shifted_sum(m, beta, cert, t).min()) >= cert.epsilon
+
+    def test_m1_is_the_constant_one(self):
+        cert = special.find_lower_bound_constants(1, 0.3)
+        assert (cert.epsilon, cert.N) == (1.0, 0)
+
+    def test_more_than_two_primes_is_rejected(self):
+        with pytest.raises(DomainError):
+            special.find_lower_bound_constants(5, -0.5)
+
+    def test_no_certificate_within_the_cap_raises(self, monkeypatch):
+        # |f_3(-1/2 + it)| itself comes arbitrarily close to 0, so N = 0
+        # cannot certify
+        monkeypatch.setattr(special, "_CERT_MAX_N", 0)
+        with pytest.raises(ConvergenceError):
+            special.find_lower_bound_constants(3, -0.5)
