@@ -7,9 +7,11 @@ Kernels:
   enum_mean_norm(X, p)     exact E||sum_k eps_k X_k||_p over all sign patterns
   mc_mean_norm(X, p, S)    the same average over a precomputed sign batch
 
-rbound.rademacher_norm averages through enum_mean_norm and mc_mean_norm;
-the witness search of rbound.r_bound takes one sign_rows or random_signs
-batch per restart and does its own products.
+rbound.rademacher_norm averages through enum_mean_norm (at most 2^11
+sign rows, one batch) and mc_mean_norm over a random_signs batch; the
+witness search of rbound.r_bound scores each restart on one full
+sign_rows enumeration and does its own products.  row_norms is the one
+l^p vector norm of the package.
 """
 
 import numpy as np
@@ -58,15 +60,9 @@ def row_norms(Y, p):
 
 def enum_mean_norm(X, p):
     X = np.asarray(X, dtype=np.complex128)
-    p = float(p)
     K = X.shape[0]
     M = 1 << (K - 1)
-    chunk = min(M, 1 << 15)
-    total = 0.0
-    for start in range(0, M, chunk):
-        signs = sign_rows(K, start, min(start + chunk, M))
-        total += row_norms(signs @ X, p).sum()
-    return float(total / M)
+    return float(row_norms(sign_rows(K, 0, M) @ X, float(p)).sum() / M)
 
 
 def mc_mean_norm(X, p, signs):

@@ -4,14 +4,14 @@ Functions live on uniform grids in an abstract coordinate u.  A "linear"
 grid samples f(u) directly; a "log" grid samples f(s) at s = e^u, so that
 the measure ds/s on (0, inf) becomes du and dilation becomes translation.
 
-Transform conventions:
-    fourier_transform:          fhat(t) = int f(u) e^{-i u t} du
-    inverse_fourier_transform:  f(u)    = (2 pi)^{-1} int fhat(t) e^{i u t} dt
+Transform convention:
+    fourier_transform:  fhat(t) = int f(u) e^{-i u t} du
 
 On an N-point grid with spacing du the conjugate grid has spacing
-dt = 2 pi / (N du) and spans [-pi/du, pi/du).  The pair is exact for
-grid-periodic trigonometric interpolants, so a round trip reproduces the
-samples to machine precision.
+dt = 2 pi / (N du) and spans [-pi/du, pi/du).  The transform is exact for
+grid-periodic trigonometric interpolants, so the inverse with
+(2 pi)^{-1} int fhat(t) e^{i u t} dt reproduces the samples to machine
+precision.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class SampledFunction:
     coordinate: "linear" holds samples of f(u) on u0 + k du;
                 "log" holds samples of f(s) at s = exp(u0 + k du).
     fn:         optional callable in the natural coordinate (u for linear,
-                s for log); eval and scaled need it.
+                s for log); eval needs it.
     """
 
     coordinate: str
@@ -111,21 +111,6 @@ class SampledFunction:
                 f"[{lo:.3g}, {hi:.3g}] is needed"
             )
 
-    def scaled(self, t: float) -> "SampledFunction":
-        """The dilate f(t * .) on the same grid (log coordinate only).
-
-        Needs the closed form: eval raises DomainError without one.
-        """
-        if self.coordinate != "log":
-            raise DomainError("dilation is defined on log grids")
-        if not t > 0:
-            raise DomainError("dilation factor must be positive")
-        vals = self.eval(t * np.exp(self.u))
-        new_fn = lambda s, _f=self.fn, _t=t: _f(_t * np.asarray(s))
-        return SampledFunction(
-            "log", self.u0, self.du, vals, fn=new_fn, name=f"{self.name}@{t:g}"
-        )
-
 
 def fourier_grid(n: int, du: float) -> np.ndarray:
     """Conjugate frequency grid, monotone, centered at 0."""
@@ -139,26 +124,6 @@ def fourier_transform(f: SampledFunction) -> SampledFunction:
     raw = np.fft.fftshift(np.fft.fft(f.values))
     vals = du * np.exp(-1j * t * f.u0) * raw
     return SampledFunction("linear", t[0], t[1] - t[0], vals, name=f"F[{f.name}]")
-
-
-def inverse_fourier_transform(fhat: SampledFunction, u0: float) -> SampledFunction:
-    """f(u) = (2 pi)^{-1} int fhat(t) e^{iut} dt, for a grid starting at u0.
-
-    Exact inverse of fourier_transform when u0 matches the original grid.
-    """
-    n, dt = fhat.n, fhat.du
-    du = 2.0 * np.pi / (n * dt)
-    t = fhat.u
-    phased = fhat.values * np.exp(1j * t * u0)
-    vals = np.fft.ifft(np.fft.ifftshift(phased)) * (n * dt) / (2.0 * np.pi)
-    return SampledFunction("linear", u0, du, vals, name=f"Finv[{fhat.name}]")
-
-
-def fourier_at(f: SampledFunction, t) -> np.ndarray:
-    """fhat at arbitrary frequencies by direct summation (trapezoid in u)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    phase = np.exp(-1j * np.outer(t, f.u))
-    return phase @ f.values * f.du
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:

@@ -7,11 +7,11 @@ acting on ell^p, r_bound brackets the Rademacher bound
 
 over finite selections and nonzero vector tuples.  On ell^2 the
 Rademacher sum is orthogonal, the supremum collapses to the largest
-operator norm and the bracket is exact.  On other ell^p the lower end
-comes from exact singleton norms plus a randomized witness search (its
-sign averages are exact on subfamilies of at most 14 matrices and
-sampled beyond) and the upper end from the square-sum bound and
-transfer through ell^2.
+operator norm and the bracket is exact.  On other ell^p both ends are
+proven: the lower end is the value of a singleton or of a witness tuple
+scored on the full sign enumeration of a subfamily of at most 14
+matrices, the upper end the smaller of the sum of the interpolated
+closed-form norms and the ell^2 value transferred to ell^p.
 
 For a weighted family of samples N(t_k) of a continuous family,
 r_l2_bound brackets the averaged (square function) value
@@ -35,6 +35,10 @@ from . import _kernels
 from .errors import DomainError
 
 DEFAULT_SEED = 20240601
+# rademacher_norm enumerates up to EXACT_LIMIT vectors (at most 2^11 sign
+# rows) and averages SAMPLES random sign rows beyond
+EXACT_LIMIT = 12
+SAMPLES = 4096
 
 
 def _rng(rng):
@@ -63,10 +67,7 @@ class SpaceSpec:
             raise DomainError("dimension must be positive")
 
     def vector_norm(self, v) -> float:
-        v = np.abs(np.asarray(v))
-        if np.isinf(self.p):
-            return float(v.max())
-        return float(np.sum(v**self.p) ** (1.0 / self.p))
+        return float(_kernels.row_norms(np.asarray(v)[None], self.p)[0])
 
 
 @dataclass
@@ -120,11 +121,11 @@ class RBoundEstimate:
 # randomized sums of vectors
 
 
-def rademacher_norm(X, space: SpaceSpec, rng=None, exact_limit: int = 20, samples: int = 4096):
+def rademacher_norm(X, space: SpaceSpec, rng=None):
     """E || sum_k eps_k X[k] ||_p over independent signs.
 
-    Exact enumeration for K <= exact_limit, otherwise Monte Carlo with
-    `samples` draws.  Returns (mean, stderr, exact_flag); stderr is 0.0
+    Exact enumeration for K <= EXACT_LIMIT, otherwise Monte Carlo with
+    SAMPLES draws.  Returns (mean, stderr, exact_flag); stderr is 0.0
     for the enumerated case.
     """
     X = np.ascontiguousarray(X, dtype=np.complex128)
@@ -134,9 +135,9 @@ def rademacher_norm(X, space: SpaceSpec, rng=None, exact_limit: int = 20, sample
         raise DomainError("space dimension does not match the vectors")
     p = float(space.p)
     K = X.shape[0]
-    if K <= exact_limit:
+    if K <= EXACT_LIMIT:
         return _kernels.enum_mean_norm(X, p), 0.0, True
-    signs = _kernels.random_signs(_rng(rng), samples, K)
+    signs = _kernels.random_signs(_rng(rng), SAMPLES, K)
     mean, stderr = _kernels.mc_mean_norm(X, p, signs)
     return mean, stderr, False
 
@@ -153,41 +154,30 @@ def square_sum_norm(X, space: SpaceSpec) -> float:
 # operator norms on ell^p
 
 
-def operator_norm(T, p: float) -> float:
-    """||T||_{p->p}; closed forms for p in {1, 2, inf}, ascent otherwise."""
+def operator_norm(T, p: float):
+    """||T||_{p->p} of a matrix, or the norms of a (K, n, n) stack.
+
+    Closed forms for p in {1, 2, inf} (the spectral norms of a stack in
+    one batched SVD).  Any other p takes the lower end of r_l2_bound on
+    the one-sample family {T} with weight 1: the sup of |<T x, x'>| over
+    ||x||_p <= 1 and ||x'||_{p'} <= 1 is ||T||_{p->p}, and on this
+    rank-one form every dual-map half step is exact, so the alternating
+    loop is Boyd's power iteration.  The value is that of a feasible
+    pair, a lower end of the norm.
+    """
     T = np.asarray(T, dtype=np.complex128)
     if p == 1.0:
-        return float(np.max(np.sum(np.abs(T), axis=0)))
+        return np.abs(T).sum(axis=-2).max(axis=-1)  # largest column sum
     if np.isinf(p):
-        return float(np.max(np.sum(np.abs(T), axis=1)))
+        return np.abs(T).sum(axis=-1).max(axis=-1)  # largest row sum
     if p == 2.0:
-        return float(np.linalg.norm(T, 2))
-    # general p: maximize ||Tx||_p over the unit sphere by dual ascent
-    n = T.shape[1]
-    gen = np.random.default_rng(7)
-    best = 0.0
-    q = _conjugate(p)
-    for _ in range(4):
-        x = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        x /= np.linalg.norm(x, p)
-        for _ in range(200):
-            y = T @ x
-            ny = np.linalg.norm(y, p)
-            if ny == 0:
-                break
-            # gradient direction: T^H (|y|^{p-1} sign y), renormalized in p
-            g = T.conj().T @ (np.abs(y) ** (p - 1.0) * np.sign(y))
-            gn = np.abs(g) ** (q - 1.0) * np.sign(g)
-            nx = np.linalg.norm(gn, p)
-            if nx == 0:
-                break
-            gn /= nx
-            if np.linalg.norm(gn - x, p) < 1e-13:
-                x = gn
-                break
-            x = gn
-        best = max(best, float(np.linalg.norm(T @ x, p)))
-    return best
+        return np.linalg.norm(T, 2, axis=(-2, -1))
+    space = SpaceSpec(p=p, n=T.shape[-1])
+    norms = []
+    for S in T.reshape(-1, space.n, space.n):
+        one = OperatorFamily("T", np.zeros(1), np.ones(1), S[None], "point")
+        norms.append(r_l2_bound(one, space).lower)
+    return norms[0] if T.ndim == 2 else np.array(norms)
 
 
 def _conjugate(p: float) -> float:
@@ -228,23 +218,32 @@ def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
     """Bracket the R-bound of a finite matrix family on ell^p.
 
     On ell^2 the value is exactly max_j ||T_j||_2 (Rademacher sums are
-    orthogonal in Hilbert space) and lower == upper.  Otherwise the
-    lower estimate is the best witness found (singletons are exact) and
-    the upper estimate min(sqrt(sum_j ||T_j||_p^2), transfer through
-    ell^2).  The witness search makes 16 random restarts of 60
-    perturbation steps each.  When the witness exceeds that upper end
-    the reported upper is raised to the witness and
-    diagnostics["bracket_violation"] records both ends.
+    orthogonal in Hilbert space) and lower == upper.  Elsewhere both ends
+    are proven.
 
-    Each restart draws one sign batch and scores its first tuple and all
-    60 proposals, numerator and denominator alike, on that batch (common
-    random numbers), so the hill-climb compares proposals on one fixed
-    objective.  For a subfamily of k <= 14 matrices the batch is the full
+    Lower end: the best singleton (the one-term sum gives R >= ||T_j||_p,
+    and operator_norm returns a value of that norm) or the best tuple of
+    a witness search.  The search makes 16 restarts of 60 perturbation
+    steps each, a restart on k random members with k drawn from 1, 2,
+    min(4, K) and K, whichever are at most 14.  It scores its first tuple
+    and every proposal, numerator and denominator alike, on the full
     enumeration of the 2^{k-1} sign patterns with eps_k = +1 (the global
-    sign symmetry covers the rest), the ratio is exact for its tuple, and
-    the search value is a proven lower end.  For k > 14 the batch is 2048
-    random sign rows, and the search value is a Monte Carlo estimate of
-    the ratio on that one batch, not a proven lower end.
+    sign symmetry covers the rest), so each value it keeps is the exact
+    ratio of one tuple.
+
+    Upper end: min(sum_j ||T_j||_1^{1/p} ||T_j||_inf^{1-1/p},
+    n^{|1/p - 1/2|} max_j ||T_j||_2).  For a selection T_{j_1}, ...,
+    T_{j_N} (repeats allowed) and vectors x_i, sum_i eps_i T_{j_i} x_i =
+    sum_j T_j y_j with y_j the sum of the eps_i x_i over the i with
+    j_i = j.  The triangle inequality in L2(ell^p) bounds its norm by
+    sum_j ||T_j||_p ||y_j||, and ||y_j|| <= ||sum_i eps_i x_i|| because
+    y_j is a conditional expectation of that sum, so R <= sum_j ||T_j||_p.
+    Riesz-Thorin bounds each ||T_j||_p by the interpolated closed forms,
+    exactly at p in {1, inf}.  The second term passes through ell^2, where
+    R is the largest spectral norm, at the cost of _transfer_constant.
+    Should roundoff lift the witness above that upper end, the reported
+    upper is raised to the witness and diagnostics["bracket_violation"]
+    records both ends.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim == 2:
@@ -253,33 +252,28 @@ def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
     if n != space.n:
         raise DomainError("space dimension does not match the matrices")
     p = float(space.p)
-    norms_p = np.array([operator_norm(T, p) for T in mats])
-    norms_2 = np.array([operator_norm(T, 2.0) for T in mats])
-
+    norms_2 = operator_norm(mats, 2.0)
     if p == 2.0:
         v = float(norms_2.max())
-        j = int(norms_2.argmax())
         return RBoundEstimate(
             lower=v,
             upper=v,
             method="hilbert-exact",
-            witness={"operator": j},
-            diagnostics={"operator_norms": norms_2},
+            witness={"operator": int(norms_2.argmax())},
+            diagnostics={"operator_norms_2": norms_2},
         )
 
+    norms_p = operator_norm(mats, p)
     gen = _rng(rng)
     lower = float(norms_p.max())
     witness = {"operator": int(norms_p.argmax()), "kind": "singleton"}
-    sizes = sorted({s for s in (1, 2, min(4, K), K) if 1 <= s <= K})
+    sizes = sorted({s for s in (1, 2, min(4, K), K) if s <= min(K, 14)})
     for _ in range(16):
         k = int(gen.choice(sizes))
         idx = gen.choice(K, size=k, replace=False)
         sub = mats[idx]
         X = gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n))
-        if k <= 14:
-            signs = _kernels.sign_rows(k, 0, 1 << (k - 1))
-        else:
-            signs = _kernels.random_signs(gen, 2048, k)
+        signs = _kernels.sign_rows(k, 0, 1 << (k - 1))
         val = _ratio(sub, X, p, signs)
         for _ in range(60):
             Y = X + 0.3 * (
@@ -292,8 +286,10 @@ def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
             lower = val
             witness = {"operator": idx.tolist(), "kind": "search", "vectors": X}
 
+    ip = 1.0 / p
+    interpolated = operator_norm(mats, 1.0) ** ip * operator_norm(mats, math.inf) ** (1.0 - ip)
     proven = min(
-        float(np.sqrt(np.sum(norms_p**2))),
+        float(np.sum(interpolated)),
         _transfer_constant(p, n) * float(norms_2.max()),
     )
     diagnostics = {"operator_norms_p": norms_p, "operator_norms_2": norms_2}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,14 +110,6 @@ class MultiplierCorpus:
     @property
     def t(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.coefficients.shape[1])
-
-    def scaled(self, c: float) -> "MultiplierCorpus":
-        """The corpus with every member multiplied by c (ball radius c)."""
-        if not c > 0:
-            raise DomainError("scale factor must be positive")
-        return replace(
-            self, coefficients=self.coefficients * c, radius=self.radius * c
-        )
 
 
 @dataclass
@@ -271,13 +263,12 @@ def condition_c1(A, space: SpaceSpec, corpus: MultiplierCorpus, rng=None) -> Con
     """R-bound of the corpus image {f_j(A)}.
 
     The members are ball-normalized at construction, so the value scales
-    linearly under corpus.scaled(c).
+    linearly with the corpus radius.
     """
     op = ops.sectorial(A)
     mats = _corpus_image(op, corpus)
     est = r_bound(mats, space, rng=rng)
-    norms2 = np.linalg.norm(mats, ord=2, axis=(1, 2))
-    witness = corpus.labels[int(np.argmax(norms2))]
+    witness = corpus.labels[int(np.argmax(est.diagnostics["operator_norms_2"]))]
     return ConditionValue(
         condition="c1",
         param=f"corpus:{len(corpus)}",
@@ -601,7 +592,7 @@ def paley_littlewood_check(A, space: SpaceSpec, trials: int = 100, seed: int = 0
         x = gen.standard_normal(op.dim) + 1j * gen.standard_normal(op.dim)
         x /= space.vector_norm(x)
         X = np.stack([B @ x for B in blocks])
-        mean, _, _ = rademacher_norm(X, space, rng=gen, exact_limit=12, samples=4096)
+        mean, _, _ = rademacher_norm(X, space, rng=gen)
         ratios[i] = mean
     return float(ratios.min()), float(ratios.max())
 

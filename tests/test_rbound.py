@@ -101,14 +101,15 @@ class TestRademacherSums:
         assert exact and stderr == 0.0
         assert mean == pytest.approx(2.0)
 
-    def test_monte_carlo_agrees_with_enumeration(self):
+    def test_monte_carlo_agrees_with_enumeration(self, monkeypatch):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
         exact_mean, _, exact = rademacher_norm(X, SpaceSpec(p=1.0, n=4))
         assert exact
+        monkeypatch.setattr(rbound, "EXACT_LIMIT", 2)
+        monkeypatch.setattr(rbound, "SAMPLES", 20000)
         mc_mean, mc_err, mc_exact = rademacher_norm(
-            X, SpaceSpec(p=1.0, n=4), rng=np.random.default_rng(0), exact_limit=2,
-            samples=20000,
+            X, SpaceSpec(p=1.0, n=4), rng=np.random.default_rng(0)
         )
         assert not mc_exact
         assert abs(mc_mean - exact_mean) < 5 * max(mc_err, 1e-3 * exact_mean)
@@ -152,12 +153,14 @@ class TestRademacherSums:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_sup_norm_takes_the_largest_entry(self):
+    def test_sup_norm_takes_the_largest_entry(self, monkeypatch):
         # every sign sum is (+-3, +-4), whose sup norm is 4
         X = np.array([[3.0, 0.0], [0.0, 4.0]])
         space = SpaceSpec(p=np.inf, n=2)
         assert rademacher_norm(X, space) == (4.0, 0.0, True)
-        mean, stderr, exact = rademacher_norm(X, space, rng=0, exact_limit=0, samples=64)
+        monkeypatch.setattr(rbound, "EXACT_LIMIT", 0)
+        monkeypatch.setattr(rbound, "SAMPLES", 64)
+        mean, stderr, exact = rademacher_norm(X, space, rng=0)
         assert not exact
         assert (mean, stderr) == (4.0, 0.0)
 
@@ -202,6 +205,40 @@ class TestOperatorNorm:
         # and the ascent must at least reach the diagonal witness
         assert v3 >= abs(T).max() * 0.99
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_stack_matches_one_matrix_at_a_time(self, p):
+        rng = np.random.default_rng(8)
+        mats = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        stack = operator_norm(mats, p)
+        assert stack.shape == (5,)
+        assert stack.tolist() == [operator_norm(T, p) for T in mats]
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 5.0])
+    def test_general_p_reaches_boyd_ascent(self, p):
+        # the bilinear value is never below a plain power ascent on ||Tx||_p
+        # by more than its stop rule (1e-12 relative on the squared value)
+        # leaves on a slowly converging ascent
+        q = p / (p - 1.0)
+        rng = np.random.default_rng(int(4 * p))
+        for n in (1, 2, 3, 5, 8):
+            T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            best = 0.0
+            for _ in range(4):
+                x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for _ in range(200):
+                    x /= np.linalg.norm(x, p)
+                    y = T @ x
+                    g = T.conj().T @ (np.abs(y) ** (p - 1.0) * np.exp(1j * np.angle(y)))
+                    x = np.abs(g) ** (q - 1.0) * np.exp(1j * np.angle(g))
+                x /= np.linalg.norm(x, p)
+                best = max(best, float(np.linalg.norm(T @ x, p)))
+            assert operator_norm(T, p) >= best * (1.0 - 1e-9)
+            # a value of the norm: never above the Riesz-Thorin bound
+            ip = 1.0 / p
+            assert operator_norm(T, p) <= (
+                operator_norm(T, 1.0) ** ip * operator_norm(T, np.inf) ** (1 - ip)
+            ) * (1.0 + 1e-12)
+
 
 class TestRBound:
     def test_hilbert_case_is_exact(self):
@@ -241,6 +278,35 @@ class TestRBound:
             assert R.lower <= RL1.lower * 1.05
             assert RL1.lower <= 2.0 * R.lower * 1.05
 
+    def test_upper_end_reads_no_general_p_norm(self, monkeypatch):
+        # the upper end interpolates the closed forms: zeroing the norms
+        # the ascent returns at p = 3 leaves it where it was
+        rng = np.random.default_rng(12)
+        mats = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        space = SpaceSpec(p=3.0, n=3)
+        before = r_bound(mats, space, rng=np.random.default_rng(0)).upper
+        norm = rbound.operator_norm
+
+        def closed_forms_only(T, p):
+            return norm(T, p) if p in (1.0, 2.0, np.inf) else 0.0 * norm(T, 1.0)
+
+        monkeypatch.setattr(rbound, "operator_norm", closed_forms_only)
+        after = r_bound(mats, space, rng=np.random.default_rng(0)).upper
+        assert after == before
+        ip = 1.0 / 3.0
+        interpolated = norm(mats, 1.0) ** ip * norm(mats, np.inf) ** (1 - ip)
+        transfer = 3.0 ** (0.5 - ip) * norm(mats, 2.0).max()
+        assert before == pytest.approx(min(interpolated.sum(), transfer), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+    @pytest.mark.parametrize("K", [1, 3, 20])
+    def test_proven_ends_never_cross(self, K, p):
+        rng = np.random.default_rng(K)
+        mats = rng.standard_normal((K, 3, 3)) + 1j * rng.standard_normal((K, 3, 3))
+        est = r_bound(mats, SpaceSpec(p=p, n=3), rng=rng)
+        assert "bracket_violation" not in est.diagnostics
+        assert est.lower >= est.diagnostics["operator_norms_p"].max()
+
     def test_clamped_bracket_is_recorded(self, monkeypatch):
         # a transfer constant far too small drives the proven upper end
         # below the singleton witness; the clamp must leave a trace
@@ -269,27 +335,22 @@ class TestRBound:
         monkeypatch.setattr(rbound, "_ratio", counted_ratio)
         return batches, evals
 
-    def test_one_sign_batch_per_sampled_restart(self, monkeypatch):
-        # K = 20 > 14: each restart that picks k = K draws exactly one
-        # (2048, K) batch and scores all 61 of its evaluations on it
+    def test_large_family_draws_no_signs(self, monkeypatch):
+        # K = 20 > 14: no restart picks more than 14 members, none draws a
+        # random sign batch, and each scores all 61 of its evaluations on
+        # one full enumeration of its subfamily
         batches, evals = self._record_search(monkeypatch)
         K, n = 20, 3
         gen = np.random.default_rng(5)
         mats = gen.standard_normal((K, n, n)) + 1j * gen.standard_normal((K, n, n))
         est = r_bound(mats, SpaceSpec(p=1.0, n=n), rng=np.random.default_rng(9))
         assert est.lower <= est.upper
+        assert batches == []
         assert len(evals) == 16 * 61
-        restarts = [evals[i : i + 61] for i in range(0, len(evals), 61)]
-        sampled = [r for r in restarts if r[0][0] == K]
-        assert sampled and len(batches) == len(sampled)
-        for restart, batch in zip(sampled, batches):
-            assert batch.shape == (2048, K)
-            assert all(signs is batch for _, signs in restart)
-        for restart in restarts:
-            k, first = restart[0]
-            assert all(s is first for _, s in restart)
-            if k < K:
-                assert first.shape == (1 << (k - 1), k)
+        for i in range(0, len(evals), 61):
+            k, first = evals[i]
+            assert k <= 14 and first.shape == (1 << (k - 1), k)
+            assert all(s is first for _, s in evals[i : i + 61])
 
     def test_enumerated_restarts_draw_no_signs(self, monkeypatch):
         batches, evals = self._record_search(monkeypatch)

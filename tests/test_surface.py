@@ -19,21 +19,23 @@ is a setting only tests can change and is folded into its default.  A
 keys of the dict literals in the calling module (where such a dict is
 built), and a `*` argument every positional parameter from its place on.
 Calls are matched to definitions by spelling, as above.
+
+Last, every name the benchmark worker (`perfbench/worker.py`) traces or
+reads must still resolve, so a deletion fails here and not first in a
+traced benchmark run.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import speccalc
 
 PACKAGE = Path(speccalc.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # public names kept without a caller in the package, and why
 ALLOWED = {
-    "fourier_at": "direct-summation oracle of the fourier_transform tests",
-    "inverse_fourier_transform": "round-trip oracle of the fourier_transform tests",
-    "scaled": "SampledFunction.scaled (acceptance check 10) and "
-    "MultiplierCorpus.scaled (the c1 scaling test)",
     "find_lower_bound_constants": "no suite row yet: a new identities row changes "
     "the row keys `perfbench/reference.json` gates",
     "main": "the console entry point named in pyproject.toml",
@@ -114,6 +116,23 @@ def test_allowlist_names_only_uncalled_functions():
     orphans = {qual.rsplit(".", 1)[1] for qual in unreferenced()}
     stale = sorted(name for name in ALLOWED if name not in orphans)
     assert not stale, "allowlist entries that are gone or now called: " + ", ".join(stale)
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    """Every function the benchmark worker traces, and every package name
+    it reads, still exists; a deleted one would otherwise surface only in
+    a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")  # reads cli.SUITES on import
+    missing = [
+        f"{module}.{function}"
+        for module, function, _, _ in worker.TRACED
+        if not callable(getattr(importlib.import_module(module), function, None))
+    ]
+    assert not missing, "traced names the package no longer has: " + ", ".join(missing)
+    assert isinstance(worker.speccalc.KERNEL_BACKEND, str)
+    assert worker.cli.SUITES
+    assert isinstance(worker.operators.SectorialOperator, type)
 
 
 def _defaulted(fn, is_method):
