@@ -10,7 +10,11 @@ On top of that live the concrete calculi: the holomorphic contour
 calculus for decaying analytic functions, imaginary and fractional
 powers, the sampled operator families whose averaged norms the suite
 estimates, and the Mellin identities tying those families to the
-imaginary powers.
+imaginary powers.  Every family element is scale * g(z, A) * A^power
+with g one of five cores (imaginary power, resolvent, semigroup, wave,
+Taylor-regularized wave), evaluated on the eigenvalues when the
+eigenbasis is usable and by stacked dense matrix functions otherwise
+(_symbol_stack).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
 )
 from .grids import log_grid, trapezoid_weights
 from .rbound import OperatorFamily
-from .special import h_kernel, w_alpha_kernel
+from .special import h_kernel
 
 MAX_DIM = 512
 
@@ -206,14 +210,8 @@ def _eig_apply_stack(op: SectorialOperator, fvals: np.ndarray) -> np.ndarray:
 
 def imaginary_powers(A, t):
     """A^{it}; t scalar gives one matrix, t array gives a (T, n, n) stack."""
-    op = sectorial(A)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if op.diagonalizable:
-        fvals = np.exp(1j * np.outer(t_arr, np.log(op.eigenvalues)))
-        out = _eig_apply_stack(op, fvals)
-    else:
-        L = scipy.linalg.logm(op.matrix)
-        out = np.stack([scipy.linalg.expm(1j * tv * L) for tv in t_arr])
+    out = _symbol_stack(sectorial(A), "bip", t_arr, np.ones(len(t_arr)), 0.0)
     return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
@@ -313,26 +311,79 @@ def holomorphic_calculus(A, f: Callable) -> np.ndarray:
 # c2 / (2 pi c1) needs
 BIP_T = 50.0
 
-# the arguments each family's formula reads
+# the arguments each family's formula reads, with their defaults; n is
+# the grid size of the grids the suite reports (the 2-D families have
+# fixed grids and read no n)
 _FAMILY_ARGS = {
-    "bip": ("alpha", "n"),
-    "resolvent-ray": ("beta", "theta", "n"),
-    "resolvent-2d": ("alpha", "beta"),
-    "semigroup-ray": ("theta", "n"),
-    "semigroup-2d": ("alpha",),
-    "wave": ("alpha", "m", "n"),
-    "wave-taylor": ("alpha", "m", "n"),
+    "bip": {"alpha": 1.0, "n": 3201},
+    "resolvent-ray": {"beta": 0.5, "theta": 0.0, "n": 1024},
+    "resolvent-2d": {"alpha": 1.0, "beta": 0.5},
+    "semigroup-ray": {"theta": 0.0, "n": 1024},
+    "semigroup-2d": {"alpha": 1.0},
+    "wave": {"alpha": 1.0, "m": 1, "n": 2048},
+    "wave-taylor": {"alpha": 1.0, "m": 1, "n": 2048},
 }
 
-# grid size of each family when the caller passes none; the 2-D families
-# have fixed grids
-_DEFAULT_N = {
-    "bip": 3201,
-    "resolvent-ray": 1024,
-    "semigroup-ray": 1024,
-    "wave": 2048,
-    "wave-taylor": 2048,
-}
+
+def _symbol_stack(op: SectorialOperator, core: str, z, scale, power: float, m=None):
+    """The (K, n, n) stack scale_k g(z_k, A) A^power for one of the cores
+
+      bip           A^{iz}
+      resolvent     (z - A)^{-1}
+      semigroup     e^{-zA}
+      wave          (e^{izA} - 1)^m
+      wave-taylor   e^{izA} - T_m(izA), T_m the Taylor polynomial of degree m
+
+    With an eigenbasis, g and the power act on the eigenvalues.  On a
+    defective operator each core is one stacked dense call (expm, inv,
+    matrix_power) times the dense A^power; the Taylor remainder switches
+    to its power series where |z| ||A|| < 1/2, where the direct
+    difference cancels.  family_samples and imaginary_powers choose
+    between the two paths only here.
+    """
+    if op.diagonalizable:
+        lam = op.eigenvalues
+        if core == "bip":
+            g = np.exp(1j * np.outer(z, np.log(lam)))
+        elif core == "resolvent":
+            g = 1.0 / (z[:, None] - lam[None, :])
+        elif core == "semigroup":
+            g = np.exp(-z[:, None] * lam[None, :])
+        elif core == "wave":
+            g = (np.exp(1j * z[:, None] * lam[None, :]) - 1.0) ** m
+        else:
+            g = _exp_remainder(1j * z[:, None] * lam[None, :], m)
+        return _eig_apply_stack(op, scale[:, None] * g * lam**power)
+    A = op.matrix
+    I = np.eye(op.dim)
+    if core == "bip":
+        G = scipy.linalg.expm(1j * z[:, None, None] * scipy.linalg.logm(A))
+    elif core == "resolvent":
+        G = np.linalg.inv(z[:, None, None] * I - A)
+    elif core == "semigroup":
+        G = scipy.linalg.expm(-z[:, None, None] * A)
+    elif core == "wave":
+        G = np.linalg.matrix_power(scipy.linalg.expm(1j * z[:, None, None] * A) - I, m)
+    else:
+        B = 1j * z[:, None, None] * A
+        G = scipy.linalg.expm(B) - I
+        P = I
+        for j in range(1, m + 1):
+            P = P @ B / j
+            G = G - P
+        small = np.abs(z) * np.linalg.norm(A, 2) < 0.5
+        if np.any(small):
+            Bs = B[small]
+            term = np.linalg.matrix_power(Bs, m + 1) / math.factorial(m + 1)
+            acc = term.copy()
+            for j in range(m + 2, m + 30):
+                term = term @ Bs / j
+                acc += term
+                tail = np.linalg.norm(term, 2, axis=(1, 2))
+                if np.all(tail < 1e-18 * np.maximum(np.linalg.norm(acc, 2, axis=(1, 2)), 1e-300)):
+                    break
+            G[small] = acc
+    return scale[:, None, None] * (G @ fractional_power(op, power))
 
 
 def family_samples(
@@ -346,7 +397,8 @@ def family_samples(
 ) -> OperatorFamily:
     """Sample one of the averaged families the equivalence suite studies.
 
-    family keys and their elements (mu is the quadrature measure):
+    Every element is scale_k g(z_k, A) A^power, with g one of the cores
+    of _symbol_stack.  The families (mu is the quadrature measure):
 
       bip             <t>^{-alpha} A^{it},        mu = dt on [-BIP_T, BIP_T]
       resolvent-ray   t^beta A^{1-beta} (e^{i theta} t - A)^{-1},  mu = dt/t
@@ -359,267 +411,113 @@ def family_samples(
       wave-taylor     A^{1/2-alpha}|s|^{-alpha}(e^{isA} - T_m(isA)),
                                                            mu = ds on R
 
-    Each family reads only the arguments in its formula (_FAMILY_ARGS)
-    and raises DomainError when any other is passed.  Unpassed arguments
-    default to alpha = 1, beta = 1/2, theta = 0 and m = 1.  n is the
-    number of grid points (for the two waves, per sign of s); it defaults
-    to _DEFAULT_N, the grids the suite reports.  The 2-D families have
-    fixed grids: resolvent-2d 48 angles log-spaced in [1e-2, pi] of each
-    sign times 192 radii, semigroup-2d 49 angles psi = arg(x + iy) in
-    [-pi/2 + 5e-3, pi/2 - 5e-3] times 48 values of x.
+    Each family reads only the arguments in its formula (_FAMILY_ARGS,
+    which also holds their defaults) and raises DomainError when any
+    other is passed.  n is the number of grid points (for the two
+    waves, per sign of s).  The 2-D families have fixed grids:
+    resolvent-2d 48 angles log-spaced in [1e-2, pi] of each sign times
+    192 radii, semigroup-2d 49 angles psi = arg(x + iy) in
+    [-pi/2 + 5e-3, pi/2 - 5e-3] times 48 values of x.  The waves need
+    a nonnegative integer m, with m - 1/2 < alpha < m + 1/2 for wave
+    and m < alpha - 1/2 < m + 1 for wave-taylor.
     """
     if family not in _FAMILY_ARGS:
         raise DomainError(f"unknown family {family!r}")
     passed = {"alpha": alpha, "beta": beta, "theta": theta, "m": m, "n": n}
-    reads = _FAMILY_ARGS[family]
-    unread = [k for k, v in passed.items() if v is not None and k not in reads]
+    args = _FAMILY_ARGS[family]
+    unread = [k for k, v in passed.items() if v is not None and k not in args]
     if unread:
         raise DomainError(f"family {family!r} does not read {', '.join(unread)}")
-    alpha = 1.0 if alpha is None else alpha
-    beta = 0.5 if beta is None else beta
-    theta = 0.0 if theta is None else theta
-    m = 1 if m is None else m
-    n = _DEFAULT_N.get(family) if n is None else n
+    args = {**args, **{k: v for k, v in passed.items() if v is not None}}
+    alpha, beta, theta, m, n = (args.get(k) for k in passed)
+    if "m" in args and not (isinstance(m, (int, np.integer)) and m >= 0):
+        raise DomainError(f"order m must be a nonnegative integer, got {m!r}")
     op = sectorial(A)
-    lam = op.eigenvalues
     lo, hi = op.spectral_bounds()
-    defective = not op.diagonalizable
-
-    def build(points, weights, fvals, measure, label, diagnostics=None, stack=None):
-        mats = stack if stack is not None else _eig_apply_stack(op, fvals)
-        return OperatorFamily(
-            label=label,
-            points=np.asarray(points),
-            weights=np.asarray(weights, dtype=float),
-            matrices=mats,
-            measure=measure,
-            diagnostics=diagnostics or {},
-        )
-
-    def resolvent_stack(ts, theta):
-        # batched (e^{i theta} t - A)^{-1} for a vector of t
-        I = np.eye(op.dim)
-        Z = np.exp(1j * theta) * ts[:, None, None] * I[None] - op.matrix[None]
-        return np.linalg.inv(Z)
-
-    def exp_stack(zs):
-        # e^{z A} for each z in zs (defective path only)
-        return np.stack([scipy.linalg.expm(z * op.matrix) for z in zs])
-
-    def taylor_remainder_stack(ss, m):
-        # e^{isA} - sum_{j<=m} (isA)^j / j!, stable for small |s| ||A||
-        I = np.eye(op.dim, dtype=np.complex128)
-        out = np.empty((len(ss), op.dim, op.dim), dtype=np.complex128)
-        nrm = float(np.linalg.norm(op.matrix, 2))
-        for k, s in enumerate(ss):
-            B = 1j * s * op.matrix
-            if abs(s) * nrm < 0.5:
-                term = np.linalg.matrix_power(B, m + 1) / math.factorial(m + 1)
-                acc = term.copy()
-                for j in range(m + 2, m + 30):
-                    term = term @ B / j
-                    acc += term
-                    if np.linalg.norm(term, 2) < 1e-18 * max(np.linalg.norm(acc, 2), 1e-300):
-                        break
-                out[k] = acc
-            else:
-                R = scipy.linalg.expm(B) - I
-                P = I.copy()
-                for j in range(1, m + 1):
-                    P = P @ B / j
-                    R = R - P
-                out[k] = R
-        return out
+    diagnostics = {}
 
     if family == "bip":
-        t = np.linspace(-BIP_T, BIP_T, n)
-        w = trapezoid_weights(n, 2 * BIP_T / (n - 1))
-        weight = (1.0 + t * t) ** (-alpha / 2.0)
-        if defective:
-            stack = weight[:, None, None] * imaginary_powers(op, t)
-            return build(t, w, None, "dt", f"bip[{alpha:g}]", stack=stack)
-        fvals = np.exp(1j * np.outer(t, np.log(lam)))
-        return build(t, w, weight[:, None] * fvals, "dt", f"bip[{alpha:g}]")
+        points = np.linspace(-BIP_T, BIP_T, n)
+        weights = trapezoid_weights(n, 2 * BIP_T / (n - 1))
+        scale, z = (1.0 + points * points) ** (-alpha / 2.0), points
+        core, power, measure, label = "bip", 0.0, "dt", f"bip[{alpha:g}]"
 
-    if family == "resolvent-ray":
+    elif family == "resolvent-ray":
         if abs(theta) <= op.omega:
             raise DomainError("ray angle must clear the spectral angle")
-        t, w = log_grid(lo * 1e-5, hi * 1e5, n)
-        e = np.exp(1j * theta)
-        if defective:
-            Afrac = fractional_power(op, 1.0 - beta)
-            stack = t[:, None, None] ** beta * (resolvent_stack(t, theta) @ Afrac)
-            return build(t, w, None, "dt/t", f"resolvent-ray[{theta:g}]", stack=stack)
-        # eigenvalue-wise: t^beta a^{1-beta} / (e^{i theta} t - a)
-        fvals = (
-            t[:, None] ** beta
-            * lam[None, :] ** (1.0 - beta)
-            / (e * t[:, None] - lam[None, :])
-        )
-        return build(t, w, fvals, "dt/t", f"resolvent-ray[{theta:g}]")
+        points, weights = log_grid(lo * 1e-5, hi * 1e5, n)
+        scale, z = points**beta, np.exp(1j * theta) * points
+        core, power, measure = "resolvent", 1.0 - beta, "dt/t"
+        label = f"resolvent-ray[{theta:g}]"
 
-    if family == "resolvent-2d":
+    elif family == "resolvent-2d":
         theta0, th_min, n_t, n_th = np.pi, 1e-2, 192, 48
         u_th = np.linspace(np.log(th_min), np.log(theta0), n_th)
         th_abs = np.exp(u_th)
         w_th = trapezoid_weights(n_th, u_th[1] - u_th[0]) * th_abs  # dtheta
         t, w_t = log_grid(lo * 1e-4, hi * 1e4, n_t)
-        pts, wts, vals, stacks = [], [], [], []
-        Afrac = fractional_power(op, 1.0 - beta) if defective else None
-        for sgn in (+1.0, -1.0):
-            for j, th in enumerate(sgn * th_abs):
-                if abs(th) <= op.omega:
-                    continue
-                if defective:
-                    stacks.append(
-                        abs(th) ** (alpha - 0.5)
-                        * t[:, None, None] ** beta
-                        * (resolvent_stack(t, th) @ Afrac)
-                    )
-                else:
-                    e = np.exp(1j * th)
-                    vals.append(
-                        abs(th) ** (alpha - 0.5)
-                        * t[:, None] ** beta
-                        * lam[None, :] ** (1.0 - beta)
-                        / (e * t[:, None] - lam[None, :])
-                    )
-                pts.append(np.column_stack([np.full(n_t, th), t]))
-                wts.append(w_th[j] * w_t)
-        diag = {"theta_min": th_min, "theta0": theta0}
-        return build(
-            np.concatenate(pts),
-            np.concatenate(wts),
-            np.concatenate(vals) if not defective else None,
-            "dtheta*dt/t",
-            f"resolvent-2d[{alpha:g}]",
-            diag,
-            stack=np.concatenate(stacks) if defective else None,
-        )
+        th, w_th = np.concatenate([th_abs, -th_abs]), np.tile(w_th, 2)
+        keep = np.abs(th) > op.omega
+        th, w_th = np.repeat(th[keep], n_t), np.repeat(w_th[keep], n_t)
+        t, w_t = np.tile(t, keep.sum()), np.tile(w_t, keep.sum())
+        points, weights = np.column_stack([th, t]), w_th * w_t
+        scale, z = np.abs(th) ** (alpha - 0.5) * t**beta, np.exp(1j * th) * t
+        core, power, measure = "resolvent", 1.0 - beta, "dtheta*dt/t"
+        label = f"resolvent-2d[{alpha:g}]"
+        diagnostics = {"theta_min": th_min, "theta0": theta0}
 
-    if family == "semigroup-ray":
+    elif family == "semigroup-ray":
         if abs(theta) >= np.pi / 2.0 - op.omega:
             raise DomainError("semigroup ray outside the decay sector")
-        t, w = log_grid(1e-6 / hi, 60.0 / (lo * np.cos(theta)), n)
-        z = np.exp(1j * theta)
-        if defective:
-            Ah = fractional_power(op, 0.5)
-            stack = np.sqrt(t)[:, None, None] * (exp_stack(-z * t) @ Ah)
-            return build(t, w, None, "dt/t", f"semigroup-ray[{theta:g}]", stack=stack)
-        fvals = np.sqrt(t[:, None] * lam[None, :]) * np.exp(
-            -z * t[:, None] * lam[None, :]
-        )
-        return build(t, w, fvals, "dt/t", f"semigroup-ray[{theta:g}]")
+        points, weights = log_grid(1e-6 / hi, 60.0 / (lo * np.cos(theta)), n)
+        scale, z = np.sqrt(points), np.exp(1j * theta) * points
+        core, power, measure = "semigroup", 0.5, "dt/t"
+        label = f"semigroup-ray[{theta:g}]"
 
-    if family == "semigroup-2d":
+    elif family == "semigroup-2d":
         n_x, n_psi, eps_psi = 48, 49, 5e-3
         x, wx = log_grid(1e-6 / hi, 60.0 / lo, n_x)  # wx: dx/x weights
         psi = np.linspace(-np.pi / 2 + eps_psi, np.pi / 2 - eps_psi, n_psi)
         wpsi = trapezoid_weights(n_psi, psi[1] - psi[0])
-        pts, wts, vals, stacks = [], [], [], []
-        Ah = fractional_power(op, 0.5) if defective else None
-        for j, ps in enumerate(psi):
-            v = np.tan(ps)
-            zfac = 1.0 + 1j * v  # x + iy = x (1 + i v)
-            # weight (x/|x+iy|)^alpha = cos(psi)^alpha; dy = x sec^2 dpsi
-            if defective:
-                stacks.append(
-                    np.cos(ps) ** alpha
-                    * x[:, None, None] ** (-0.5)
-                    * (exp_stack(-zfac * x) @ Ah)
-                )
-            else:
-                vals.append(
-                    np.cos(ps) ** alpha
-                    * x[:, None] ** (-0.5)
-                    * np.sqrt(lam[None, :])
-                    * np.exp(-zfac * x[:, None] * lam[None, :])
-                )
-            pts.append(np.column_stack([x, v * x]))
-            # dx dy = x^2 sec^2(psi) (dx/x) dpsi
-            wts.append(wx * x * x / np.cos(ps) ** 2 * wpsi[j])
-        return build(
-            np.concatenate(pts),
-            np.concatenate(wts),
-            np.concatenate(vals) if not defective else None,
-            "dxdy",
-            f"semigroup-2d[{alpha:g}]",
-            stack=np.concatenate(stacks) if defective else None,
-        )
+        psi, wpsi = np.repeat(psi, n_x), np.repeat(wpsi, n_x)
+        x, wx = np.tile(x, n_psi), np.tile(wx, n_psi)
+        v = np.tan(psi)  # x + iy = x (1 + i v)
+        points = np.column_stack([x, v * x])
+        # dx dy = x^2 sec^2(psi) (dx/x) dpsi
+        weights = wx * x * x / np.cos(psi) ** 2 * wpsi
+        # weight (x/|x+iy|)^alpha = cos(psi)^alpha
+        scale, z = np.cos(psi) ** alpha * x ** (-0.5), (1.0 + 1j * v) * x
+        core, power, measure = "semigroup", 0.5, "dxdy"
+        label = f"semigroup-2d[{alpha:g}]"
 
-    if family == "wave":
-        if not (m - 0.5 < alpha < m + 0.5):
+    else:  # the two waves
+        if family == "wave" and not (m - 0.5 < alpha < m + 0.5):
             raise DomainError("need m - 1/2 < alpha < m + 1/2")
-        s_min, s_max = 1e-4 / hi, 2e3 / lo
+        if family == "wave-taylor" and not (m < alpha - 0.5 < m + 1):
+            raise DomainError(
+                f"need alpha - 1/2 strictly inside ({m}, {m + 1}), got alpha = {alpha}"
+            )
+        s_min, s_max = 1e-4 / hi, (2e3 if family == "wave" else 1e3) / lo
         s_abs, w_log = log_grid(s_min, s_max, n)
-        pts, wts, vals, stacks = [], [], [], []
-        Apre = fractional_power(op, 0.5 - alpha) if defective else None
-        for sgn in (+1.0, -1.0):
-            s = sgn * s_abs
-            if defective:
-                I = np.eye(op.dim)
-                E = np.stack(
-                    [
-                        np.linalg.matrix_power(scipy.linalg.expm(1j * sv * op.matrix) - I, m)
-                        for sv in s
-                    ]
-                )
-                stacks.append(np.abs(s)[:, None, None] ** (-alpha) * (E @ Apre))
-            else:
-                vals.append(
-                    np.abs(s)[:, None] ** (-alpha)
-                    * lam[None, :] ** (0.5 - alpha)
-                    * (np.exp(1j * s[:, None] * lam[None, :]) - 1.0) ** m
-                )
-            pts.append(s)
-            wts.append(w_log * s_abs)  # ds = s du
-        diag = {"s_min": s_min, "s_max": s_max}
-        return build(
-            np.concatenate(pts),
-            np.concatenate(wts),
-            np.concatenate(vals) if not defective else None,
-            "ds",
-            "wave",
-            diag,
-            stack=np.concatenate(stacks) if defective else None,
-        )
+        points, weights = np.concatenate([s_abs, -s_abs]), np.tile(w_log * s_abs, 2)
+        scale, z = np.abs(points) ** (-alpha), points
+        core, power, measure = family, 0.5 - alpha, "ds"
+        if family == "wave":
+            label, diagnostics = "wave", {"s_min": s_min, "s_max": s_max}
+        else:
+            label = f"wave-taylor[{alpha:g},{m}]"
+            # the |s|^2 part of |remainder|^2 decays like s^{2-2alpha}, so
+            # the truncated tail scales as (s_max * a)^{3-2alpha}
+            diagnostics = {"s_max": s_max, "tail_exponent": 3.0 - 2.0 * alpha}
 
-    if family == "wave-taylor":
-        s_min, s_max = 1e-4 / hi, 1e3 / lo
-        s_abs, w_log = log_grid(s_min, s_max, n)
-        pts, wts, vals, stacks = [], [], [], []
-        Apre = fractional_power(op, 0.5 - alpha) if defective else None
-        for sgn in (+1.0, -1.0):
-            s = sgn * s_abs
-            if defective:
-                R = taylor_remainder_stack(s, m)
-                stacks.append(np.abs(s)[:, None, None] ** (-alpha) * (R @ Apre))
-            else:
-                # a^{1/2-alpha}|s|^{-alpha}(e^{isa} - T_m) = a^{1/2} w_alpha(s a)
-                vals.append(np.sqrt(lam[None, :]) * w_alpha_kernel_outer(s, lam, alpha, m))
-            pts.append(s)
-            wts.append(w_log * s_abs)
-        # the |s|^2 part of |remainder|^2 decays like s^{2-2alpha}, so the
-        # truncated tail scales as (s_max * a)^{3-2alpha}
-        diag = {"s_max": s_max, "tail_exponent": 3.0 - 2.0 * alpha}
-        return build(
-            np.concatenate(pts),
-            np.concatenate(wts),
-            np.concatenate(vals) if not defective else None,
-            "ds",
-            f"wave-taylor[{alpha:g},{m}]",
-            diag,
-            stack=np.concatenate(stacks) if defective else None,
-        )
-
-
-def w_alpha_kernel_outer(s, lam, alpha, m):
-    """w_alpha(s * a) on the outer product grid; lam must be positive."""
-    a = np.real(lam)
-    out = np.empty((len(s), len(a)), dtype=np.complex128)
-    for j, av in enumerate(a):
-        out[:, j] = w_alpha_kernel(s * av, alpha, m)
-    return out
+    return OperatorFamily(
+        label=label,
+        points=points,
+        weights=weights,
+        matrices=_symbol_stack(op, core, z, scale, power, m),
+        measure=measure,
+        diagnostics=diagnostics,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +627,9 @@ def wave_taylor_mellin_lhs(A, t_grid, alpha: float, m: int):
 
 
 def _exp_remainder(w, m):
-    """e^w - sum_{j<=m} w^j/j!, stable for small |w| (w real array)."""
-    w = np.asarray(w, dtype=float)
+    """e^w - sum_{j<=m} w^j/j!, stable for small |w| (w a real or complex
+    array)."""
+    w = np.asarray(w)
     out = np.exp(w)
     term = np.ones_like(w)
     acc = term.copy()

@@ -412,8 +412,10 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
     Upper end: for unit x, x' in ell^2, F(x, x') = z^H Gram z with the
     unit vector z = vec(conj(x') x^T) and the flattened Gram matrix
     Gram = sum_k w_k conj(vec N_k) vec(N_k)^T, so V^2 <= lambda_max(Gram)
-    on ell^2, and lambda_max <= trace(Gram) = sum_k w_k ||N_k||_F^2 where
-    the Gram is too large to form (n^2 > 4096).  Passing through ell^2
+    on ell^2.  lambda_max is taken from the (n^2, n^2) Gram or from the
+    (K, K) matrix [sqrt(w_k w_l) <vec N_l, vec N_k>], which has the same
+    nonzero spectrum, whichever is smaller; where both exceed 4096 it is
+    bounded by trace(Gram) = sum_k w_k ||N_k||_F^2.  Passing through ell^2
     costs ||id: ell^2 -> ell^p|| ||id: ell^p -> ell^2|| = n^{|1/p - 1/2|}
     (_transfer_constant), the factor on the ell^2 bound.
 
@@ -490,12 +492,17 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
             break
     b = int(np.argmax(val))
 
-    if gram is None and n * n <= 4096:
-        gram = (V.conj() * w[:, None]).T @ V
-    if gram is None:
-        top = float(w @ np.sum(np.abs(V) ** 2, axis=1))
-    else:
+    if n * n <= min(K, 4096):
+        if gram is None:
+            gram = (V.conj() * w[:, None]).T @ V
         top = float(np.linalg.eigvalsh(gram)[-1])
+    elif K <= 4096:
+        # Gram = U^H U with U = diag(sqrt w) V, and U U^H (K x K) has the
+        # same nonzero eigenvalues
+        U = np.sqrt(w)[:, None] * V
+        top = float(np.linalg.eigvalsh(U @ U.conj().T)[-1])
+    else:
+        top = float(w @ np.sum(np.abs(V) ** 2, axis=1))
     return RBoundEstimate(
         lower=math.sqrt(max(float(val[b]), 0.0)),
         upper=_transfer_constant(p, n) * math.sqrt(max(top, 0.0)),

@@ -360,53 +360,6 @@ def contour_shifted_integral(z, m: int, lam):
     return p[0]
 
 
-def w_alpha_kernel(s, alpha: float, m: int):
-    """Regularized oscillatory kernel |s|^{-alpha} (e^{is} - T_m(is)).
-
-    T_m is the Taylor polynomial of degree m, the unique truncation for
-    which the Mellin integral of s^{1/2} w_alpha converges on both ends
-    when alpha - 1/2 is in (m, m+1).  Near s = 0 the remainder series is
-    used to avoid cancellation; w_alpha scales like |s|^{m+1-alpha}/(m+1)!
-    there and decays like |s|^{-alpha} at infinity.  m = 0 is allowed and
-    reduces to the plain difference e^{is} - 1.
-    """
-    if not (isinstance(m, (int, np.integer)) and m >= 0):
-        raise DomainError(f"order m must be a nonnegative integer, got {m!r}")
-    if not (m < alpha - 0.5 < m + 1):
-        raise DomainError(
-            f"need alpha - 1/2 strictly inside ({m}, {m + 1}), got alpha = {alpha}"
-        )
-    s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    if np.any(s == 0):
-        raise DomainError("kernel is singular at s = 0")
-    out = np.empty(s.shape, dtype=np.complex128)
-
-    small = np.abs(s) < 0.5
-    if np.any(~small):
-        sb = s[~small]
-        acc = np.zeros_like(sb, dtype=np.complex128)
-        for j in range(m + 1):
-            acc += (1j * sb) ** j / math.factorial(j)
-        out[~small] = np.abs(sb) ** (-alpha) * (np.exp(1j * sb) - acc)
-    if np.any(small):
-        ss = s[small]
-        rem = np.zeros_like(ss, dtype=np.complex128)
-        term = (1j * ss) ** (m + 1) / math.factorial(m + 1)
-        j = m + 1
-        while True:
-            rem += term
-            j += 1
-            term = term * (1j * ss) / j
-            if np.all(np.abs(term) <= 1e-18 * np.maximum(np.abs(rem), 1e-300)):
-                break
-            if j > m + 80:
-                break
-        out[small] = np.abs(ss) ** (-alpha) * rem
-    return out[0] if scalar else out
-
-
 # the shifted-sum certificate: lattice steps tried, the cap on N and the
 # number of torus grid nodes per axis
 _CERT_DELTAS = (1.0, 0.5, 0.25, 0.125)

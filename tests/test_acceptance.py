@@ -12,6 +12,7 @@ a change that moves any of these numbers must be deliberate.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ import time
 import numpy as np
 from scipy.optimize import curve_fit
 
+import speccalc
 from speccalc import operators as ops
 from speccalc import rbound, special
 from speccalc import suite as experiments
@@ -337,6 +339,9 @@ def test_16_runner_finishes_fast_and_reruns_identically(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"operators": ["diag-logspaced:16"], "seed": 0}))
     outs = (tmp_path / "r1", tmp_path / "r2")
+    # the runner imports the package these tests import, installed or not
+    src = os.path.dirname(os.path.dirname(speccalc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     elapsed = []
     for out in outs:
         t0 = time.monotonic()
@@ -345,6 +350,7 @@ def test_16_runner_finishes_fast_and_reruns_identically(tmp_path):
              "--config", str(cfg), "--out", str(out)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         elapsed.append(time.monotonic() - t0)
         assert proc.returncode == 0, proc.stdout + proc.stderr

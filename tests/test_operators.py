@@ -337,6 +337,82 @@ class TestFamilies:
                 assert len(fam) == (32 if family.startswith("wave") else 16)
 
 
+def _taylor_remainder(B, m):
+    """e^B - T_m(B) = B^{m+1} phi_{m+1}(B), where phi_{m+1}(B) is the
+    top-right block of the exponential of the (m+2)-block matrix with B
+    in the corner and identities on the superdiagonal: no cancellation
+    for small B."""
+    n, k = len(B), m + 1
+    M = np.zeros(((k + 1) * n, (k + 1) * n), dtype=np.complex128)
+    M[:n, :n] = B
+    for j in range(k):
+        M[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = np.eye(n)
+    return np.linalg.matrix_power(B, k) @ scipy.linalg.expm(M)[:n, k * n :]
+
+
+def _dense_reference(family, point, A):
+    """One family element from scipy's dense matrix functions."""
+    I = np.eye(len(A))
+    frac = lambda p: scipy.linalg.fractional_matrix_power(A, p)
+    if family == "bip":
+        t = point
+        return (1 + t * t) ** -0.5 * scipy.linalg.expm(1j * t * scipy.linalg.logm(A))
+    if family in ("resolvent-ray", "resolvent-2d"):
+        th, t = (2.0, point) if family == "resolvent-ray" else point
+        R = np.linalg.inv(np.exp(1j * th) * t * I - A)
+        return (abs(th) ** 0.5 if family == "resolvent-2d" else 1.0) * t**0.5 * R @ frac(0.5)
+    if family == "semigroup-ray":
+        t = point
+        return np.sqrt(t) * scipy.linalg.expm(-np.exp(0.5j) * t * A) @ frac(0.5)
+    if family == "semigroup-2d":
+        x, y = point
+        c = x / abs(x + 1j * y) * x**-0.5
+        return c * scipy.linalg.expm(-(x + 1j * y) * A) @ frac(0.5)
+    s = point
+    if family == "wave":
+        return abs(s) ** -1.0 * (scipy.linalg.expm(1j * s * A) - I) @ frac(-0.5)
+    return abs(s) ** -1.7 * _taylor_remainder(1j * s * A, 1) @ frac(-1.2)
+
+
+class TestDenseReference:
+    """Every family on the eigenbasis and the defective path against
+    scipy's inv, expm, logm and fractional_matrix_power."""
+
+    ARGS = {
+        "bip": {"alpha": 1.0, "n": 32},
+        "resolvent-ray": {"beta": 0.5, "theta": 2.0, "n": 32},
+        "resolvent-2d": {"alpha": 1.0, "beta": 0.5},
+        "semigroup-ray": {"theta": 0.5, "n": 32},
+        "semigroup-2d": {"alpha": 1.0},
+        "wave": {"alpha": 1.0, "m": 1, "n": 32},
+        "wave-taylor": {"alpha": 1.7, "m": 1, "n": 32},
+    }
+
+    @pytest.mark.parametrize("family", list(ARGS))
+    @pytest.mark.parametrize("spec", ["nonnormal", "jordan:1.5,2"])
+    def test_samples_match_dense_functions(self, family, spec):
+        if spec == "nonnormal":
+            op = ops.sectorial(np.array([[1.5, 1.0], [0.0, 2.5]]))
+            assert op.diagonalizable
+        else:
+            op = ops.operator_from_spec(spec)
+            assert not op.diagonalizable
+        fam = ops.family_samples(op, family, **self.ARGS[family])
+        for k in np.linspace(0, len(fam) - 1, 7).astype(int):
+            want = _dense_reference(family, fam.points[k], op.matrix)
+            err = np.linalg.norm(fam.matrices[k] - want, 2)
+            assert err <= 1e-9 * np.linalg.norm(want, 2), (k, fam.points[k])
+
+    @pytest.mark.parametrize("spec", ["diag:1,2", "jordan:1,2"])
+    @pytest.mark.parametrize("alpha, m", [(1.0, 1), (1.5, 1), (0.5, 0)])
+    def test_wave_taylor_window_on_both_paths(self, spec, alpha, m):
+        # alpha - 1/2 must lie strictly inside (m, m + 1); the defective
+        # path used to sample the family outside that window
+        op = ops.operator_from_spec(spec)
+        with pytest.raises(DomainError, match="strictly inside"):
+            ops.family_samples(op, "wave-taylor", alpha=alpha, m=m, n=32)
+
+
 class TestMellinIdentities:
     def test_wave_mellin_identity(self):
         op = ops.sectorial(np.diag([1.0, 2.0, 5.0, 10.0]))

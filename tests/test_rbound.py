@@ -454,6 +454,28 @@ class TestAveragedFamilies:
         est = r_l2_bound(fam, SpaceSpec(p=1.0, n=2), rng=np.random.default_rng(seed))
         assert est.lower == pytest.approx(math.sqrt(scan), rel=1e-9)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_short_family_upper_matches_the_gram(self, p):
+        # K < n^2: lambda_max comes from the (K, K) side and must equal the
+        # (n^2, n^2) Gram's
+        n, K = 6, 5
+        fam = random_family(n, K, 3)
+        V = fam.matrices.reshape(K, n * n)
+        top = np.linalg.eigvalsh((V.conj() * fam.weights[:, None]).T @ V)[-1]
+        est = r_l2_bound(fam, SpaceSpec(p=p, n=n), rng=np.random.default_rng(0))
+        want = rbound._transfer_constant(p, n) * math.sqrt(top)
+        assert est.upper == pytest.approx(want, rel=1e-12)
+
+    def test_large_dimension_upper_is_exact_below_the_trace(self):
+        # n^2 > 4096 with few samples: the (K, K) side still gives
+        # lambda_max = sigma_max(diag(sqrt w) V)^2, below the trace
+        n, K = 70, 2
+        fam = random_family(n, K, 4)
+        U = np.sqrt(fam.weights)[:, None] * fam.matrices.reshape(K, n * n)
+        est = r_l2_bound(fam, SpaceSpec(p=2.0, n=n), rng=np.random.default_rng(0))
+        assert est.upper == pytest.approx(np.linalg.norm(U, 2), rel=1e-12)
+        assert est.upper < math.sqrt(np.sum(np.abs(U) ** 2)) * (1 - 1e-3)
+
     def test_family_validation(self):
         ts, w = log_grid(0.1, 1.0, 16)
         with pytest.raises(DomainError):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
+from speccalc import operators as ops
 from speccalc import special
 from speccalc.errors import ConvergenceError, DomainError, PoleError
 
@@ -180,33 +181,29 @@ class TestHKernel:
 
 
 class TestTaylorKernel:
+    """The Taylor remainder e^w - T_m(w) behind the wave-taylor family, on
+    the imaginary arguments w = is the family evaluates it at."""
+
     def test_order_zero_is_plain_difference(self):
         s = np.array([-7.0, -0.3, 0.01, 2.0, 40.0])
-        got = special.w_alpha_kernel(s, 1.0, 0)
-        want = np.abs(s) ** (-1.0) * (np.exp(1j * s) - 1.0)
-        assert np.allclose(got, want, rtol=1e-12)
+        got = ops._exp_remainder(1j * s, 0)
+        assert np.allclose(got, np.exp(1j * s) - 1.0, rtol=1e-12)
 
     def test_small_argument_series_joins_smoothly(self):
-        # values straddling the series cutoff at |s| = 1/2 must agree
+        # values straddling the series cutoff at |w| = 1/2 must agree
         # with the direct formula where it is still well conditioned
         s = np.array([0.4, 0.49, 0.51, 0.6])
-        got = special.w_alpha_kernel(s, 1.7, 1)
-        direct = np.abs(s) ** (-1.7) * (np.exp(1j * s) - 1.0 - 1j * s)
+        got = ops._exp_remainder(1j * s, 1)
+        direct = np.exp(1j * s) - 1.0 - 1j * s
         assert np.allclose(got, direct, rtol=1e-10)
 
     def test_asymptotic_orders(self):
-        # |s|^{m+1-alpha}/(m+1)! at zero, |s|^{-alpha} at infinity
-        alpha, m = 1.7, 1
-        small = special.w_alpha_kernel(1e-6, alpha, m)
-        assert abs(small) == pytest.approx(1e-6 ** (m + 1 - alpha) / 2.0, rel=1e-5)
-        big = special.w_alpha_kernel(1e5, alpha, m)
-        assert abs(big) <= 3.0 * 1e5 ** (-alpha + 1)
-
-    def test_window_guard(self):
-        with pytest.raises(DomainError):
-            special.w_alpha_kernel(1.0, 1.0, 1)  # alpha - 1/2 not in (1, 2)
-        with pytest.raises(DomainError):
-            special.w_alpha_kernel(0.0, 1.0, 0)  # singular point
+        # |w|^{m+1}/(m+1)! at zero, at most |w|^m-sized at infinity
+        m = 1
+        small = ops._exp_remainder(np.array([1e-6j]), m)[0]
+        assert abs(small) == pytest.approx(1e-6 ** (m + 1) / 2.0, rel=1e-5)
+        big = ops._exp_remainder(np.array([1e5j]), m)[0]
+        assert abs(big) <= 3.0 * 1e5**m
 
 
 class TestLowerBoundCertificate:
