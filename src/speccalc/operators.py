@@ -14,7 +14,7 @@ imaginary powers.  Every family element is scale * g(z, A) * A^power
 with g one of five cores (imaginary power, resolvent, semigroup, wave,
 Taylor-regularized wave), evaluated on the eigenvalues when the
 eigenbasis is usable and by stacked dense matrix functions otherwise
-(_symbol_stack).
+(_samples).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     NotSectorialError,
 )
 from .grids import log_grid, trapezoid_weights
-from .rbound import OperatorFamily
+from .rbound import OperatorFamily, _eig_apply_stack
 from .special import h_kernel
 
 MAX_DIM = 512
@@ -76,6 +76,11 @@ class SectorialOperator:
     @property
     def diagonalizable(self) -> bool:
         return self.eigenvectors is not None
+
+    @property
+    def eigenbasis(self):
+        """(V, V^{-1}), or None without a usable eigenbasis."""
+        return (self.eigenvectors, self.eigenvectors_inv) if self.diagonalizable else None
 
     def spectral_bounds(self):
         a = np.abs(self.eigenvalues)
@@ -203,15 +208,14 @@ def _eig_apply(op: SectorialOperator, fvals: np.ndarray) -> np.ndarray:
     return (op.eigenvectors * fvals) @ op.eigenvectors_inv
 
 
-def _eig_apply_stack(op: SectorialOperator, fvals: np.ndarray) -> np.ndarray:
-    """Stacked V diag(fvals[k]) V^{-1}; fvals has shape (K, dim)."""
-    return np.einsum("ij,kj,jl->kil", op.eigenvectors, fvals, op.eigenvectors_inv)
-
-
 def imaginary_powers(A, t):
     """A^{it}; t scalar gives one matrix, t array gives a (T, n, n) stack."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = _symbol_stack(sectorial(A), "bip", t_arr, np.ones(len(t_arr)), 0.0)
+    ones = np.ones(len(t_arr))
+    out = OperatorFamily(
+        "A^{it}", t_arr, ones, measure="point",
+        **_samples(sectorial(A), "bip", t_arr, ones, 0.0),
+    ).matrices
     return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
@@ -325,8 +329,8 @@ _FAMILY_ARGS = {
 }
 
 
-def _symbol_stack(op: SectorialOperator, core: str, z, scale, power: float, m=None):
-    """The (K, n, n) stack scale_k g(z_k, A) A^power for one of the cores
+def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -> dict:
+    """The samples scale_k g(z_k, A) A^power for one of the cores
 
       bip           A^{iz}
       resolvent     (z - A)^{-1}
@@ -334,12 +338,14 @@ def _symbol_stack(op: SectorialOperator, core: str, z, scale, power: float, m=No
       wave          (e^{izA} - 1)^m
       wave-taylor   e^{izA} - T_m(izA), T_m the Taylor polynomial of degree m
 
-    With an eigenbasis, g and the power act on the eigenvalues.  On a
-    defective operator each core is one stacked dense call (expm, inv,
-    matrix_power) times the dense A^power; the Taylor remainder switches
-    to its power series where |z| ||A|| < 1/2, where the direct
-    difference cancels.  family_samples and imaginary_powers choose
-    between the two paths only here.
+    as the OperatorFamily arguments of one of its two forms.  With an
+    eigenbasis, g and the power act on the eigenvalues, giving the (K, n)
+    eigenvalue table.  On a defective operator each core is one stacked
+    dense call (expm, inv, matrix_power) times the dense A^power, giving
+    the (K, n, n) stack; the Taylor remainder switches to its power
+    series where |z| ||A|| < 1/2, where the direct difference cancels.
+    family_samples and imaginary_powers choose between the two paths
+    only here.
     """
     if op.diagonalizable:
         lam = op.eigenvalues
@@ -353,7 +359,7 @@ def _symbol_stack(op: SectorialOperator, core: str, z, scale, power: float, m=No
             g = (np.exp(1j * z[:, None] * lam[None, :]) - 1.0) ** m
         else:
             g = _exp_remainder(1j * z[:, None] * lam[None, :], m)
-        return _eig_apply_stack(op, scale[:, None] * g * lam**power)
+        return {"symbols": scale[:, None] * g * lam**power, "eigenbasis": op.eigenbasis}
     A = op.matrix
     I = np.eye(op.dim)
     if core == "bip":
@@ -383,7 +389,7 @@ def _symbol_stack(op: SectorialOperator, core: str, z, scale, power: float, m=No
                 if np.all(tail < 1e-18 * np.maximum(np.linalg.norm(acc, 2, axis=(1, 2)), 1e-300)):
                     break
             G[small] = acc
-    return scale[:, None, None] * (G @ fractional_power(op, power))
+    return {"matrices": scale[:, None, None] * (G @ fractional_power(op, power))}
 
 
 def family_samples(
@@ -398,7 +404,7 @@ def family_samples(
     """Sample one of the averaged families the equivalence suite studies.
 
     Every element is scale_k g(z_k, A) A^power, with g one of the cores
-    of _symbol_stack.  The families (mu is the quadrature measure):
+    of _samples.  The families (mu is the quadrature measure):
 
       bip             <t>^{-alpha} A^{it},        mu = dt on [-BIP_T, BIP_T]
       resolvent-ray   t^beta A^{1-beta} (e^{i theta} t - A)^{-1},  mu = dt/t
@@ -514,9 +520,9 @@ def family_samples(
         label=label,
         points=points,
         weights=weights,
-        matrices=_symbol_stack(op, core, z, scale, power, m),
         measure=measure,
         diagnostics=diagnostics,
+        **_samples(op, core, z, scale, power, m),
     )
 
 
@@ -569,7 +575,7 @@ def wave_mellin_lhs(A, t_grid, alpha: float, m: int):
         if np.any(small):
             G[small] = base[small] * (-mu * np.exp(u[small])) ** m
         vals[:, j] = pref * (phases @ G) * du
-    return _eig_apply_stack(op, vals)
+    return _eig_apply_stack(op.eigenbasis, vals)
 
 
 def wave_mellin_rhs(A, t_grid, alpha: float, m: int):
@@ -583,7 +589,7 @@ def wave_mellin_rhs(A, t_grid, alpha: float, m: int):
     fvals = h[:, None] * np.exp(
         (alpha - 0.5 - 1j * t_grid[:, None]) * np.log(lam[None, :])
     )
-    return _eig_apply_stack(op, fvals)
+    return _eig_apply_stack(op.eigenbasis, fvals)
 
 
 def wave_taylor_mellin_lhs(A, t_grid, alpha: float, m: int):
@@ -623,7 +629,7 @@ def wave_taylor_mellin_lhs(A, t_grid, alpha: float, m: int):
         rem = _exp_remainder(-x, m)
         G = base * rem
         vals[:, j] = pref * (phases @ G) * du
-    return _eig_apply_stack(op, vals)
+    return _eig_apply_stack(op.eigenbasis, vals)
 
 
 def _exp_remainder(w, m):
@@ -685,4 +691,7 @@ def resolvent_bip_mellin(A, beta: float, theta: float, s_grid):
         * np.exp(theta * s_grid)[:, None]
         * np.exp(1j * np.outer(s_grid, np.log(lam)))
     )
-    return _eig_apply_stack(op, lhs_vals), _eig_apply_stack(op, rhs_vals)
+    return (
+        _eig_apply_stack(op.eigenbasis, lhs_vals),
+        _eig_apply_stack(op.eigenbasis, rhs_vals),
+    )

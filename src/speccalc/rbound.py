@@ -70,38 +70,66 @@ class SpaceSpec:
         return float(_kernels.row_norms(np.asarray(v)[None], self.p)[0])
 
 
-@dataclass
+def _eig_apply_stack(eigenbasis, fvals) -> np.ndarray:
+    """Stacked V diag(fvals[k]) V^{-1} for eigenbasis = (V, V^{-1});
+    fvals has shape (K, n)."""
+    V, Vinv = eigenbasis
+    return np.einsum("ij,kj,jl->kil", V, fvals, Vinv)
+
+
 class OperatorFamily:
-    """Weighted samples N(t_k) of an operator family.
+    """Weighted samples N_k = N(t_k) of an operator family, in one of two forms.
+
+    A stack holds the (K, n, n) samples themselves.  An eigenvalue table
+    holds a diagonalizable operator's eigenbasis (V, V^{-1}) and the
+    (K, n) table `symbols` with N_k = V diag(symbols[k]) V^{-1}, which
+    fixes the family in 1/n of the stack's memory; reading `matrices`
+    builds its stack once (_eig_apply_stack).  Pass `matrices` for a
+    stack, `symbols` and `eigenbasis` for a table.
 
     points holds the parameter values (K,) or (K, d); weights the
-    quadrature weights of the measure named in `measure`; matrices the
-    (K, n, n) samples.
+    quadrature weights of the measure named in `measure`.
     """
 
-    label: str
-    points: np.ndarray
-    weights: np.ndarray
-    matrices: np.ndarray
-    measure: str
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=np.complex128)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
-            raise DomainError("matrices must be a (K, n, n) stack")
-        if len(self.weights) != self.matrices.shape[0]:
+    def __init__(self, label, points, weights, matrices=None, measure="",
+                 diagnostics=None, *, symbols=None, eigenbasis=None):
+        self.label, self.points, self.measure = label, points, measure
+        self.diagnostics = {} if diagnostics is None else diagnostics
+        self.weights = np.asarray(weights, dtype=float)
+        one_form = (matrices is None) != (symbols is None)
+        if not one_form or (symbols is None) != (eigenbasis is None):
+            raise DomainError("give either matrices or symbols with their eigenbasis")
+        if matrices is not None:
+            self._stack = np.asarray(matrices, dtype=np.complex128)
+            self.symbols = self.eigenbasis = None
+            shape = self._stack.shape
+            if len(shape) != 3 or shape[1] != shape[2]:
+                raise DomainError("matrices must be a (K, n, n) stack")
+        else:
+            self._stack = None
+            self.symbols = np.asarray(symbols, dtype=np.complex128)
+            self.eigenbasis = eigenbasis
+            shape = self.symbols.shape
+            if len(shape) != 2 or eigenbasis[0].shape != (shape[1], shape[1]):
+                raise DomainError("symbols must be a (K, n) table on an n x n eigenbasis")
+        if len(self.weights) != shape[0]:
             raise DomainError("one weight per sample required")
         if np.any(self.weights < 0):
             raise DomainError("weights must be nonnegative")
 
+    @property
+    def matrices(self) -> np.ndarray:
+        """The (K, n, n) stack, built from a table on first read."""
+        if self._stack is None:
+            self._stack = _eig_apply_stack(self.eigenbasis, self.symbols)
+        return self._stack
+
     def __len__(self) -> int:
-        return self.matrices.shape[0]
+        return len(self.weights)
 
     @property
     def dim(self) -> int:
-        return self.matrices.shape[1]
+        return (self._stack if self.symbols is None else self.symbols).shape[-1]
 
 
 @dataclass
@@ -367,18 +395,63 @@ def _ball_top(M, v, r):
     v = np.where((fv >= best)[:, None], v, e)
     fv = np.maximum(fv, best)
     g = np.matmul(M, v[:, :, None])[:, :, 0]
-    a = np.abs(g)
-    top = a.max(axis=1, keepdims=True)
+    top = np.abs(g).max(axis=1, keepdims=True)
+    top = np.where(top > 0, top, 1.0)
     # phase times |g|^{r'-1}, scaled so that the largest entry is 1: the
-    # power cannot overflow, and only negligible entries underflow
-    u = g / np.where(a > 0, a, 1.0) * (a / np.where(top > 0, top, 1.0)) ** (
-        _conjugate(r) - 1.0
-    )
+    # power cannot overflow.  The scaling divides the real and imaginary
+    # parts apart (complex division by a subnormal top overflows), and
+    # entries with |g_j| <= tiny * top count as zero: their phase would
+    # overflow the same way, and their share of the step is below roundoff
+    g = g.real / top + 1j * (g.imag / top)
+    a = np.abs(g)
+    live = a > np.finfo(float).tiny
+    u = np.where(live, g / np.where(live, a, 1.0), 0.0) * a ** (_conjugate(r) - 1.0)
     nrm = _kernels.row_norms(u, r)
     u /= np.where(nrm > 0, nrm, 1.0)[:, None]
     fu = form(u)
     gain = fu > fv
     return np.where(gain, fu, fv), np.where(gain[:, None], u, v)
+
+
+def _reduce(family: OperatorFamily):
+    """(gram, mean, pairs, top): what r_l2_bound reads of a family.
+
+    gram is the flattened (n^2, n^2) Gram sum_k w_k conj(vec N_k) vec(N_k)^T
+    where the half steps run on it (K >= 2 n^2, n^2 <= 1024), else None;
+    mean = sum_k w_k N_k; pairs[r, i] = sum_k w_k |N_k[r, i]|^2, the
+    diagonal of the Gram; top = lambda_max(Gram), or for a stack with
+    n^2 and K both above 4096 the trace bound.  r_l2_bound's docstring
+    derives the reductions of an eigenvalue table.
+    """
+    w, K, n = family.weights, len(family), family.dim
+    steps = n * n <= 1024 and K >= 2 * n * n
+    if family.symbols is not None:
+        V, Vinv = family.eigenbasis
+        F = family.symbols
+        B = (V[:, None, :] * Vinv.T[None, :, :]).reshape(n * n, n)
+        C = (F.conj() * w[:, None]).T @ F
+        BC = B.conj() @ C
+        R = np.linalg.qr(B.conj(), mode="r")
+        top = float(np.linalg.eigvalsh(R @ C @ R.conj().T)[-1])
+        pairs = np.einsum("aj,aj->a", BC, B).real.reshape(n, n)
+        return BC @ B.T if steps else None, (V * (w @ F)) @ Vinv, pairs, top
+    N = family.matrices
+    flat = N.reshape(K, n * n)
+    gram = None
+    if steps or n * n <= min(K, 4096):
+        gram = (flat.conj() * w[:, None]).T @ flat
+    if n * n <= min(K, 4096):
+        top = float(np.linalg.eigvalsh(gram)[-1])
+    elif K <= 4096:
+        # Gram = U^H U with U = diag(sqrt w) flat, and U U^H (K x K) has
+        # the same nonzero eigenvalues
+        U = np.sqrt(w)[:, None] * flat
+        top = float(np.linalg.eigvalsh(U @ U.conj().T)[-1])
+    else:
+        top = float(w @ np.sum(np.abs(flat) ** 2, axis=1))
+    mean = np.tensordot(w, N, axes=(0, 0))
+    pairs = np.tensordot(w, np.abs(N) ** 2, axes=(0, 0))
+    return gram if steps else None, mean, pairs, top
 
 
 def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEstimate:
@@ -412,27 +485,45 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
     Upper end: for unit x, x' in ell^2, F(x, x') = z^H Gram z with the
     unit vector z = vec(conj(x') x^T) and the flattened Gram matrix
     Gram = sum_k w_k conj(vec N_k) vec(N_k)^T, so V^2 <= lambda_max(Gram)
-    on ell^2.  lambda_max is taken from the (n^2, n^2) Gram or from the
-    (K, K) matrix [sqrt(w_k w_l) <vec N_l, vec N_k>], which has the same
-    nonzero spectrum, whichever is smaller; where both exceed 4096 it is
-    bounded by trace(Gram) = sum_k w_k ||N_k||_F^2.  Passing through ell^2
-    costs ||id: ell^2 -> ell^p|| ||id: ell^p -> ell^2|| = n^{|1/p - 1/2|}
+    on ell^2.  Passing through ell^2 costs
+    ||id: ell^2 -> ell^p|| ||id: ell^p -> ell^2|| = n^{|1/p - 1/2|}
     (_transfer_constant), the factor on the ell^2 bound.
+
+    The family enters only through Gram, its weighted mean and the
+    diagonal of Gram (_reduce).  A stack takes lambda_max from the
+    (n^2, n^2) Gram or from the (K, K) matrix
+    [sqrt(w_k w_l) <vec N_l, vec N_k>], which has the same nonzero
+    spectrum, whichever is smaller; where both exceed 4096 it is bounded
+    by trace(Gram) = sum_k w_k ||N_k||_F^2.  An eigenvalue table with
+    N_k = V diag(f_k) V^{-1} never builds the stack.  Its entries
+    N_k[i, l] = sum_j V[i, j] f_k[j] V^{-1}[j, l] say vec N_k = B f_k
+    with B[(i, l), j] = V[i, j] V^{-1}[j, l], so
+
+        Gram = conj(B) C B^T,    C = sum_k w_k conj(f_k) f_k^T  (n x n),
+
+    one O(K n^2) pass over the table where the stack costs O(K n^4).
+    Write conj(B) = QR, Q (n^2 x n) with orthonormal columns; then
+    B^T = conj(B)^H = R^H Q^H and Gram = Q (R C R^H) Q^H, and Gram and
+    the n x n matrix R C R^H share their nonzero eigenvalues (if
+    (R C R^H) y = mu y then Gram (Q y) = mu Q y, and Q^H maps the
+    eigenvectors of Gram back), so lambda_max(Gram) = lambda_max(R C R^H)
+    exactly, at any n.  The mean is V diag(sum_k w_k f_k) V^{-1}.
 
     For long families (K >= 2 n^2, n^2 <= 1024) each half step is one
     product with the Gram tensor read as an (n^2, n^2) matrix; shorter
-    families form G and H from the samples.  The ten starts advance in
-    lockstep, a start leaving the stack when it stops, and each sees the
-    same arithmetic as if it ran alone.
+    families form G and H from the samples, which builds the stack of a
+    table.  The ten starts advance in lockstep, a start leaving the
+    stack when it stops, and each sees the same arithmetic as if it ran
+    alone.
     """
-    N = family.matrices
     w = family.weights
-    K, n, _ = N.shape
+    K, n = len(family), family.dim
     if space.n != n:
         raise DomainError("space dimension does not match the family")
     p = float(space.p)
     q = _conjugate(p)
     gen = _rng(rng)
+    gram, mean, pairs, top = _reduce(family)
 
     # the objective sum_k w_k |<N_k x, x'>|^2 only sees the family through
     # the (n^2, n^2) Gram tensor, so for long families the K dimension is
@@ -441,10 +532,7 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
     # with one matrix-vector product per start (a stacked matmul), never
     # one product for the whole batch: BLAS rounds a batched product
     # differently with the batch size, and starts drop out as they stop
-    V = N.reshape(K, n * n)
-    gram = None
-    if n * n <= 1024 and K >= 2 * n * n:
-        gram = (V.conj() * w[:, None]).T @ V
+    if gram is not None:
         T4 = gram.reshape(n, n, n, n)
         # vec G = Px vec(x' x'^H) and vec H = Pxp vec(x x^H)
         maps = (
@@ -458,6 +546,7 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
 
     else:
         # G = sum_k w_k y_k y_k^H with y_k = N_k^H x', H alike with N_k x
+        N = family.matrices
         maps = (N.conj().transpose(0, 2, 1).reshape(K * n, n), N.reshape(K * n, n))
 
         def half_step(P, vs):
@@ -466,7 +555,7 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
 
     XP = np.empty((10, n), dtype=np.complex128)
     XP[0] = np.eye(n)[0]
-    XP[1] = np.linalg.svd(np.tensordot(w, N, axes=(0, 0)))[0][:, 0]
+    XP[1] = np.linalg.svd(mean)[0][:, 0]
     for i in range(2, 10):
         v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
         XP[i] = v / np.linalg.norm(v)
@@ -474,7 +563,6 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
         # the row of the best basis pair, often the optimum off ell^2
         # (always, for diagonal families); ell^2 keeps e_0 so that its
         # reported values and witnesses do not move
-        pairs = np.tensordot(w, np.abs(N) ** 2, axes=(0, 0))
         XP[0] = np.eye(n)[np.unravel_index(np.argmax(pairs), pairs.shape)[0]]
         XP /= _kernels.row_norms(XP, q)[:, None]
 
@@ -491,18 +579,6 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
         if not live.size:
             break
     b = int(np.argmax(val))
-
-    if n * n <= min(K, 4096):
-        if gram is None:
-            gram = (V.conj() * w[:, None]).T @ V
-        top = float(np.linalg.eigvalsh(gram)[-1])
-    elif K <= 4096:
-        # Gram = U^H U with U = diag(sqrt w) V, and U U^H (K x K) has the
-        # same nonzero eigenvalues
-        U = np.sqrt(w)[:, None] * V
-        top = float(np.linalg.eigvalsh(U @ U.conj().T)[-1])
-    else:
-        top = float(w @ np.sum(np.abs(V) ** 2, axis=1))
     return RBoundEstimate(
         lower=math.sqrt(max(float(val[b]), 0.0)),
         upper=_transfer_constant(p, n) * math.sqrt(max(top, 0.0)),

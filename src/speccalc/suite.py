@@ -39,7 +39,7 @@ from .errors import (
     NotSectorialError,
 )
 from .grids import SampledFunction, fourier_transform, log_grid, trapezoid_weights
-from .rbound import SpaceSpec, r_bound, r_l2_bound, rademacher_norm
+from .rbound import SpaceSpec, _eig_apply_stack, r_bound, r_l2_bound, rademacher_norm
 from .spaces import PartitionOfUnity, _edge_ratio
 
 __all__ = [
@@ -254,7 +254,7 @@ def _corpus_image(op: ops.SectorialOperator, corpus: MultiplierCorpus) -> np.nda
     coef = corpus.coefficients * w[None, :] / (2.0 * np.pi)
     if op.diagonalizable:
         P = np.exp(1j * np.outer(t, np.log(op.eigenvalues)))
-        return ops._eig_apply_stack(op, coef @ P)
+        return _eig_apply_stack(op.eigenbasis, coef @ P)
     stack = ops.imaginary_powers(op, t)
     return np.tensordot(coef, stack, axes=(1, 0))
 
@@ -337,7 +337,12 @@ def _family_row(op, space, rng, condition, param, family, kwargs):
         tolerance=_TOLERANCES[condition],
         grid={"samples": len(fam), "measure": fam.measure, **fam.diagnostics},
         finite=bool(np.isfinite(value)),
-        extra={"seconds": round(time.perf_counter() - t0, 6), "label": fam.label},
+        extra={
+            "seconds": round(time.perf_counter() - t0, 6),
+            "label": fam.label,
+            "upper": float(est.upper),
+            "method": est.method,
+        },
     )
 
 
@@ -488,8 +493,8 @@ def equivalence_report(
         if condition not in _REFINED_N:
             continue
         kwargs = {**kwargs, "n": _REFINED_N[condition]}
-        refined = _family_row(op, space, gen, condition, param, family, kwargs).value
-        base = values[condition]
+        fine = _family_row(op, space, gen, condition, param, family, kwargs)
+        refined, base = fine.value, values[condition]
         drift = abs(refined - base) / abs(base) if base else float("inf")
         convergence[condition] = {"base": base, "refined": refined, "drift": drift}
         rows.append(
@@ -500,7 +505,11 @@ def equivalence_report(
                 tolerance=_TOLERANCES[condition],
                 grid={"refine": 2.0},
                 finite=bool(np.isfinite(refined)),
-                extra={"drift": drift},
+                extra={
+                    "drift": drift,
+                    "upper": fine.extra["upper"],
+                    "method": fine.extra["method"],
+                },
             )
         )
     runtimes["convergence"] = round(time.perf_counter() - t0, 6)

@@ -169,6 +169,18 @@ class TestRun:
         rows = read_rows(out / "theorem-equivalence.csv")
         flags = {r["param"] for r in rows if r["condition"] == "flag"}
         assert "equivalence_asserted" in flags
+        # every c2-c8 bracket carries its upper end in the JSON only
+        doc = json.loads((out / "theorem-equivalence.json").read_text())
+        bracketed = [
+            r for r in doc["rows"]
+            if r["condition"] in ("c2", "c3", "c4", "c5", "c6", "c7", "c8")
+            and r["param"] != "exponent"
+        ]
+        assert len(bracketed) == 18  # 13 families, 3 beta-sweep rays, 2 refined grids
+        for r in bracketed:
+            assert r["extra"]["method"] == "bilinear-power"
+            assert r["value"] <= r["extra"]["upper"], (r["condition"], r["param"])
+        assert all("upper" not in r["grid"] for r in rows)
 
 
 class TestLpRuns:

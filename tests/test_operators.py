@@ -6,14 +6,16 @@ eigenbasis entirely.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from speccalc import operators as ops
-from speccalc import special
+from speccalc import rbound, special
 from speccalc.errors import DomainError, NotSectorialError
+from speccalc.rbound import OperatorFamily, SpaceSpec, _eig_apply_stack, r_l2_bound
 
 
 def jordan2(a=1.0):
@@ -411,6 +413,78 @@ class TestDenseReference:
         op = ops.operator_from_spec(spec)
         with pytest.raises(DomainError, match="strictly inside"):
             ops.family_samples(op, "wave-taylor", alpha=alpha, m=m, n=32)
+
+
+def _similar(n, cond, seed):
+    """S diag(geomspace(0.5, 4, n)) S^{-1} with cond(S) = cond."""
+    gen = np.random.default_rng(seed)
+
+    def unitary():
+        Z = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        return np.linalg.qr(Z)[0]
+
+    S = unitary() @ np.diag(np.geomspace(1.0, cond, n)) @ unitary()
+    return ops.sectorial(S @ np.diag(np.geomspace(0.5, 4.0, n)) @ np.linalg.inv(S))
+
+
+class TestEigenvalueTable:
+    """A diagonalizable operator's family is its (K, n) eigenvalue table;
+    r_l2_bound reduces the table without the (K, n, n) stack and must
+    agree with the reduction of the stack."""
+
+    @staticmethod
+    def _rel(a, b):
+        return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+    # n = 4 and 3 take the Gram half steps on every family; on the
+    # Laplacian's 5-dimensional core the 32-sample families are short
+    # (K < 2 n^2) and build their stack for the per-sample half steps
+    @pytest.mark.parametrize("family", list(TestDenseReference.ARGS))
+    @pytest.mark.parametrize("spec", ["similar:4,1e3", "similar:3,30", "cycle-laplacian:6"])
+    def test_table_reduces_like_its_stack(self, family, spec):
+        if spec.startswith("similar"):
+            n, cond = spec.split(":")[1].split(",")
+            op = _similar(int(n), float(cond), seed=int(n))
+        else:
+            op = ops.operator_from_spec(spec)
+        table = ops.family_samples(op, family, **TestDenseReference.ARGS[family])
+        assert table.symbols is not None and len(table) == len(table.weights)
+        assert table.dim == op.dim
+        stack = OperatorFamily(
+            table.label, table.points, table.weights,
+            _eig_apply_stack(op.eigenbasis, table.symbols), table.measure,
+        )
+        gram, mean, pairs, top = rbound._reduce(table)
+        want = rbound._reduce(stack)
+        assert (gram is None) == (want[0] is None)
+        if gram is not None:
+            assert self._rel(gram, want[0]) <= 1e-12
+        assert self._rel(mean, want[1]) <= 1e-12
+        assert self._rel(pairs, want[2]) <= 1e-12
+        assert top == pytest.approx(want[3], rel=1e-12)
+        for p in (2.0, 3.0):
+            space = SpaceSpec(p=p, n=op.dim)
+            got = r_l2_bound(table, space, rng=np.random.default_rng(5))
+            ref = r_l2_bound(stack, space, rng=np.random.default_rng(5))
+            assert got.upper == pytest.approx(ref.upper, rel=1e-12)
+            if p == 2.0:
+                assert got.lower == pytest.approx(ref.lower, rel=1e-10)
+        # the stack a table builds is the eigenbasis helper's, bit for bit
+        assert np.array_equal(table.matrices, stack.matrices)
+
+    def test_the_long_table_never_builds_its_stack(self):
+        # the 18432-sample resolvent-2d stack of diag-logspaced:16 alone is
+        # 72 MB; its table and every reduction of it stay far below
+        op = ops.operator_from_spec("diag-logspaced:16")
+        tracemalloc.start()
+        try:
+            fam = ops.family_samples(op, "resolvent-2d")
+            est = r_l2_bound(fam, SpaceSpec(p=2.0, n=16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fam) == 18432 and est.lower <= est.upper
+        assert peak < 24e6, peak
 
 
 class TestMellinIdentities:

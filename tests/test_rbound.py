@@ -399,6 +399,23 @@ class TestAveragedFamilies:
         want = math.sqrt(float(w @ np.exp(-2.0 * ts)))
         assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r", [1.5, 3.0])
+    @pytest.mark.parametrize("c, s", [(1.0, 1e-310), (1e-3, 1e-306)])
+    def test_ball_step_survives_a_subnormal_gradient_entry(self, c, s, r):
+        # M v has a subnormal last entry, whose phase g / |g| overflowed
+        # and turned the step into NaN, so the step was lost; the step to
+        # the all-ones block, with that entry at (or near) zero, is kept
+        M = c * np.diag([1.0, 1.0, 1.0, s]).astype(complex)
+        M[:3, :3] = c
+        v = np.ones(4, dtype=complex) / 4.0 ** (1.0 / r)
+        before = max(float((v.conj() @ M @ v).real), c)  # the old value
+        val, u = rbound._ball_top(M[None], v[None], r)
+        assert np.all(np.isfinite(u))
+        assert val[0] >= before
+        assert val[0] == pytest.approx(c * 9.0 / 3.0 ** (2.0 / r), rel=1e-12)
+        assert SpaceSpec(p=r, n=4).vector_norm(u[0]) <= 1.0 + 1e-12
+
     def test_non_hilbert_space_value(self):
         fam = decay_family(n=3, K=256)
         v2 = r_l2_bound(fam, SpaceSpec(p=2.0, n=3)).lower
@@ -484,3 +501,15 @@ class TestAveragedFamilies:
             OperatorFamily("bad", ts, w[:-1], np.ones((16, 2, 2)), "dt/t")
         with pytest.raises(DomainError):
             OperatorFamily("bad", ts, -w, np.ones((16, 2, 2)), "dt/t")
+        basis = (np.eye(2), np.eye(2))
+        with pytest.raises(DomainError):
+            OperatorFamily("bad", ts, w, measure="dt/t", symbols=np.ones((16, 2)))
+        with pytest.raises(DomainError):
+            OperatorFamily("bad", ts, w, np.ones((16, 2, 2)), "dt/t",
+                           symbols=np.ones((16, 2)), eigenbasis=basis)
+        with pytest.raises(DomainError):
+            OperatorFamily("bad", ts, w, measure="dt/t", symbols=np.ones((16, 3)),
+                           eigenbasis=basis)
+        with pytest.raises(DomainError):
+            OperatorFamily("bad", ts, w[:-1], measure="dt/t", symbols=np.ones((16, 2)),
+                           eigenbasis=basis)
