@@ -12,11 +12,12 @@ creation time live only in the manifest.  The exit status is 0 when
 every asserted invariant held, 1 when at least one row failed, 2 for a
 configuration problem.  Rows whose preconditions fail (a defective
 matrix asked for an eigenbasis test, a symbol the grid cannot resolve)
-are recorded as skipped rather than failed.
+are recorded as skipped rather than failed; the manifest counts them
+apart from the passed rows.
 
 `compare` checks two manifests for agreement: configuration hash,
-version, per-suite row counts, the list of plot files, and the suite and
-plot CSV bodies byte for byte.
+version, per-suite row counts (passed, failed and skipped), the list of
+plot files, and the suite and plot CSV bodies byte for byte.
 """
 
 from __future__ import annotations
@@ -645,20 +646,23 @@ def cmd_run(args) -> int:
         write_suite_csv(csv_path, rows, cfg_hash)
         write_suite_json(json_path, name, rows, cfg_hash)
         failed = sum(1 for r in rows if not r.passed)
+        # a skipped row passes its CSV flag but counts as no pass
+        skipped = sum(1 for r in rows if r.condition.startswith("skipped-"))
         failed_total += failed
         outputs[name] = {
             "csv": csv_path.name,
             "json": json_path.name,
             "rows": len(rows),
-            "passed": len(rows) - failed,
+            "passed": len(rows) - failed - skipped,
             "failed": failed,
+            "skipped": skipped,
         }
         for stem, (columns, data, comments) in sorted(plots.items()):
             plot_dir.mkdir(parents=True, exist_ok=True)
             p = plot_dir / f"{stem}.csv"
             write_plot_csv(p, cfg_hash, columns, data, comments)
             plot_files.append(str(p.relative_to(out)))
-        print(f"{name}: {len(rows)} rows, {failed} failed")
+        print(f"{name}: {len(rows)} rows, {failed} failed, {skipped} skipped")
 
     manifest = {
         "config_hash": cfg_hash,
@@ -700,7 +704,7 @@ def cmd_compare(args) -> int:
     files = []  # (label, path in run a, path in run b) of every CSV compared
     for name in common:
         oa, ob = man_a["outputs"][name], man_b["outputs"][name]
-        for key in ("rows", "passed", "failed"):
+        for key in ("rows", "passed", "failed", "skipped"):
             if oa.get(key) != ob.get(key):
                 diffs.append(f"{name}.{key}: {oa.get(key)} != {ob.get(key)}")
         files.append((name, oa["csv"], ob["csv"]))

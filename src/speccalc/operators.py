@@ -423,7 +423,8 @@ def family_samples(
     waves, per sign of s).  The 2-D families have fixed grids:
     resolvent-2d 48 angles log-spaced in [1e-2, pi] of each sign times
     192 radii, semigroup-2d 49 angles psi = arg(x + iy) in
-    [-pi/2 + 5e-3, pi/2 - 5e-3] times 48 values of x.  The waves need
+    [-pi/2 + 5e-3, pi/2 - 5e-3] times 48 values of x, which needs a
+    spectral angle below 5e-3.  The waves need
     a nonnegative integer m, with m - 1/2 < alpha < m + 1/2 for wave
     and m < alpha - 1/2 < m + 1 for wave-taylor.
     """
@@ -482,6 +483,9 @@ def family_samples(
 
     elif family == "semigroup-2d":
         n_x, n_psi, eps_psi = 48, 49, 5e-3
+        if op.omega >= eps_psi:
+            # e^{-(x+iy)A} decays for |arg(x+iy)| < pi/2 - omega only
+            raise DomainError("semigroup-2d angles reach outside the decay sector")
         x, wx = log_grid(1e-6 / hi, 60.0 / lo, n_x)  # wx: dx/x weights
         psi = np.linspace(-np.pi / 2 + eps_psi, np.pi / 2 - eps_psi, n_psi)
         wpsi = trapezoid_weights(n_psi, psi[1] - psi[0])

@@ -110,8 +110,10 @@ class OperatorFamily:
             self.symbols = np.asarray(symbols, dtype=np.complex128)
             self.eigenbasis = eigenbasis
             shape = self.symbols.shape
-            if len(shape) != 2 or eigenbasis[0].shape != (shape[1], shape[1]):
+            if len(shape) != 2 or any(np.shape(M) != (shape[1],) * 2 for M in eigenbasis):
                 raise DomainError("symbols must be a (K, n) table on an n x n eigenbasis")
+        if not np.all(np.isfinite(self.symbols if self._stack is None else self._stack)):
+            raise DomainError(f"family {label!r} has non-finite samples")
         if len(self.weights) != shape[0]:
             raise DomainError("one weight per sample required")
         if np.any(self.weights < 0):
@@ -413,45 +415,29 @@ def _ball_top(M, v, r):
     return np.where(gain, fu, fv), np.where(gain[:, None], u, v)
 
 
-def _reduce(family: OperatorFamily):
-    """(gram, mean, pairs, top): what r_l2_bound reads of a family.
+def _gram_factor(family: OperatorFamily):
+    """(P, mean): m <= min(K, n^2) unit-weight matrices with the family's
+    Gram, and the weighted mean sum_k w_k N_k.
 
-    gram is the flattened (n^2, n^2) Gram sum_k w_k conj(vec N_k) vec(N_k)^T
-    where the half steps run on it (K >= 2 n^2, n^2 <= 1024), else None;
-    mean = sum_k w_k N_k; pairs[r, i] = sum_k w_k |N_k[r, i]|^2, the
-    diagonal of the Gram; top = lambda_max(Gram), or for a stack with
-    n^2 and K both above 4096 the trace bound.  r_l2_bound's docstring
-    derives the reductions of an eigenvalue table.
+    Write flat for the (K, n^2) matrix of rows sqrt(w_k) vec(N_k)^T, so
+    Gram = sum_k w_k conj(vec N_k) vec(N_k)^T = flat^H flat.  With the thin
+    SVD flat = U S W^H, the rows of S W^H give Gram = (S W^H)^H (S W^H),
+    and they unflatten to P.  An eigenvalue table N_k = V diag(f_k) V^{-1}
+    has vec N_k = B f_k with B[(i, l), j] = V[i, j] V^{-1}[j, l], so flat
+    is (sqrt(w) f) B^T; the thin SVD of the (K, n) table sqrt(w_k) f_k^T
+    then gives P_c = V diag((S W^H)_c) V^{-1}, min(K, n) members, and the
+    (K, n, n) stack is never built.
     """
-    w, K, n = family.weights, len(family), family.dim
-    steps = n * n <= 1024 and K >= 2 * n * n
+    w, n = family.weights, family.dim
+    root = np.sqrt(w)[:, None]
     if family.symbols is not None:
         V, Vinv = family.eigenbasis
-        F = family.symbols
-        B = (V[:, None, :] * Vinv.T[None, :, :]).reshape(n * n, n)
-        C = (F.conj() * w[:, None]).T @ F
-        BC = B.conj() @ C
-        R = np.linalg.qr(B.conj(), mode="r")
-        top = float(np.linalg.eigvalsh(R @ C @ R.conj().T)[-1])
-        pairs = np.einsum("aj,aj->a", BC, B).real.reshape(n, n)
-        return BC @ B.T if steps else None, (V * (w @ F)) @ Vinv, pairs, top
+        _, s, Wh = np.linalg.svd(root * family.symbols, full_matrices=False)
+        P = _eig_apply_stack(family.eigenbasis, s[:, None] * Wh)
+        return P, (V * (w @ family.symbols)) @ Vinv
     N = family.matrices
-    flat = N.reshape(K, n * n)
-    gram = None
-    if steps or n * n <= min(K, 4096):
-        gram = (flat.conj() * w[:, None]).T @ flat
-    if n * n <= min(K, 4096):
-        top = float(np.linalg.eigvalsh(gram)[-1])
-    elif K <= 4096:
-        # Gram = U^H U with U = diag(sqrt w) flat, and U U^H (K x K) has
-        # the same nonzero eigenvalues
-        U = np.sqrt(w)[:, None] * flat
-        top = float(np.linalg.eigvalsh(U @ U.conj().T)[-1])
-    else:
-        top = float(w @ np.sum(np.abs(flat) ** 2, axis=1))
-    mean = np.tensordot(w, N, axes=(0, 0))
-    pairs = np.tensordot(w, np.abs(N) ** 2, axes=(0, 0))
-    return gram if steps else None, mean, pairs, top
+    _, s, Wh = np.linalg.svd(root * N.reshape(len(w), n * n), full_matrices=False)
+    return (s[:, None] * Wh).reshape(-1, n, n), np.tensordot(w, N, axes=(0, 0))
 
 
 def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEstimate:
@@ -466,11 +452,18 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
     and V is at most the R-bound of {N_h} on ell^p (on ell^2 the two are
     equal, an R-bound there being the sup of the operator norms).
 
+    F(x, x') = z^H Gram z with z = vec(conj(x') x^T) and the flattened
+    Gram = sum_k w_k conj(vec N_k) vec(N_k)^T, so F, and the forms G and
+    H below, depend on the family only through Gram.  The bound therefore
+    runs on the m <= min(K, n^2) unit-weight matrices P_c of _gram_factor,
+    which have the same Gram: the lower end, the witness and the upper end
+    are those of the family itself, up to roundoff.
+
     Lower end: sqrt(F) at the returned witness (x, x'), which lies in the
     two unit balls, so it is a value of the supremum.  It is found by
     alternating half steps.  For fixed x', F is the form x^H G x with
-    G = sum_k w_k (N_k^H x')(N_k^H x')^H, and for fixed x it is x'^H H x'
-    with H = sum_k w_k (N_k x)(N_k x)^H; each half step raises its form
+    G = sum_c (P_c^H x')(P_c^H x')^H, and for fixed x it is x'^H H x'
+    with H = sum_c (P_c x)(P_c x)^H; each half step raises its form
     over its ball (_ball_top: exact on ell^2 and ell^1, a monotone
     conditional-gradient step otherwise), so F never decreases.  Each
     start runs at most 80 alternations and stops when a step gains less
@@ -478,80 +471,41 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
     value.  The ten starts for x' are the first unit vector, the top
     left singular vector of sum_k w_k N_k and 8 random vectors.  Off
     ell^2 the first start is instead e_r of the best basis pair
-    (e_i, e_r), the pair that maximizes sum_k w_k |N_k[r, i]|^2, and
-    every start is normalized in ell^{p'}; the first half step from e_r
-    reaches at least that pair, so the lower end is never below it.
+    (e_i, e_r), the pair that maximizes Gram's diagonal entry
+    sum_c |P_c[r, i]|^2, and every start is normalized in ell^{p'}; the
+    first half step from e_r reaches at least that pair, so the lower end
+    is never below it.  The ten starts advance in lockstep, a start
+    leaving the stack when it stops, and each sees the same arithmetic as
+    if it ran alone.
 
-    Upper end: for unit x, x' in ell^2, F(x, x') = z^H Gram z with the
-    unit vector z = vec(conj(x') x^T) and the flattened Gram matrix
-    Gram = sum_k w_k conj(vec N_k) vec(N_k)^T, so V^2 <= lambda_max(Gram)
-    on ell^2.  Passing through ell^2 costs
+    Upper end: for unit x, x' in ell^2 the vector z is a unit vector, so
+    V^2 <= lambda_max(Gram) on ell^2; Gram = flat(P)^H flat(P) shares its
+    nonzero eigenvalues with the m x m matrix flat(P) flat(P)^H, which
+    gives lambda_max.  Passing through ell^2 costs
     ||id: ell^2 -> ell^p|| ||id: ell^p -> ell^2|| = n^{|1/p - 1/2|}
     (_transfer_constant), the factor on the ell^2 bound.
-
-    The family enters only through Gram, its weighted mean and the
-    diagonal of Gram (_reduce).  A stack takes lambda_max from the
-    (n^2, n^2) Gram or from the (K, K) matrix
-    [sqrt(w_k w_l) <vec N_l, vec N_k>], which has the same nonzero
-    spectrum, whichever is smaller; where both exceed 4096 it is bounded
-    by trace(Gram) = sum_k w_k ||N_k||_F^2.  An eigenvalue table with
-    N_k = V diag(f_k) V^{-1} never builds the stack.  Its entries
-    N_k[i, l] = sum_j V[i, j] f_k[j] V^{-1}[j, l] say vec N_k = B f_k
-    with B[(i, l), j] = V[i, j] V^{-1}[j, l], so
-
-        Gram = conj(B) C B^T,    C = sum_k w_k conj(f_k) f_k^T  (n x n),
-
-    one O(K n^2) pass over the table where the stack costs O(K n^4).
-    Write conj(B) = QR, Q (n^2 x n) with orthonormal columns; then
-    B^T = conj(B)^H = R^H Q^H and Gram = Q (R C R^H) Q^H, and Gram and
-    the n x n matrix R C R^H share their nonzero eigenvalues (if
-    (R C R^H) y = mu y then Gram (Q y) = mu Q y, and Q^H maps the
-    eigenvectors of Gram back), so lambda_max(Gram) = lambda_max(R C R^H)
-    exactly, at any n.  The mean is V diag(sum_k w_k f_k) V^{-1}.
-
-    For long families (K >= 2 n^2, n^2 <= 1024) each half step is one
-    product with the Gram tensor read as an (n^2, n^2) matrix; shorter
-    families form G and H from the samples, which builds the stack of a
-    table.  The ten starts advance in lockstep, a start leaving the
-    stack when it stops, and each sees the same arithmetic as if it ran
-    alone.
     """
-    w = family.weights
-    K, n = len(family), family.dim
+    n = family.dim
     if space.n != n:
         raise DomainError("space dimension does not match the family")
     p = float(space.p)
     q = _conjugate(p)
     gen = _rng(rng)
-    gram, mean, pairs, top = _reduce(family)
+    P, mean = _gram_factor(family)
+    m = len(P)
+    flat = P.reshape(m, n * n)
+    top = float(np.linalg.eigvalsh(flat @ flat.conj().T)[-1])
+    pairs = np.sum(np.abs(P) ** 2, axis=0)
 
-    # the objective sum_k w_k |<N_k x, x'>|^2 only sees the family through
-    # the (n^2, n^2) Gram tensor, so for long families the K dimension is
-    # collapsed once and every iteration runs on the small tensor.
-    # half_step maps a stack of start vectors to their Hermitian matrices
+    # half_step maps a stack of start vectors to their Hermitian forms
     # with one matrix-vector product per start (a stacked matmul), never
     # one product for the whole batch: BLAS rounds a batched product
     # differently with the batch size, and starts drop out as they stop
-    if gram is not None:
-        T4 = gram.reshape(n, n, n, n)
-        # vec G = Px vec(x' x'^H) and vec H = Pxp vec(x x^H)
-        maps = (
-            T4.transpose(1, 3, 0, 2).reshape(n * n, n * n),
-            T4.conj().transpose(0, 2, 1, 3).reshape(n * n, n * n),
-        )
+    maps = (P.conj().transpose(0, 2, 1).reshape(m * n, n), P.reshape(m * n, n))
 
-        def half_step(P, vs):
-            outer = vs[:, :, None] * vs.conj()[:, None, :]
-            return np.matmul(P, outer.reshape(-1, n * n, 1)).reshape(-1, n, n)
-
-    else:
-        # G = sum_k w_k y_k y_k^H with y_k = N_k^H x', H alike with N_k x
-        N = family.matrices
-        maps = (N.conj().transpose(0, 2, 1).reshape(K * n, n), N.reshape(K * n, n))
-
-        def half_step(P, vs):
-            Y = np.matmul(P, vs[:, :, None]).reshape(-1, K, n)
-            return np.matmul((Y * w[:, None]).transpose(0, 2, 1), Y.conj())
+    def half_step(M, vs):
+        Y = np.matmul(M, vs[:, :, None]).reshape(-1, m, n)
+        return np.matmul(Y.transpose(0, 2, 1), Y.conj())
 
     XP = np.empty((10, n), dtype=np.complex128)
     XP[0] = np.eye(n)[0]

@@ -215,11 +215,32 @@ class TestLpRuns:
         )
         out = tmp_path / "o"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
         for name in ("theorem-equivalence", "paley-littlewood"):
             rows = read_rows(out / f"{name}.csv")
             assert len(rows) == 1, name
             assert rows[0]["condition"].startswith("skipped-")
             assert json.loads(rows[0]["grid"])["reason"] == "DomainError"
+            # a skip is no pass: the manifest counts it on its own
+            counts = {k: man["outputs"][name][k] for k in ("rows", "passed", "failed", "skipped")}
+            assert counts == {"rows": 1, "passed": 0, "failed": 0, "skipped": 1}, name
+
+    def test_compare_reports_a_changed_skip_count(self, tmp_path, capsys):
+        # the l^2 run measures the paley-littlewood rows the l^1 run skips
+        outs = {}
+        for space in (1.0, 2.0):
+            path = write_config(
+                tmp_path, operators=["cycle-laplacian:6"], suites=["paley-littlewood"],
+                space=space,
+            )
+            outs[space] = tmp_path / f"l{space:g}"
+            assert main(["run", "--config", str(path), "--out", str(outs[space])]) == 0
+        man = json.loads((outs[2.0] / "manifest.json").read_text())
+        assert man["outputs"]["paley-littlewood"]["skipped"] == 0
+        capsys.readouterr()
+        rc = main(["compare", str(outs[1.0] / "manifest.json"), str(outs[2.0] / "manifest.json")])
+        assert rc == 1
+        assert "DIFFER  paley-littlewood.skipped: 1 != 0" in capsys.readouterr().out
 
 
 class TestCompare:

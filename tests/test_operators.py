@@ -304,6 +304,18 @@ class TestFamilies:
         with pytest.raises(DomainError):
             ops.family_samples(op, "nonsense")
 
+    @pytest.mark.parametrize("phase", [5e-3, 0.3, 1.2])
+    def test_semigroup_2d_needs_the_angles_inside_the_decay_sector(self, phase):
+        # its angles reach pi/2 - 5e-3, where e^{-(x+iy)A} grows on an
+        # eigenvalue of argument >= 5e-3: at 0.3 the table held NaN and
+        # r_l2_bound raised LinAlgError
+        op = ops.sectorial(np.diag([1.0, 2.0 * np.exp(1j * phase), 3.0]))
+        with pytest.raises(DomainError, match="decay sector"):
+            ops.family_samples(op, "semigroup-2d")
+        fam = ops.family_samples(ops.sectorial(np.diag([1.0, 2.0 * np.exp(1e-3j), 3.0])),
+                                 "semigroup-2d")
+        assert np.all(np.isfinite(fam.symbols))
+
     _UNREAD = [
         ("bip", "beta"), ("bip", "theta"), ("bip", "m"),
         ("resolvent-ray", "alpha"), ("resolvent-ray", "m"),
@@ -429,16 +441,23 @@ def _similar(n, cond, seed):
 
 class TestEigenvalueTable:
     """A diagonalizable operator's family is its (K, n) eigenvalue table;
-    r_l2_bound reduces the table without the (K, n, n) stack and must
-    agree with the reduction of the stack."""
+    r_l2_bound factors the table without the (K, n, n) stack and must
+    agree with the factor of the stack."""
 
     @staticmethod
     def _rel(a, b):
         return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
-    # n = 4 and 3 take the Gram half steps on every family; on the
-    # Laplacian's 5-dimensional core the 32-sample families are short
-    # (K < 2 n^2) and build their stack for the per-sample half steps
+    @staticmethod
+    def _terms(family):
+        """(Gram, mean, pairs, lambda_max) of a family, read off its factor."""
+        P, mean = rbound._gram_factor(family)
+        flat = P.reshape(len(P), -1)
+        top = np.linalg.eigvalsh(flat @ flat.conj().T)[-1]
+        return flat.conj().T @ flat, mean, np.sum(np.abs(P) ** 2, axis=0), top
+
+    # the table's factor has n members, the stack's min(K, n^2): on the
+    # Laplacian's 5-dimensional core the 32-sample families have K < n^2
     @pytest.mark.parametrize("family", list(TestDenseReference.ARGS))
     @pytest.mark.parametrize("spec", ["similar:4,1e3", "similar:3,30", "cycle-laplacian:6"])
     def test_table_reduces_like_its_stack(self, family, spec):
@@ -454,11 +473,9 @@ class TestEigenvalueTable:
             table.label, table.points, table.weights,
             _eig_apply_stack(op.eigenbasis, table.symbols), table.measure,
         )
-        gram, mean, pairs, top = rbound._reduce(table)
-        want = rbound._reduce(stack)
-        assert (gram is None) == (want[0] is None)
-        if gram is not None:
-            assert self._rel(gram, want[0]) <= 1e-12
+        gram, mean, pairs, top = self._terms(table)
+        want = self._terms(stack)
+        assert self._rel(gram, want[0]) <= 1e-12
         assert self._rel(mean, want[1]) <= 1e-12
         assert self._rel(pairs, want[2]) <= 1e-12
         assert top == pytest.approx(want[3], rel=1e-12)
@@ -471,6 +488,16 @@ class TestEigenvalueTable:
                 assert got.lower == pytest.approx(ref.lower, rel=1e-10)
         # the stack a table builds is the eigenbasis helper's, bit for bit
         assert np.array_equal(table.matrices, stack.matrices)
+
+    @pytest.mark.parametrize("family", list(TestDenseReference.ARGS))
+    def test_a_short_table_never_builds_its_stack(self, family):
+        # K = 32 samples on the 5-dimensional core: the bound reads the
+        # table's n-member factor, never the (K, n, n) stack
+        op = ops.operator_from_spec("cycle-laplacian:6")
+        table = ops.family_samples(op, family, **TestDenseReference.ARGS[family])
+        for p in (2.0, 3.0):
+            r_l2_bound(table, SpaceSpec(p=p, n=op.dim), rng=np.random.default_rng(5))
+        assert table._stack is None
 
     def test_the_long_table_never_builds_its_stack(self):
         # the 18432-sample resolvent-2d stack of diag-logspaced:16 alone is

@@ -31,33 +31,25 @@ def random_family(n, K, seed):
 
 def serial_r_l2_bound(family, gen):
     """(lower, upper, x, x') of the l2 bilinear power iteration, run one
-    start after another with one unstacked product per half step."""
+    start after another with one unstacked product per half step on the
+    Gram factor P of the family; upper comes from the full (n^2, n^2)
+    Gram of the family itself, an oracle independent of the factor."""
     N, w = family.matrices, family.weights
     K, n, _ = N.shape
     V = N.reshape(K, n * n)
     gram = (V.conj() * w[:, None]).T @ V
-    if K >= 2 * n * n:
-        T4 = gram.reshape(n, n, n, n)
-        Px = T4.transpose(1, 3, 0, 2).reshape(n * n, n * n)
-        Pxp = T4.conj().transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    P = rbound._gram_factor(family)[0]
+    m = len(P)
 
-        def G(xp):
-            return (Px @ np.outer(xp, xp.conj()).ravel()).reshape(n, n)
+    def sum_outer(M, v):
+        y = (M @ v).reshape(m, n)
+        return y.T @ y.conj()
 
-        def H(x):
-            return (Pxp @ np.outer(x, x.conj()).ravel()).reshape(n, n)
+    def G(xp):
+        return sum_outer(P.conj().transpose(0, 2, 1).reshape(m * n, n), xp)
 
-    else:
-
-        def sum_outer(M, v):
-            y = (M @ v).reshape(K, n)
-            return (y * w[:, None]).T @ y.conj()
-
-        def G(xp):
-            return sum_outer(N.conj().transpose(0, 2, 1).reshape(K * n, n), xp)
-
-        def H(x):
-            return sum_outer(N.reshape(K * n, n), x)
+    def H(x):
+        return sum_outer(P.reshape(m * n, n), x)
 
     def top(M):
         vals, vecs = np.linalg.eigh(M)
@@ -374,13 +366,13 @@ class TestAveragedFamilies:
         assert est.upper >= est.lower * (1 - 1e-12)
 
     def test_both_ascent_paths_hit_the_exact_value(self):
-        # the collapsed Gram tensor kicks in for many samples in a small
-        # dimension; few samples in a larger dimension keep the generic
-        # per-sample ascent.  Both must reproduce the closed form
+        # many samples in a small dimension (a factor of n^2 members) and
+        # few samples in a larger one (K members) must both reproduce the
+        # closed form
         # sqrt(int e^{-2t} t dt/t) = 1/sqrt(2) for sqrt(t) e^{-t} P with
         # a rank-one projection P.
         want = 1.0 / math.sqrt(2.0)
-        for n, K in ((2, 512), (6, 64)):  # fast gate: K >= 2 n^2
+        for n, K in ((2, 512), (6, 64)):
             ts, w = log_grid(1e-8, 1e3, K)
             P = np.zeros((n, n))
             P[0, 0] = 1.0
@@ -426,16 +418,19 @@ class TestAveragedFamilies:
 
     @pytest.mark.parametrize(
         "n, K",
-        [(2, 8), (3, 18), (4, 40), (6, 100), (2, 7), (3, 17), (5, 30), (6, 64)],
+        [(2, 8), (3, 18), (4, 40), (6, 100), (2, 7), (3, 17), (5, 30), (6, 64),
+         (3, 9), (4, 7), (6, 20)],
     )
     @pytest.mark.parametrize("seed", [0, 1])
     def test_lockstep_starts_match_serial_starts(self, n, K, seed):
-        # K >= 2 n^2 takes the Gram-matrix half steps, K < 2 n^2 the
-        # direct ones; both must reproduce every start bit for bit
+        # the factor has min(K, n^2) members on both sides of K = n^2;
+        # the lockstep starts must reproduce every serial start bit for
+        # bit, and the upper end the lambda_max of the family's own Gram
         fam = random_family(n, K, seed)
         est = r_l2_bound(fam, SpaceSpec(p=2.0, n=n), rng=np.random.default_rng(seed + 7))
         lower, upper, x, xp = serial_r_l2_bound(fam, np.random.default_rng(seed + 7))
-        assert (est.lower, est.upper) == (lower, upper)
+        assert est.lower == lower
+        assert est.upper == pytest.approx(upper, rel=1e-12)
         assert np.array_equal(est.witness["x"], x)
         assert np.array_equal(est.witness["x_prime"], xp)
 
@@ -473,8 +468,8 @@ class TestAveragedFamilies:
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_short_family_upper_matches_the_gram(self, p):
-        # K < n^2: lambda_max comes from the (K, K) side and must equal the
-        # (n^2, n^2) Gram's
+        # K < n^2: lambda_max comes from the factor's K x K side and must
+        # equal the (n^2, n^2) Gram's
         n, K = 6, 5
         fam = random_family(n, K, 3)
         V = fam.matrices.reshape(K, n * n)
@@ -484,7 +479,7 @@ class TestAveragedFamilies:
         assert est.upper == pytest.approx(want, rel=1e-12)
 
     def test_large_dimension_upper_is_exact_below_the_trace(self):
-        # n^2 > 4096 with few samples: the (K, K) side still gives
+        # n^2 = 4900 with two samples: the factor's 2 x 2 side gives
         # lambda_max = sigma_max(diag(sqrt w) V)^2, below the trace
         n, K = 70, 2
         fam = random_family(n, K, 4)
@@ -513,3 +508,97 @@ class TestAveragedFamilies:
         with pytest.raises(DomainError):
             OperatorFamily("bad", ts, w[:-1], measure="dt/t", symbols=np.ones((16, 2)),
                            eigenbasis=basis)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_family_rejects_non_finite_samples(self, bad):
+        ts, w = log_grid(0.1, 1.0, 16)
+        mats = np.ones((16, 2, 2), dtype=complex)
+        mats[3, 1, 0] = bad
+        with pytest.raises(DomainError, match="finite"):
+            OperatorFamily("bad", ts, w, mats, "dt/t")
+        symbols = np.ones((16, 2), dtype=complex)
+        symbols[5, 1] = bad * 1j
+        with pytest.raises(DomainError, match="finite"):
+            OperatorFamily("bad", ts, w, measure="dt/t", symbols=symbols,
+                           eigenbasis=(np.eye(2), np.eye(2)))
+
+    def test_family_rejects_an_inverse_of_the_wrong_shape(self):
+        ts, w = log_grid(0.1, 1.0, 16)
+        for Vinv in (np.eye(3), np.eye(2)[:1], np.eye(2)[0]):
+            with pytest.raises(DomainError, match="eigenbasis"):
+                OperatorFamily("bad", ts, w, measure="dt/t", symbols=np.ones((16, 2)),
+                               eigenbasis=(np.eye(2), Vinv))
+
+
+def random_table(n, K, seed, cond=10.0):
+    """A random eigenvalue table on an eigenbasis with cond(V) = cond."""
+    gen = np.random.default_rng(seed)
+
+    def unitary():
+        Z = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        return np.linalg.qr(Z)[0]
+
+    V = unitary() @ np.diag(np.geomspace(1.0, cond, n)) @ unitary()
+    symbols = gen.standard_normal((K, n)) + 1j * gen.standard_normal((K, n))
+    return OperatorFamily("table", np.arange(K), gen.uniform(0.1, 1.0, K), measure="dt",
+                          symbols=symbols, eigenbasis=(V, np.linalg.inv(V)))
+
+
+def gram_gap(A, B):
+    """||A^H A - B^H B||_F / ||A^H A||_F, without forming either Gram.
+
+    With the QR factorization [A; B]^H = Q R, the difference is
+    Q R J R^H Q^H for J = diag(1, ..., 1, -1, ..., -1), whose Frobenius
+    norm is that of the small matrix R J R^H; ||A^H A||_F = ||A A^H||_F.
+    """
+    R = np.linalg.qr(np.vstack([A, B]).conj().T, mode="r")
+    J = np.concatenate([np.ones(len(A)), -np.ones(len(B))])
+    return np.linalg.norm((R * J) @ R.conj().T) / np.linalg.norm(A @ A.conj().T)
+
+
+class TestGramFactor:
+    """r_l2_bound reads a family only through the m <= min(K, n^2)
+    unit-weight matrices P of rbound._gram_factor, which carry its Gram."""
+
+    @pytest.mark.parametrize("form", ["table", "stack"])
+    @pytest.mark.parametrize("n, K", [(3, 4), (3, 9), (3, 20), (2, 1), (4, 50), (70, 2)])
+    def test_factor_carries_the_gram(self, form, n, K):
+        fam = random_table(n, K, n + K) if form == "table" else random_family(n, K, n + K)
+        P, mean = rbound._gram_factor(fam)
+        assert len(P) <= min(K, n * n)
+        if form == "table":
+            assert len(P) == min(K, n)
+        flat = np.sqrt(fam.weights)[:, None] * fam.matrices.reshape(K, n * n)
+        assert gram_gap(flat, P.reshape(len(P), n * n)) <= 1e-12
+        want = np.tensordot(fam.weights, fam.matrices, axes=(0, 0))
+        assert np.max(np.abs(mean - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("form", ["table", "stack"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_upper_end_holds_against_brute_force(self, n, form, p, seed):
+        # random weights over five decades and an ill-conditioned
+        # eigenbasis; the grid mixes random directions with near-vertex
+        # ones (a high power sharpens |x_i| toward one coordinate) so that
+        # the ell^1 ball's extreme points are reached
+        K = (1, 3, 12)[seed]
+        if form == "table":
+            fam = random_table(n, K, 100 + seed, cond=1e3)
+        else:
+            fam = random_family(n, K, 100 + seed)
+        fam.weights[:] = np.geomspace(1e-3, 1e2, K)
+        est = r_l2_bound(fam, SpaceSpec(p=p, n=n), rng=np.random.default_rng(seed))
+        gen = np.random.default_rng(7 + seed)
+
+        def sphere(r, count):
+            Z = gen.standard_normal((count, n)) + 1j * gen.standard_normal((count, n))
+            Z *= np.abs(Z) ** gen.uniform(0.0, 6.0, (count, 1))
+            Z = np.vstack([Z, np.eye(n)])
+            return Z / _kernels.row_norms(Z, r)[:, None]
+
+        X, XP = sphere(p, 1000), sphere(rbound._conjugate(p), 1000)
+        F = sum(wk * np.abs(XP.conj() @ Nk @ X.T) ** 2 for wk, Nk in zip(fam.weights, fam.matrices))
+        grid = math.sqrt(float(np.max(F)))
+        assert est.lower <= est.upper
+        assert grid <= est.upper * (1.0 + 1e-12)
