@@ -125,6 +125,9 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
                 raise ConfigError(f"'{name}' must be a list of strings")
+            repeated = sorted({s for s in value if value.count(s) > 1})
+            if repeated:
+                raise ConfigError(f"'{name}' lists {', '.join(repeated)} more than once")
         bad = sorted(set(self.suites) - set(SUITES))
         if bad:
             raise ConfigError(
@@ -147,7 +150,7 @@ class RunConfig:
     def build_operators(self) -> dict:
         """{spec: SectorialOperator} for every configured operator, parsed once."""
         operators = {}
-        for spec in dict.fromkeys(self.operators):
+        for spec in self.operators:
             try:
                 operators[spec] = ops.operator_from_spec(spec)
             except Exception as e:
@@ -321,7 +324,8 @@ def run_norms(cfg: RunConfig, operators: dict):
                 rows.append(_skip(spec, "norms", "applied-error", f.name, e))
                 continue
             if op.diagonalizable:
-                ref = ops._eig_apply(op, f.eval(np.abs(op.eigenvalues)))
+                table = f.eval(np.abs(op.eigenvalues))[None]
+                ref = _eig_apply_stack(op.eigenbasis, table)[0]
                 scale = float(np.linalg.norm(ref, 2))
                 err = (
                     float(np.linalg.norm(applied - ref, 2) / scale)
@@ -392,6 +396,7 @@ def run_identities(cfg: RunConfig, operators: dict):
         )
 
     t_spot = np.linspace(-3.0, 3.0, 13)
+    s_spot = np.linspace(-1.5, 1.5, 5)
     for spec in cfg.operators:
         op = operators[spec]
         if not op.diagonalizable:
@@ -400,33 +405,20 @@ def run_identities(cfg: RunConfig, operators: dict):
                       NotSectorialError("no usable eigenbasis"))
             )
             continue
-        lhs = ops.wave_mellin_lhs(op, t_spot, alpha=1.0, m=2)
-        rhs = ops.wave_mellin_rhs(op, t_spot, alpha=1.0, m=2)
-        rel = _stack_rel_error(lhs, rhs)
-        rows.append(
-            Row(spec, "identities", "wave-mellin", "alpha=1,m=2",
-                rel, 1e-3, {"t_points": len(t_spot)}, rel <= 1e-3)
+        identities = (
+            ("wave-mellin", "alpha=1,m=2", {"t_points": len(t_spot)},
+             ops.wave_mellin(op, t_spot, alpha=1.0, m=2)),
+            ("wave-taylor-mellin", "alpha=1.7,m=1", {"t_points": len(t_spot)},
+             ops.wave_taylor_mellin(op, t_spot, alpha=1.7, m=1)),
+            ("resolvent-bip-mellin", "beta=0.5,theta=pi/2", {"s_points": len(s_spot)},
+             ops.resolvent_bip_mellin(op, 0.5, np.pi / 2, s_spot)),
         )
-
-        zt = 0.5 - 1.7 + 1j * t_spot
-        lhs = ops.wave_taylor_mellin_lhs(op, t_spot, alpha=1.7, m=1)
-        gam = special.gamma(zt) * np.exp(1j * np.pi * zt / 2.0)
-        lam = op.eigenvalues
-        fv = gam[:, None] * np.exp(-zt[:, None] * np.log(lam[None, :]))
-        ref_stack = _eig_apply_stack(op.eigenbasis, fv)
-        rel = _stack_rel_error(lhs, ref_stack)
-        rows.append(
-            Row(spec, "identities", "wave-taylor-mellin", "alpha=1.7,m=1",
-                rel, 1e-3, {"t_points": len(t_spot)}, rel <= 1e-3)
-        )
-
-        s_spot = np.linspace(-1.5, 1.5, 5)
-        lhs, rhs = ops.resolvent_bip_mellin(op, 0.5, np.pi / 2, s_spot)
-        rel = _stack_rel_error(lhs, rhs)
-        rows.append(
-            Row(spec, "identities", "resolvent-bip-mellin", "beta=0.5,theta=pi/2",
-                rel, 1e-3, {"s_points": len(s_spot)}, rel <= 1e-3)
-        )
+        for condition, param, grid, tables in identities:
+            lhs, rhs = (_eig_apply_stack(op.eigenbasis, table) for table in tables)
+            rel = _stack_rel_error(lhs, rhs)
+            rows.append(
+                Row(spec, "identities", condition, param, rel, 1e-3, grid, rel <= 1e-3)
+            )
 
         # group law of the imaginary powers
         s, t = 0.7, -1.3
@@ -441,7 +433,7 @@ def run_identities(cfg: RunConfig, operators: dict):
         # contour calculus against the eigenbasis
         rho = lambda z: z / (1.0 + z) ** 2
         contour_val = ops.holomorphic_calculus(op, rho)
-        eig_val = ops._eig_apply(op, rho(op.eigenvalues))
+        eig_val = _eig_apply_stack(op.eigenbasis, rho(op.eigenvalues)[None])[0]
         rel = float(
             np.linalg.norm(contour_val - eig_val, 2) / np.linalg.norm(eig_val, 2)
         )

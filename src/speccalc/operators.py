@@ -14,7 +14,10 @@ imaginary powers.  Every family element is scale * g(z, A) * A^power
 with g one of five cores (imaginary power, resolvent, semigroup, wave,
 Taylor-regularized wave), evaluated on the eigenvalues when the
 eigenbasis is usable and by stacked dense matrix functions otherwise
-(_samples).
+(_samples).  Each Mellin identity returns its two sides as eigenvalue
+tables.  Every V diag(f) V^{-1} in the package, a table mapped through
+the eigenbasis, is one call of rbound._eig_apply_stack, which raises
+NotSectorialError on an operator without a usable eigenbasis.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
+from . import special
 from .errors import (
     ContourError,
     ConvergenceError,
@@ -33,8 +37,7 @@ from .errors import (
     NotSectorialError,
 )
 from .grids import log_grid, trapezoid_weights
-from .rbound import OperatorFamily, _eig_apply_stack
-from .special import h_kernel
+from .rbound import OperatorFamily
 
 MAX_DIM = 512
 
@@ -203,11 +206,6 @@ def operator_from_spec(spec: str) -> SectorialOperator:
 # matrix functions
 
 
-def _eig_apply(op: SectorialOperator, fvals: np.ndarray) -> np.ndarray:
-    """V diag(fvals) V^{-1} for one set of eigenvalue samples."""
-    return (op.eigenvectors * fvals) @ op.eigenvectors_inv
-
-
 def imaginary_powers(A, t):
     """A^{it}; t scalar gives one matrix, t array gives a (T, n, n) stack."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -220,12 +218,10 @@ def imaginary_powers(A, t):
 
 
 def fractional_power(A, gamma: float) -> np.ndarray:
-    """A^gamma with the principal branch."""
-    op = sectorial(A)
-    if op.diagonalizable:
-        return _eig_apply(op, np.exp(gamma * np.log(op.eigenvalues)))
-    L = scipy.linalg.logm(op.matrix)
-    return scipy.linalg.expm(gamma * L)
+    """A^gamma = exp(gamma log A) with the principal branch, by dense
+    matrix functions (a diagonalizable operator's powers act on its
+    eigenvalues in _samples instead)."""
+    return scipy.linalg.expm(gamma * scipy.linalg.logm(sectorial(A).matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -531,21 +527,20 @@ def family_samples(
 
 
 # ---------------------------------------------------------------------------
-# Mellin identities for the wave family
+# Mellin identities: each returns (lhs, rhs) as (T, n) eigenvalue tables,
+# row k the functions of the eigenvalues at the k-th grid point
 
 
-def wave_mellin_lhs(A, t_grid, alpha: float, m: int):
-    """Mellin transform (in s) of s^{1/2-alpha} (e^{-isA} - 1)^m.
+def wave_mellin(A, t_grid, alpha: float, m: int):
+    """Both sides of the wave-to-imaginary-powers Mellin identity.
 
-    Returns a (T, n, n) stack: for each t the matrix
-    int_0^inf s^{(1/2-alpha)+it} (e^{-isA} - 1)^m ds/s, computed
-    after rotating the ray by phi = 0.42 into the damped quadrant (the
-    arcs vanish for 1/2 < alpha < m + 1/2).  Equals
-    h_{-1}(t) A^{alpha-1/2-it} with h_sign from special.h_kernel.
+    lhs(t) = int_0^inf s^{(1/2-alpha)+it} (e^{-isA} - 1)^m ds/s
+    rhs(t) = h_{-1}(t) A^{alpha-1/2-it}, h_sign from special.h_kernel
+
+    The lhs is computed after rotating the ray by phi = 0.42 into the
+    damped quadrant (the arcs vanish for 1/2 < alpha < m + 1/2).
     """
     op = sectorial(A)
-    if not op.diagonalizable:
-        raise NotSectorialError("wave Mellin path uses the eigen decomposition")
     if not (0.5 < alpha < m + 0.5):
         raise DomainError("need 1/2 < alpha < m + 1/2")
     sign = -1  # the group direction e^{i sign s A}
@@ -564,7 +559,7 @@ def wave_mellin_lhs(A, t_grid, alpha: float, m: int):
     du = u[1] - u[0]
 
     lam = op.eigenvalues.real
-    vals = np.empty((len(t_grid), len(lam)), dtype=np.complex128)
+    lhs = np.empty((len(t_grid), len(lam)), dtype=np.complex128)
     z_t = c + 1j * t_grid
     pref = np.exp(1j * sign * phi * z_t)
     phases = np.exp(1j * np.outer(t_grid, u))  # (T, U)
@@ -578,36 +573,25 @@ def wave_mellin_lhs(A, t_grid, alpha: float, m: int):
         small = np.abs(mu) * np.exp(u) < 1e-8  # avoid cancellation at the left end
         if np.any(small):
             G[small] = base[small] * (-mu * np.exp(u[small])) ** m
-        vals[:, j] = pref * (phases @ G) * du
-    return _eig_apply_stack(op.eigenbasis, vals)
-
-
-def wave_mellin_rhs(A, t_grid, alpha: float, m: int):
-    """h_{-1}(t) A^{alpha - 1/2 - it} as a (T, n, n) stack."""
-    op = sectorial(A)
-    if not op.diagonalizable:
-        raise NotSectorialError("wave Mellin path uses the eigen decomposition")
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    h = h_kernel(t_grid, alpha, m, sign=-1)
-    lam = op.eigenvalues
-    fvals = h[:, None] * np.exp(
-        (alpha - 0.5 - 1j * t_grid[:, None]) * np.log(lam[None, :])
+        lhs[:, j] = pref * (phases @ G) * du
+    h = special.h_kernel(t_grid, alpha, m, sign=sign)
+    rhs = h[:, None] * np.exp(
+        (alpha - 0.5 - 1j * t_grid[:, None]) * np.log(op.eigenvalues[None, :])
     )
-    return _eig_apply_stack(op.eigenbasis, fvals)
+    return lhs, rhs
 
 
-def wave_taylor_mellin_lhs(A, t_grid, alpha: float, m: int):
-    """Mellin transform of s^{1/2} applied to the Taylor-regularized wave
-    kernel family: int_0^inf s^{(1/2-alpha)+it} (e^{isA} - T_m(isA)) ds/s.
+def wave_taylor_mellin(A, t_grid, alpha: float, m: int):
+    """Both sides of the Mellin identity of the Taylor-regularized wave.
 
-    Computed on the fully rotated ray (the integrand is entire and the
-    arcs vanish when alpha - 1/2 is inside (m, m+1)), where it becomes a
-    real-damped remainder integral.  Equals
-    e^{i pi z_t / 2} Gamma(z_t) A^{-z_t} with z_t = 1/2 - alpha + it.
+    lhs(t) = int_0^inf s^{(1/2-alpha)+it} (e^{isA} - T_m(isA)) ds/s
+    rhs(t) = e^{i pi z_t / 2} Gamma(z_t) A^{-z_t},  z_t = 1/2 - alpha + it
+
+    The lhs is computed on the fully rotated ray (the integrand is entire
+    and the arcs vanish when alpha - 1/2 is inside (m, m+1)), where it
+    becomes a real-damped remainder integral.
     """
     op = sectorial(A)
-    if not op.diagonalizable:
-        raise NotSectorialError("wave Mellin path uses the eigen decomposition")
     if not (m < alpha - 0.5 < m + 1):
         raise DomainError("need alpha - 1/2 strictly inside (m, m+1)")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -627,13 +611,16 @@ def wave_taylor_mellin_lhs(A, t_grid, alpha: float, m: int):
     pref = np.exp(1j * np.pi * z_t / 2.0)
     phases = np.exp(1j * np.outer(t_grid, u))
     base = np.exp(c * u)
-    vals = np.empty((len(t_grid), len(lam)), dtype=np.complex128)
+    lhs = np.empty((len(t_grid), len(lam)), dtype=np.complex128)
     for j, a in enumerate(lam):
         x = a * np.exp(u)  # rotated |s| axis: e^{isa} -> e^{-x}
         rem = _exp_remainder(-x, m)
         G = base * rem
-        vals[:, j] = pref * (phases @ G) * du
-    return _eig_apply_stack(op.eigenbasis, vals)
+        lhs[:, j] = pref * (phases @ G) * du
+    rhs = (special.gamma(z_t) * pref)[:, None] * np.exp(
+        -z_t[:, None] * np.log(op.eigenvalues[None, :])
+    )
+    return lhs, rhs
 
 
 def _exp_remainder(w, m):
@@ -666,12 +653,10 @@ def resolvent_bip_mellin(A, beta: float, theta: float, s_grid):
     lhs(s) = e^{i theta beta} A^{1-beta} int_0^inf t^{beta+is} (e^{i theta} t + A)^{-1} dt/t
     rhs(s) = pi / sin(pi (beta + is)) e^{theta s} A^{is}
 
-    Returns (lhs, rhs) as (S, n, n) stacks.  theta must avoid pi, where
-    the integration ray would cross the spectrum.
+    Returns (lhs, rhs) as (S, n) eigenvalue tables.  theta must avoid pi,
+    where the integration ray would cross the spectrum.
     """
     op = sectorial(A)
-    if not op.diagonalizable:
-        raise NotSectorialError("Mellin identity path uses the eigen decomposition")
     if not (0.0 < beta < 1.0):
         raise DomainError("need 0 < beta < 1")
     if abs(abs(theta) - np.pi) < 1e-9:
@@ -681,21 +666,18 @@ def resolvent_bip_mellin(A, beta: float, theta: float, s_grid):
     lo, hi = op.spectral_bounds()
     t, w = log_grid(lo * 1e-7, hi * 1e7, 4096)
     e = np.exp(1j * theta)
-    lhs_vals = np.empty((len(s_grid), len(lam)), dtype=np.complex128)
+    lhs = np.empty((len(s_grid), len(lam)), dtype=np.complex128)
     # eigenvalue-wise quadrature of t^{beta+is-1} / (e^{i theta} t + a)
     for j, a in enumerate(lam):
         integ = 1.0 / (e * t + a)
         tpow = t**beta * integ * w  # remaining factor t^{is}
-        lhs_vals[:, j] = (
+        lhs[:, j] = (
             np.exp(1j * np.outer(s_grid, np.log(t))) @ tpow
         ) * np.exp(1j * theta * beta) * a ** (1.0 - beta)
-    rhs_vals = (
+    rhs = (
         np.pi
         / np.sin(np.pi * (beta + 1j * s_grid))[:, None]
         * np.exp(theta * s_grid)[:, None]
         * np.exp(1j * np.outer(s_grid, np.log(lam)))
     )
-    return (
-        _eig_apply_stack(op.eigenbasis, lhs_vals),
-        _eig_apply_stack(op.eigenbasis, rhs_vals),
-    )
+    return lhs, rhs

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError
+from .errors import DomainError, NotSectorialError
 
 DEFAULT_SEED = 20240601
 # rademacher_norm enumerates up to EXACT_LIMIT vectors (at most 2^11 sign
@@ -72,7 +72,14 @@ class SpaceSpec:
 
 def _eig_apply_stack(eigenbasis, fvals) -> np.ndarray:
     """Stacked V diag(fvals[k]) V^{-1} for eigenbasis = (V, V^{-1});
-    fvals has shape (K, n)."""
+    fvals has shape (K, n).
+
+    The one place the package maps eigenvalue samples through an
+    eigenbasis.  eigenbasis is None for an operator without a usable one
+    (SectorialOperator.eigenbasis), which raises NotSectorialError.
+    """
+    if eigenbasis is None:
+        raise NotSectorialError("no usable eigenbasis")
     V, Vinv = eigenbasis
     return np.einsum("ij,kj,jl->kil", V, fvals, Vinv)
 
@@ -431,10 +438,11 @@ def _gram_factor(family: OperatorFamily):
     w, n = family.weights, family.dim
     root = np.sqrt(w)[:, None]
     if family.symbols is not None:
-        V, Vinv = family.eigenbasis
         _, s, Wh = np.linalg.svd(root * family.symbols, full_matrices=False)
-        P = _eig_apply_stack(family.eigenbasis, s[:, None] * Wh)
-        return P, (V * (w @ family.symbols)) @ Vinv
+        # the mean's table sum_k w_k f_k rides along as one more row
+        rows = np.vstack([s[:, None] * Wh, w @ family.symbols])
+        P = _eig_apply_stack(family.eigenbasis, rows)
+        return P[:-1], P[-1]
     N = family.matrices
     _, s, Wh = np.linalg.svd(root * N.reshape(len(w), n * n), full_matrices=False)
     return (s[:, None] * Wh).reshape(-1, n, n), np.tensordot(w, N, axes=(0, 0))

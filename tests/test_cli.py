@@ -39,11 +39,11 @@ class TestConfig:
         path = write_config(tmp_path, suites=["sea-to-ha", "astrology"])
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         good = write_config(tmp_path)
-        rc = main(
-            ["run", "--config", str(good), "--suite", "astrology",
-             "--out", str(tmp_path / "o")]
-        )
-        assert rc == 2
+        for suites in (["astrology"], ["sea-to-ha", "sea-to-ha"]):
+            flags = [arg for name in suites for arg in ("--suite", name)]
+            rc = main(["run", "--config", str(good), *flags, "--out", str(tmp_path / "o")])
+            assert rc == 2
+        assert not (tmp_path / "o").exists()
 
     def test_missing_and_malformed_files(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
@@ -70,6 +70,8 @@ class TestConfig:
             {"fit_tol": -1},
             {"fit_tol": float("nan")},
             {"suites": [1]},
+            {"suites": ["norms", "norms"]},
+            {"operators": ["diag:1,2", "diag:1,2"]},
         ],
         ids=repr,
     )

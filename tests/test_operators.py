@@ -189,7 +189,7 @@ class TestMatrixFunctions:
         op = ops.operator_from_spec("diag-logspaced:30")
         rho = lambda z: z / (1.0 + z) ** 2
         got = ops.holomorphic_calculus(op, rho)
-        want = ops._eig_apply(op, rho(op.eigenvalues))
+        want = _eig_apply_stack(op.eigenbasis, rho(op.eigenvalues)[None])[0]
         assert np.linalg.norm(got - want, 2) < 1e-9 * np.linalg.norm(want, 2)
 
     def test_holomorphic_calculus_jordan(self):
@@ -514,34 +514,79 @@ class TestEigenvalueTable:
         assert peak < 24e6, peak
 
 
+def _stack_rel(got, want) -> float:
+    """max_k ||got_k - want_k|| / max_k ||want_k|| over two (K, n, n) stacks."""
+    return float(
+        np.max(np.linalg.norm(got - want, axis=(1, 2)))
+        / np.max(np.linalg.norm(want, axis=(1, 2)))
+    )
+
+
 class TestMellinIdentities:
+    """Each identity returns both sides as eigenvalue tables; mapped
+    through the eigenbasis they are compared with each other and with
+    independent dense references."""
+
     def test_wave_mellin_identity(self):
         op = ops.sectorial(np.diag([1.0, 2.0, 5.0, 10.0]))
         t = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
-        lhs = ops.wave_mellin_lhs(op, t, alpha=1.0, m=2)
-        rhs = ops.wave_mellin_rhs(op, t, alpha=1.0, m=2)
-        scale = np.max(np.linalg.norm(rhs, axis=(1, 2)))
-        assert np.max(np.linalg.norm(lhs - rhs, axis=(1, 2))) / scale < 1e-6
+        lhs, rhs = (_eig_apply_stack(op.eigenbasis, side)
+                    for side in ops.wave_mellin(op, t, alpha=1.0, m=2))
+        assert _stack_rel(lhs, rhs) < 1e-6
 
     def test_wave_taylor_identity(self):
         op = ops.sectorial(np.diag([1.0, 2.0, 4.0]))
         t = np.array([-1.0, 0.3, 2.0])
         zt = 0.5 - 1.7 + 1j * t
-        lhs = ops.wave_taylor_mellin_lhs(op, t, alpha=1.7, m=1)
+        lhs, _ = ops.wave_taylor_mellin(op, t, alpha=1.7, m=1)
+        lhs = _eig_apply_stack(op.eigenbasis, lhs)
         lamlog = np.log(np.array([1.0, 2.0, 4.0]))
         gam = special.gamma(zt) * np.exp(1j * np.pi * zt / 2.0)
         want = np.stack(
             [g * np.diag(np.exp(-z * lamlog)) for g, z in zip(gam, zt)]
         )
-        scale = np.max(np.linalg.norm(want, axis=(1, 2)))
-        assert np.max(np.linalg.norm(lhs - want, axis=(1, 2))) / scale < 1e-6
+        assert _stack_rel(lhs, want) < 1e-6
 
     def test_resolvent_bip_identity(self):
         op = ops.sectorial(np.diag([1.0, 2.0, 4.0]))
         s = np.array([-1.0, 0.0, 0.7])
-        lhs, rhs = ops.resolvent_bip_mellin(op, 0.5, np.pi / 2, s)
-        scale = np.max(np.linalg.norm(rhs, axis=(1, 2)))
-        assert np.max(np.linalg.norm(lhs - rhs, axis=(1, 2))) / scale < 1e-3
+        lhs, rhs = (_eig_apply_stack(op.eigenbasis, side)
+                    for side in ops.resolvent_bip_mellin(op, 0.5, np.pi / 2, s))
+        assert _stack_rel(lhs, rhs) < 1e-3
+
+    @pytest.mark.parametrize("spec", ["similar:3,30", "cycle-laplacian:6"])
+    def test_identities_through_a_nonnormal_eigenbasis(self, spec):
+        # V != I: the tables must be mapped through the eigenbasis, and
+        # each rhs must be the dense A^z = expm(z logm(A)) it stands for
+        if spec.startswith("similar"):
+            n, cond = spec.split(":")[1].split(",")
+            op = _similar(int(n), float(cond), seed=int(n))
+        else:
+            op = ops.operator_from_spec(spec)
+        assert np.linalg.cond(op.eigenvectors) > 1.2
+        log_a = scipy.linalg.logm(op.matrix)
+
+        def power(z):
+            return scipy.linalg.expm(z * log_a)
+
+        t = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
+        s = np.array([-1.0, 0.0, 0.7])
+        zt = 0.5 - 1.7 + 1j * t
+        h = special.h_kernel(t, 1.0, 2, sign=-1)
+        gam = special.gamma(zt) * np.exp(1j * np.pi * zt / 2.0)
+        cases = [
+            (ops.wave_mellin(op, t, alpha=1.0, m=2), 1e-6,
+             [hk * power(0.5 - 1j * tk) for hk, tk in zip(h, t)]),
+            (ops.wave_taylor_mellin(op, t, alpha=1.7, m=1), 1e-6,
+             [g * power(-z) for g, z in zip(gam, zt)]),
+            (ops.resolvent_bip_mellin(op, 0.5, np.pi / 2, s), 1e-3,
+             [np.pi / np.sin(np.pi * (0.5 + 1j * sk)) * np.exp(np.pi / 2 * sk)
+              * power(1j * sk) for sk in s]),
+        ]
+        for tables, tol, dense in cases:
+            lhs, rhs = (_eig_apply_stack(op.eigenbasis, side) for side in tables)
+            assert _stack_rel(rhs, np.stack(dense)) < 1e-12
+            assert _stack_rel(lhs, rhs) < tol
 
     def test_resolvent_bip_rejects_cut_angle(self):
         op = ops.sectorial(np.diag([1.0, 2.0]))

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from speccalc import _kernels, rbound
-from speccalc.errors import DomainError
+from speccalc.errors import DomainError, NotSectorialError
 from speccalc.grids import log_grid
 from speccalc.rbound import (
     OperatorFamily,
     RBoundEstimate,
     SpaceSpec,
+    _eig_apply_stack,
     _ratio,
     operator_norm,
     r_bound,
@@ -528,6 +529,11 @@ class TestAveragedFamilies:
             with pytest.raises(DomainError, match="eigenbasis"):
                 OperatorFamily("bad", ts, w, measure="dt/t", symbols=np.ones((16, 2)),
                                eigenbasis=(np.eye(2), Vinv))
+
+    def test_the_eigenbasis_helper_needs_an_eigenbasis(self):
+        # SectorialOperator.eigenbasis is None on a defective operator
+        with pytest.raises(NotSectorialError, match="eigenbasis"):
+            _eig_apply_stack(None, np.ones((3, 2)))
 
 
 def random_table(n, K, seed, cond=10.0):

@@ -20,9 +20,14 @@ keys of the dict literals in the calling module (where such a dict is
 built), and a `*` argument every positional parameter from its place on.
 Calls are matched to definitions by spelling, as above.
 
-Last, every name the benchmark worker (`perfbench/worker.py`) traces or
+Every name the benchmark worker (`perfbench/worker.py`) traces or
 reads must still resolve, so a deletion fails here and not first in a
 traced benchmark run.
+
+Last, V diag(f) V^{-1} has one implementation: no function but
+`rbound._eig_apply_stack` reads `eigenvectors_inv` or unpacks an
+eigenbasis (assigns it to a tuple, indexes it or star-expands it), the
+`SectorialOperator.eigenbasis` property that packs the pair aside.
 """
 
 import ast
@@ -40,6 +45,10 @@ ALLOWED = {
     "the row keys `perfbench/reference.json` gates",
     "main": "the console entry point named in pyproject.toml",
 }
+
+# the functions that may take an eigenbasis apart: the one helper that
+# applies it, and the property that packs (V, V^{-1})
+EIGENBASIS_OWNERS = {"rbound._eig_apply_stack", "operators.SectorialOperator.eigenbasis"}
 
 # defaulted parameters no package call passes, kept for a reason
 ALLOWED_OPTIONS = {
@@ -66,17 +75,24 @@ def _top_level():
                 yield path.stem, node
 
 
+def _functions(stem, node):
+    """(qualified name, node) for each function or method, public or not,
+    a top-level node defines."""
+    if isinstance(node, ast.ClassDef):
+        members = [(f"{stem}.{node.name}.", item) for item in node.body]
+    else:
+        members = [(f"{stem}.", node)]
+    for prefix, item in members:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + item.name, item
+
+
 def _public_functions(stem, node):
     """(qualified name, function node, is_method) for each public function
     or method a top-level node defines."""
-    if isinstance(node, ast.ClassDef):
-        members = [(f"{stem}.{node.name}.", item, True) for item in node.body]
-    else:
-        members = [(f"{stem}.", node, False)]
-    for prefix, item, is_method in members:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if not item.name.startswith("_"):
-                yield prefix + item.name, item, is_method
+    for qual, item in _functions(stem, node):
+        if not item.name.startswith("_"):
+            yield qual, item, isinstance(node, ast.ClassDef)
 
 
 def scan():
@@ -202,3 +218,34 @@ def test_every_option_is_set_by_a_package_call():
 def test_option_allowlist_names_only_unset_options():
     stale = sorted(set(ALLOWED_OPTIONS) - unpassed_options())
     assert not stale, "option allowlist entries that are gone or now set: " + ", ".join(stale)
+
+
+def _is_eigenbasis(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "eigenbasis") or (
+        isinstance(node, ast.Attribute) and node.attr == "eigenbasis"
+    )
+
+
+def _takes_apart(node) -> bool:
+    if isinstance(node, ast.Attribute) and node.attr == "eigenvectors_inv":
+        return isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.Assign) and _is_eigenbasis(node.value):
+        return any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)
+    return isinstance(node, (ast.Subscript, ast.Starred)) and _is_eigenbasis(node.value)
+
+
+def eigenbasis_readers():
+    """Qualified names of the functions that read `eigenvectors_inv` or
+    unpack an eigenbasis."""
+    return {
+        qual
+        for stem, node in _top_level()
+        for qual, fn in _functions(stem, node)
+        if any(_takes_apart(sub) for sub in ast.walk(fn))
+    }
+
+
+def test_only_the_helper_takes_an_eigenbasis_apart():
+    extra = sorted(eigenbasis_readers() - EIGENBASIS_OWNERS)
+    assert not extra, "V diag(f) V^-1 outside _eig_apply_stack: " + ", ".join(extra)
+    assert EIGENBASIS_OWNERS <= eigenbasis_readers()
