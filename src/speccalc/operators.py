@@ -62,6 +62,8 @@ class SectorialOperator:
 
     eigenvectors is None when the eigenbasis is too ill-conditioned to
     trust; matrix functions then go through Schur/Taylor fallbacks.
+    normal records ||A A^H - A^H A|| <= 1e-12 ||A||^2 (on the core of a
+    reduced matrix), read from the matrix by sectorial.
     """
 
     matrix: np.ndarray
@@ -71,6 +73,7 @@ class SectorialOperator:
     eigenvectors_inv: Optional[np.ndarray]
     reduction: Optional[RangeReduction] = None
     name: str = ""
+    normal: bool = False
 
     @property
     def dim(self) -> int:
@@ -132,6 +135,12 @@ def sectorial(A, name: str = "") -> SectorialOperator:
             f"eigenvalue {lam[on_cut][0]} lies on the negative real axis"
         )
     omega = float(np.max(np.abs(np.angle(lam))))
+    # roundoff leaves about 1e-16 ||A||^2 on the Hermitian Laplacian
+    # cores; a departure from normality d moves the closed-form values of
+    # a normal operator's families by O(d) while the commutator is
+    # O(d^2), so the threshold stays near roundoff
+    AH = A.conj().T
+    normal = float(np.linalg.norm(A @ AH - AH @ A, 2)) <= 1e-12 * scale**2
 
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
@@ -151,6 +160,7 @@ def sectorial(A, name: str = "") -> SectorialOperator:
         eigenvectors_inv=Vinv,
         reduction=reduction,
         name=name,
+        normal=normal,
     )
 
 
@@ -336,10 +346,11 @@ def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -
 
     as the OperatorFamily arguments of one of its two forms.  With an
     eigenbasis, g and the power act on the eigenvalues, giving the (K, n)
-    eigenvalue table.  On a defective operator each core is one stacked
-    dense call (expm, inv, matrix_power) times the dense A^power, giving
-    the (K, n, n) stack; the Taylor remainder switches to its power
-    series where |z| ||A|| < 1/2, where the direct difference cancels.
+    eigenvalue table, which carries the operator's normality.  On a
+    defective operator each core is one stacked dense call (expm, inv,
+    matrix_power) times the dense A^power, giving the (K, n, n) stack;
+    the Taylor remainder switches to its power series where
+    |z| ||A|| < 1/2, where the direct difference cancels.
     family_samples and imaginary_powers choose between the two paths
     only here.
     """
@@ -355,7 +366,8 @@ def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -
             g = (np.exp(1j * z[:, None] * lam[None, :]) - 1.0) ** m
         else:
             g = _exp_remainder(1j * z[:, None] * lam[None, :], m)
-        return {"symbols": scale[:, None] * g * lam**power, "eigenbasis": op.eigenbasis}
+        return {"symbols": scale[:, None] * g * lam**power, "eigenbasis": op.eigenbasis,
+                "normal": op.normal}
     A = op.matrix
     I = np.eye(op.dim)
     if core == "bip":

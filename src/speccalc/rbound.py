@@ -21,7 +21,9 @@ r_l2_bound brackets the averaged (square function) value
 the largest ell^p norm of the averages sum_k w_k h_k N_k over the unit
 ball of L2(w), by one alternating bilinear iteration for every p: a
 feasible witness pair gives the lower end, the flattened Gram bound
-times the ell^2 -> ell^p transfer factor the upper end.
+times the ell^2 -> ell^p transfer factor the upper end.  A normal
+operator's eigenvalue table on ell^2, and a diagonal one's on every
+ell^p, give the value in closed form instead.
 """
 
 from __future__ import annotations
@@ -92,20 +94,24 @@ class OperatorFamily:
     (K, n) table `symbols` with N_k = V diag(symbols[k]) V^{-1}, which
     fixes the family in 1/n of the stack's memory; reading `matrices`
     builds its stack once (_eig_apply_stack).  Pass `matrices` for a
-    stack, `symbols` and `eigenbasis` for a table.
+    stack, `symbols` and `eigenbasis` for a table.  A table's `normal`
+    records that its operator is normal (operators._samples passes
+    SectorialOperator.normal), which lets r_l2_bound read its ell^2
+    value off the table; a stack ignores it.
 
     points holds the parameter values (K,) or (K, d); weights the
     quadrature weights of the measure named in `measure`.
     """
 
     def __init__(self, label, points, weights, matrices=None, measure="",
-                 diagnostics=None, *, symbols=None, eigenbasis=None):
+                 diagnostics=None, *, symbols=None, eigenbasis=None, normal=False):
         self.label, self.points, self.measure = label, points, measure
         self.diagnostics = {} if diagnostics is None else diagnostics
         self.weights = np.asarray(weights, dtype=float)
         one_form = (matrices is None) != (symbols is None)
         if not one_form or (symbols is None) != (eigenbasis is None):
             raise DomainError("give either matrices or symbols with their eigenbasis")
+        self.normal = bool(normal)
         if matrices is not None:
             self._stack = np.asarray(matrices, dtype=np.complex128)
             self.symbols = self.eigenbasis = None
@@ -492,11 +498,40 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
     gives lambda_max.  Passing through ell^2 costs
     ||id: ell^2 -> ell^p|| ||id: ell^p -> ell^2|| = n^{|1/p - 1/2|}
     (_transfer_constant), the factor on the ell^2 bound.
+
+    Closed form (method "spectral"), taken instead of the loop for an
+    eigenvalue table N_k = V diag(f_k) V^{-1} whose operator is normal,
+    on ell^2, or whose eigenbasis V has one nonzero entry per column, on
+    every ell^p; then lower = upper = max_j (sum_k w_k |f_kj|^2)^{1/2}.
+    Lower end: for the eigenvector v of column j, N_k v = f_kj v, so the
+    pair x = x' = v / ||v|| gives F = sum_k w_k |f_kj|^2; it is a unit
+    vector of ell^p and of ell^{p'} (on ell^2 by its scaling, and for a
+    one-entry v on every ell^p).  Upper end for normal A on ell^2: take
+    a unitary U with N_k = U diag(f_k) U^H (the f_kj depend only on the
+    eigenvalue, not on the eigenbasis the table was built on).  Then
+    <N_k x, x'> = sum_j f_kj u_j with u = (U^H x) o conj(U^H x'), and
+    ||u||_1 <= ||x||_2 ||x'||_2 <= 1 by Cauchy-Schwarz, so
+    F = u^H G u with the PSD G = sum_k w_k conj(f_k) f_k^T.  A convex
+    form on the ell^1 ball peaks at a vertex, a unimodular multiple of
+    some e_j, where it is G_jj = sum_k w_k |f_kj|^2.  For a one-entry-
+    per-column V, N_k is the diagonal matrix diag(f_k) with its entries
+    permuted, u_j is x_i conj(x'_i) at the matching coordinate i, and
+    Hoelder gives ||u||_1 <= ||x||_p ||x'||_{p'} <= 1 on every ell^p;
+    the rest is the same.
     """
     n = family.dim
     if space.n != n:
         raise DomainError("space dimension does not match the family")
     p = float(space.p)
+    if family.symbols is not None:
+        V = family.eigenbasis[0]
+        if (family.normal and p == 2.0) or np.count_nonzero(V) == n:
+            sq = family.weights @ (np.abs(family.symbols) ** 2)
+            j = int(np.argmax(sq))
+            v = V[:, j] / np.linalg.norm(V[:, j])
+            value = math.sqrt(float(sq[j]))
+            return RBoundEstimate(lower=value, upper=value, method="spectral",
+                                  witness={"x": v, "x_prime": v})
     q = _conjugate(p)
     gen = _rng(rng)
     P, mean = _gram_factor(family)

@@ -302,7 +302,10 @@ _REFINED_N = {"c2": 6402, "c7": 4096}
 def _condition_table(alpha: float, beta: float) -> list:
     """The (condition, param, family, kwargs) rows of c2..c8 in report order.
 
-    The order is the order of the rng draws, so it is part of the report.
+    The order is the order of the rng draws of r_l2_bound's random
+    starts, so it is part of the report.  A family of a normal operator
+    on ell^2, or of a diagonal one on any ell^p, takes r_l2_bound's
+    closed form and draws nothing.
     """
     m7 = int(round(alpha))
     m8 = int(math.floor(alpha - 0.5))

@@ -160,9 +160,23 @@ class TestRun:
         skips = [r for r in rows if r["condition"].startswith("skipped-")]
         assert skips and all(r["pass"] == "true" for r in skips)
 
+    def test_defective_operator_keeps_its_group_law_row(self, tmp_path):
+        # no eigenbasis: one skip row stands for the Mellin identities and
+        # the contour check, while the imaginary powers still obey the
+        # group law A^{is} A^{it} = A^{i(s+t)}
+        path = write_config(tmp_path, operators=["jordan:1.5,4"], suites=["identities"])
+        out = tmp_path / "id"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        rows = [r for r in read_rows(out / "identities.csv") if r["operator"] == "jordan:1.5,4"]
+        assert [r["condition"] for r in rows] == ["skipped-mellin-identities", "bip-group-law"]
+        law = rows[1]
+        assert law["pass"] == "true"
+        assert float(law["value"]) <= float(law["tolerance"]) == 1e-10
+
     def test_equivalence_suite_emits_plots_and_flags(self, tmp_path):
         path = write_config(
-            tmp_path, suites=["theorem-equivalence"], corpus_size=30
+            tmp_path, operators=["diag:1,2", "jordan:1,3"],
+            suites=["theorem-equivalence"], corpus_size=30,
         )
         out = tmp_path / "eq"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
@@ -178,10 +192,17 @@ class TestRun:
             if r["condition"] in ("c2", "c3", "c4", "c5", "c6", "c7", "c8")
             and r["param"] != "exponent"
         ]
-        assert len(bracketed) == 18  # 13 families, 3 beta-sweep rays, 2 refined grids
+        # per operator: 13 families, 3 beta-sweep rays, 2 refined grids
+        assert len(bracketed) == 2 * 18
         for r in bracketed:
-            assert r["extra"]["method"] == "bilinear-power"
-            assert r["value"] <= r["extra"]["upper"], (r["condition"], r["param"])
+            key = (r["operator"], r["condition"], r["param"])
+            if r["operator"] == "diag:1,2":
+                # a normal operator's value is closed: lower == upper
+                assert r["extra"]["method"] == "spectral", key
+                assert r["value"] == r["extra"]["upper"], key
+            else:
+                assert r["extra"]["method"] == "bilinear-power", key
+                assert r["value"] <= r["extra"]["upper"], key
         assert all("upper" not in r["grid"] for r in rows)
 
 

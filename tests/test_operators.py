@@ -483,6 +483,14 @@ class TestEigenvalueTable:
             space = SpaceSpec(p=p, n=op.dim)
             got = r_l2_bound(table, space, rng=np.random.default_rng(5))
             ref = r_l2_bound(stack, space, rng=np.random.default_rng(5))
+            if op.normal and p == 2.0:
+                # the Laplacian core is normal: the table's closed form lies
+                # in the bracket the stack's bilinear loop gives
+                assert got.method == "spectral" and got.lower == got.upper
+                assert ref.lower <= got.lower * (1.0 + 1e-12)
+                assert got.upper <= ref.upper * (1.0 + 1e-12)
+                continue
+            assert got.method == "bilinear-power"
             assert got.upper == pytest.approx(ref.upper, rel=1e-12)
             if p == 2.0:
                 assert got.lower == pytest.approx(ref.lower, rel=1e-10)
@@ -512,6 +520,113 @@ class TestEigenvalueTable:
             tracemalloc.stop()
         assert len(fam) == 18432 and est.lower <= est.upper
         assert peak < 24e6, peak
+
+
+def _unitary_conjugate(n, seed):
+    """U diag(lam) U^H with a random unitary U and lam spread over four decades."""
+    gen = np.random.default_rng(seed)
+    Z = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    U = np.linalg.qr(Z)[0]
+    lam = 10.0 ** np.sort(gen.uniform(-2.0, 2.0, n))
+    lam[[0, -1]] = 1e-2, 1e2
+    return ops.sectorial(U @ np.diag(lam) @ U.conj().T)
+
+
+def _stack_of(table):
+    return OperatorFamily(table.label, table.points, table.weights, table.matrices,
+                          table.measure)
+
+
+def _form_at(family, x, xp) -> float:
+    """F(x, x') = sum_k w_k |<N_k x, x'>|^2, read off the family's stack."""
+    pairing = np.einsum("r,krs,s->k", xp.conj(), family.matrices, x)
+    return float(family.weights @ np.abs(pairing) ** 2)
+
+
+class TestNormalClosedForm:
+    """A normal operator's table on ell^2, and a diagonal one's on every
+    ell^p, give r_l2_bound's value in closed form; the stack of the same
+    family runs the bilinear loop, whose bracket must contain it."""
+
+    @pytest.mark.parametrize(
+        "spec, normal",
+        [("diag:1,2", True), ("diag:1,10,100", True), ("diag:0.2,0.9,4,11,30", True),
+         ("diag-logspaced:6", True), ("diag-logspaced:16", True),
+         ("path-laplacian:8", True), ("cycle-laplacian:6", True),
+         ("jordan:1,3", False), ("jordan:1.5,4", False)],
+    )
+    def test_sectorial_reads_normality(self, spec, normal):
+        op = ops.operator_from_spec(spec)
+        assert op.normal is normal
+        # the Laplacians are normal on their reduced core
+        assert (op.reduction is not None) == ("laplacian" in spec)
+
+    def test_a_nonnormal_table_keeps_the_loop(self):
+        op = _similar(3, 30.0, seed=3)
+        assert op.diagonalizable and not op.normal
+        table = ops.family_samples(op, "bip", **TestDenseReference.ARGS["bip"])
+        assert not table.normal
+        for p in (1.0, 2.0, 3.0):
+            est = r_l2_bound(table, SpaceSpec(p=p, n=3), rng=np.random.default_rng(0))
+            assert est.method == "bilinear-power"
+
+    @pytest.mark.parametrize("family", list(TestDenseReference.ARGS))
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_closed_form_inside_the_stack_bracket(self, n, family):
+        op = _unitary_conjugate(n, seed=10 * n + len(family))
+        assert op.normal
+        table = ops.family_samples(op, family, **TestDenseReference.ARGS[family])
+        space = SpaceSpec(p=2.0, n=n)
+        est = r_l2_bound(table, space)
+        ref = r_l2_bound(_stack_of(table), space, rng=np.random.default_rng(n))
+        assert est.method == "spectral" and ref.method == "bilinear-power"
+        value = est.lower
+        assert est.upper == value
+        assert ref.lower <= value * (1.0 + 1e-12)
+        assert value <= ref.upper * (1.0 + 1e-12)
+        # the witness is a unit eigenvector pair that attains the value
+        x, xp = est.witness["x"], est.witness["x_prime"]
+        assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-14)
+        assert _form_at(table, x, xp) == pytest.approx(value**2, rel=1e-12)
+        if n == 2:
+            # no unit pair of a 1000 x 1000 grid beats the value; F is the
+            # form z^H Gram z in z = vec(conj(x') x^T)
+            gen = np.random.default_rng(7)
+
+            def sphere(count):
+                Z = gen.standard_normal((count, 2)) + 1j * gen.standard_normal((count, 2))
+                return Z / np.linalg.norm(Z, axis=1)[:, None]
+
+            flat = table.matrices.reshape(len(table), 4)
+            gram = (flat.conj().T * table.weights) @ flat
+            X, XP = sphere(1000), sphere(1000)
+            top = 0.0
+            for chunk in np.split(XP, 10):
+                Z = (chunk.conj()[:, None, :, None] * X[None, :, None, :]).reshape(-1, 4)
+                F = np.einsum("mi,ij,mj->m", Z.conj(), gram, Z).real
+                top = max(top, float(F.max()))
+            assert math.sqrt(top) <= value * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("spec", ["diag:1,10,100", "diag:0.2,0.9,4,11,30",
+                                      "diag-logspaced:6"])
+    @pytest.mark.parametrize("family", list(TestDenseReference.ARGS))
+    def test_diagonal_closed_form_on_every_lp(self, family, spec, p):
+        op = ops.operator_from_spec(spec)
+        table = ops.family_samples(op, family, **TestDenseReference.ARGS[family])
+        two = r_l2_bound(table, SpaceSpec(p=2.0, n=op.dim))
+        space = SpaceSpec(p=p, n=op.dim)
+        est = r_l2_bound(table, space)
+        ref = r_l2_bound(_stack_of(table), space, rng=np.random.default_rng(0))
+        assert est.method == "spectral" and ref.method == "bilinear-power"
+        assert est.lower == est.upper == two.lower
+        assert ref.lower <= est.lower * (1.0 + 1e-12)
+        # the witness e_j is a unit vector of ell^p and of ell^{p'}
+        x, xp = est.witness["x"], est.witness["x_prime"]
+        assert space.vector_norm(x) == pytest.approx(1.0, rel=1e-14)
+        assert SpaceSpec(p=rbound._conjugate(p), n=op.dim).vector_norm(xp) == (
+            pytest.approx(1.0, rel=1e-14))
+        assert _form_at(table, x, xp) == pytest.approx(est.lower**2, rel=1e-12)
 
 
 def _stack_rel(got, want) -> float:

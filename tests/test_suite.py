@@ -147,6 +147,25 @@ class TestConditionTable:
         assert val == pytest.approx(want, rel=1e-3)
 
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["diag:1,2", "diag:1,10,100", "diag:0.2,0.9,4,11,30", "diag-logspaced:6",
+         "diag-logspaced:16", "path-laplacian:8", "cycle-laplacian:6"],
+    )
+    def test_c2_is_the_weight_sum_on_normal_operators(self, spec):
+        # |lambda^{it}| = 1 on a positive spectrum, so for a normal operator
+        # c2 = (sum_k w_k <t_k>^{-2 alpha})^{1/2} on the bip grid, whatever A
+        op = ops.operator_from_spec(spec)
+        assert op.normal and np.all(op.eigenvalues.real > 0)
+        row = suite.condition_c2_to_c8(op, SpaceSpec(p=2.0, n=op.dim))["c2"][0]
+        grid = ops.family_samples(op, "bip")
+        t, w = grid.points, grid.weights
+        want = math.sqrt(float(w @ (1.0 + t * t) ** -1.0))
+        assert row.value == pytest.approx(want, rel=1e-12)
+        assert row.extra["upper"] == row.value
+        assert want == pytest.approx(math.sqrt(2.0 * math.atan(50.0)), rel=1e-6)
+
+
 class TestEquivalenceReport:
     def test_diagonal_report_asserts_equivalence(self, diag124):
         rep = suite.equivalence_report(diag124, SpaceSpec(p=2.0, n=3), corpus_size=40, seed=0)

@@ -47,8 +47,14 @@ ALLOWED = {
 }
 
 # the functions that may take an eigenbasis apart: the one helper that
-# applies it, and the property that packs (V, V^{-1})
-EIGENBASIS_OWNERS = {"rbound._eig_apply_stack", "operators.SectorialOperator.eigenbasis"}
+# applies it, the property that packs (V, V^{-1}), and r_l2_bound's closed
+# form, which reads V's columns as witness eigenvectors and V's nonzero
+# pattern, and applies nothing
+EIGENBASIS_OWNERS = {
+    "rbound._eig_apply_stack",
+    "operators.SectorialOperator.eigenbasis",
+    "rbound.r_l2_bound",
+}
 
 # defaulted parameters no package call passes, kept for a reason
 ALLOWED_OPTIONS = {
