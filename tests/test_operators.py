@@ -17,6 +17,8 @@ from speccalc import rbound, special
 from speccalc.errors import DomainError, NotSectorialError
 from speccalc.rbound import OperatorFamily, SpaceSpec, _eig_apply_stack, r_l2_bound
 
+from oracles import node_by_node_calculus
+
 
 def jordan2(a=1.0):
     return ops.sectorial(np.array([[a, 1.0], [0.0, a]]), name="j2")
@@ -198,6 +200,81 @@ class TestMatrixFunctions:
         got = ops.holomorphic_calculus(jordan2(), rho)
         want = closed_form_2x2(rho, rho_p)
         assert np.linalg.norm(got - want, 2) < 1e-7
+
+
+def _rho(z):
+    return z / (1.0 + z) ** 2
+
+
+def _rotated_rho(z):
+    return np.exp(0.3j) * z / (1.0 + z) ** 2
+
+
+# a complex diagonal: its resolvents on the two rays are not conjugates
+COMPLEX_DIAG = np.diag([1.0 + 0.5j, 2.0, 3.0 - 0.2j])
+# real and non-normal, with the conjugate eigenpair 1 +- 0.5i
+REAL_NONNORMAL = np.array([[1.0, -0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.0, 2.0]])
+
+
+class TestContourCalculus:
+    """holomorphic_calculus against its node-by-node form and the eigenbasis."""
+
+    @pytest.mark.parametrize(
+        "spec, f",
+        [
+            ("diag-logspaced:16", _rho),
+            ("diag:1,10,100", _rho),
+            ("path-laplacian:8", _rho),
+            ("cycle-laplacian:6", _rho),
+            ("jordan:1.5,4", _rho),
+            ("complex-diag", _rho),
+            ("cycle-laplacian:6", _rotated_rho),
+        ],
+    )
+    def test_bitwise_equal_to_the_node_by_node_sum(self, spec, f):
+        # the contour-vs-eigen rows are gated at 1e-6 relative drift on
+        # values of 1e-10..1e-8, so the sum may not move by one rounding
+        if spec == "complex-diag":
+            op = ops.sectorial(COMPLEX_DIAG)
+        else:
+            op = ops.operator_from_spec(spec)
+        got = ops.holomorphic_calculus(op, f)
+        assert np.array_equal(got, node_by_node_calculus(op, f))
+
+    @pytest.mark.parametrize(
+        "A", [REAL_NONNORMAL, COMPLEX_DIAG], ids=["real-nonnormal", "complex-diag"]
+    )
+    def test_against_the_eigenbasis(self, A):
+        op = ops.sectorial(A)
+        assert op.diagonalizable
+        got = ops.holomorphic_calculus(op, _rho)
+        want = _eig_apply_stack(op.eigenbasis, _rho(op.eigenvalues)[None])[0]
+        assert np.linalg.norm(got - want, 2) < 1e-7 * np.linalg.norm(want, 2)
+
+    def test_a_real_matrix_solves_one_node_per_pair(self, monkeypatch):
+        solve = np.linalg.solve
+        counts = {"solved": 0, "nodes": 0}
+
+        def counting_solve(a, b):
+            counts["solved"] += a.shape[0] if a.ndim == 3 else 1
+            return solve(a, b)
+
+        rule = ops._tanh_sinh_nodes
+
+        def counting_rule(a, b, n):
+            counts["nodes"] += n
+            return rule(a, b, n)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(ops, "_tanh_sinh_nodes", counting_rule)
+        ops.holomorphic_calculus(ops.operator_from_spec("diag-logspaced:16"), _rho)
+        # 384 + 768 + ... + 6144 nodes per ray, one solve per node pair
+        assert counts == {"solved": 11904, "nodes": 11904}
+
+        counts.update(solved=0, nodes=0)
+        lam = 2.0 ** (np.arange(16) - 7.5) * np.exp(0.01j)
+        ops.holomorphic_calculus(np.diag(lam), _rho)
+        assert counts == {"solved": 2 * 11904, "nodes": 11904}
 
 
 class TestFamilies:
