@@ -531,8 +531,10 @@ def run_theorem_equivalence(cfg: RunConfig, operators: dict):
             rows.append(
                 Row(spec, "theorem-equivalence", r.condition, r.param, r.value,
                     r.tolerance, r.grid, bool(r.finite and r.extra.get("within", True)),
-                    # the bracket's upper end and how it was found
-                    {k: r.extra[k] for k in ("upper", "method") if k in r.extra})
+                    # the bracket's upper end, how it was found, and a
+                    # refined row's drift from its base row
+                    {k: r.extra[k] for k in ("upper", "method", "drift")
+                     if k in r.extra})
             )
             if r.param == "exponent" and "x" in r.extra:
                 stem = f"{_slug(spec)}-{r.condition}-angles"

@@ -483,7 +483,11 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
     start runs at most 80 alternations and stops when a step gains less
     than 1e-12 relative; the result is the first start with the largest
     value.  The ten starts for x' are the first unit vector, the top
-    left singular vector of sum_k w_k N_k and 8 random vectors.  Off
+    left singular vector of sum_k w_k N_k and 8 random vectors.  All ten
+    stay because no prefix of them returns the same values: on the Jordan,
+    ell^1 and ell^3 runs at seeds 0 and 1, the first two alone lower the
+    returned lower end by up to 2.6%, 18.7% and 9.9%, and dropping only
+    the last moves some values by up to 6e-9 relative.  Off
     ell^2 the first start is instead e_r of the best basis pair
     (e_i, e_r), the pair that maximizes Gram's diagonal entry
     sum_c |P_c[r, i]|^2, and every start is normalized in ell^{p'}; the

@@ -14,18 +14,12 @@ stably near its removable singularities (the integer points -1, ..,
 -(m-1), where the Gamma pole cancels against a zero of f_m), computes the
 integral by quadrature as an independent check, and continues it to rays
 lambda near the imaginary axis.
-
-It also certifies the lower bounds on |f_m(beta + it)| that the averaged
-multiplier estimates use: for m <= 4, constants (epsilon, delta, N) with
-sum_{|j| <= N} |f_m(beta + i(t + j delta))| >= epsilon for every real t,
-checked on the Bohr torus of f_m (see find_lower_bound_constants).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -359,107 +353,3 @@ def contour_shifted_integral(z, m: int, lam):
             p[i] = p[i + 1] + (p[i + 1] - p[i]) * x[i + level] / (x[i] - x[i + level])
     return p[0]
 
-
-# the shifted-sum certificate: lattice steps tried, the cap on N and the
-# number of torus grid nodes per axis
-_CERT_DELTAS = (1.0, 0.5, 0.25, 0.125)
-_CERT_MAX_N = 4
-_CERT_GRID = 1024
-
-
-@dataclass
-class LowerBoundCertificate:
-    """Certifies sum_{|j| <= N} |f_m(beta + i(t + j delta))| >= epsilon
-    for every real t."""
-
-    epsilon: float
-    delta: float
-    N: int
-    diagnostics: dict = field(default_factory=dict)
-
-
-def find_lower_bound_constants(m: int, beta: float) -> LowerBoundCertificate:
-    """Certify a uniform lower bound on the shifted sums of |f_m(beta + it)|.
-
-    The returned (epsilon, delta, N) satisfy, for every real t,
-
-        sum_{|j| <= N} |f_m(beta + i(t + j delta))| >= epsilon > 0.
-
-    Proof sketch (Bohr lift).  With c_k = C(m,k)(-1)^{m-k} k^{-beta},
-    v(k) the exponent vector of k over the primes p <= m and
-    l = (log p)_p, f_m(beta + it) = sum_k c_k e^{-it v(k).l} is the
-    restriction of F(theta) = sum_k c_k e^{-i v(k).theta} to the line
-    theta = t l of the torus T^d, d = pi(m).  So the shifted sum at t is
-    S(t l), where S(theta) = sum_{|j| <= N} |F(theta + j delta l)|, and
-    inf_t of it is at least min S (equal to it, since the line is dense
-    by Kronecker).  Since |e^{ix} - e^{iy}| <= |x - y|, F is Lipschitz in
-    the sup norm with L = sum_k |c_k| sum_p v_p(k), and S with (2N+1) L.
-    Every theta lies within h/2 of a node of the uniform G^d grid of
-    spacing h = 2 pi / G in each coordinate, so
-    epsilon = min_grid S - (2N+1) L h / 2 is a lower bound for min S
-    (up to the rounding of the grid evaluation, ~1e-15 sum_k |c_k|).
-
-    N runs up from 0 and delta over 1, 1/2, 1/4, 1/8; the smallest N that
-    certifies epsilon > 0 is returned with the delta of largest epsilon.
-    Raises ConvergenceError when no N <= 4 certifies, and DomainError for
-    m >= 5, where the torus has more than two dimensions.
-    """
-    _check_order(m)
-    primes = [p for p in range(2, m + 1) if all(p % q for q in range(2, p))]
-    if len(primes) > 2:
-        raise DomainError(f"the torus certificate needs m <= 4, got m={m}")
-    # v(k): the exponent of each prime in k = 1..m
-    expo = [
-        tuple(max(e for e in range(k) if k % p**e == 0) for p in primes)
-        for k in range(1, m + 1)
-    ]
-    coef = np.array(
-        [math.comb(m, k) * (-1) ** (m - k) * float(k) ** (-beta) for k in range(1, m + 1)]
-    )
-    logs = np.log(np.arange(1, m + 1, dtype=float))
-    lip = float(sum(abs(c) * sum(v) for c, v in zip(coef, expo)))
-
-    # F(theta + s l) on the grid: the coefficients of F, indexed by v(k),
-    # contracted with one table of e^{-i a theta_p} per prime
-    theta = (2.0 * np.pi / _CERT_GRID) * np.arange(_CERT_GRID)
-    shape = tuple(max(col) + 1 for col in zip(*expo))
-    factors = [np.exp(-1j * np.outer(np.arange(n), theta)) for n in shape]
-
-    def lifted_abs(s):
-        F = np.zeros(shape, dtype=np.complex128)
-        for c, v, lg in zip(coef, expo, logs):
-            F[v] += c * np.exp(-1j * s * lg)
-        for table in factors:
-            F = np.tensordot(F, table, axes=(0, 0))
-        return np.abs(F)
-
-    base = lifted_abs(0.0)
-    sums = {delta: base.copy() for delta in _CERT_DELTAS}
-    for N in range(_CERT_MAX_N + 1):
-        if N:
-            for delta, S in sums.items():
-                S += lifted_abs(N * delta) + lifted_abs(-N * delta)
-        margin = (2 * N + 1) * lip * np.pi / _CERT_GRID
-        eps = {delta: float(S.min()) - margin for delta, S in sums.items()}
-        delta = max(_CERT_DELTAS, key=eps.get)
-        if eps[delta] > 0:
-            return LowerBoundCertificate(
-                epsilon=eps[delta],
-                delta=delta,
-                N=N,
-                diagnostics={
-                    "torus_dim": len(primes),
-                    "grid": _CERT_GRID,
-                    "lipschitz": lip,
-                    "margin": margin,
-                },
-            )
-    raise ConvergenceError(
-        f"no certified lower bound for m={m}, beta={beta} with N <= {_CERT_MAX_N}"
-    )
-
-
-if __name__ == "__main__":
-    for m_ in (1, 2, 3, 4):
-        cert = find_lower_bound_constants(m_, -0.5)
-        print(f"m={m_}: eps={cert.epsilon:.4f} delta={cert.delta:.3f} N={cert.N}")

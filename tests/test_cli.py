@@ -26,6 +26,20 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+@pytest.fixture(scope="module")
+def equivalence_run(tmp_path_factory):
+    """The output directory of one theorem-equivalence run on a normal
+    and a Jordan operator."""
+    tmp = tmp_path_factory.mktemp("eq")
+    path = write_config(
+        tmp, operators=["diag:1,2", "jordan:1,3"],
+        suites=["theorem-equivalence"], corpus_size=30,
+    )
+    out = tmp / "eq"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    return out
+
+
 class TestConfig:
     def test_unknown_keys_are_rejected(self, tmp_path):
         path = write_config(tmp_path, typo_field=1)
@@ -173,13 +187,8 @@ class TestRun:
         assert law["pass"] == "true"
         assert float(law["value"]) <= float(law["tolerance"]) == 1e-10
 
-    def test_equivalence_suite_emits_plots_and_flags(self, tmp_path):
-        path = write_config(
-            tmp_path, operators=["diag:1,2", "jordan:1,3"],
-            suites=["theorem-equivalence"], corpus_size=30,
-        )
-        out = tmp_path / "eq"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    def test_equivalence_suite_emits_plots_and_flags(self, equivalence_run):
+        out = equivalence_run
         man = json.loads((out / "manifest.json").read_text())
         assert any("c3-angles" in p for p in man["plot_files"])
         rows = read_rows(out / "theorem-equivalence.csv")
@@ -204,6 +213,28 @@ class TestRun:
                 assert r["extra"]["method"] == "bilinear-power", key
                 assert r["value"] <= r["extra"]["upper"], key
         assert all("upper" not in r["grid"] for r in rows)
+
+    def test_refined_rows_carry_their_drift_in_the_json(self, equivalence_run):
+        out = equivalence_run
+        csv_rows = read_rows(out / "theorem-equivalence.csv")
+        doc = json.loads((out / "theorem-equivalence.json").read_text())
+        refined = [r for r in doc["rows"] if r["param"] == "refined"]
+        assert sorted((r["operator"], r["condition"]) for r in refined) == [
+            ("diag:1,2", "c2"), ("diag:1,2", "c7"),
+            ("jordan:1,3", "c2"), ("jordan:1,3", "c7"),
+        ]
+        for r in refined:
+            # the base value is the condition's first row
+            same = [
+                c for c in csv_rows
+                if (c["operator"], c["condition"]) == (r["operator"], r["condition"])
+            ]
+            base = float(same[0]["value"])
+            fine = float(next(c["value"] for c in same if c["param"] == "refined"))
+            want = abs(fine - base) / abs(base)
+            assert r["extra"]["drift"] == pytest.approx(want, rel=1e-9, abs=1e-11)
+        # no other row carries a drift
+        assert sum("drift" in r.get("extra", {}) for r in doc["rows"]) == len(refined)
 
 
 class TestLpRuns:

@@ -176,8 +176,9 @@ class TestEquivalenceReport:
         bridge = [r for r in rep.rows if r.condition == "bridge"]
         assert len(bridge) == 1
         assert bridge[0].value == pytest.approx(1.0, rel=1e-6)
-        assert set(rep.ratios) >= {"c3_over_c2", "c7_over_c2"}
-        assert all(entry["drift"] <= 0.05 for entry in rep.convergence.values())
+        refined = [r for r in rep.rows if r.param == "refined"]
+        assert sorted(r.condition for r in refined) == ["c2", "c7"]
+        assert all(r.extra["drift"] <= 0.05 for r in refined)
 
     def test_beta_sweep_closed_form(self, diag124):
         rep = suite.equivalence_report(diag124, SpaceSpec(p=2.0, n=3), corpus_size=40, seed=0)

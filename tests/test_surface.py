@@ -1,15 +1,18 @@
-"""Every public function and method of the package has a caller in it,
-and every option it defaults is set by one.
+"""Every function and method of the package has a caller in it, and
+every option a public one defaults is set by one.
 
-The library is what `speccalc run` reaches: a public function that no
-module of the package references is reachable only from tests, and is
-either given a suite row or deleted.  The scan walks the AST of every
-module and looks for references outside the `if __name__ == "__main__":`
-blocks.  A module-level function counts as referenced when its name
-appears as a name or an attribute; a method only when it appears as an
-attribute (`obj.method`), so a local variable that happens to share a
-method's name does not hide an orphan.  Names are matched by spelling,
-so two methods of one name share their references.
+The library is what `speccalc run` reaches: a function that no module of
+the package references is reachable only from tests, and is either
+given a suite row or deleted.  That holds for the public functions and
+for the private ones (a single leading underscore) alike; only dunder
+methods, which Python calls itself, are left out.  The scan walks the
+AST of every module and looks for references outside the
+`if __name__ == "__main__":` blocks.  A module-level function counts as
+referenced when its name appears as a name or an attribute; a method
+only when it appears as an attribute (`obj.method`), so a local variable
+that happens to share a method's name does not hide an orphan.  Names
+are matched by spelling, so two methods of one name share their
+references.
 
 The same goes one level down for options: a defaulted parameter of a
 public function or method must be passed by some call in the package,
@@ -39,10 +42,8 @@ import speccalc
 PACKAGE = Path(speccalc.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# public names kept without a caller in the package, and why
+# names kept without a caller in the package, and why
 ALLOWED = {
-    "find_lower_bound_constants": "no suite row yet: a new identities row changes "
-    "the row keys `perfbench/reference.json` gates",
     "main": "the console entry point named in pyproject.toml",
 }
 
@@ -102,12 +103,15 @@ def _public_functions(stem, node):
 
 
 def scan():
-    """Public functions as {name: [(qualified name, is_method)]}, and the
-    sets of names used as plain names and as attributes."""
+    """Functions other than dunder methods as {name: [(qualified name,
+    is_method)]}, and the sets of names used as plain names and as
+    attributes."""
     defined, names, attrs = {}, set(), set()
     for stem, node in _top_level():
-        for qual, item, is_method in _public_functions(stem, node):
-            defined.setdefault(item.name, []).append((qual, is_method))
+        for qual, item in _functions(stem, node):
+            if not item.name.startswith("__"):
+                is_method = isinstance(node, ast.ClassDef)
+                defined.setdefault(item.name, []).append((qual, is_method))
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 names.add(sub.id)
@@ -117,7 +121,7 @@ def scan():
 
 
 def unreferenced():
-    """Qualified names of the public functions no package code references."""
+    """Qualified names of the functions no package code references."""
     defined, names, attrs = scan()
     return {
         qual
@@ -127,11 +131,18 @@ def unreferenced():
     }
 
 
-def test_every_public_function_has_a_package_caller():
+def test_every_function_has_a_package_caller():
     orphans = sorted(
         qual for qual in unreferenced() if qual.rsplit(".", 1)[1] not in ALLOWED
     )
-    assert not orphans, "public functions no package code references: " + ", ".join(orphans)
+    assert not orphans, "functions no package code references: " + ", ".join(orphans)
+
+
+def test_the_caller_check_covers_private_functions():
+    defined, _, _ = scan()
+    private = [name for name in defined if name.startswith("_")]
+    assert "_eig_apply_stack" in private and "_gram_factor" in private
+    assert not any(name.startswith("__") for name in defined)
 
 
 def test_allowlist_names_only_uncalled_functions():
