@@ -1,11 +1,13 @@
 """Gamma products and wave kernels.
 
 Reference values were frozen from 30-digit mpmath evaluations of the
-defining integrals and series.
+defining integrals and series; the finite-difference symbol f_m is
+checked against mpmath at 30 digits directly.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,86 @@ class TestFiniteDifferenceProduct:
         out = special.gamma_f_m(z, 2)
         assert out.shape == (3,)
         assert out[0] == pytest.approx(2.0 * math.log(2.0), rel=1e-10)
+
+
+def _mp_sum(z, m):
+    """f_m(z) at mpmath's working precision."""
+    z = mpmath.mpc(z)
+    return sum(
+        math.comb(m, k) * (-1) ** (m - k) * mpmath.power(k, -z) for k in range(1, m + 1)
+    )
+
+
+def _mp_f_m(z, m):
+    """f_m(z) at 30 significant digits."""
+    with mpmath.workdps(30):
+        return _mp_sum(z, m)
+
+
+def _coefficient_scale(m, beta):
+    """sum_k C(m,k) k^{-beta}, the size of the terms of f_m on Re z = beta."""
+    return sum(math.comb(m, k) * float(k) ** (-beta) for k in range(1, m + 1))
+
+
+def _line_error_bound(m, beta, t):
+    """Absolute error allowed for f_m(beta + it) in double precision: the
+    phases t log k carry a rounding of order eps |t|, and the terms add
+    up to at most the coefficient scale."""
+    return 4.0 * np.finfo(float).eps * (1.0 + abs(t)) * _coefficient_scale(m, beta)
+
+
+class TestFiniteDifferenceSymbol:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_values_at_the_integers(self, m):
+        # f_m(-n) is the m-th difference of k^n at 0: zero below n = m,
+        # m! at n = m, and f_m(0) = (-1)^{m+1}
+        tol = 1e-14 * _coefficient_scale(m, -m)
+        assert complex(special.f_m(0.0, m)) == pytest.approx((-1) ** (m + 1), abs=tol)
+        for n in range(1, m):
+            assert abs(special.f_m(-float(n), m)) <= tol
+        assert complex(special.f_m(-float(m), m)) == pytest.approx(
+            math.factorial(m), abs=tol
+        )
+
+    def test_m1_is_the_constant_one(self):
+        z = np.array([0.3, -1.7 + 2.5j, -0.5 + 1e6j, 4.0 - 3.0j])
+        assert np.array_equal(special.f_m(z, 1), np.ones(4, dtype=complex))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("beta", [-1.2, -0.5, 0.3])
+    def test_far_up_a_vertical_line_matches_mpmath(self, m, beta):
+        t = np.concatenate(
+            [[0.0, 1.0, 37.5, 1e3, 1e5], np.random.default_rng(0).uniform(0.0, 1e7, 5)]
+        )
+        got = special.f_m(beta + 1j * t, m)
+        for ti, gi in zip(t, got):
+            want = complex(_mp_f_m(complex(beta, ti), m))
+            assert abs(gi - want) <= _line_error_bound(m, beta, ti), (ti, gi, want)
+
+    @pytest.mark.parametrize(
+        "beta,t", [(-0.5, 1486.124242), (0.3, 100328.561254)]
+    )
+    def test_near_cancellations_keep_absolute_accuracy(self, beta, t):
+        # |f_3(beta + it)| dips to a few thousandths of its terms' size
+        # here; the error stays at the rounding of the phases
+        got = complex(special.f_m(complex(beta, t), 3))
+        want = complex(_mp_f_m(complex(beta, t), 3))
+        assert abs(want) < 1e-3 * _coefficient_scale(3, beta)
+        assert abs(got - want) <= _line_error_bound(3, beta, t)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_derivative_matches_mpmath(self, m):
+        for z in (0.3 + 0.0j, -1.7 + 2.5j, -0.5 + 40.0j):
+            got = complex(special.f_m_prime(z, m))
+            with mpmath.workdps(30):
+                want = complex(mpmath.diff(lambda w: _mp_sum(w, m), mpmath.mpc(z)))
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)) * m, (z, got, want)
+
+    @pytest.mark.parametrize("m", [0, -2, 1.5, "3"])
+    def test_order_must_be_a_positive_integer(self, m):
+        for fn in (special.f_m, special.f_m_prime, special.gamma_f_m):
+            with pytest.raises(DomainError):
+                fn(-0.5, m)
 
 
 class TestWaveKernelIntegral:
