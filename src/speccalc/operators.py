@@ -18,6 +18,8 @@ eigenbasis is usable and by stacked dense matrix functions otherwise
 tables.  Every V diag(f) V^{-1} in the package, a table mapped through
 the eigenbasis, is one call of rbound._eig_apply_stack, which raises
 NotSectorialError on an operator without a usable eigenbasis.
+scipy.linalg is imported inside fractional_power and the defective
+branch of _samples only, the two places that call expm and logm.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import special
 from .errors import (
@@ -231,6 +232,8 @@ def fractional_power(A, gamma: float) -> np.ndarray:
     """A^gamma = exp(gamma log A) with the principal branch, by dense
     matrix functions (a diagonalizable operator's powers act on its
     eigenvalues in _samples instead)."""
+    import scipy.linalg
+
     return scipy.linalg.expm(gamma * scipy.linalg.logm(sectorial(A).matrix))
 
 
@@ -391,6 +394,8 @@ def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -
             g = _exp_remainder(1j * z[:, None] * lam[None, :], m)
         return {"symbols": scale[:, None] * g * lam**power, "eigenbasis": op.eigenbasis,
                 "normal": op.normal}
+    import scipy.linalg
+
     A = op.matrix
     I = np.eye(op.dim)
     if core == "bip":

@@ -13,7 +13,8 @@ converges and equals Gamma(z) f_m(z).  The module evaluates the product
 stably near its removable singularities (the integer points -1, ..,
 -(m-1), where the Gamma pole cancels against a zero of f_m), computes the
 integral by quadrature as an independent check, and continues it to rays
-lambda near the imaginary axis.
+lambda near the imaginary axis.  scipy's quad is imported inside the two
+quadrature functions only, so importing the module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -231,6 +231,8 @@ def wave_kernel_integral(z, m: int):
     integral is evaluated in u = log s, where the integrand decays like
     e^{(m + Re z) u} to the left and e^{Re z u} to the right.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     _check_order(m)
     z = complex(z)
     if not (-m < z.real < 0):
@@ -295,6 +297,8 @@ def _ray_integral_damped(z, m, lam, cut_cycles=40.0):
     (S, inf): the k = 0 term integrates exactly, the rest by the
     integration-by-parts series.
     """
+    from scipy.integrate import quad
+
     S = max(2.0 * np.pi * cut_cycles / abs(lam), 50.0 / abs(lam), 1.0)
     uS = np.log(S)
 

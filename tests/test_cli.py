@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import speccalc
 from speccalc import operators as ops
 from speccalc.cli import SUITES, RunConfig, main
 from speccalc.errors import ConfigError
@@ -361,3 +365,57 @@ class TestConfigObject:
         path.write_text('["diag:1,2"]')
         with pytest.raises(ConfigError):
             RunConfig.from_file(path)
+
+
+# a fresh interpreter imports the runner, optionally runs one command,
+# and prints its exit status and the scipy modules it loaded
+PROBE = """
+import json, sys
+import speccalc.cli as cli
+rc = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps({"rc": rc, "scipy": sorted(
+    name for name in sys.modules if name.split(".")[0] == "scipy")}))
+"""
+
+
+def probe(*argv):
+    """(exit status, scipy modules loaded) of one command in a fresh
+    interpreter that imports the package these tests import."""
+    src = os.path.dirname(os.path.dirname(speccalc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["rc"], result["scipy"]
+
+
+class TestScipyStaysUnloaded:
+    """scipy serves only the identities suite's quadrature and the dense
+    matrix functions of defective operators; no other path loads it."""
+
+    def test_import_loads_no_scipy(self):
+        assert probe() == (0, [])
+
+    def test_run_and_compare_without_identities_load_no_scipy(self, tmp_path):
+        path = write_config(
+            tmp_path, operators=["diag-logspaced:4"],
+            suites=["norms", "rbound", "theorem-equivalence", "paley-littlewood", "sea-to-ha"],
+        )
+        out = tmp_path / "o"
+        assert probe("run", "--config", str(path), "--out", str(out)) == (0, [])
+        manifest = str(out / "manifest.json")
+        assert probe("compare", manifest, manifest) == (0, [])
+
+    def test_identities_still_writes_its_quadrature_rows(self, tmp_path):
+        path = write_config(tmp_path, operators=["diag:1,2"], suites=["identities"])
+        out = tmp_path / "id"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        quadrature = [
+            r for r in read_rows(out / "identities.csv")
+            if r["condition"] in ("kernel-integral", "contour-shift")
+        ]
+        assert sorted(r["condition"] for r in quadrature) == ["contour-shift"] + ["kernel-integral"] * 3
+        assert all(r["pass"] == "true" for r in quadrature)

@@ -27,10 +27,14 @@ Every name the benchmark worker (`perfbench/worker.py`) traces or
 reads must still resolve, so a deletion fails here and not first in a
 traced benchmark run.
 
-Last, V diag(f) V^{-1} has one implementation: no function but
+V diag(f) V^{-1} has one implementation: no function but
 `rbound._eig_apply_stack` reads `eigenvectors_inv` or unpacks an
 eigenbasis (assigns it to a tuple, indexes it or star-expands it), the
 `SectorialOperator.eigenbasis` property that packs the pair aside.
+
+Last, scipy stays off the import path: no module imports it at its top
+level, and only the functions named in SCIPY_IMPORTERS import it, in
+their bodies, so a run that reaches none of them loads numpy only.
 """
 
 import ast
@@ -55,6 +59,14 @@ EIGENBASIS_OWNERS = {
     "rbound._eig_apply_stack",
     "operators.SectorialOperator.eigenbasis",
     "rbound.r_l2_bound",
+}
+
+# the functions that may import scipy, each in its body, and why
+SCIPY_IMPORTERS = {
+    "special.wave_kernel_integral": "quad, the identities suite's kernel-integral rows",
+    "special._ray_integral_damped": "quad, the identities suite's contour-shift row",
+    "operators.fractional_power": "expm and logm, the dense A^gamma of a defective operator",
+    "operators._samples": "expm and logm, the family samples of a defective operator",
 }
 
 # defaulted parameters no package call passes, kept for a reason
@@ -266,3 +278,37 @@ def test_only_the_helper_takes_an_eigenbasis_apart():
     extra = sorted(eigenbasis_readers() - EIGENBASIS_OWNERS)
     assert not extra, "V diag(f) V^-1 outside _eig_apply_stack: " + ", ".join(extra)
     assert EIGENBASIS_OWNERS <= eigenbasis_readers()
+
+
+def _imports_scipy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return (
+        isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and (node.module or "").split(".")[0] == "scipy"
+    )
+
+
+def scipy_importers():
+    """Qualified names of the functions that import scipy, and
+    "<module> (top level)" for each module that imports it outside a
+    function."""
+    found = set()
+    for stem, node in _top_level():
+        in_functions = set()
+        for qual, fn in _functions(stem, node):
+            for sub in ast.walk(fn):
+                if _imports_scipy(sub):
+                    found.add(qual)
+                    in_functions.add(id(sub))
+        if any(_imports_scipy(sub) and id(sub) not in in_functions for sub in ast.walk(node)):
+            found.add(f"{stem} (top level)")
+    return found
+
+
+def test_scipy_is_imported_only_where_it_is_used():
+    extra = sorted(scipy_importers() - set(SCIPY_IMPORTERS))
+    assert not extra, "scipy imported outside SCIPY_IMPORTERS: " + ", ".join(extra)
+    stale = sorted(set(SCIPY_IMPORTERS) - scipy_importers())
+    assert not stale, "SCIPY_IMPORTERS entries that import no scipy: " + ", ".join(stale)
