@@ -9,9 +9,10 @@ Kernels:
 
 rbound.rademacher_norm averages through enum_mean_norm (at most 2^11
 sign rows, one batch) and mc_mean_norm over a random_signs batch; the
-witness search of rbound.r_bound scores each restart on one full
-sign_rows enumeration and does its own products.  row_norms is the one
-l^p vector norm of the package.
+witness search of rbound.r_bound groups its restarts by subset size,
+scores each group at every step on one shared full sign_rows
+enumeration and does its own products.  row_norms is the one l^p vector
+norm of the package.
 """
 
 import numpy as np

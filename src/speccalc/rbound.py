@@ -238,23 +238,36 @@ def _transfer_constant(p: float, n: int) -> float:
 # R-bound of a finite family
 
 
-def _ratio(mats, X, p, signs) -> float:
-    """sqrt(E||sum eps T_j x_j||^2 / E||sum eps x_j||^2) over one sign batch.
+def _ratio(mats, X, p, signs) -> np.ndarray:
+    """sqrt(E||sum eps T_j x_j||^2 / E||sum eps x_j||^2) of G tuples.
 
-    Both averages run over the rows of the real (S, k) batch signs.  The
-    tuple and its image form one (k, 2n) complex array Z = [X | T_j x_j];
-    signs @ Z is then one real GEMM against the float64 view of Z (each
-    real and imaginary column is linear in the signs), viewed back as
-    complex, so the batch is never cast to complex.
+    mats (G, k, n, n) and X (G, k, n) hold one subfamily and one tuple
+    per restart; the (G,) result holds each tuple's ratio.  Both averages
+    run over the rows of the real (S, k) batch signs.  Each tuple and its
+    image form one (k, 2n) complex array Z = [X | T_j x_j]; signs @ Z is
+    then one real GEMM against the float64 view of Z (each real and
+    imaginary column is linear in the signs), viewed back as complex, so
+    the batch is never cast to complex.  The stacked products run one
+    restart at a time in the same kernels, so each ratio is bit-equal to
+    that of its tuple scored alone.  The GEMM and the norms take the
+    restarts in slices of at most 2^13 sign rows in all, the enumeration
+    of one 14-member subfamily, so memory does not grow with G.
     """
-    k, n = X.shape
-    Z = np.empty((k, 2 * n), dtype=np.complex128)
-    Z[:, :n] = X
-    Z[:, n:] = np.matmul(mats, X[:, :, None])[:, :, 0]
-    S = (signs @ Z.view(np.float64)).view(np.complex128)
-    den = float(np.mean(_kernels.row_norms(S[:, :n], p) ** 2))
-    num = float(np.mean(_kernels.row_norms(S[:, n:], p) ** 2))
-    return math.sqrt(num / den) if den > 0 else 0.0
+    G, k, n = X.shape
+    Z = np.empty((G, k, 2 * n), dtype=np.complex128)
+    Z[..., :n] = X
+    Z[..., n:] = np.matmul(mats, X[..., None])[..., 0]
+    Z = Z.view(np.float64)
+    ratio = np.zeros(G)
+    rows = len(signs)
+    width = max(1, (1 << 13) // rows)
+    for lo in range(0, G, width):
+        S = (signs @ Z[lo : lo + width]).view(np.complex128).reshape(-1, 2 * n)
+        den = np.mean((_kernels.row_norms(S[:, :n], p) ** 2).reshape(-1, rows), axis=1)
+        num = np.mean((_kernels.row_norms(S[:, n:], p) ** 2).reshape(-1, rows), axis=1)
+        pos = den > 0
+        ratio[lo : lo + width][pos] = np.sqrt(num[pos] / den[pos])
+    return ratio
 
 
 def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
@@ -272,7 +285,13 @@ def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
     and every proposal, numerator and denominator alike, on the full
     enumeration of the 2^{k-1} sign patterns with eps_k = +1 (the global
     sign symmetry covers the rest), so each value it keeps is the exact
-    ratio of one tuple.
+    ratio of one tuple.  No draw depends on which proposals are kept, so
+    the restarts first draw their sizes, subsets, starts and
+    perturbations, one restart after another; they then advance in
+    lockstep, the restarts of one subset size scored together on one
+    enumeration at every step, and each sees the same arithmetic as if it
+    ran alone.  The restarts are then read in their drawn order, so the
+    witness and the generator's state are those of the sequential search.
 
     Upper end: min(sum_j ||T_j||_1^{1/p} ||T_j||_inf^{1-1/p},
     n^{|1/p - 1/2|} max_j ||T_j||_2).  For a selection T_{j_1}, ...,
@@ -311,20 +330,32 @@ def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
     lower = float(norms_p.max())
     witness = {"operator": int(norms_p.argmax()), "kind": "singleton"}
     sizes = sorted({s for s in (1, 2, min(4, K), K) if s <= min(K, 14)})
+    restarts = []
     for _ in range(16):
         k = int(gen.choice(sizes))
         idx = gen.choice(K, size=k, replace=False)
-        sub = mats[idx]
         X = gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n))
+        noise = gen.standard_normal((60, 2, k, n))
+        restarts.append((k, idx, X, 0.3 * (noise[:, 0] + 1j * noise[:, 1])))
+    vals, tuples = [0.0] * 16, [None] * 16
+    for k in sizes:
+        group = [r for r in range(16) if restarts[r][0] == k]
+        if not group:
+            continue
+        sub = mats[np.stack([restarts[r][1] for r in group])]
+        X = np.stack([restarts[r][2] for r in group])
+        steps = np.stack([restarts[r][3] for r in group], axis=1)
         signs = _kernels.sign_rows(k, 0, 1 << (k - 1))
         val = _ratio(sub, X, p, signs)
-        for _ in range(60):
-            Y = X + 0.3 * (
-                gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n))
-            )
+        for step in steps:
+            Y = X + step
             cand = _ratio(sub, Y, p, signs)
-            if cand > val:
-                val, X = cand, Y
+            keep = cand > val
+            val = np.where(keep, cand, val)
+            X = np.where(keep[:, None, None], Y, X)
+        for r, v, x in zip(group, val, X):
+            vals[r], tuples[r] = float(v), x
+    for (_, idx, _, _), val, X in zip(restarts, vals, tuples):
         if val > lower:
             lower = val
             witness = {"operator": idx.tolist(), "kind": "search", "vectors": X}

@@ -5,17 +5,22 @@ inverse oracles of grids.fourier_transform; dilate and scale_corpus
 build the dilated symbols and scaled corpora of the dilation-stability
 and c1 scaling checks; node_by_node_calculus is the contour calculus
 summed one node at a time, the bitwise reference of
-operators.holomorphic_calculus.  None of them is reached by
+operators.holomorphic_calculus; sequential_witness_search is the
+ell^p witness search of rbound.r_bound run one restart after another,
+one tuple per score, its bitwise reference.  None of them is reached by
 `speccalc run`.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from speccalc.errors import ContourError, ConvergenceError, DomainError
+from speccalc import _kernels
 from speccalc.grids import SampledFunction
 from speccalc.operators import _SOLVE_CHUNK, _tanh_sinh_nodes, sectorial
+from speccalc.rbound import operator_norm
 
 
 def inverse_fourier_transform(fhat: SampledFunction, u0: float) -> SampledFunction:
@@ -110,3 +115,51 @@ def node_by_node_calculus(A, f) -> np.ndarray:
     raise ConvergenceError(
         f"contour quadrature did not stabilize (last relative change {gap:.2e})"
     )
+
+
+def _tuple_ratio(mats, X, p, signs) -> float:
+    """sqrt(E||sum eps T_j x_j||^2 / E||sum eps x_j||^2) of one tuple over
+    one sign batch, through the same real GEMM as rbound._ratio."""
+    k, n = X.shape
+    Z = np.empty((k, 2 * n), dtype=np.complex128)
+    Z[:, :n] = X
+    Z[:, n:] = np.matmul(mats, X[:, :, None])[:, :, 0]
+    S = (signs @ Z.view(np.float64)).view(np.complex128)
+    den = float(np.mean(_kernels.row_norms(S[:, :n], p) ** 2))
+    num = float(np.mean(_kernels.row_norms(S[:, n:], p) ** 2))
+    return math.sqrt(num / den) if den > 0 else 0.0
+
+
+def sequential_witness_search(mats, p, gen):
+    """(lower, witness) of rbound.r_bound's ell^p witness search, one
+    restart after another.
+
+    Starts from the best singleton, then makes the 16 restarts of 60
+    perturbation steps each, drawing every restart's size, subset, start
+    and perturbations from gen as it climbs and scoring one tuple per
+    call, so r_bound's lockstep search must reproduce its lower end and
+    witness bit for bit and leave gen in the same state.
+    """
+    K, n, _ = mats.shape
+    norms_p = operator_norm(mats, p)
+    lower = float(norms_p.max())
+    witness = {"operator": int(norms_p.argmax()), "kind": "singleton"}
+    sizes = sorted({s for s in (1, 2, min(4, K), K) if s <= min(K, 14)})
+    for _ in range(16):
+        k = int(gen.choice(sizes))
+        idx = gen.choice(K, size=k, replace=False)
+        sub = mats[idx]
+        X = gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n))
+        signs = _kernels.sign_rows(k, 0, 1 << (k - 1))
+        val = _tuple_ratio(sub, X, p, signs)
+        for _ in range(60):
+            Y = X + 0.3 * (
+                gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n))
+            )
+            cand = _tuple_ratio(sub, Y, p, signs)
+            if cand > val:
+                val, X = cand, Y
+        if val > lower:
+            lower = val
+            witness = {"operator": idx.tolist(), "kind": "search", "vectors": X}
+    return lower, witness

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from speccalc.rbound import (
     rademacher_norm,
     square_sum_norm,
 )
+
+from oracles import sequential_witness_search
 
 
 def random_family(n, K, seed):
@@ -121,18 +124,22 @@ class TestRademacherSums:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
     def test_enumeration_matches_brute_force(self, p, K):
         rng = np.random.default_rng(K)
-        X = rng.standard_normal((K, 3)) + 1j * rng.standard_normal((K, 3))
-        T = rng.standard_normal((K, 3, 3)) + 1j * rng.standard_normal((K, 3, 3))
-        TX = np.einsum("kij,kj->ki", T, X)
+        X = rng.standard_normal((3, K, 3)) + 1j * rng.standard_normal((3, K, 3))
+        T = rng.standard_normal((3, K, 3, 3)) + 1j * rng.standard_normal((3, K, 3, 3))
         space = SpaceSpec(p=p, n=3)
         patterns = [np.array(eps) for eps in itertools.product((-1.0, 1.0), repeat=K)]
-        norms = np.array([space.vector_norm(eps @ X) for eps in patterns])
-        images = np.array([space.vector_norm(eps @ TX) for eps in patterns])
-        assert _kernels.enum_mean_norm(X, p) == pytest.approx(norms.mean(), rel=1e-12)
-        # the witness ratio over the half enumeration r_bound uses for K <= 14
+        # the witness ratios over the half enumeration r_bound uses for
+        # K <= 14, three tuples scored in one call
         signs = _kernels.sign_rows(K, 0, 1 << (K - 1))
-        want = math.sqrt(np.mean(images**2) / np.mean(norms**2))
-        assert _ratio(T, X, p, signs) == pytest.approx(want, rel=1e-12)
+        got = _ratio(T, X, p, signs)
+        assert got.shape == (3,)
+        for g in range(3):
+            TX = np.einsum("kij,kj->ki", T[g], X[g])
+            norms = np.array([space.vector_norm(eps @ X[g]) for eps in patterns])
+            images = np.array([space.vector_norm(eps @ TX) for eps in patterns])
+            assert _kernels.enum_mean_norm(X[g], p) == pytest.approx(norms.mean(), rel=1e-12)
+            want = math.sqrt(np.mean(images**2) / np.mean(norms**2))
+            assert got[g] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("K, n, S", [(1, 1, 5), (3, 4, 64), (20, 4, 2048)])
     def test_real_view_product_is_the_complex_product(self, K, n, S):
@@ -312,7 +319,8 @@ class TestRBound:
 
     @staticmethod
     def _record_search(monkeypatch):
-        """Record every random_signs batch and every _ratio call of r_bound."""
+        """Record every random_signs batch and every _ratio call of r_bound
+        as (restarts scored, subset size, sign batch)."""
         batches, evals = [], []
         draw, ratio = _kernels.random_signs, rbound._ratio
 
@@ -321,7 +329,7 @@ class TestRBound:
             return batches[-1]
 
         def counted_ratio(mats, X, p, signs):
-            evals.append((X.shape[0], signs))
+            evals.append((X.shape[0], X.shape[1], signs))
             return ratio(mats, X, p, signs)
 
         monkeypatch.setattr(_kernels, "random_signs", counted_draw)
@@ -330,8 +338,8 @@ class TestRBound:
 
     def test_large_family_draws_no_signs(self, monkeypatch):
         # K = 20 > 14: no restart picks more than 14 members, none draws a
-        # random sign batch, and each scores all 61 of its evaluations on
-        # one full enumeration of its subfamily
+        # random sign batch, and each size group scores all 61 of its
+        # evaluations on one full enumeration of its subfamily
         batches, evals = self._record_search(monkeypatch)
         K, n = 20, 3
         gen = np.random.default_rng(5)
@@ -339,11 +347,14 @@ class TestRBound:
         est = r_bound(mats, SpaceSpec(p=1.0, n=n), rng=np.random.default_rng(9))
         assert est.lower <= est.upper
         assert batches == []
-        assert len(evals) == 16 * 61
+        assert sum(G for G, _, _ in evals) == 16 * 61
+        assert len(evals) % 61 == 0
         for i in range(0, len(evals), 61):
-            k, first = evals[i]
+            G, k, first = evals[i]
             assert k <= 14 and first.shape == (1 << (k - 1), k)
-            assert all(s is first for _, s in evals[i : i + 61])
+            assert all(g == G and s is first for g, _, s in evals[i : i + 61])
+        # one group per subset size drawn
+        assert len({k for _, k, _ in evals}) == len(evals) // 61
 
     def test_enumerated_restarts_draw_no_signs(self, monkeypatch):
         batches, evals = self._record_search(monkeypatch)
@@ -352,7 +363,54 @@ class TestRBound:
         mats = gen.standard_normal((K, n, n)) + 1j * gen.standard_normal((K, n, n))
         r_bound(mats, SpaceSpec(p=1.0, n=n), rng=np.random.default_rng(0))
         assert batches == []
-        assert any(k == K for k, _ in evals)
+        assert any(k == K for _, k, _ in evals)
+        assert sum(G for G, _, _ in evals) == 16 * 61
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 14, 15, 20, 66])
+    def test_search_matches_the_sequential_oracle(self, K, n, p):
+        # the lockstep search reproduces the one-restart-at-a-time search
+        # bit for bit and leaves the shared generator where it left it
+        gen = np.random.default_rng(100 * K + n)
+        mats = gen.standard_normal((K, n, n)) + 1j * gen.standard_normal((K, n, n))
+        got_gen, want_gen = np.random.default_rng(K), np.random.default_rng(K)
+        est = r_bound(mats, SpaceSpec(p=p, n=n), rng=got_gen)
+        lower, witness = sequential_witness_search(mats, p, want_gen)
+        ip = 1.0 / p
+        interpolated = operator_norm(mats, 1.0) ** ip * operator_norm(mats, np.inf) ** (1 - ip)
+        proven = min(
+            float(np.sum(interpolated)),
+            rbound._transfer_constant(p, n) * float(operator_norm(mats, 2.0).max()),
+        )
+        assert est.lower == lower
+        assert est.upper == max(proven, lower)
+        assert est.method == "search+transfer"
+        assert est.witness["kind"] == witness["kind"]
+        assert est.witness["operator"] == witness["operator"]
+        if witness["kind"] == "search":
+            assert np.array_equal(est.witness["vectors"], witness["vectors"])
+        else:
+            assert "vectors" not in est.witness
+        assert got_gen.standard_normal() == want_gen.standard_normal()
+
+    def test_search_memory_does_not_grow_with_the_restarts(self, monkeypatch):
+        # this generator sends 7 of the 16 restarts to all 14 members, 8192
+        # sign rows each; their scores are summed a restart at a time, so
+        # the peak stays that of one such restart and not seven
+        _, evals = self._record_search(monkeypatch)
+        K, n = 14, 16
+        gen = np.random.default_rng(45)
+        mats = gen.standard_normal((K, n, n)) + 1j * gen.standard_normal((K, n, n))
+        tracemalloc.start()
+        try:
+            est = r_bound(mats, SpaceSpec(p=1.0, n=n), rng=np.random.default_rng(45))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.lower <= est.upper
+        assert sum(G for G, k, _ in evals if k == K) == 7 * 61
+        assert peak < 32e6, peak
 
     def test_bracket_never_inverted(self):
         with pytest.raises(DomainError):
