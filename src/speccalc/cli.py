@@ -453,13 +453,16 @@ def run_rbound(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
     gen = np.random.default_rng(cfg.seed)
 
-    # the sign-flip pair on ell^1: bracket must close on sqrt(2)
+    # the sign-flip pair on ell^1: bracket must close on sqrt(2), and a
+    # witness above the proven upper end fails the lower row
     pair = [np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)]
     est = r_bound(pair, SpaceSpec(p=1.0, n=2), rng=gen)
     root2 = math.sqrt(2.0)
+    violation = est.diagnostics.get("bracket_violation")
     rows.append(
         Row("-", "rbound", "pair-l1-lower", "{I,diag(1,-1)}", est.lower, 0.05,
-            {"upper": est.upper}, est.lower <= est.upper + 1e-12)
+            {"upper": est.upper}, violation is None,
+            {"bracket_violation": violation} if violation else {})
     )
     rows.append(
         Row("-", "rbound", "pair-l1-upper", "{I,diag(1,-1)}", est.upper, 1e-9,
@@ -528,21 +531,20 @@ def run_theorem_equivalence(cfg: RunConfig, operators: dict):
             rows.append(_skip(spec, "theorem-equivalence", "report", "-", e))
             continue
         for r in rep.rows:
-            rows.append(
-                Row(spec, "theorem-equivalence", r.condition, r.param, r.value,
-                    r.tolerance, r.grid, bool(r.finite and r.extra.get("within", True)),
-                    # the bracket's upper end, how it was found, and a
-                    # refined row's drift from its base row
-                    {k: r.extra[k] for k in ("upper", "method", "drift")
-                     if k in r.extra})
-            )
-            if r.param == "exponent" and "x" in r.extra:
+            extra = r.extra
+            if r.param == "exponent":
+                # the fitted points go to a plot file, not the suite JSON
                 stem = f"{_slug(spec)}-{r.condition}-angles"
                 plots[stem] = (
                     ["minus_log_angle_gap", "value"],
-                    list(zip(r.extra["x"], r.extra["y"])),
+                    list(zip(extra["x"], extra["y"])),
                     [f"operator {spec}", f"fitted exponent {_fmt(r.value)}"],
                 )
+                extra = {k: v for k, v in extra.items() if k not in ("x", "y")}
+            rows.append(
+                Row(spec, "theorem-equivalence", r.condition, r.param, r.value,
+                    r.tolerance, r.grid, r.passed, extra)
+            )
         for name in sorted(rep.flags):
             rows.append(
                 Row(spec, "theorem-equivalence", "flag", name,
@@ -556,7 +558,7 @@ def run_paley_littlewood(cfg: RunConfig, operators: dict):
     for spec in cfg.operators:
         op = operators[spec]
         try:
-            lo, hi = experiments.paley_littlewood_check(
+            lo, hi, stderr = experiments.paley_littlewood_check(
                 op, SpaceSpec(p=cfg.space, n=op.dim), trials=cfg.trials, seed=cfg.seed
             )
         except SKIP_ERRORS as e:
@@ -565,11 +567,11 @@ def run_paley_littlewood(cfg: RunConfig, operators: dict):
         spread = hi / lo if lo > 0 else float("inf")
         rows.append(
             Row(spec, "paley-littlewood", "pl-lower", f"trials={cfg.trials}",
-                lo, 0.1, {"space": cfg.space}, lo >= 0.1)
+                lo, 0.1, {"space": cfg.space}, lo >= 0.1, {"mc_stderr": stderr})
         )
         rows.append(
             Row(spec, "paley-littlewood", "pl-upper", f"trials={cfg.trials}",
-                hi, 10.0, {"space": cfg.space}, hi <= 10.0)
+                hi, 10.0, {"space": cfg.space}, hi <= 10.0, {"mc_stderr": stderr})
         )
         rows.append(
             Row(spec, "paley-littlewood", "pl-spread", f"trials={cfg.trials}",
@@ -688,6 +690,21 @@ def cmd_compare(args) -> int:
         man_b = json.loads(path_b.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot load manifest: {e}") from e
+    for path, man in ((path_a, man_a), (path_b, man_b)):
+        if not isinstance(man, dict):
+            raise ConfigError(f"manifest {path} is not a JSON object")
+        outputs, plots = man.get("outputs", {}), man.get("plot_files", [])
+        if not (
+            isinstance(outputs, dict)
+            and all(isinstance(o, dict) and isinstance(o.get("csv"), str)
+                    for o in outputs.values())
+            and isinstance(plots, list)
+            and all(isinstance(rel, str) for rel in plots)
+        ):
+            raise ConfigError(
+                f"manifest {path}: every output must name its csv file, "
+                "and plot_files must list file names"
+            )
 
     diffs = []
     for key in ("config_hash", "version", "seed", "suites"):

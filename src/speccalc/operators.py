@@ -73,7 +73,6 @@ class SectorialOperator:
     eigenvectors: Optional[np.ndarray]
     eigenvectors_inv: Optional[np.ndarray]
     reduction: Optional[RangeReduction] = None
-    name: str = ""
     normal: bool = False
 
     @property
@@ -94,7 +93,7 @@ class SectorialOperator:
         return float(a.min()), float(a.max())
 
 
-def sectorial(A, name: str = "") -> SectorialOperator:
+def sectorial(A) -> SectorialOperator:
     """Wrap a matrix for the calculus, compressing away an orthogonal kernel."""
     if isinstance(A, SectorialOperator):
         return A
@@ -160,7 +159,6 @@ def sectorial(A, name: str = "") -> SectorialOperator:
         eigenvectors=V,
         eigenvectors_inv=Vinv,
         reduction=reduction,
-        name=name,
         normal=normal,
     )
 
@@ -185,31 +183,31 @@ def operator_from_spec(spec: str) -> SectorialOperator:
         vals = np.array([float(v) for v in arg.split(",") if v.strip()])
         if len(vals) == 0:
             raise DomainError("diag needs at least one entry")
-        return sectorial(np.diag(vals.astype(np.complex128)), name=spec)
+        return sectorial(np.diag(vals.astype(np.complex128)))
     if kind in ("diag-logspaced", "cycle-laplacian", "path-laplacian"):
         n = int(arg)
         if n < 2:
             raise DomainError(f"{kind} needs n >= 2")
     if kind == "diag-logspaced":
         expo = np.arange(n) - (n - 1) / 2.0
-        return sectorial(np.diag((2.0**expo).astype(np.complex128)), name=spec)
+        return sectorial(np.diag((2.0**expo).astype(np.complex128)))
     if kind == "cycle-laplacian":
         A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         A[0, -1] -= 1.0
         A[-1, 0] -= 1.0
-        return sectorial(A, name=spec)
+        return sectorial(A)
     if kind == "path-laplacian":
         A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         A[0, 0] = 1.0
         A[-1, -1] = 1.0
-        return sectorial(A, name=spec)
+        return sectorial(A)
     if kind == "jordan":
         parts = arg.split(",")
         a, n = float(parts[0]), int(parts[1])
         if a <= 0:
             raise NotSectorialError("jordan block eigenvalue must be positive")
         A = a * np.eye(n) + np.eye(n, k=1)
-        return sectorial(A, name=spec)
+        return sectorial(A)
     raise DomainError(f"unknown operator preset {spec!r}")
 
 

@@ -99,13 +99,14 @@ class OperatorFamily:
     SectorialOperator.normal), which lets r_l2_bound read its ell^2
     value off the table; a stack ignores it.
 
+    label names the family in the error a non-finite sample raises;
     points holds the parameter values (K,) or (K, d); weights the
     quadrature weights of the measure named in `measure`.
     """
 
     def __init__(self, label, points, weights, matrices=None, measure="",
                  diagnostics=None, *, symbols=None, eigenbasis=None, normal=False):
-        self.label, self.points, self.measure = label, points, measure
+        self.points, self.measure = points, measure
         self.diagnostics = {} if diagnostics is None else diagnostics
         self.weights = np.asarray(weights, dtype=float)
         one_form = (matrices is None) != (symbols is None)

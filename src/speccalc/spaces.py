@@ -19,7 +19,7 @@ point, because adjacent windows reuse identical ramp evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -119,7 +119,7 @@ class PartitionOfUnity:
 
 @dataclass
 class NormResult:
-    """A computed norm with its grid diagnostics.
+    """A computed norm and whether the grid can trust it.
 
     divergent marks values the grid shows to be untrustworthy because
     the function fails the decay the norm requires; the value is then
@@ -128,13 +128,7 @@ class NormResult:
     """
 
     value: float
-    kind: str
-    alpha: float
     divergent: bool = False
-    diagnostics: dict = field(default_factory=dict)
-
-    def __float__(self):
-        return float(self.value)
 
 
 def _edge_ratio(values: np.ndarray, parts: int = 20) -> float:
@@ -145,16 +139,6 @@ def _edge_ratio(values: np.ndarray, parts: int = 20) -> float:
     if peak == 0.0:
         return 0.0
     return float(max(a[:k].max(), a[-k:].max()) / peak)
-
-
-def _tail_energy_fraction(vals: np.ndarray) -> float:
-    n = len(vals)
-    k = max(1, n // 10)
-    e = np.abs(vals) ** 2
-    tot = float(e.sum())
-    if tot == 0.0:
-        return 0.0
-    return float((e[:k].sum() + e[-k:].sum()) / tot)
 
 
 def _require_linear(f: SampledFunction):
@@ -180,20 +164,7 @@ def sobolev_norm(f: SampledFunction, alpha: float) -> NormResult:
     t = fh.u
     w = (1.0 + np.abs(t)) ** alpha
     val = np.sqrt(np.sum(np.abs(fh.values * w) ** 2) * fh.du / (2.0 * np.pi))
-    edge = _edge_ratio(f.values)
-    tail = _tail_energy_fraction(fh.values * w)
-    return NormResult(
-        value=float(val),
-        kind="sobolev",
-        alpha=float(alpha),
-        divergent=bool(edge > 1e-2),
-        diagnostics={
-            "edge_ratio": edge,
-            "weighted_tail_fraction": tail,
-            "grid_n": f.n,
-            "grid_du": f.du,
-        },
-    )
+    return NormResult(value=float(val), divergent=bool(_edge_ratio(f.values) > 1e-2))
 
 
 def sobexp_norm(f: SampledFunction, alpha: float) -> NormResult:
@@ -204,14 +175,7 @@ def sobexp_norm(f: SampledFunction, alpha: float) -> NormResult:
     """
     _require_log(f)
     fe = SampledFunction("linear", f.u0, f.du, f.values, name=f"{f.name}|log")
-    res = sobolev_norm(fe, alpha)
-    return NormResult(
-        value=res.value,
-        kind="sobexp",
-        alpha=float(alpha),
-        divergent=res.divergent,
-        diagnostics=res.diagnostics,
-    )
+    return sobolev_norm(fe, alpha)
 
 
 def besov_norm(f: SampledFunction, alpha: float) -> NormResult:
@@ -220,7 +184,7 @@ def besov_norm(f: SampledFunction, alpha: float) -> NormResult:
     fhat is split over the fourier-dyadic partition; each block is
     transformed back to the original variable and its sup over the grid
     enters an l^1 sum with weight 2^{|n| alpha}.  The outermost resolved
-    blocks give a geometric tail estimate; a tail that fails to contract
+    blocks give the tail's geometric ratio; a tail that fails to contract
     marks the value divergent.
     """
     _require_linear(f)
@@ -245,27 +209,11 @@ def besov_norm(f: SampledFunction, alpha: float) -> NormResult:
         a, b = per_k[ks[-3]], per_k[ks[-1]]
         if a > 0 and b > 0:
             ratio = math.sqrt(b / a)
-    if ratio < 1.0:
-        tail_estimate = per_k[ks[-1]] * ratio / (1.0 - ratio) if ks else 0.0
-    else:
-        tail_estimate = math.inf
-    edge = _edge_ratio(f.values)
     divergent = bool(
-        edge > 1e-2
+        _edge_ratio(f.values) > 1e-2
         or (ratio >= 0.95 and total > 0 and per_k[ks[-1]] > 1e-10 * total)
     )
-    return NormResult(
-        value=total,
-        kind="besov",
-        alpha=float(alpha),
-        divergent=divergent,
-        diagnostics={
-            "edge_ratio": edge,
-            "blocks": blocks,
-            "tail_ratio": ratio,
-            "tail_estimate": tail_estimate,
-        },
-    )
+    return NormResult(value=total, divergent=divergent)
 
 
 def mihlin_norm(f: SampledFunction, gamma: float) -> NormResult:
@@ -276,14 +224,7 @@ def mihlin_norm(f: SampledFunction, gamma: float) -> NormResult:
     """
     _require_log(f)
     fe = SampledFunction("linear", f.u0, f.du, f.values, name=f"{f.name}|log")
-    res = besov_norm(fe, gamma)
-    return NormResult(
-        value=res.value,
-        kind="mihlin",
-        alpha=float(gamma),
-        divergent=res.divergent,
-        diagnostics=res.diagnostics,
-    )
+    return besov_norm(fe, gamma)
 
 
 def _localized_sobolev(
@@ -307,8 +248,7 @@ def hoermander_norm(f: SampledFunction, alpha: float) -> NormResult:
     norm of the log-coordinate symbol.
 
     Uses the equidistant partition in u (unit spacing, smooth windows).
-    Windows whose support leaves the grid are skipped and the skipped
-    mass is reported in the diagnostics.
+    Windows whose support leaves the grid are skipped.
     """
     _require_log(f)
     if alpha <= 0.5:
@@ -330,11 +270,6 @@ def hoermander_norm(f: SampledFunction, alpha: float) -> NormResult:
         val = _localized_sobolev(piece, f.du, alpha)
         per_window[n] = val
         best = max(best, val)
-    skipped = float(np.max(np.abs(f.values[u < n_lo - 1])) if np.any(u < n_lo - 1) else 0.0)
-    skipped = max(
-        skipped,
-        float(np.max(np.abs(f.values[u > n_hi + 1])) if np.any(u > n_hi + 1) else 0.0),
-    )
     # a localized norm does not need |f| to decay (constant-modulus
     # symbols are its central inhabitants); the sup is untrustworthy only
     # when the window values are still growing at the boundary, i.e. the
@@ -348,15 +283,4 @@ def hoermander_norm(f: SampledFunction, alpha: float) -> NormResult:
         edge_growth = max(
             lo_run[0] / max(lo_run[-1], tiny), hi_run[-1] / max(hi_run[0], tiny)
         )
-    return NormResult(
-        value=best,
-        kind="hoermander",
-        alpha=float(alpha),
-        divergent=bool(edge_growth > 1.5),
-        diagnostics={
-            "windows": (n_lo, n_hi),
-            "edge_growth": edge_growth,
-            "skipped_edge_peak": skipped,
-            "argmax_window": max(per_window, key=per_window.get) if per_window else None,
-        },
-    )
+    return NormResult(value=best, divergent=bool(edge_growth > 1.5))

@@ -61,7 +61,7 @@ def scale_corpus(corpus, c: float):
     """The corpus with every member multiplied by c (ball radius c)."""
     if not c > 0:
         raise DomainError("scale factor must be positive")
-    return replace(corpus, coefficients=corpus.coefficients * c, radius=corpus.radius * c)
+    return replace(corpus, coefficients=corpus.coefficients * c)
 
 
 def node_by_node_calculus(A, f) -> np.ndarray:

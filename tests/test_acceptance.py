@@ -269,7 +269,7 @@ def test_12_dyadic_blocks_are_two_sided():
     t0 = time.monotonic()
     op = ops.operator_from_spec("diag-logspaced:32")
     blocks = list(PartitionOfUnity("dyadic").indices_for(*op.spectral_bounds()))
-    lo_r, hi_r = experiments.paley_littlewood_check(
+    lo_r, hi_r, _ = experiments.paley_littlewood_check(
         op, SpaceSpec(p=2.0, n=32), trials=100, seed=0
     )
     elapsed = time.monotonic() - t0

@@ -11,6 +11,7 @@ import pytest
 
 import speccalc
 from speccalc import operators as ops
+from speccalc import rbound
 from speccalc.cli import SUITES, RunConfig, main
 from speccalc.errors import ConfigError
 
@@ -240,6 +241,49 @@ class TestRun:
         # no other row carries a drift
         assert sum("drift" in r.get("extra", {}) for r in doc["rows"]) == len(refined)
 
+    def test_inverted_bracket_fails_the_pair_row(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, suites=["rbound"])
+        out = tmp_path / "clean"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        doc = json.loads((out / "rbound.json").read_text())
+        assert all("bracket_violation" not in r.get("extra", {}) for r in doc["rows"])
+        # a transfer constant far too small on the pair's space (l^1 on C^2)
+        # drives the proven upper end below the witness: r_bound clamps the
+        # bracket, the row fails
+        transfer = rbound._transfer_constant
+        monkeypatch.setattr(
+            rbound, "_transfer_constant",
+            lambda p, n: 1e-6 if (p, n) == (1.0, 2) else transfer(p, n),
+        )
+        out = tmp_path / "inverted"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        doc = json.loads((out / "rbound.json").read_text())
+        row = next(r for r in doc["rows"] if r["condition"] == "pair-l1-lower")
+        assert not row["pass"]
+        violation = row["extra"]["bracket_violation"]
+        assert violation["lower"] == row["value"]
+        assert violation["proven_upper"] == pytest.approx(1e-6)
+
+    def test_paley_littlewood_rows_carry_the_mc_stderr(self, tmp_path):
+        # diag-logspaced:16 spans more than 12 dyadic blocks, so its sign
+        # averages are Monte Carlo; the three blocks of diag:1,2,4 enumerate
+        path = write_config(
+            tmp_path, operators=["diag-logspaced:16", "diag:1,2,4"],
+            suites=["paley-littlewood"], trials=3,
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        doc = json.loads((out / "paley-littlewood.json").read_text())
+        stderr = {}
+        for r in doc["rows"]:
+            if r["condition"] in ("pl-lower", "pl-upper"):
+                stderr.setdefault(r["operator"], set()).add(r["extra"]["mc_stderr"])
+            else:
+                assert "extra" not in r
+        assert len(stderr["diag-logspaced:16"]) == 1
+        assert stderr["diag-logspaced:16"].pop() > 0.0
+        assert stderr["diag:1,2,4"] == {0.0}
+
 
 class TestLpRuns:
     def test_l1_report_matches_the_l2_report_on_a_diagonal_operator(self, tmp_path):
@@ -354,6 +398,27 @@ class TestCompare:
 
     def test_missing_manifest(self, tmp_path):
         assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
+
+    def test_malformed_manifest_is_a_config_error(self, tmp_path, capsys):
+        # exit status 2, not the 1 of a traceback that reads as "differ"
+        path = write_config(tmp_path)
+        out = tmp_path / "m"
+        main(["run", "--config", str(path), "--out", str(out)])
+        good = out / "manifest.json"
+        man = json.loads(good.read_text())
+        listed = tmp_path / "list.json"
+        listed.write_text(json.dumps([man]))
+        no_plot_list = tmp_path / "no-plot-list.json"
+        no_plot_list.write_text(json.dumps({**man, "plot_files": 5}))
+        del man["outputs"]["sea-to-ha"]["csv"]
+        no_csv = tmp_path / "no-csv.json"
+        no_csv.write_text(json.dumps(man))
+        capsys.readouterr()
+        for bad in (listed, no_csv, no_plot_list):
+            assert main(["compare", str(good), str(bad)]) == 2, bad.name
+            assert main(["compare", str(bad), str(good)]) == 2, bad.name
+        err = capsys.readouterr().err
+        assert "is not a JSON object" in err and "must name its csv file" in err
 
 
 class TestConfigObject:

@@ -21,7 +21,7 @@ from oracles import node_by_node_calculus
 
 
 def jordan2(a=1.0):
-    return ops.sectorial(np.array([[a, 1.0], [0.0, a]]), name="j2")
+    return ops.sectorial(np.array([[a, 1.0], [0.0, a]]))
 
 
 def closed_form_2x2(g, gp, a=1.0):
@@ -547,7 +547,7 @@ class TestEigenvalueTable:
         assert table.symbols is not None and len(table) == len(table.weights)
         assert table.dim == op.dim
         stack = OperatorFamily(
-            table.label, table.points, table.weights,
+            "stack", table.points, table.weights,
             _eig_apply_stack(op.eigenbasis, table.symbols), table.measure,
         )
         gram, mean, pairs, top = self._terms(table)
@@ -610,7 +610,7 @@ def _unitary_conjugate(n, seed):
 
 
 def _stack_of(table):
-    return OperatorFamily(table.label, table.points, table.weights, table.matrices,
+    return OperatorFamily("stack", table.points, table.weights, table.matrices,
                           table.measure)
 
 

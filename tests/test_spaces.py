@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from speccalc.errors import DomainError
 from speccalc.grids import SampledFunction
 from speccalc.spaces import (
-    NormResult,
     PartitionOfUnity,
     besov_norm,
     hoermander_norm,
@@ -129,11 +128,6 @@ class TestSobolevScale:
     def test_linear_grid_required(self, gauss_log):
         with pytest.raises(DomainError):
             sobolev_norm(gauss_log, 1.0)
-
-    def test_float_protocol(self, gauss_log):
-        res = sobexp_norm(gauss_log, 1.0)
-        assert isinstance(res, NormResult)
-        assert float(res) == res.value
 
 
 class TestLocalizedNorms:

@@ -23,6 +23,14 @@ keys of the dict literals in the calling module (where such a dict is
 built), and a `*` argument every positional parameter from its place on.
 Calls are matched to definitions by spelling, as above.
 
+The same goes for stored values: every dataclass field of the package,
+and every attribute an `__init__` sets on `self` (OperatorFamily's),
+must be read as an attribute (`obj.field`, loaded) by package code,
+otherwise it is carried to no report and goes.  Fields are matched by
+spelling too, so a field shares its reads with every attribute of its
+name: `NormResult.kind` would pass on `PartitionOfUnity.kind`'s reads,
+and such shared names are removed by hand, not found here.
+
 Every name the benchmark worker (`perfbench/worker.py`) traces or
 reads must still resolve, so a deletion fails here and not first in a
 traced benchmark run.
@@ -67,6 +75,15 @@ SCIPY_IMPORTERS = {
     "special._ray_integral_damped": "quad, the identities suite's contour-shift row",
     "operators.fractional_power": "expm and logm, the dense A^gamma of a defective operator",
     "operators._samples": "expm and logm, the family samples of a defective operator",
+}
+
+# stored values no package code reads, kept for a reason
+ALLOWED_FIELDS = {
+    "RBoundEstimate.witness": "the tuple and vectors tests re-evaluate to certify the lower end",
+    "OperatorFamily.points": "the sample parameters tests re-evaluate closed forms on",
+    "RangeReduction.basis": "Q of the lift Q N Q^H that carries a core result back",
+    "RangeReduction.original_dim": "the dimension of that lift",
+    "RangeReduction.residual": "the compression residual, which tests hold near roundoff",
 }
 
 # defaulted parameters no package call passes, kept for a reason
@@ -247,6 +264,70 @@ def test_every_option_is_set_by_a_package_call():
 def test_option_allowlist_names_only_unset_options():
     stale = sorted(set(ALLOWED_OPTIONS) - unpassed_options())
     assert not stale, "option allowlist entries that are gone or now set: " + ", ".join(stale)
+
+
+def _is_dataclass(node) -> bool:
+    return any(
+        (isinstance(d, ast.Name) and d.id == "dataclass")
+        or (isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass")
+        for d in node.decorator_list
+    )
+
+
+def _self_stores(fn):
+    """Attribute names fn assigns on `self`."""
+    return {
+        sub.attr
+        for sub in ast.walk(fn)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.ctx, ast.Store)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "self"
+    }
+
+
+def stored_fields():
+    """"Class.name" for each dataclass field and each attribute an
+    `__init__` sets on self."""
+    found = set()
+    for _, node in _top_level():
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = set()
+        for item in node.body:
+            if _is_dataclass(node) and isinstance(item, ast.AnnAssign):
+                names.add(item.target.id)
+            elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                names |= _self_stores(item)
+        found |= {f"{node.name}.{name}" for name in names}
+    return found
+
+
+def unread_fields():
+    """The stored fields whose name no package code loads as an attribute."""
+    loaded = {
+        sub.attr
+        for _, node in _top_level()
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    return {qual for qual in stored_fields() if qual.split(".")[1] not in loaded}
+
+
+def test_every_field_is_read_by_package_code():
+    unread = sorted(unread_fields() - set(ALLOWED_FIELDS))
+    assert not unread, "fields no package code reads: " + ", ".join(unread)
+
+
+def test_the_field_check_covers_dataclasses_and_init():
+    fields = stored_fields()
+    assert {"NormResult.value", "ConditionValue.passed", "Row.extra"} <= fields
+    assert {"OperatorFamily.weights", "OperatorFamily._stack"} <= fields
+
+
+def test_field_allowlist_names_only_unread_fields():
+    stale = sorted(set(ALLOWED_FIELDS) - unread_fields())
+    assert not stale, "field allowlist entries that are gone or now read: " + ", ".join(stale)
 
 
 def _is_eigenbasis(node) -> bool:
