@@ -51,7 +51,6 @@ from .errors import (
 from .grids import log_grid
 from .rbound import (
     OperatorFamily,
-    SpaceSpec,
     _eig_apply_stack,
     r_bound,
     r_l1_vs_rbound,
@@ -60,6 +59,7 @@ from .rbound import (
     square_sum_norm,
 )
 from .spaces import hoermander_norm, mihlin_norm, sobexp_norm, sobolev_norm
+from .suite import Row
 
 SUITES = (
     "norms",
@@ -163,22 +163,7 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# rows and serialization
-
-
-@dataclass
-class Row:
-    operator: str
-    suite: str
-    condition: str
-    param: str
-    value: float
-    tolerance: float
-    grid: dict
-    passed: bool
-    # written to the suite JSON only, so the CSV bodies `compare` checks
-    # stay as they are
-    extra: dict = field(default_factory=dict)
+# serialization of (operator, Row) pairs
 
 
 def _jsonable(obj):
@@ -211,18 +196,18 @@ def _slug(text: str) -> str:
     return out.strip("-")
 
 
-def write_suite_csv(path: Path, rows, cfg_hash: str):
+def write_suite_csv(path: Path, name: str, rows, cfg_hash: str):
     buf = io.StringIO()
     buf.write(f"# config {cfg_hash}\n")
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(
         ["operator", "suite", "condition", "param", "value", "tolerance", "grid", "pass"]
     )
-    for r in rows:
+    for operator, r in rows:
         w.writerow(
             [
-                r.operator,
-                r.suite,
+                operator,
+                name,
                 r.condition,
                 r.param,
                 _fmt(r.value),
@@ -240,7 +225,7 @@ def write_suite_json(path: Path, name: str, rows, cfg_hash: str):
         "suite": name,
         "rows": [
             {
-                "operator": r.operator,
+                "operator": operator,
                 "condition": r.condition,
                 "param": r.param,
                 "value": _jsonable(r.value),
@@ -249,7 +234,7 @@ def write_suite_json(path: Path, name: str, rows, cfg_hash: str):
                 "pass": bool(r.passed),
                 **({"extra": _jsonable(r.extra)} if r.extra else {}),
             }
-            for r in rows
+            for operator, r in rows
         ],
     }
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
@@ -269,14 +254,12 @@ def write_plot_csv(path: Path, cfg_hash: str, columns, data, comments=()):
 
 # ---------------------------------------------------------------------------
 # suite runners; each takes the config and the parsed operators by spec
-# and returns (rows, plots) where plots maps a file stem to
-# (columns, data, comments)
+# and returns (rows, plots) where rows holds (operator, Row) pairs and
+# plots maps a file stem to (columns, data, comments)
 
 
-def _skip(operator, suite_name, condition, param, err) -> Row:
+def _skip(condition, param, err) -> Row:
     return Row(
-        operator,
-        suite_name,
         f"skipped-{condition}",
         param,
         float("nan"),
@@ -292,27 +275,19 @@ def run_norms(cfg: RunConfig, operators: dict):
     for f in symbols:
         if f.coordinate != "log":
             res = sobolev_norm(f, cfg.alpha)
-            rows.append(
-                Row("-", "norms", "sobolev-norm", f.name, res.value, 0.0,
-                    {"alpha": cfg.alpha, "divergent": res.divergent}, True)
-            )
+            rows.append(("-", Row("sobolev-norm", f.name, res.value, 0.0,
+                                  {"alpha": cfg.alpha, "divergent": res.divergent})))
             continue
         res = sobexp_norm(f, cfg.alpha)
-        rows.append(
-            Row("-", "norms", "sobexp-norm", f.name, res.value, 0.0,
-                {"alpha": cfg.alpha, "divergent": res.divergent}, True)
-        )
+        rows.append(("-", Row("sobexp-norm", f.name, res.value, 0.0,
+                              {"alpha": cfg.alpha, "divergent": res.divergent})))
         if cfg.alpha > 0.5:
             res = hoermander_norm(f, cfg.alpha)
-            rows.append(
-                Row("-", "norms", "hoermander-norm", f.name, res.value, 0.0,
-                    {"alpha": cfg.alpha, "divergent": res.divergent}, True)
-            )
+            rows.append(("-", Row("hoermander-norm", f.name, res.value, 0.0,
+                                  {"alpha": cfg.alpha, "divergent": res.divergent})))
         res = mihlin_norm(f, cfg.alpha)
-        rows.append(
-            Row("-", "norms", "mihlin-norm", f.name, res.value, 0.0,
-                {"gamma": cfg.alpha, "divergent": res.divergent}, True)
-        )
+        rows.append(("-", Row("mihlin-norm", f.name, res.value, 0.0,
+                              {"gamma": cfg.alpha, "divergent": res.divergent})))
     for spec in cfg.operators:
         op = operators[spec]
         for f in symbols:
@@ -321,7 +296,7 @@ def run_norms(cfg: RunConfig, operators: dict):
             try:
                 applied = experiments.sobolev_calculus_apply(op, f)
             except SKIP_ERRORS as e:
-                rows.append(_skip(spec, "norms", "applied-error", f.name, e))
+                rows.append((spec, _skip("applied-error", f.name, e)))
                 continue
             if op.diagonalizable:
                 table = f.eval(np.abs(op.eigenvalues))[None]
@@ -332,16 +307,12 @@ def run_norms(cfg: RunConfig, operators: dict):
                     if scale > 0
                     else float(np.linalg.norm(applied, 2))
                 )
-                rows.append(
-                    Row(spec, "norms", "applied-error", f.name, err, 1e-5,
-                        {"grid_n": f.n}, err <= 1e-5)
-                )
+                rows.append((spec, Row("applied-error", f.name, err, 1e-5,
+                                       {"grid_n": f.n}, err <= 1e-5)))
             else:
-                rows.append(
-                    Row(spec, "norms", "applied-norm", f.name,
-                        float(np.linalg.norm(applied, 2)), 0.0,
-                        {"grid_n": f.n, "reference": "none"}, True)
-                )
+                rows.append((spec, Row("applied-norm", f.name,
+                                       float(np.linalg.norm(applied, 2)), 0.0,
+                                       {"grid_n": f.n, "reference": "none"})))
     return rows, plots
 
 
@@ -359,26 +330,20 @@ def run_identities(cfg: RunConfig, operators: dict):
     # finite-difference Gamma products and their integral representations
     val = complex(special.gamma_f_m(-1.0, 2))
     ref = 2.0 * math.log(2.0)
-    rows.append(
-        Row("-", "identities", "gamma-product", "z=-1,m=2",
-            abs(val - ref) / abs(ref), 1e-6, {"reference": "2 log 2"},
-            abs(val - ref) / abs(ref) <= 1e-6)
-    )
+    rel = abs(val - ref) / abs(ref)
+    rows.append(("-", Row("gamma-product", "z=-1,m=2", rel, 1e-6,
+                          {"reference": "2 log 2"}, rel <= 1e-6)))
     for z, m in ((-0.5 + 0.3j, 1), (-1.3, 2), (-2.2, 3)):
         integral = special.wave_kernel_integral(z, m)
         closed = complex(special.gamma_f_m(z, m))
         rel = abs(integral - closed) / abs(closed)
-        rows.append(
-            Row("-", "identities", "kernel-integral", f"z={z:g},m={m}",
-                rel, 1e-8, {}, rel <= 1e-8)
-        )
+        rows.append(("-", Row("kernel-integral", f"z={z:g},m={m}", rel, 1e-8,
+                              {}, rel <= 1e-8)))
     shifted = special.contour_shifted_integral(-1.0, 2, 1j)
     ref = 2j * math.log(2.0)
     rel = abs(shifted - ref) / abs(ref)
-    rows.append(
-        Row("-", "identities", "contour-shift", "z=-1,m=2,lam=i",
-            rel, 1e-4, {"reference": "2 i log 2"}, rel <= 1e-4)
-    )
+    rows.append(("-", Row("contour-shift", "z=-1,m=2,lam=i", rel, 1e-4,
+                          {"reference": "2 i log 2"}, rel <= 1e-4)))
 
     # the compensated Gamma modulus is flat along vertical lines
     for a in (1.0, 1.7):
@@ -389,11 +354,9 @@ def run_identities(cfg: RunConfig, operators: dict):
             * t**a
         )
         ratio = float(comp.max() / comp.min())
-        rows.append(
-            Row("-", "identities", "gamma-band", f"alpha={a:g}",
-                ratio, 4.0, {"t_range": [1.0, 100.0], "level": float(comp[-1])},
-                ratio <= 4.0)
-        )
+        rows.append(("-", Row("gamma-band", f"alpha={a:g}", ratio, 4.0,
+                              {"t_range": [1.0, 100.0], "level": float(comp[-1])},
+                              ratio <= 4.0)))
 
     t_spot = np.linspace(-3.0, 3.0, 13)
     s_spot = np.linspace(-1.5, 1.5, 5)
@@ -403,10 +366,8 @@ def run_identities(cfg: RunConfig, operators: dict):
         # eigenbasis; one skip row stands for all four on a defective
         # operator, whose imaginary powers still obey the group law
         if not op.diagonalizable:
-            rows.append(
-                _skip(spec, "identities", "mellin-identities", "eigenbasis",
-                      NotSectorialError("no usable eigenbasis"))
-            )
+            rows.append((spec, _skip("mellin-identities", "eigenbasis",
+                                     NotSectorialError("no usable eigenbasis"))))
         else:
             identities = (
                 ("wave-mellin", "alpha=1,m=2", {"t_points": len(t_spot)},
@@ -419,19 +380,15 @@ def run_identities(cfg: RunConfig, operators: dict):
             for condition, param, grid, tables in identities:
                 lhs, rhs = (_eig_apply_stack(op.eigenbasis, table) for table in tables)
                 rel = _stack_rel_error(lhs, rhs)
-                rows.append(
-                    Row(spec, "identities", condition, param, rel, 1e-3, grid, rel <= 1e-3)
-                )
+                rows.append((spec, Row(condition, param, rel, 1e-3, grid, rel <= 1e-3)))
 
         # group law of the imaginary powers
         s, t = 0.7, -1.3
         G = ops.imaginary_powers(op, s) @ ops.imaginary_powers(op, t)
         ref = ops.imaginary_powers(op, s + t)
         rel = float(np.linalg.norm(G - ref, 2) / np.linalg.norm(ref, 2))
-        rows.append(
-            Row(spec, "identities", "bip-group-law", f"s={s:g},t={t:g}",
-                rel, 1e-10, {}, rel <= 1e-10)
-        )
+        rows.append((spec, Row("bip-group-law", f"s={s:g},t={t:g}", rel, 1e-10,
+                               {}, rel <= 1e-10)))
         if not op.diagonalizable:
             continue
 
@@ -442,10 +399,7 @@ def run_identities(cfg: RunConfig, operators: dict):
         rel = float(
             np.linalg.norm(contour_val - eig_val, 2) / np.linalg.norm(eig_val, 2)
         )
-        rows.append(
-            Row(spec, "identities", "contour-vs-eigen", "rho",
-                rel, 1e-7, {}, rel <= 1e-7)
-        )
+        rows.append((spec, Row("contour-vs-eigen", "rho", rel, 1e-7, {}, rel <= 1e-7)))
     return rows, plots
 
 
@@ -456,18 +410,12 @@ def run_rbound(cfg: RunConfig, operators: dict):
     # the sign-flip pair on ell^1: bracket must close on sqrt(2), and a
     # witness above the proven upper end fails the lower row
     pair = [np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)]
-    est = r_bound(pair, SpaceSpec(p=1.0, n=2), rng=gen)
+    est = r_bound(pair, 1.0, rng=gen)
     root2 = math.sqrt(2.0)
-    violation = est.diagnostics.get("bracket_violation")
-    rows.append(
-        Row("-", "rbound", "pair-l1-lower", "{I,diag(1,-1)}", est.lower, 0.05,
-            {"upper": est.upper}, violation is None,
-            {"bracket_violation": violation} if violation else {})
-    )
-    rows.append(
-        Row("-", "rbound", "pair-l1-upper", "{I,diag(1,-1)}", est.upper, 1e-9,
-            {"reference": "sqrt(2)"}, abs(est.upper - root2) <= 1e-9)
-    )
+    rows.append(("-", Row("pair-l1-lower", "{I,diag(1,-1)}", est.lower, 0.05,
+                          {"upper": est.upper}).check_brackets(est)))
+    rows.append(("-", Row("pair-l1-upper", "{I,diag(1,-1)}", est.upper, 1e-9,
+                          {"reference": "sqrt(2)"}, abs(est.upper - root2) <= 1e-9)))
 
     # ell^1 averages of random hermitian families stay within the
     # two-point transfer factor of the plain bound
@@ -478,13 +426,12 @@ def run_rbound(cfg: RunConfig, operators: dict):
             Z = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
             mats.append((Z + Z.conj().T) / 2.0)
         for p in (2.0, 1.0):
-            R, RL1 = r_l1_vs_rbound(mats, SpaceSpec(p=p, n=4), rng=gen)
+            R, RL1 = r_l1_vs_rbound(mats, p, rng=gen)
             ratio = RL1.lower / R.lower if R.lower > 0 else float("inf")
             ok = R.lower <= RL1.lower * 1.05 and RL1.lower <= 2.0 * R.lower * 1.05
-            rows.append(
-                Row("-", "rbound", "l1-average-ratio", f"trial={trial},p={p:g}",
-                    ratio, 1.05, {"R": R.lower, "R_L1": RL1.lower, "k": k}, ok)
-            )
+            row = Row("l1-average-ratio", f"trial={trial},p={p:g}", ratio, 1.05,
+                      {"R": R.lower, "R_L1": RL1.lower, "k": k}, ok)
+            rows.append(("-", row.check_brackets(R, RL1)))
 
     # scalar decay family sqrt(t) e^{-t} I: square average 1/sqrt(2) over dt/t
     ts, w = log_grid(1e-8, 1e3, 1024)
@@ -495,32 +442,29 @@ def run_rbound(cfg: RunConfig, operators: dict):
         matrices=(np.sqrt(ts) * np.exp(-ts))[:, None, None] * np.eye(2)[None, :, :],
         measure="dt/t",
     )
-    v = r_l2_bound(fam, SpaceSpec(p=2.0, n=2)).lower
+    est = r_l2_bound(fam, 2.0)
     ref = 1.0 / math.sqrt(2.0)
-    rows.append(
-        Row("-", "rbound", "decay-family", "e^{-t}I", v, 1e-3,
-            {"reference": "1/sqrt(2)"}, abs(v - ref) / ref <= 1e-3)
-    )
+    row = Row("decay-family", "e^{-t}I", est.lower, 1e-3, {"reference": "1/sqrt(2)"},
+              abs(est.lower - ref) / ref <= 1e-3)
+    rows.append(("-", row.check_brackets(est)))
 
     # first moment below the square moment on ell^2
     X = gen.standard_normal((6, 4)) + 1j * gen.standard_normal((6, 4))
-    first, _, _ = rademacher_norm(X, SpaceSpec(p=2.0, n=4))
-    second = square_sum_norm(X, SpaceSpec(p=2.0, n=4))
-    rows.append(
-        Row("-", "rbound", "moment-order", "first<=square", first / second, 1.0,
-            {"first": first, "square": second}, first <= second * (1 + 1e-12))
-    )
+    first, _ = rademacher_norm(X, 2.0)
+    second = square_sum_norm(X, 2.0)
+    rows.append(("-", Row("moment-order", "first<=square", first / second, 1.0,
+                          {"first": first, "square": second},
+                          first <= second * (1 + 1e-12))))
     return rows, plots
 
 
 def run_theorem_equivalence(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
     for spec in cfg.operators:
-        op = operators[spec]
         try:
             rep = experiments.equivalence_report(
-                op,
-                SpaceSpec(p=cfg.space, n=op.dim),
+                operators[spec],
+                cfg.space,
                 alpha=cfg.alpha,
                 beta=cfg.beta,
                 fit_tol=cfg.fit_tol,
@@ -528,55 +472,40 @@ def run_theorem_equivalence(cfg: RunConfig, operators: dict):
                 seed=cfg.seed,
             )
         except SKIP_ERRORS as e:
-            rows.append(_skip(spec, "theorem-equivalence", "report", "-", e))
+            rows.append((spec, _skip("report", "-", e)))
             continue
         for r in rep.rows:
-            extra = r.extra
             if r.param == "exponent":
                 # the fitted points go to a plot file, not the suite JSON
                 stem = f"{_slug(spec)}-{r.condition}-angles"
                 plots[stem] = (
                     ["minus_log_angle_gap", "value"],
-                    list(zip(extra["x"], extra["y"])),
+                    list(zip(r.extra.pop("x"), r.extra.pop("y"))),
                     [f"operator {spec}", f"fitted exponent {_fmt(r.value)}"],
                 )
-                extra = {k: v for k, v in extra.items() if k not in ("x", "y")}
-            rows.append(
-                Row(spec, "theorem-equivalence", r.condition, r.param, r.value,
-                    r.tolerance, r.grid, r.passed, extra)
-            )
+            rows.append((spec, r))
         for name in sorted(rep.flags):
-            rows.append(
-                Row(spec, "theorem-equivalence", "flag", name,
-                    float(bool(rep.flags[name])), 0.0, {}, True)
-            )
+            rows.append((spec, Row("flag", name, float(bool(rep.flags[name])), 0.0)))
     return rows, plots
 
 
 def run_paley_littlewood(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
     for spec in cfg.operators:
-        op = operators[spec]
         try:
             lo, hi, stderr = experiments.paley_littlewood_check(
-                op, SpaceSpec(p=cfg.space, n=op.dim), trials=cfg.trials, seed=cfg.seed
+                operators[spec], cfg.space, trials=cfg.trials, seed=cfg.seed
             )
         except SKIP_ERRORS as e:
-            rows.append(_skip(spec, "paley-littlewood", "two-sided", "-", e))
+            rows.append((spec, _skip("two-sided", "-", e)))
             continue
         spread = hi / lo if lo > 0 else float("inf")
-        rows.append(
-            Row(spec, "paley-littlewood", "pl-lower", f"trials={cfg.trials}",
-                lo, 0.1, {"space": cfg.space}, lo >= 0.1, {"mc_stderr": stderr})
-        )
-        rows.append(
-            Row(spec, "paley-littlewood", "pl-upper", f"trials={cfg.trials}",
-                hi, 10.0, {"space": cfg.space}, hi <= 10.0, {"mc_stderr": stderr})
-        )
-        rows.append(
-            Row(spec, "paley-littlewood", "pl-spread", f"trials={cfg.trials}",
-                spread, 10.0, {}, spread <= 10.0)
-        )
+        param = f"trials={cfg.trials}"
+        rows.append((spec, Row("pl-lower", param, lo, 0.1, {"space": cfg.space},
+                               lo >= 0.1, {"mc_stderr": stderr})))
+        rows.append((spec, Row("pl-upper", param, hi, 10.0, {"space": cfg.space},
+                               hi <= 10.0, {"mc_stderr": stderr})))
+        rows.append((spec, Row("pl-spread", param, spread, 10.0, {}, spread <= 10.0)))
     return rows, plots
 
 
@@ -588,19 +517,12 @@ def run_sea_to_ha(cfg: RunConfig, operators: dict):
         z = complex(x, math.sqrt(1.0 - x * x))
         g, h = experiments.sea_to_ha_decomposition(z)
         hs.append(h)
-        rows.append(
-            Row("-", "sea-to-ha", "bounded-part", f"re={x:g}", g, 1e-9,
-                {"reference": 1.0}, abs(g - 1.0) <= 1e-9)
-        )
-        rows.append(
-            Row("-", "sea-to-ha", "square-part", f"re={x:g}", h, 0.0,
-                {}, math.isfinite(h))
-        )
+        rows.append(("-", Row("bounded-part", f"re={x:g}", g, 1e-9,
+                              {"reference": 1.0}, abs(g - 1.0) <= 1e-9)))
+        rows.append(("-", Row("square-part", f"re={x:g}", h, 0.0, {}, math.isfinite(h))))
     slope = float(np.polyfit(np.log(xs), np.log(hs), 1)[0])
-    rows.append(
-        Row("-", "sea-to-ha", "h-slope", "re z -> 0", slope, 0.2,
-            {"points": list(xs)}, -1.2 <= slope <= -0.8)
-    )
+    rows.append(("-", Row("h-slope", "re z -> 0", slope, 0.2,
+                          {"points": list(xs)}, -1.2 <= slope <= -0.8)))
     plots["sea-to-ha-slope"] = (
         ["re_z", "h_norm"],
         list(zip(xs, hs)),
@@ -644,11 +566,11 @@ def cmd_run(args) -> int:
         rows, plots = RUNNERS[name](cfg, operators)
         csv_path = out / f"{name}.csv"
         json_path = out / f"{name}.json"
-        write_suite_csv(csv_path, rows, cfg_hash)
+        write_suite_csv(csv_path, name, rows, cfg_hash)
         write_suite_json(json_path, name, rows, cfg_hash)
-        failed = sum(1 for r in rows if not r.passed)
+        failed = sum(1 for _, r in rows if not r.passed)
         # a skipped row passes its CSV flag but counts as no pass
-        skipped = sum(1 for r in rows if r.condition.startswith("skipped-"))
+        skipped = sum(1 for _, r in rows if r.condition.startswith("skipped-"))
         failed_total += failed
         outputs[name] = {
             "csv": csv_path.name,

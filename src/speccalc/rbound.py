@@ -44,32 +44,11 @@ SAMPLES = 4096
 
 
 def _rng(rng):
-    if rng is None:
-        return np.random.default_rng(DEFAULT_SEED)
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng))
-    return rng
+    return np.random.default_rng(DEFAULT_SEED) if rng is None else rng
 
 
 # ---------------------------------------------------------------------------
 # containers
-
-
-@dataclass
-class SpaceSpec:
-    """ell^p norm on C^n; p may be inf."""
-
-    p: float
-    n: int
-
-    def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise DomainError("p must be >= 1")
-        if self.n < 1:
-            raise DomainError("dimension must be positive")
-
-    def vector_norm(self, v) -> float:
-        return float(_kernels.row_norms(np.asarray(v)[None], self.p)[0])
 
 
 def _eig_apply_stack(eigenbasis, fvals) -> np.ndarray:
@@ -156,42 +135,45 @@ class RBoundEstimate:
     witness: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.lower > self.upper * (1 + 1e-12):
-            raise DomainError("estimate bracket is inverted")
+    @property
+    def violation(self):
+        """{"lower", "proven_upper"} when the lower end exceeds the upper
+        end, which no proven bracket can do; None otherwise.  The ends are
+        compared as computed, so an inversion by roundoff counts too.
+        Every row built from an estimate fails on it and writes it to its
+        extra."""
+        if self.lower > self.upper:
+            return {"lower": self.lower, "proven_upper": self.upper}
+        return None
 
 
 # ---------------------------------------------------------------------------
 # randomized sums of vectors
 
 
-def rademacher_norm(X, space: SpaceSpec, rng=None):
+def rademacher_norm(X, p: float, rng=None):
     """E || sum_k eps_k X[k] ||_p over independent signs.
 
     Exact enumeration for K <= EXACT_LIMIT, otherwise Monte Carlo with
-    SAMPLES draws.  Returns (mean, stderr, exact_flag); stderr is 0.0
-    for the enumerated case.
+    SAMPLES draws.  Returns (mean, stderr); stderr is 0.0 for the
+    enumerated case.
     """
     X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.ndim != 2:
         raise DomainError("X must be (K, n)")
-    if X.shape[1] != space.n:
-        raise DomainError("space dimension does not match the vectors")
-    p = float(space.p)
+    p = float(p)
     K = X.shape[0]
     if K <= EXACT_LIMIT:
-        return _kernels.enum_mean_norm(X, p), 0.0, True
+        return _kernels.enum_mean_norm(X, p), 0.0
     signs = _kernels.random_signs(_rng(rng), SAMPLES, K)
-    mean, stderr = _kernels.mc_mean_norm(X, p, signs)
-    return mean, stderr, False
+    return _kernels.mc_mean_norm(X, p, signs)
 
 
-def square_sum_norm(X, space: SpaceSpec) -> float:
+def square_sum_norm(X, p: float) -> float:
     """|| (sum_k |X[k]|^2)^{1/2} ||_p, the square function of the rows."""
     X = np.asarray(X, dtype=np.complex128)
-    if X.shape[1] != space.n:
-        raise DomainError("space dimension does not match the vectors")
-    return space.vector_norm(np.sqrt(np.sum(np.abs(X) ** 2, axis=0)))
+    square = np.sqrt(np.sum(np.abs(X) ** 2, axis=0))
+    return float(_kernels.row_norms(square[None], p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +198,11 @@ def operator_norm(T, p: float):
         return np.abs(T).sum(axis=-1).max(axis=-1)  # largest row sum
     if p == 2.0:
         return np.linalg.norm(T, 2, axis=(-2, -1))
-    space = SpaceSpec(p=p, n=T.shape[-1])
+    n = T.shape[-1]
     norms = []
-    for S in T.reshape(-1, space.n, space.n):
+    for S in T.reshape(-1, n, n):
         one = OperatorFamily("T", np.zeros(1), np.ones(1), S[None], "point")
-        norms.append(r_l2_bound(one, space).lower)
+        norms.append(r_l2_bound(one, p).lower)
     return norms[0] if T.ndim == 2 else np.array(norms)
 
 
@@ -271,7 +253,7 @@ def _ratio(mats, X, p, signs) -> np.ndarray:
     return ratio
 
 
-def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
+def r_bound(mats, p: float, rng=None) -> RBoundEstimate:
     """Bracket the R-bound of a finite matrix family on ell^p.
 
     On ell^2 the value is exactly max_j ||T_j||_2 (Rademacher sums are
@@ -304,17 +286,15 @@ def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
     Riesz-Thorin bounds each ||T_j||_p by the interpolated closed forms,
     exactly at p in {1, inf}.  The second term passes through ell^2, where
     R is the largest spectral norm, at the cost of _transfer_constant.
-    Should roundoff lift the witness above that upper end, the reported
-    upper is raised to the witness and diagnostics["bracket_violation"]
-    records both ends.
+    Both ends are reported as they are: should the witness ever lie above
+    the proven upper end, the estimate's violation records the inverted
+    bracket and the row built from it fails.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim == 2:
         mats = mats[None]
     K, n, _ = mats.shape
-    if n != space.n:
-        raise DomainError("space dimension does not match the matrices")
-    p = float(space.p)
+    p = float(p)
     norms_2 = operator_norm(mats, 2.0)
     if p == 2.0:
         v = float(norms_2.max())
@@ -367,43 +347,39 @@ def r_bound(mats, space: SpaceSpec, rng=None) -> RBoundEstimate:
         float(np.sum(interpolated)),
         _transfer_constant(p, n) * float(norms_2.max()),
     )
-    diagnostics = {"operator_norms_p": norms_p, "operator_norms_2": norms_2}
-    if proven < lower:
-        # the witness beats the upper end: report the inverted bracket
-        # instead of hiding it behind the clamp that keeps lower <= upper
-        diagnostics["bracket_violation"] = {"lower": lower, "proven_upper": proven}
     return RBoundEstimate(
         lower=lower,
-        upper=max(proven, lower),
+        upper=proven,
         method="search+transfer",
         witness=witness,
-        diagnostics=diagnostics,
+        diagnostics={"operator_norms_p": norms_p, "operator_norms_2": norms_2},
     )
 
 
-def r_l1_vs_rbound(mats, space: SpaceSpec, rng=None):
+def r_l1_vs_rbound(mats, p: float, rng=None):
     """(R, R_L1): the family's R-bound and that of its l1-average set.
 
     R_L1 estimates the R-bound of {sum_k f_k T_k : sum_k |f_k| <= 1},
     sampled at the vertices (the family itself, so R <= R_L1 is
     structural) plus 64 random points of the l1 sphere.  The two-point
-    contraction gives R_L1 <= 2 R on the other side.
+    contraction gives R_L1 <= 2 R on the other side.  R's lower end,
+    when larger, lifts R_L1's lower end; its upper end stays as proven.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim == 2:
         mats = mats[None]
     K = mats.shape[0]
     gen = _rng(rng)
-    R = r_bound(mats, space, rng=gen)
+    R = r_bound(mats, p, rng=gen)
     ball = [T for T in mats]
     for _ in range(64):
         f = gen.standard_normal(K) + 1j * gen.standard_normal(K)
         f /= np.sum(np.abs(f))
         ball.append(np.tensordot(f, mats, axes=(0, 0)))
-    RL1 = r_bound(np.stack(ball), space, rng=gen)
+    RL1 = r_bound(np.stack(ball), p, rng=gen)
     # any witness for the vertex subfamily witnesses the ball family too
     if R.lower > RL1.lower:
-        RL1 = replace(RL1, lower=R.lower, upper=max(RL1.upper, R.lower))
+        RL1 = replace(RL1, lower=R.lower)
     return R, RL1
 
 
@@ -486,7 +462,7 @@ def _gram_factor(family: OperatorFamily):
     return (s[:, None] * Wh).reshape(-1, n, n), np.tensordot(w, N, axes=(0, 0))
 
 
-def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEstimate:
+def r_l2_bound(family: OperatorFamily, p: float, rng=None) -> RBoundEstimate:
     """Bracket V = sup_h ||N_h||_{p->p}, the averaged value of a family.
 
     N_h = sum_k w_k h_k N_k runs over the unit ball sum_k w_k |h_k|^2 <= 1
@@ -556,9 +532,7 @@ def r_l2_bound(family: OperatorFamily, space: SpaceSpec, rng=None) -> RBoundEsti
     the rest is the same.
     """
     n = family.dim
-    if space.n != n:
-        raise DomainError("space dimension does not match the family")
-    p = float(space.p)
+    p = float(p)
     if family.symbols is not None:
         V = family.eigenbasis[0]
         if (family.normal and p == 2.0) or np.count_nonzero(V) == n:

@@ -26,19 +26,20 @@ bound differ by exactly 2 pi, which is what the bridge ratio checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _kernels
 from . import operators as ops
 from .errors import ConvergenceError, CoverageError, DomainError
 from .grids import SampledFunction, fourier_transform, log_grid, trapezoid_weights
-from .rbound import SpaceSpec, _eig_apply_stack, r_bound, r_l2_bound, rademacher_norm
+from .rbound import _eig_apply_stack, r_bound, r_l2_bound, rademacher_norm
 from .spaces import PartitionOfUnity, _edge_ratio
 
 __all__ = [
-    "ConditionValue",
     "MultiplierCorpus",
+    "Row",
     "SuiteReport",
     "condition_c1",
     "condition_c2_to_c8",
@@ -71,9 +72,11 @@ _TOLERANCES = {
 
 
 @dataclass
-class ConditionValue:
-    """One measured quantity: which condition, at which parameter, and
-    whether it passed (a finite value inside its row's assertion)."""
+class Row:
+    """One row of a report: which condition, at which parameter, and
+    whether it passed (a finite value inside its row's assertion).
+    `extra` is written to the suite JSON only, so the CSV bodies that
+    `compare` checks stay as they are."""
 
     condition: str
     param: str
@@ -82,6 +85,16 @@ class ConditionValue:
     grid: dict = field(default_factory=dict)
     passed: bool = True
     extra: dict = field(default_factory=dict)
+
+    def check_brackets(self, *estimates) -> "Row":
+        """This row, failed with extra["bracket_violation"] when one of the
+        estimates it was built from has an inverted bracket (the first one
+        that has)."""
+        violation = next((e.violation for e in estimates if e.violation), None)
+        if violation:
+            self.passed = False
+            self.extra["bracket_violation"] = violation
+        return self
 
 
 @dataclass
@@ -235,30 +248,25 @@ def _corpus_image(op: ops.SectorialOperator, corpus: MultiplierCorpus) -> np.nda
     return np.tensordot(coef, stack, axes=(1, 0))
 
 
-def condition_c1(A, space: SpaceSpec, corpus: MultiplierCorpus, rng=None) -> ConditionValue:
-    """R-bound of the corpus image {f_j(A)}.
+def _estimate_row(condition, param, est, grid) -> Row:
+    """The row of an estimate: its lower end, asserted finite, with the
+    upper end and the method in extra; an inverted bracket fails it."""
+    row = Row(condition, param, float(est.lower), _TOLERANCES[condition], grid,
+              bool(np.isfinite(est.lower)),
+              {"upper": float(est.upper), "method": est.method})
+    return row.check_brackets(est)
+
+
+def condition_c1(A, p: float, corpus: MultiplierCorpus, rng=None) -> Row:
+    """R-bound of the corpus image {f_j(A)} on ell^p.
 
     The members are ball-normalized at construction, so the value scales
-    linearly with the coefficients.  The row fails when r_bound reports
-    an inverted bracket, which it writes to extra["bracket_violation"].
+    linearly with the coefficients.
     """
     op = ops.sectorial(A)
-    mats = _corpus_image(op, corpus)
-    est = r_bound(mats, space, rng=rng)
-    violation = est.diagnostics.get("bracket_violation")
-    return ConditionValue(
-        condition="c1",
-        param=f"corpus:{len(corpus)}",
-        value=float(est.lower),
-        tolerance=_TOLERANCES["c1"],
-        grid={"t_max": -corpus.t0, "dt": corpus.dt, "members": len(corpus)},
-        passed=bool(np.isfinite(est.lower)) and violation is None,
-        extra={
-            "upper": float(est.upper),
-            "method": est.method,
-            **({"bracket_violation": violation} if violation else {}),
-        },
-    )
+    est = r_bound(_corpus_image(op, corpus), p, rng=rng)
+    grid = {"t_max": -corpus.t0, "dt": corpus.dt, "members": len(corpus)}
+    return _estimate_row("c1", f"corpus:{len(corpus)}", est, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +312,14 @@ def _condition_table(alpha: float, beta: float) -> list:
     ]
 
 
-def _family_row(op, space, rng, condition, param, family, kwargs):
+def _family_row(op, p, rng, condition, param, family, kwargs) -> Row:
     fam = ops.family_samples(op, family, **kwargs)
-    est = r_l2_bound(fam, space, rng=rng)
-    value = float(est.lower)
-    return ConditionValue(
-        condition=condition,
-        param=param,
-        value=value,
-        tolerance=_TOLERANCES[condition],
-        grid={"samples": len(fam), "measure": fam.measure, **fam.diagnostics},
-        passed=bool(np.isfinite(value)),
-        extra={"upper": float(est.upper), "method": est.method},
-    )
+    est = r_l2_bound(fam, p, rng=rng)
+    grid = {"samples": len(fam), "measure": fam.measure, **fam.diagnostics}
+    return _estimate_row(condition, param, est, grid)
 
 
-def _exponent_row(op, condition, rows, alpha, fit_tol) -> ConditionValue:
+def _exponent_row(op, condition, rows, alpha, fit_tol) -> Row:
     """Least-squares slope of the log value against minus the log of the
     distance from each ray angle to the critical angle.
 
@@ -332,7 +332,7 @@ def _exponent_row(op, condition, rows, alpha, fit_tol) -> ConditionValue:
     y = [r.value for r in rows]
     expo = float(np.polyfit(x, np.log(y), 1)[0])
     within = expo <= alpha + fit_tol or not op.diagonalizable
-    return ConditionValue(
+    return Row(
         condition=condition,
         param="exponent",
         value=expo,
@@ -345,13 +345,13 @@ def _exponent_row(op, condition, rows, alpha, fit_tol) -> ConditionValue:
 
 def condition_c2_to_c8(
     A,
-    space: SpaceSpec,
+    p: float,
     alpha: float = 1.0,
     beta: float = 0.5,
     fit_tol: float = 0.15,
     rng=None,
 ) -> dict:
-    """Evaluate conditions (2) through (8); returns {condition: [rows]}.
+    """Evaluate conditions (2) through (8) on ell^p; returns {condition: [rows]}.
 
     Each row of _condition_table samples one family and bounds its
     averaged norm; the single-parameter conditions give one row each.
@@ -364,7 +364,7 @@ def condition_c2_to_c8(
     op = ops.sectorial(A)
     out = {}
     for condition, param, family, kwargs in _condition_table(alpha, beta):
-        row = _family_row(op, space, rng, condition, param, family, kwargs)
+        row = _family_row(op, p, rng, condition, param, family, kwargs)
         out.setdefault(condition, []).append(row)
     for condition in _RAY_FITS:
         out[condition].append(
@@ -377,24 +377,24 @@ def condition_c2_to_c8(
 # the full report
 
 
-def _require_original_basis(op, space: SpaceSpec):
+def _require_original_basis(op, p: float):
     """A reduced core is written in an orthonormal basis of the range, an
     isometry on ell^2 only: reject every other ell^p."""
-    if op.reduction is not None and float(space.p) != 2.0:
-        lp = f"l{space.p:g}"
+    if op.reduction is not None and float(p) != 2.0:
+        lp = f"l{p:g}"
         raise DomainError(f"{lp} of a reduced core is not {lp} of the operator")
 
 
 def equivalence_report(
     A,
-    space: SpaceSpec,
+    p: float,
     alpha: float = 1.0,
     beta: float = 0.5,
     fit_tol: float = 0.15,
     corpus_size: int = 200,
     seed: int = 0,
 ) -> SuiteReport:
-    """Measure conditions (1)-(8) on one operator and cross-check them.
+    """Measure conditions (1)-(8) on one operator on ell^p and cross-check them.
 
     Records the bridge ratio c2 / (2 pi c1), the angle-growth exponents
     with their alpha cap, a beta sweep of the ray resolvents, and a
@@ -409,15 +409,15 @@ def equivalence_report(
     DomainError (_require_original_basis).
     """
     op = ops.sectorial(A)
-    _require_original_basis(op, space)
+    _require_original_basis(op, p)
     alpha, beta, fit_tol = float(alpha), float(beta), float(fit_tol)
     beta_sweep = (0.25, 0.5, 0.75)
     gen = np.random.default_rng(seed)
     corpus = multiplier_corpus(op, alpha, size=corpus_size, seed=seed)
-    c1 = condition_c1(op, space, corpus, rng=gen)
+    c1 = condition_c1(op, p, corpus, rng=gen)
     rows = [c1]
 
-    conds = condition_c2_to_c8(op, space, alpha, beta, fit_tol, rng=gen)
+    conds = condition_c2_to_c8(op, p, alpha, beta, fit_tol, rng=gen)
     for key in sorted(conds):
         rows.extend(conds[key])
 
@@ -430,7 +430,7 @@ def equivalence_report(
         # like the exponent caps, the bridge is asserted with an eigenbasis only
         within = 0.95 <= bridge <= 1.05 or not op.diagonalizable
         rows.append(
-            ConditionValue(
+            Row(
                 condition="bridge",
                 param="c2/(2 pi c1)",
                 value=float(bridge),
@@ -442,7 +442,7 @@ def equivalence_report(
     for b in beta_sweep:
         rows.append(
             _family_row(
-                op, space, gen, "c3", f"beta={b:g}@theta={np.pi / 2:.6g}",
+                op, p, gen, "c3", f"beta={b:g}@theta={np.pi / 2:.6g}",
                 "resolvent-ray", {"beta": b, "theta": np.pi / 2},
             )
         )
@@ -452,24 +452,11 @@ def equivalence_report(
         if condition not in _REFINED_N:
             continue
         kwargs = {**kwargs, "n": _REFINED_N[condition]}
-        fine = _family_row(op, space, gen, condition, param, family, kwargs)
-        refined, base = fine.value, values[condition]
-        drift = abs(refined - base) / abs(base) if base else float("inf")
-        rows.append(
-            ConditionValue(
-                condition=condition,
-                param="refined",
-                value=refined,
-                tolerance=_TOLERANCES[condition],
-                grid={"refine": 2.0},
-                passed=bool(np.isfinite(refined)),
-                extra={
-                    "drift": drift,
-                    "upper": fine.extra["upper"],
-                    "method": fine.extra["method"],
-                },
-            )
-        )
+        fine = _family_row(op, p, gen, condition, param, family, kwargs)
+        base = values[condition]
+        drift = abs(fine.value - base) / abs(base) if base else float("inf")
+        rows.append(replace(fine, param="refined", grid={"refine": 2.0},
+                            extra={**fine.extra, "drift": drift}))
 
     all_finite = all(np.isfinite(r.value) for r in rows)
     exponents_ok = all(r.passed for r in exponents)
@@ -493,8 +480,8 @@ def equivalence_report(
 # randomized block two-sidedness
 
 
-def paley_littlewood_check(A, space: SpaceSpec, trials: int = 100, seed: int = 0):
-    """Two-sided randomized square-function ratios over dyadic blocks.
+def paley_littlewood_check(A, p: float, trials: int = 100, seed: int = 0):
+    """Two-sided randomized square-function ratios over dyadic blocks on ell^p.
 
     For each random unit x the ratio E || sum_n eps_n psi_n(A) x || / ||x||
     is collected (first moment over independent signs); the return value
@@ -508,9 +495,7 @@ def paley_littlewood_check(A, space: SpaceSpec, trials: int = 100, seed: int = 0
     analytic, so no contour calculus stands in for it.
     """
     op = ops.sectorial(A)
-    _require_original_basis(op, space)
-    if space.n != op.dim:
-        raise DomainError("space dimension does not match the operator")
+    _require_original_basis(op, p)
     lam = op.eigenvalues
     if float(np.max(np.abs(lam.imag))) > 1e-9 * float(np.max(np.abs(lam))):
         raise DomainError("dyadic blocks slice the positive axis; spectrum is complex")
@@ -533,9 +518,9 @@ def paley_littlewood_check(A, space: SpaceSpec, trials: int = 100, seed: int = 0
     ratios, stderr = np.empty(trials), 0.0
     for i in range(trials):
         x = gen.standard_normal(op.dim) + 1j * gen.standard_normal(op.dim)
-        x /= space.vector_norm(x)
+        x /= _kernels.row_norms(x[None], p)[0]
         X = np.stack([B @ x for B in blocks])
-        ratios[i], err, _ = rademacher_norm(X, space, rng=gen)
+        ratios[i], err = rademacher_norm(X, p, rng=gen)
         stderr = max(stderr, float(err))
     return float(ratios.min()), float(ratios.max()), stderr
 

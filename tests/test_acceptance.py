@@ -27,7 +27,7 @@ from speccalc import operators as ops
 from speccalc import rbound, special
 from speccalc import suite as experiments
 from speccalc.grids import SampledFunction
-from speccalc.rbound import SpaceSpec, _eig_apply_stack
+from speccalc.rbound import _eig_apply_stack
 from speccalc.spaces import PartitionOfUnity, hoermander_norm, sobexp_norm
 
 from oracles import dilate
@@ -168,7 +168,7 @@ def test_06_weighted_imaginary_powers_average_near_sqrt_pi():
     devs = {}
     for name, A in spectra.items():
         fam = ops.family_samples(A, "bip", alpha=1.0)
-        value = rbound.r_l2_bound(fam, SpaceSpec(p=2.0, n=fam.dim)).lower
+        value = rbound.r_l2_bound(fam, 2.0).lower
         devs[name] = abs(value / math.sqrt(math.pi) - 1.0)
     ok = all(d <= 0.02 for d in devs.values())
     detail = ", ".join(f"{k}: {v:.4f}" for k, v in devs.items())
@@ -177,10 +177,9 @@ def test_06_weighted_imaginary_powers_average_near_sqrt_pi():
 
 def test_07_corpus_sup_bridges_to_the_family_average():
     op = ops.sectorial(np.diag([1.0, 2.0, 4.0]))
-    space = SpaceSpec(p=2.0, n=3)
     corpus = experiments.multiplier_corpus(op, 1.0, size=200, seed=0)
-    c1 = experiments.condition_c1(op, space, corpus).value
-    c2 = experiments.condition_c2_to_c8(op, space)["c2"][0].value
+    c1 = experiments.condition_c1(op, 2.0, corpus).value
+    c2 = experiments.condition_c2_to_c8(op, 2.0)["c2"][0].value
     bridge = c2 / (2.0 * np.pi * c1)
     verdict(
         0.95 <= bridge <= 1.05,
@@ -191,11 +190,11 @@ def test_07_corpus_sup_bridges_to_the_family_average():
 
 def test_08_ray_resolvents_scalar_value_and_angle_growth():
     assert experiments.RESOLVENT_ANGLES == (np.pi, np.pi / 2, np.pi / 4, np.pi / 8)
-    scalar_rows = experiments.condition_c2_to_c8(np.diag([1.0]), SpaceSpec(p=2.0, n=1))["c3"]
+    scalar_rows = experiments.condition_c2_to_c8(np.diag([1.0]), 2.0)["c3"]
     at_pi = next(r.value for r in scalar_rows if r.param == f"theta={np.pi:.6g}")
     expos = []
     for A in (np.diag(np.logspace(-1, 1, 8)), np.diag(np.logspace(0, 2, 6))):
-        rows = experiments.condition_c2_to_c8(A, SpaceSpec(p=2.0, n=A.shape[0]), alpha=1.0)["c3"]
+        rows = experiments.condition_c2_to_c8(A, 2.0, alpha=1.0)["c3"]
         expos.append(next(r.value for r in rows if r.param == "exponent"))
     ok = abs(at_pi - 1.0) <= 0.01 and all(x <= 1.0 for x in expos)
     verdict(
@@ -209,8 +208,7 @@ def test_08_ray_resolvents_scalar_value_and_angle_growth():
 
 def test_09_wave_family_average_is_sqrt_two_pi():
     op = ops.sectorial(np.diag(np.logspace(-1, 1, 8)))
-    space = SpaceSpec(p=2.0, n=8)
-    c7 = experiments.condition_c2_to_c8(op, space)["c7"][0].value
+    c7 = experiments.condition_c2_to_c8(op, 2.0)["c7"][0].value
     err = abs(c7 / math.sqrt(2.0 * np.pi) - 1.0)
     verdict(err <= 0.01, "09 wave average", f"|c7/sqrt(2 pi) - 1| = {err:.4f} (<=0.01)")
 
@@ -270,7 +268,7 @@ def test_12_dyadic_blocks_are_two_sided():
     op = ops.operator_from_spec("diag-logspaced:32")
     blocks = list(PartitionOfUnity("dyadic").indices_for(*op.spectral_bounds()))
     lo_r, hi_r, _ = experiments.paley_littlewood_check(
-        op, SpaceSpec(p=2.0, n=32), trials=100, seed=0
+        op, 2.0, trials=100, seed=0
     )
     elapsed = time.monotonic() - t0
     verdict(
@@ -295,7 +293,7 @@ def test_14_l1_hull_doubles_the_family_bound_at_most():
             mats.append((Z + Z.conj().T) / 2.0)
         for p in (2.0, 1.0):
             R, RL1 = rbound.r_l1_vs_rbound(
-                np.stack(mats), SpaceSpec(p=p, n=4), rng=np.random.default_rng(seed + 100)
+                np.stack(mats), p, rng=np.random.default_rng(seed + 100)
             )
             worst_hi = max(worst_hi, RL1.lower / (2.0 * R.lower))
             worst_lo = max(worst_lo, R.lower / RL1.lower)

@@ -248,8 +248,7 @@ class TestRun:
         doc = json.loads((out / "rbound.json").read_text())
         assert all("bracket_violation" not in r.get("extra", {}) for r in doc["rows"])
         # a transfer constant far too small on the pair's space (l^1 on C^2)
-        # drives the proven upper end below the witness: r_bound clamps the
-        # bracket, the row fails
+        # drives the proven upper end below the witness: the row fails
         transfer = rbound._transfer_constant
         monkeypatch.setattr(
             rbound, "_transfer_constant",
@@ -263,6 +262,52 @@ class TestRun:
         violation = row["extra"]["bracket_violation"]
         assert violation["lower"] == row["value"]
         assert violation["proven_upper"] == pytest.approx(1e-6)
+
+    def test_inverted_brackets_fail_the_rbound_rows(self, tmp_path, monkeypatch):
+        # with every transfer constant far too small, each bracket off the
+        # closed forms inverts: the run ends with failed rows, no traceback
+        monkeypatch.setattr(rbound, "_transfer_constant", lambda p, n: 1e-6)
+        path = write_config(tmp_path, suites=["rbound"])
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        doc = json.loads((out / "rbound.json").read_text())
+        inverted = {
+            (r["condition"], r["param"])
+            for r in doc["rows"] if "bracket_violation" in r.get("extra", {})
+        }
+        assert inverted == {
+            ("pair-l1-lower", "{I,diag(1,-1)}"), ("decay-family", "e^{-t}I"),
+            *(("l1-average-ratio", f"trial={t},p=1") for t in range(3)),
+        }
+        assert not any(r["pass"] for r in doc["rows"]
+                       if (r["condition"], r["param"]) in inverted)
+
+    def test_inverted_brackets_fail_the_report_instead_of_skipping_it(
+        self, tmp_path, monkeypatch
+    ):
+        # an inverted bracket is a failure of the row built from it, never
+        # a precondition that turns the whole report into a passing skip
+        monkeypatch.setattr(rbound, "_transfer_constant", lambda p, n: 1e-6)
+        path = write_config(
+            tmp_path, operators=["jordan:1,3"], suites=["theorem-equivalence"],
+            corpus_size=30,
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        doc = json.loads((out / "theorem-equivalence.json").read_text())
+        assert not any(r["condition"].startswith("skipped-") for r in doc["rows"])
+        bracketed = [
+            r for r in doc["rows"]
+            if r["condition"] in ("c2", "c3", "c4", "c5", "c6", "c7", "c8")
+            and r["param"] != "exponent"
+        ]
+        # 13 families, 3 beta-sweep rays, 2 refined grids
+        assert len(bracketed) == 18
+        for r in bracketed:
+            assert not r["pass"]
+            violation = r["extra"]["bracket_violation"]
+            assert violation["lower"] == r["value"]
+            assert violation["proven_upper"] == r["extra"]["upper"] < r["value"]
 
     def test_paley_littlewood_rows_carry_the_mc_stderr(self, tmp_path):
         # diag-logspaced:16 spans more than 12 dyadic blocks, so its sign

@@ -13,9 +13,9 @@ import pytest
 import scipy.linalg
 
 from speccalc import operators as ops
-from speccalc import rbound, special
+from speccalc import _kernels, rbound, special
 from speccalc.errors import DomainError, NotSectorialError
-from speccalc.rbound import OperatorFamily, SpaceSpec, _eig_apply_stack, r_l2_bound
+from speccalc.rbound import OperatorFamily, _eig_apply_stack, r_l2_bound
 
 from oracles import node_by_node_calculus
 
@@ -557,9 +557,8 @@ class TestEigenvalueTable:
         assert self._rel(pairs, want[2]) <= 1e-12
         assert top == pytest.approx(want[3], rel=1e-12)
         for p in (2.0, 3.0):
-            space = SpaceSpec(p=p, n=op.dim)
-            got = r_l2_bound(table, space, rng=np.random.default_rng(5))
-            ref = r_l2_bound(stack, space, rng=np.random.default_rng(5))
+            got = r_l2_bound(table, p, rng=np.random.default_rng(5))
+            ref = r_l2_bound(stack, p, rng=np.random.default_rng(5))
             if op.normal and p == 2.0:
                 # the Laplacian core is normal: the table's closed form lies
                 # in the bracket the stack's bilinear loop gives
@@ -581,7 +580,7 @@ class TestEigenvalueTable:
         op = ops.operator_from_spec("cycle-laplacian:6")
         table = ops.family_samples(op, family, **TestDenseReference.ARGS[family])
         for p in (2.0, 3.0):
-            r_l2_bound(table, SpaceSpec(p=p, n=op.dim), rng=np.random.default_rng(5))
+            r_l2_bound(table, p, rng=np.random.default_rng(5))
         assert table._stack is None
 
     def test_the_long_table_never_builds_its_stack(self):
@@ -591,7 +590,7 @@ class TestEigenvalueTable:
         tracemalloc.start()
         try:
             fam = ops.family_samples(op, "resolvent-2d")
-            est = r_l2_bound(fam, SpaceSpec(p=2.0, n=16))
+            est = r_l2_bound(fam, 2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -644,7 +643,7 @@ class TestNormalClosedForm:
         table = ops.family_samples(op, "bip", **TestDenseReference.ARGS["bip"])
         assert not table.normal
         for p in (1.0, 2.0, 3.0):
-            est = r_l2_bound(table, SpaceSpec(p=p, n=3), rng=np.random.default_rng(0))
+            est = r_l2_bound(table, p, rng=np.random.default_rng(0))
             assert est.method == "bilinear-power"
 
     @pytest.mark.parametrize("family", list(TestDenseReference.ARGS))
@@ -653,9 +652,8 @@ class TestNormalClosedForm:
         op = _unitary_conjugate(n, seed=10 * n + len(family))
         assert op.normal
         table = ops.family_samples(op, family, **TestDenseReference.ARGS[family])
-        space = SpaceSpec(p=2.0, n=n)
-        est = r_l2_bound(table, space)
-        ref = r_l2_bound(_stack_of(table), space, rng=np.random.default_rng(n))
+        est = r_l2_bound(table, 2.0)
+        ref = r_l2_bound(_stack_of(table), 2.0, rng=np.random.default_rng(n))
         assert est.method == "spectral" and ref.method == "bilinear-power"
         value = est.lower
         assert est.upper == value
@@ -691,17 +689,16 @@ class TestNormalClosedForm:
     def test_diagonal_closed_form_on_every_lp(self, family, spec, p):
         op = ops.operator_from_spec(spec)
         table = ops.family_samples(op, family, **TestDenseReference.ARGS[family])
-        two = r_l2_bound(table, SpaceSpec(p=2.0, n=op.dim))
-        space = SpaceSpec(p=p, n=op.dim)
-        est = r_l2_bound(table, space)
-        ref = r_l2_bound(_stack_of(table), space, rng=np.random.default_rng(0))
+        two = r_l2_bound(table, 2.0)
+        est = r_l2_bound(table, p)
+        ref = r_l2_bound(_stack_of(table), p, rng=np.random.default_rng(0))
         assert est.method == "spectral" and ref.method == "bilinear-power"
         assert est.lower == est.upper == two.lower
         assert ref.lower <= est.lower * (1.0 + 1e-12)
         # the witness e_j is a unit vector of ell^p and of ell^{p'}
         x, xp = est.witness["x"], est.witness["x_prime"]
-        assert space.vector_norm(x) == pytest.approx(1.0, rel=1e-14)
-        assert SpaceSpec(p=rbound._conjugate(p), n=op.dim).vector_norm(xp) == (
+        assert _kernels.row_norms(x[None], p)[0] == pytest.approx(1.0, rel=1e-14)
+        assert _kernels.row_norms(xp[None], rbound._conjugate(p))[0] == (
             pytest.approx(1.0, rel=1e-14))
         assert _form_at(table, x, xp) == pytest.approx(est.lower**2, rel=1e-12)
 

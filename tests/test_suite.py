@@ -26,7 +26,6 @@ from speccalc.errors import (
     NotSectorialError,
 )
 from speccalc.grids import SampledFunction
-from speccalc.rbound import SpaceSpec
 from speccalc.spaces import PartitionOfUnity
 
 from oracles import scale_corpus
@@ -97,7 +96,7 @@ class TestCorpus:
 
 class TestConditionOne:
     def test_closed_form_value_and_witness(self, diag124, corpus124):
-        res = suite.condition_c1(diag124, SpaceSpec(p=2.0, n=3), corpus124)
+        res = suite.condition_c1(diag124, 2.0, corpus124)
         # the peak member is the eigenvalue-centered extremal, whose
         # operator norm is (2 pi)^{-1} || <t>^{-1} ||_{L2[-50, 50]}
         want = math.sqrt(2.0 * math.atan(50.0)) / (2.0 * math.pi)
@@ -105,26 +104,25 @@ class TestConditionOne:
         assert res.condition == "c1" and res.passed
 
     def test_inverted_bracket_fails_the_row(self, diag124, corpus124, monkeypatch):
-        space = SpaceSpec(p=1.0, n=3)
-        clean = suite.condition_c1(diag124, space, corpus124, rng=np.random.default_rng(0))
+        clean = suite.condition_c1(diag124, 1.0, corpus124, rng=np.random.default_rng(0))
         assert clean.passed and "bracket_violation" not in clean.extra
         monkeypatch.setattr(rbound, "_transfer_constant", lambda p, n: 1e-6)
-        res = suite.condition_c1(diag124, space, corpus124, rng=np.random.default_rng(0))
+        res = suite.condition_c1(diag124, 1.0, corpus124, rng=np.random.default_rng(0))
         assert not res.passed
         violation = res.extra["bracket_violation"]
-        assert violation["lower"] == res.value == res.extra["upper"]
-        assert violation["proven_upper"] < res.value
+        assert violation["lower"] == res.value
+        assert violation["proven_upper"] == res.extra["upper"] < res.value
 
     def test_scales_with_radius(self, diag124, corpus124):
-        base = suite.condition_c1(diag124, SpaceSpec(p=2.0, n=3), corpus124)
-        big = suite.condition_c1(diag124, SpaceSpec(p=2.0, n=3), scale_corpus(corpus124, 3.0))
+        base = suite.condition_c1(diag124, 2.0, corpus124)
+        big = suite.condition_c1(diag124, 2.0, scale_corpus(corpus124, 3.0))
         assert big.value == pytest.approx(3.0 * base.value, rel=1e-12)
 
 
 class TestConditionTable:
     def test_resolvent_ray_closed_forms(self, diag124):
         thetas = (np.pi, np.pi / 2, np.pi / 4)
-        rows = suite.condition_c2_to_c8(diag124, SpaceSpec(p=2.0, n=3))["c3"]
+        rows = suite.condition_c2_to_c8(diag124, 2.0)["c3"]
         got = {r.param: r.value for r in rows if r.param != "exponent"}
         for th in thetas:
             want = math.sqrt((np.pi - th) / math.sin(th)) if th != np.pi else 1.0
@@ -132,21 +130,21 @@ class TestConditionTable:
 
     def test_semigroup_ray_closed_forms(self, diag124):
         psis = (0.0, np.pi / 4)
-        rows = suite.condition_c2_to_c8(diag124, SpaceSpec(p=2.0, n=3))["c5"]
+        rows = suite.condition_c2_to_c8(diag124, 2.0)["c5"]
         got = {r.param: r.value for r in rows if r.param != "exponent"}
         for ps in psis:
             want = (2.0 * math.cos(ps)) ** -0.5
             assert got[f"theta={ps:.6g}"] == pytest.approx(want, rel=2e-3), ps
 
     def test_plane_averages_and_wave(self, diag124):
-        rows = suite.condition_c2_to_c8(diag124, SpaceSpec(p=2.0, n=3))
+        rows = suite.condition_c2_to_c8(diag124, 2.0)
         c6 = rows["c6"][0].value
         c7 = rows["c7"][0].value
         assert c6 == pytest.approx(math.sqrt(math.pi / 2.0), rel=5e-3)
         assert c7 == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-3)
 
     def test_bip_value(self, diag124):
-        rows = suite.condition_c2_to_c8(diag124, SpaceSpec(p=2.0, n=3))
+        rows = suite.condition_c2_to_c8(diag124, 2.0)
         # int_{-T}^{T} dt / (1 + t^2) -> pi, so the T = 50 average sits
         # just under sqrt(pi)
         val = rows["c2"][0].value
@@ -164,7 +162,7 @@ class TestConditionTable:
         # c2 = (sum_k w_k <t_k>^{-2 alpha})^{1/2} on the bip grid, whatever A
         op = ops.operator_from_spec(spec)
         assert op.normal and np.all(op.eigenvalues.real > 0)
-        row = suite.condition_c2_to_c8(op, SpaceSpec(p=2.0, n=op.dim))["c2"][0]
+        row = suite.condition_c2_to_c8(op, 2.0)["c2"][0]
         grid = ops.family_samples(op, "bip")
         t, w = grid.points, grid.weights
         want = math.sqrt(float(w @ (1.0 + t * t) ** -1.0))
@@ -175,7 +173,7 @@ class TestConditionTable:
 
 class TestEquivalenceReport:
     def test_diagonal_report_asserts_equivalence(self, diag124):
-        rep = suite.equivalence_report(diag124, SpaceSpec(p=2.0, n=3), corpus_size=40, seed=0)
+        rep = suite.equivalence_report(diag124, 2.0, corpus_size=40, seed=0)
         assert rep.flags["diagonalizable"]
         assert rep.flags["all_finite"]
         assert rep.flags["bridge_ok"]
@@ -188,7 +186,7 @@ class TestEquivalenceReport:
         assert all(r.extra["drift"] <= 0.05 for r in refined)
 
     def test_beta_sweep_closed_form(self, diag124):
-        rep = suite.equivalence_report(diag124, SpaceSpec(p=2.0, n=3), corpus_size=40, seed=0)
+        rep = suite.equivalence_report(diag124, 2.0, corpus_size=40, seed=0)
         sweep = {
             r.param: r.value
             for r in rep.rows
@@ -203,7 +201,7 @@ class TestEquivalenceReport:
 
     def test_jordan_report_records_without_asserting(self):
         op = ops.operator_from_spec("jordan:1,3")
-        rep = suite.equivalence_report(op, SpaceSpec(p=2.0, n=op.dim), corpus_size=30, seed=0)
+        rep = suite.equivalence_report(op, 2.0, corpus_size=30, seed=0)
         assert not rep.flags["diagonalizable"]
         assert not rep.flags["equivalence_asserted"]
         assert rep.flags["all_finite"]
@@ -219,7 +217,7 @@ class TestEquivalenceReport:
 
     def test_zero_mode_reduction_is_flagged(self):
         op = ops.operator_from_spec("cycle-laplacian:8")
-        rep = suite.equivalence_report(op, SpaceSpec(p=2.0, n=op.dim), corpus_size=30, seed=0)
+        rep = suite.equivalence_report(op, 2.0, corpus_size=30, seed=0)
         assert rep.flags["zero_mode_reduced"]
         assert rep.flags["core_dim"] == 7
         bridge = [r for r in rep.rows if r.condition == "bridge"][0]
@@ -230,7 +228,7 @@ class TestPaleyLittlewood:
     def test_two_sided_frame_on_log_spectrum(self):
         op = ops.operator_from_spec("diag-logspaced:16")
         lo, hi, _ = suite.paley_littlewood_check(
-            op, SpaceSpec(p=2.0, n=16), trials=50, seed=0
+            op, 2.0, trials=50, seed=0
         )
         assert 0.1 <= lo <= hi <= 10.0
         assert hi / lo <= 1.5  # ell^2 blocks are nearly tight frames
@@ -240,7 +238,7 @@ class TestPaleyLittlewood:
         # each coordinate of sum_n eps_n psi_n(A) x is at most |x_j|
         op = ops.operator_from_spec("diag-logspaced:6")
         lo, hi, _ = suite.paley_littlewood_check(
-            op, SpaceSpec(p=np.inf, n=6), trials=20, seed=0
+            op, np.inf, trials=20, seed=0
         )
         assert 0.0 < lo < hi <= 1.0 + 1e-12
 
@@ -249,12 +247,12 @@ class TestPaleyLittlewood:
         monkeypatch.setattr(PartitionOfUnity, "indices_for", lambda self, lo, hi: (0, 1))
         op = ops.operator_from_spec("diag-logspaced:16")
         with pytest.raises(CoverageError):
-            suite.paley_littlewood_check(op, SpaceSpec(p=2.0, n=16), trials=5, seed=0)
+            suite.paley_littlewood_check(op, 2.0, trials=5, seed=0)
 
     def test_defective_is_refused(self):
         op = ops.operator_from_spec("jordan:1,3")
         with pytest.raises(NotSectorialError):
-            suite.paley_littlewood_check(op, SpaceSpec(p=2.0, n=3), trials=5, seed=0)
+            suite.paley_littlewood_check(op, 2.0, trials=5, seed=0)
 
 
 class TestBoundaryDecomposition:

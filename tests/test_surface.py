@@ -33,7 +33,9 @@ and such shared names are removed by hand, not found here.
 
 Every name the benchmark worker (`perfbench/worker.py`) traces or
 reads must still resolve, so a deletion fails here and not first in a
-traced benchmark run.
+traced benchmark run.  The README's "Library quick start" block must
+run as written and print what its comments say, so a changed signature
+fails here and not first in a reader's session.
 
 V diag(f) V^{-1} has one implementation: no function but
 `rbound._eig_apply_stack` reads `eigenvectors_inv` or unpacks an
@@ -46,13 +48,17 @@ their bodies, so a run that reaches none of them loads numpy only.
 """
 
 import ast
+import contextlib
 import importlib
+import io
+import math
 from pathlib import Path
 
 import speccalc
 
 PACKAGE = Path(speccalc.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # names kept without a caller in the package, and why
 ALLOWED = {
@@ -197,6 +203,20 @@ def test_benchmark_names_resolve(monkeypatch):
     assert isinstance(worker.operators.SectorialOperator, type)
 
 
+def test_readme_quick_start_runs():
+    section = README.read_text().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    norm, mellin, average, bracket = out.getvalue().splitlines()
+    assert math.isfinite(float(norm))
+    assert float(mellin) < 1e-10  # "~1e-13"
+    assert abs(float(average) / math.sqrt(math.pi) - 1.0) < 0.02  # "~sqrt(pi)"
+    lower, upper = map(float, bracket.split())
+    assert 1.0 <= lower <= upper and abs(upper - math.sqrt(2.0)) < 1e-12
+
+
 def _defaulted(fn, is_method):
     """[(parameter, index among the positional arguments of a call or
     None)] for each parameter of fn that has a default."""
@@ -321,7 +341,7 @@ def test_every_field_is_read_by_package_code():
 
 def test_the_field_check_covers_dataclasses_and_init():
     fields = stored_fields()
-    assert {"NormResult.value", "ConditionValue.passed", "Row.extra"} <= fields
+    assert {"NormResult.value", "Row.passed", "Row.extra", "RBoundEstimate.lower"} <= fields
     assert {"OperatorFamily.weights", "OperatorFamily._stack"} <= fields
 
 
