@@ -5,13 +5,13 @@ acting on ell^p, r_bound brackets the Rademacher bound
 
     R = sup sqrt( E || sum_j eps_j T_j x_j ||^2 / E || sum_j eps_j x_j ||^2 )
 
-over finite selections and nonzero vector tuples.  On ell^2 the
-Rademacher sum is orthogonal, the supremum collapses to the largest
-operator norm and the bracket is exact.  On other ell^p both ends are
-proven: the lower end is the value of a singleton or of a witness tuple
-scored on the full sign enumeration of a subfamily of at most 14
-matrices, the upper end the smaller of the sum of the interpolated
-closed-form norms and the ell^2 value transferred to ell^p.
+over finite selections and nonzero vector tuples.  On ell^2, and on
+C^1 = ell^p_1, the Rademacher sum is orthogonal, the supremum collapses
+to the largest operator norm and the bracket is exact.  Elsewhere both
+ends are proven: the lower end is the value of a singleton or of a
+witness tuple scored on the full sign enumeration of a subfamily of at
+most 14 matrices, the upper end the smaller of the sum of the
+interpolated closed-form norms and the ell^2 value transferred to ell^p.
 
 For a weighted family of samples N(t_k) of a continuous family,
 r_l2_bound brackets the averaged (square function) value
@@ -21,7 +21,8 @@ r_l2_bound brackets the averaged (square function) value
 the largest ell^p norm of the averages sum_k w_k h_k N_k over the unit
 ball of L2(w), by one alternating bilinear iteration for every p: a
 feasible witness pair gives the lower end, the flattened Gram bound
-times the ell^2 -> ell^p transfer factor the upper end.  A normal
+times the ell^2 -> ell^p transfer factor the upper end; operator_norm
+runs the same iteration on a batch of one-matrix families.  A normal
 operator's eigenvalue table on ell^2, and a diagonal one's on every
 ell^p, give the value in closed form instead.
 """
@@ -133,7 +134,6 @@ class RBoundEstimate:
     upper: float
     method: str
     witness: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def violation(self):
@@ -185,11 +185,14 @@ def operator_norm(T, p: float):
 
     Closed forms for p in {1, 2, inf} (the spectral norms of a stack in
     one batched SVD).  Any other p takes the lower end of r_l2_bound on
-    the one-sample family {T} with weight 1: the sup of |<T x, x'>| over
-    ||x||_p <= 1 and ||x'||_{p'} <= 1 is ||T||_{p->p}, and on this
+    each one-sample family {T_k} with weight 1: the sup of |<T x, x'>|
+    over ||x||_p <= 1 and ||x'||_{p'} <= 1 is ||T||_{p->p}, and on this
     rank-one form every dual-map half step is exact, so the alternating
-    loop is Boyd's power iteration.  The value is that of a feasible
-    pair, a lower end of the norm.
+    loop is Boyd's power iteration (Boyd 1974; Higham 1992).  The value
+    is that of a feasible pair, a lower end of the norm.  All K families
+    run in one batch (_alternate) with the starts of rng=None, so the
+    caller's generator is untouched and each norm is bit-equal to the
+    r_l2_bound of {T_k} alone.
     """
     T = np.asarray(T, dtype=np.complex128)
     if p == 1.0:
@@ -199,11 +202,12 @@ def operator_norm(T, p: float):
     if p == 2.0:
         return np.linalg.norm(T, 2, axis=(-2, -1))
     n = T.shape[-1]
-    norms = []
-    for S in T.reshape(-1, n, n):
-        one = OperatorFamily("T", np.zeros(1), np.ones(1), S[None], "point")
-        norms.append(r_l2_bound(one, p).lower)
-    return norms[0] if T.ndim == 2 else np.array(norms)
+    stack = T.reshape(-1, n, n)
+    # the one-member Gram factors _gram_factor builds at weight 1, in one SVD
+    _, s, Wh = np.linalg.svd(stack.reshape(-1, 1, n * n), full_matrices=False)
+    P = (s[..., None] * Wh).reshape(-1, 1, n, n)
+    norms = _alternate(P, stack, p, _rng(None))[0]
+    return norms[0] if T.ndim == 2 else norms
 
 
 def _conjugate(p: float) -> float:
@@ -257,8 +261,8 @@ def r_bound(mats, p: float, rng=None) -> RBoundEstimate:
     """Bracket the R-bound of a finite matrix family on ell^p.
 
     On ell^2 the value is exactly max_j ||T_j||_2 (Rademacher sums are
-    orthogonal in Hilbert space) and lower == upper.  Elsewhere both ends
-    are proven.
+    orthogonal in Hilbert space) and lower == upper, and so on C^1, where
+    every ell^p norm is |x|.  Elsewhere both ends are proven.
 
     Lower end: the best singleton (the one-term sum gives R >= ||T_j||_p,
     and operator_norm returns a value of that norm) or the best tuple of
@@ -296,14 +300,13 @@ def r_bound(mats, p: float, rng=None) -> RBoundEstimate:
     K, n, _ = mats.shape
     p = float(p)
     norms_2 = operator_norm(mats, 2.0)
-    if p == 2.0:
+    if p == 2.0 or n == 1:
         v = float(norms_2.max())
         return RBoundEstimate(
             lower=v,
             upper=v,
             method="hilbert-exact",
             witness={"operator": int(norms_2.argmax())},
-            diagnostics={"operator_norms_2": norms_2},
         )
 
     norms_p = operator_norm(mats, p)
@@ -352,7 +355,6 @@ def r_bound(mats, p: float, rng=None) -> RBoundEstimate:
         upper=proven,
         method="search+transfer",
         witness=witness,
-        diagnostics={"operator_norms_p": norms_p, "operator_norms_2": norms_2},
     )
 
 
@@ -412,7 +414,9 @@ def _ball_top(M, v, r):
         return best, e
 
     def form(u):
-        return np.einsum("si,sij,sj->s", u.conj(), M, u).real
+        # einsum rounds a lone 2 x 2 form unlike a stack: score it twice
+        w, W = (u, M) if len(u) > 1 else (np.tile(u, (2, 1)), np.tile(M, (2, 1, 1)))
+        return np.einsum("si,sij,sj->s", w.conj(), W, w).real[: len(u)]
 
     fv = form(v)
     v = np.where((fv >= best)[:, None], v, e)
@@ -500,9 +504,9 @@ def r_l2_bound(family: OperatorFamily, p: float, rng=None) -> RBoundEstimate:
     (e_i, e_r), the pair that maximizes Gram's diagonal entry
     sum_c |P_c[r, i]|^2, and every start is normalized in ell^{p'}; the
     first half step from e_r reaches at least that pair, so the lower end
-    is never below it.  The ten starts advance in lockstep, a start
-    leaving the stack when it stops, and each sees the same arithmetic as
-    if it ran alone.
+    is never below it.  The starts advance in lockstep (_alternate, which
+    operator_norm runs on many families), a start leaving the stack when
+    it stops, and each sees the same arithmetic as if it ran alone.
 
     Upper end: for unit x, x' in ell^2 the vector z is a unit vector, so
     V^2 <= lambda_max(Gram) on ell^2; Gram = flat(P)^H flat(P) shares its
@@ -542,53 +546,64 @@ def r_l2_bound(family: OperatorFamily, p: float, rng=None) -> RBoundEstimate:
             value = math.sqrt(float(sq[j]))
             return RBoundEstimate(lower=value, upper=value, method="spectral",
                                   witness={"x": v, "x_prime": v})
-    q = _conjugate(p)
-    gen = _rng(rng)
     P, mean = _gram_factor(family)
-    m = len(P)
-    flat = P.reshape(m, n * n)
+    flat = P.reshape(len(P), n * n)
     top = float(np.linalg.eigvalsh(flat @ flat.conj().T)[-1])
-    pairs = np.sum(np.abs(P) ** 2, axis=0)
+    val, x, xp = _alternate(P[None], mean[None], p, _rng(rng))
+    return RBoundEstimate(
+        lower=float(val[0]),
+        upper=_transfer_constant(p, n) * math.sqrt(max(top, 0.0)),
+        method="bilinear-power",
+        witness={"x": x[0], "x_prime": xp[0]},
+    )
+
+
+def _alternate(P, means, p, gen):
+    """(values, x, x') of r_l2_bound's loop on B families, given by their
+    Gram factors P (B, m, n, n) and means (B, n, n): ten starts each, the
+    first two from its own P and mean, the 8 random ones drawn once from
+    gen and shared.  Start i belongs to family i // 10; all advance in
+    lockstep, and each family returns its first best start.
+    """
+    B, m, n, _ = P.shape
+    q = _conjugate(p)
 
     # half_step maps a stack of start vectors to their Hermitian forms
-    # with one matrix-vector product per start (a stacked matmul), never
-    # one product for the whole batch: BLAS rounds a batched product
-    # differently with the batch size, and starts drop out as they stop
-    maps = (P.conj().transpose(0, 2, 1).reshape(m * n, n), P.reshape(m * n, n))
+    # with one matrix-vector product per start (a stacked matmul on its
+    # family's maps, gathered for B > 1), never one product for the whole
+    # batch: BLAS rounds a batched product differently with the batch
+    # size, and starts drop out as they stop
+    maps = (P.conj().transpose(0, 1, 3, 2).reshape(B, m * n, n), P.reshape(B, m * n, n))
 
-    def half_step(M, vs):
-        Y = np.matmul(M, vs[:, :, None]).reshape(-1, m, n)
+    def half_step(M, vs, live):
+        Y = np.matmul(M[live // 10] if B > 1 else M[0], vs[:, :, None]).reshape(-1, m, n)
         return np.matmul(Y.transpose(0, 2, 1), Y.conj())
 
-    XP = np.empty((10, n), dtype=np.complex128)
-    XP[0] = np.eye(n)[0]
-    XP[1] = np.linalg.svd(mean)[0][:, 0]
+    XP = np.empty((B * 10, n), dtype=np.complex128)
+    XP[::10] = np.eye(n)[0]
+    XP[1::10] = np.linalg.svd(means)[0][:, :, 0]
     for i in range(2, 10):
         v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        XP[i] = v / np.linalg.norm(v)
+        XP[i::10] = v / np.linalg.norm(v)
     if p != 2.0:
-        # the row of the best basis pair, often the optimum off ell^2
-        # (always, for diagonal families); ell^2 keeps e_0 so that its
-        # reported values and witnesses do not move
-        XP[0] = np.eye(n)[np.unravel_index(np.argmax(pairs), pairs.shape)[0]]
+        # the row of each family's best basis pair, often the optimum off
+        # ell^2 (always, for diagonal families); ell^2 keeps e_0 so that
+        # its reported values and witnesses do not move
+        pairs = np.sum(np.abs(P) ** 2, axis=1).reshape(B, n * n)
+        XP[::10] = np.eye(n)[pairs.argmax(axis=1) // n]
         XP /= _kernels.row_norms(XP, q)[:, None]
 
     X = np.zeros_like(XP)
     val = np.zeros(len(XP))
     live = np.arange(len(XP))
     for _ in range(80):
-        _, x = _ball_top(half_step(maps[0], XP[live]), X[live], p)
-        v2, xp = _ball_top(half_step(maps[1], x), XP[live], q)
+        _, x = _ball_top(half_step(maps[0], XP[live], live), X[live], p)
+        v2, xp = _ball_top(half_step(maps[1], x, live), XP[live], q)
         X[live], XP[live] = x, xp
         stop = v2 <= val[live] * (1.0 + 1e-12)
         val[live] = np.where(stop, np.maximum(val[live], v2), v2)
         live = live[~stop]
         if not live.size:
             break
-    b = int(np.argmax(val))
-    return RBoundEstimate(
-        lower=math.sqrt(max(float(val[b]), 0.0)),
-        upper=_transfer_constant(p, n) * math.sqrt(max(top, 0.0)),
-        method="bilinear-power",
-        witness={"x": X[b], "x_prime": XP[b]},
-    )
+    b = 10 * np.arange(B) + val.reshape(B, 10).argmax(axis=1)
+    return np.sqrt(np.maximum(val[b], 0.0)), X[b], XP[b]

@@ -7,8 +7,9 @@ and c1 scaling checks; node_by_node_calculus is the contour calculus
 summed one node at a time, the bitwise reference of
 operators.holomorphic_calculus; sequential_witness_search is the
 ell^p witness search of rbound.r_bound run one restart after another,
-one tuple per score, its bitwise reference.  None of them is reached by
-`speccalc run`.
+one tuple per score, its bitwise reference; per_matrix_operator_norm is
+rbound.operator_norm off p in {1, 2, inf} run one matrix at a time, its
+bitwise reference.  None of them is reached by `speccalc run`.
 """
 
 import math
@@ -20,7 +21,7 @@ from speccalc.errors import ContourError, ConvergenceError, DomainError
 from speccalc import _kernels
 from speccalc.grids import SampledFunction
 from speccalc.operators import _SOLVE_CHUNK, _tanh_sinh_nodes, sectorial
-from speccalc.rbound import operator_norm
+from speccalc.rbound import OperatorFamily, operator_norm, r_l2_bound
 
 
 def inverse_fourier_transform(fhat: SampledFunction, u0: float) -> SampledFunction:
@@ -163,3 +164,19 @@ def sequential_witness_search(mats, p, gen):
             lower = val
             witness = {"operator": idx.tolist(), "kind": "search", "vectors": X}
     return lower, witness
+
+
+def per_matrix_operator_norm(T, p):
+    """rbound.operator_norm at p not in {1, 2, inf}, one matrix at a time.
+
+    Each T_k becomes the one-sample family {T_k} with weight 1 and its own
+    r_l2_bound call, which draws its random starts from a fresh generator,
+    so operator_norm's single batch must reproduce every norm bit for bit.
+    """
+    T = np.asarray(T, dtype=np.complex128)
+    n = T.shape[-1]
+    norms = []
+    for S in T.reshape(-1, n, n):
+        one = OperatorFamily("T", np.zeros(1), np.ones(1), S[None], "point")
+        norms.append(r_l2_bound(one, p).lower)
+    return norms[0] if T.ndim == 2 else np.array(norms)

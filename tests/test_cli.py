@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from speccalc import operators as ops
 from speccalc import rbound
 from speccalc.cli import SUITES, RunConfig, main
 from speccalc.errors import ConfigError
+
+from oracles import per_matrix_operator_norm
 
 
 def write_config(tmp_path, **overrides):
@@ -352,6 +355,39 @@ class TestLpRuns:
         assert len(families) == 20
         for key in families:
             assert l1[key] == pytest.approx(l2[key], rel=1e-9), key
+
+    def test_l3_report_matches_the_per_matrix_norms(self, tmp_path, monkeypatch, capsys):
+        # the first run off p in {1, 2, inf}: every c1 row takes ell^3 norms
+        # of a corpus image, and the per-matrix oracle writes the same bytes
+        path = write_config(
+            tmp_path, operators=["diag:1,2", "jordan:1,2"],
+            suites=["theorem-equivalence"], space=3.0, corpus_size=30,
+        )
+        out = tmp_path / "batch"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        c1 = [r for r in read_rows(out / "theorem-equivalence.csv") if r["condition"] == "c1"]
+        assert len(c1) == 2 and all(r["pass"] == "true" for r in c1)
+        batch = rbound.operator_norm
+        monkeypatch.setattr(
+            rbound, "operator_norm",
+            lambda T, p: batch(T, p) if p in (1.0, 2.0, math.inf) else per_matrix_operator_norm(T, p),
+        )
+        oracle = tmp_path / "oracle"
+        assert main(["run", "--config", str(path), "--out", str(oracle)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(out / "manifest.json"), str(oracle / "manifest.json")]) == 0
+        assert "IDENTICAL" in capsys.readouterr().out
+
+    def test_scalar_operators_pass_c1_off_l2(self, tmp_path):
+        # on C^1 the R-bound is max |t_j| exactly; a roundoff-inverted
+        # bracket used to fail both c1 rows
+        path = write_config(
+            tmp_path, operators=["diag:1", "diag:3"], suites=["theorem-equivalence"], space=1.0,
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        c1 = [r for r in read_rows(out / "theorem-equivalence.csv") if r["condition"] == "c1"]
+        assert len(c1) == 2 and all(r["pass"] == "true" for r in c1)
 
     def test_reduced_operator_is_skipped_off_l2(self, tmp_path):
         # the reduced core lives in an orthonormal basis of the range,
