@@ -177,6 +177,28 @@ def sobolev_calculus_apply(A, f: SampledFunction) -> np.ndarray:
 # corpus and condition (1)
 
 
+# members per chunk of the corpus build, and the length B of the fine
+# phase table (k = B a + b splits the grid index; 64 gives 51 + 64 exps
+# per member on the 3201-point grid)
+_CORPUS_CHUNK = 16
+_PHASE_BLOCK = 64
+
+
+def _phases(c, t0: float, dt: float, n: int) -> np.ndarray:
+    """The table e^{-i c_j (t0 + k dt)}, shape (len(c), n), for k < n.
+
+    With k = B a + b (B = _PHASE_BLOCK, 0 <= b < B) the phase is the
+    product of a coarse factor e^{-i c_j (t0 + B a dt)} and a fine one
+    e^{-i c_j b dt}, so a row costs about 2 sqrt(n) exps instead of n.
+    The result is a view of a (len(c), B ceil(n/B)) product.
+    """
+    c = c[:, None]
+    starts = t0 + (_PHASE_BLOCK * dt) * np.arange(-(-n // _PHASE_BLOCK))
+    coarse = np.exp(-1j * (c * starts))
+    fine = np.exp(-1j * (c * (dt * np.arange(_PHASE_BLOCK))))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(c), -1)[:, :n]
+
+
 def multiplier_corpus(
     A,
     alpha: float,
@@ -189,18 +211,58 @@ def multiplier_corpus(
     at spacing DEFAULT_DT.
     The mix: stationary-phase extremals <t>^{-2 alpha} e^{-it log a}
     centered at every eigenvalue (these attain the supremum for the
-    weighted ball), the same shape at random centers, gaussian packets
-    of varied width, and the rational bump s/(1+s)^2.
+    weighted ball), the rational bump s/(1+s)^2 (transform rho_hat),
+    then, alternating, the extremal shape at a random center c and a
+    gaussian packet of random width sigma times e^{-itc}.  The draws
+    are scalar and in member order, c then sigma for a gaussian, so a
+    seed gives the same centers and widths as a member-by-member build.
+
+    Member j is a real envelope e_j (<t>^{-2 alpha}, the gaussian or
+    rho_hat) times the phase e^{-i c_j t}, with c = 0 for rho_hat.  Its
+    ball norm N_j is one real product of e_j^2 with <t>^{2 alpha} w
+    (w the trapezoid weights), and it is stored as (e_j * (1 / N_j))
+    times the phase.  The grid t_k = t0 + k dt is uniform, so with
+    k = B a + b (B = _PHASE_BLOCK) the phase is the product of two short
+    tables (_phases): no member takes an exp per grid point.  The corpus
+    is filled _CORPUS_CHUNK members at a time, so one chunk's envelopes
+    and phases are the only temporaries.
+
+    Rounding bound, to first order in the unit roundoff u.  Let e_jk be
+    the computed envelope and N_j the exact norm of the computed
+    envelopes.  The nodes t0 + B a dt and b dt are exact (dt is a power
+    of two and every node has few bits), so the two phase arguments
+    round once each, by at most |c_j| (|t0 + B a dt| + b dt) u <=
+    |c_j| (|t_k| + 2 B dt) u together.  Each exp of an imaginary
+    argument is good to 1 ulp per component (2u) and the complex
+    product to sqrt(2) gamma_2 (3u), so the phase is off by at most
+    (|c_j| (|t_k| + 2 B dt) + 7) u.  The n_t nonnegative terms of N_j^2
+    take 3u each and their sum (n_t - 1) u, so N_j is off by
+    (n_t / 2 + 2) u; the reciprocal and the two scalings add 3u.  The
+    stored entry is therefore
+
+        (e_jk / N_j) e^{-i c_j t_k} (1 + d),
+        |d| <= (|c_j| (|t_k| + 2 B dt) + n_t / 2 + 12) u.
+
+    A member-by-member build with one exp per entry, which takes N_j
+    from the moduli of its complex entries, is off by at most
+    (|c_j t_k| + n_t / 2 + 20) u, so the two agree to
+    (2 |c_j| (|t_k| + B dt) + n_t + 32) u relative, where
+    |c_j| <= max(|log lo|, |log hi|) + 1 on a positive spectrum with
+    bounds lo, hi.  Entries that underflow (the far tails of gaussian
+    packets, whose N_j > 1) are off by at most 2^-1074 absolute per
+    component in either build instead.
     """
     op = ops.sectorial(A)
     if size < 1:
         raise DomainError("corpus size must be positive")
     gen = np.random.default_rng(seed)
     t = np.arange(-ops.BIP_T, ops.BIP_T + DEFAULT_DT / 2.0, DEFAULT_DT)
-    w = trapezoid_weights(len(t), DEFAULT_DT)
     bracket = 1.0 + t * t
+    weight = bracket**alpha * trapezoid_weights(len(t), DEFAULT_DT)
 
-    members = []
+    # the center of every member and the width of every gaussian
+    # (0 for the extremal shape); member `bump` is rho_hat
+    centers, widths = [], []
     seen = set()
     for lam in op.eigenvalues:
         a = float(lam.real)
@@ -208,44 +270,53 @@ def multiplier_corpus(
         if key is None or key in seen:
             continue
         seen.add(key)
-        members.append(bracket ** (-alpha) * np.exp(-1j * t * math.log(a)))
-    tt = np.where(t == 0.0, 1.0, t)
-    rho_hat = np.where(t == 0.0, 1.0, np.pi * tt / np.sinh(np.pi * tt))
-    members.append(rho_hat.astype(np.complex128))
-
+        centers.append(math.log(a))
+        widths.append(0.0)
+    bump = len(centers)
+    centers.append(0.0)
+    widths.append(0.0)
     lo, hi = op.spectral_bounds()
     ulo, uhi = math.log(lo) - 1.0, math.log(hi) + 1.0
-    while len(members) < size:
-        c = gen.uniform(ulo, uhi)
-        if len(members) % 2 == 0:
-            members.append(bracket ** (-alpha) * np.exp(-1j * t * c))
-        else:
-            sig = gen.uniform(0.3, 3.0)
-            members.append(
-                sig
-                * math.sqrt(2.0 * np.pi)
-                * np.exp(-0.5 * (sig * t) ** 2)
-                * np.exp(-1j * t * c)
-            )
+    while len(centers) < size:
+        gaussian = len(centers) % 2 == 1
+        centers.append(gen.uniform(ulo, uhi))
+        widths.append(gen.uniform(0.3, 3.0) if gaussian else 0.0)
+    centers, widths = np.array(centers[:size]), np.array(widths[:size])
 
-    C = np.stack(members[:size]).astype(np.complex128)
-    norms = np.sqrt(np.sum(bracket**alpha * np.abs(C) ** 2 * w, axis=1))
-    if np.any(norms == 0):
-        raise DomainError("corpus member with zero ball norm")
-    C = C / norms[:, None]
+    extremal = bracket ** (-alpha)
+    tt = np.where(t == 0.0, 1.0, t)
+    rho_hat = np.where(t == 0.0, 1.0, np.pi * tt / np.sinh(np.pi * tt))
+    C = np.empty((size, len(t)), dtype=np.complex128)
+    for j0 in range(0, size, _CORPUS_CHUNK):
+        js = slice(j0, j0 + _CORPUS_CHUNK)
+        env = np.tile(extremal, (len(centers[js]), 1))
+        if j0 <= bump < j0 + len(env):
+            env[bump - j0] = rho_hat
+        g = widths[js] > 0
+        sig = widths[js][g, None]
+        env[g] = sig * math.sqrt(2.0 * np.pi) * np.exp(-0.5 * (sig * t) ** 2)
+        norms = np.sqrt((env * env) @ weight)
+        if np.any(norms == 0):
+            raise DomainError("corpus member with zero ball norm")
+        env *= (1.0 / norms)[:, None]
+        np.multiply(env, _phases(centers[js], t[0], DEFAULT_DT, len(t)), out=C[js])
     return MultiplierCorpus(t0=float(t[0]), dt=float(DEFAULT_DT), coefficients=C)
 
 
 def _corpus_image(op: ops.SectorialOperator, corpus: MultiplierCorpus) -> np.ndarray:
-    """The stack f_j(A) over the corpus, shape (J, n, n)."""
+    """The stack f_j(A) over the corpus, shape (J, n, n).
+
+    The trapezoid weights and 1/(2 pi) scale the (T, n) table of the
+    eigenvalues' imaginary powers, or the (T, n, n) stack of A^{it},
+    never the (J, T) coefficients.
+    """
     t = corpus.t
-    w = trapezoid_weights(len(t), corpus.dt)
-    coef = corpus.coefficients * w[None, :] / (2.0 * np.pi)
+    scale = trapezoid_weights(len(t), corpus.dt) / (2.0 * np.pi)
     if op.diagonalizable:
-        P = np.exp(1j * np.outer(t, np.log(op.eigenvalues)))
-        return _eig_apply_stack(op.eigenbasis, coef @ P)
-    stack = ops.imaginary_powers(op, t)
-    return np.tensordot(coef, stack, axes=(1, 0))
+        P = np.exp(1j * np.outer(t, np.log(op.eigenvalues))) * scale[:, None]
+        return _eig_apply_stack(op.eigenbasis, corpus.coefficients @ P)
+    stack = ops.imaginary_powers(op, t) * scale[:, None, None]
+    return np.tensordot(corpus.coefficients, stack, axes=(1, 0))
 
 
 def _estimate_row(condition, param, est, grid) -> Row:

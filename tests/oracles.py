@@ -9,7 +9,9 @@ operators.holomorphic_calculus; sequential_witness_search is the
 ell^p witness search of rbound.r_bound run one restart after another,
 one tuple per score, its bitwise reference; per_matrix_operator_norm is
 rbound.operator_norm off p in {1, 2, inf} run one matrix at a time, its
-bitwise reference.  None of them is reached by `speccalc run`.
+bitwise reference; per_member_corpus is suite.multiplier_corpus built
+one member at a time with a complex exp per entry, its reference within
+a stated rounding bound.  None of them is reached by `speccalc run`.
 """
 
 import math
@@ -19,9 +21,11 @@ import numpy as np
 
 from speccalc.errors import ContourError, ConvergenceError, DomainError
 from speccalc import _kernels
-from speccalc.grids import SampledFunction
+from speccalc import operators as ops
+from speccalc.grids import SampledFunction, trapezoid_weights
 from speccalc.operators import _SOLVE_CHUNK, _tanh_sinh_nodes, sectorial
 from speccalc.rbound import OperatorFamily, operator_norm, r_l2_bound
+from speccalc.suite import DEFAULT_DT, MultiplierCorpus
 
 
 def inverse_fourier_transform(fhat: SampledFunction, u0: float) -> SampledFunction:
@@ -180,3 +184,56 @@ def per_matrix_operator_norm(T, p):
         one = OperatorFamily("T", np.zeros(1), np.ones(1), S[None], "point")
         norms.append(r_l2_bound(one, p).lower)
     return norms[0] if T.ndim == 2 else np.array(norms)
+
+
+def per_member_corpus(A, alpha: float, size: int = 200, seed: int = 0):
+    """suite.multiplier_corpus built one member at a time, with one
+    complex exp per member and grid point and the ball norms taken from
+    the moduli of the complex members.
+
+    Draws the same centers and widths in the same order, so the two
+    builds agree entry by entry within the rounding bound of the
+    multiplier_corpus docstring.
+    """
+    op = ops.sectorial(A)
+    if size < 1:
+        raise DomainError("corpus size must be positive")
+    gen = np.random.default_rng(seed)
+    t = np.arange(-ops.BIP_T, ops.BIP_T + DEFAULT_DT / 2.0, DEFAULT_DT)
+    w = trapezoid_weights(len(t), DEFAULT_DT)
+    bracket = 1.0 + t * t
+
+    members = []
+    seen = set()
+    for lam in op.eigenvalues:
+        a = float(lam.real)
+        key = round(math.log(a), 9) if a > 0 else None
+        if key is None or key in seen:
+            continue
+        seen.add(key)
+        members.append(bracket ** (-alpha) * np.exp(-1j * t * math.log(a)))
+    tt = np.where(t == 0.0, 1.0, t)
+    rho_hat = np.where(t == 0.0, 1.0, np.pi * tt / np.sinh(np.pi * tt))
+    members.append(rho_hat.astype(np.complex128))
+
+    lo, hi = op.spectral_bounds()
+    ulo, uhi = math.log(lo) - 1.0, math.log(hi) + 1.0
+    while len(members) < size:
+        c = gen.uniform(ulo, uhi)
+        if len(members) % 2 == 0:
+            members.append(bracket ** (-alpha) * np.exp(-1j * t * c))
+        else:
+            sig = gen.uniform(0.3, 3.0)
+            members.append(
+                sig
+                * math.sqrt(2.0 * np.pi)
+                * np.exp(-0.5 * (sig * t) ** 2)
+                * np.exp(-1j * t * c)
+            )
+
+    C = np.stack(members[:size]).astype(np.complex128)
+    norms = np.sqrt(np.sum(bracket**alpha * np.abs(C) ** 2 * w, axis=1))
+    if np.any(norms == 0):
+        raise DomainError("corpus member with zero ball norm")
+    C = C / norms[:, None]
+    return MultiplierCorpus(t0=float(t[0]), dt=float(DEFAULT_DT), coefficients=C)

@@ -12,7 +12,9 @@ integrals:
     imaginary powers, T=50:    sqrt(pi) (as T -> inf)
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from speccalc.errors import (
 from speccalc.grids import SampledFunction
 from speccalc.spaces import PartitionOfUnity
 
-from oracles import scale_corpus
+from oracles import per_member_corpus, scale_corpus
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,58 @@ class TestCorpus:
         # members that do not vanish at the grid edge differ from the
         # plain Riemann sum by the trapezoid half-weight, about 2e-6 here
         assert np.allclose(norms, 1.0, rtol=1e-5)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["diag:1,2", "diag:1,10,100", "path-laplacian:8", "diag-logspaced:16",
+         "jordan:1,3"],
+    )
+    def test_matches_the_per_member_oracle(self, spec):
+        # the rounding bound of the multiplier_corpus docstring, with
+        # |c_j| <= max(|log lo|, |log hi|) + 1, plus the underflowed
+        # gaussian tails (2^-1074 per component in each build)
+        op = ops.operator_from_spec(spec)
+        lo, hi = op.spectral_bounds()
+        c_max = max(abs(math.log(lo)), abs(math.log(hi))) + 1.0
+        m = len({round(math.log(a), 9) for a in op.eigenvalues.real}) + 1
+        u = np.finfo(float).eps / 2.0
+        for seed in (0, 3):
+            for alpha in (0.75, 1.0, 1.7):
+                for size in sorted({1, m - 1, m, m + 1, 60, 200}):
+                    got = suite.multiplier_corpus(op, alpha, size=size, seed=seed)
+                    want = per_member_corpus(op, alpha, size=size, seed=seed)
+                    assert got.coefficients.shape == want.coefficients.shape
+                    assert (got.t0, got.dt) == (want.t0, want.dt)
+                    t, n_t = np.abs(want.t), len(want.t)
+                    block = suite._PHASE_BLOCK * want.dt
+                    rel = (2.0 * c_max * (t + block) + n_t + 32) * u
+                    bound = rel * np.abs(want.coefficients) + 2.0**-1072
+                    err = np.abs(got.coefficients - want.coefficients)
+                    assert np.all(err <= bound), (seed, alpha, size)
+
+    def test_build_memory_stays_bounded(self):
+        # the chunked build holds the output and one chunk's temporaries,
+        # not a (J, T) complex temporary beside the output
+        op = ops.operator_from_spec("diag-logspaced:16")
+        tracemalloc.start()
+        try:
+            corpus = suite.multiplier_corpus(op, 1.0, size=200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * corpus.coefficients.nbytes, peak
+
+    @pytest.mark.parametrize("spec", ["diag:1,10,100", "path-laplacian:8"])
+    def test_image_branches_agree(self, spec):
+        # the eigenbasis branch against the imaginary-powers one, forced
+        # by dropping the eigenbasis of the same operator
+        op = ops.operator_from_spec(spec)
+        corpus = suite.multiplier_corpus(op, 1.0, size=60, seed=0)
+        bare = dataclasses.replace(op, eigenvectors=None, eigenvectors_inv=None)
+        assert op.diagonalizable and not bare.diagonalizable
+        eig = suite._corpus_image(op, corpus)
+        powers = suite._corpus_image(bare, corpus)
+        assert np.max(np.abs(eig - powers)) <= 1e-10 * np.max(np.abs(eig))
 
     def test_scaling_is_exact(self, corpus124):
         double = scale_corpus(corpus124, 2.0)
