@@ -62,7 +62,9 @@ class SectorialOperator:
     """An injective matrix with spectral angle omega, plus decompositions.
 
     eigenvectors is None when the eigenbasis is too ill-conditioned to
-    trust; matrix functions then go through Schur/Taylor fallbacks.
+    trust; matrix functions then act on the dense matrix, by stacked
+    calls of scipy's expm and logm, inv and matrix_power in _samples,
+    and by the power series of the Taylor remainder where |z| ||A|| < 1/2.
     normal records ||A A^H - A^H A|| <= 1e-12 ||A||^2 (on the core of a
     reduced matrix), read from the matrix by sectorial.
     """
@@ -340,16 +342,17 @@ def holomorphic_calculus(A, f: Callable) -> np.ndarray:
 # operator families
 
 
-# half-width of the imaginary-power window [-BIP_T, BIP_T]; the suite's
-# corpus transform grid spans the same window, which the bridge
-# c2 / (2 pi c1) needs
+# the imaginary-power grid: BIP_N points on [-BIP_T, BIP_T], step 2^-5;
+# c1 averages this family's samples, so c1 and c2 share the grid the
+# bridge c2 / (2 pi c1) needs
 BIP_T = 50.0
+BIP_N = 3201
 
 # the arguments each family's formula reads, with their defaults; n is
 # the grid size of the grids the suite reports (the 2-D families have
 # fixed grids and read no n)
 _FAMILY_ARGS = {
-    "bip": {"alpha": 1.0, "n": 3201},
+    "bip": {"alpha": 1.0, "n": BIP_N},
     "resolvent-ray": {"beta": 0.5, "theta": 0.0, "n": 1024},
     "resolvent-2d": {"alpha": 1.0, "beta": 0.5},
     "semigroup-ray": {"theta": 0.0, "n": 1024},
@@ -493,9 +496,8 @@ def family_samples(
 
     elif family == "resolvent-2d":
         theta0, th_min, n_t, n_th = np.pi, 1e-2, 192, 48
-        u_th = np.linspace(np.log(th_min), np.log(theta0), n_th)
-        th_abs = np.exp(u_th)
-        w_th = trapezoid_weights(n_th, u_th[1] - u_th[0]) * th_abs  # dtheta
+        th_abs, w_th = log_grid(th_min, theta0, n_th)
+        w_th = w_th * th_abs  # dtheta
         t, w_t = log_grid(lo * 1e-4, hi * 1e4, n_t)
         th, w_th = np.concatenate([th_abs, -th_abs]), np.tile(w_th, 2)
         keep = np.abs(th) > op.omega
@@ -569,6 +571,13 @@ def family_samples(
 # row k the functions of the eigenvalues at the k-th grid point
 
 
+def _mellin_sums(phases, kernels):
+    """The (T, n) table with column j the quadrature sum phases @ kernels[j]
+    of the (n, U) kernels: one GEMV per eigenvalue, since one GEMM rounds
+    differently and the identities' residuals are roundoff-sized."""
+    return np.stack([phases @ g for g in kernels], axis=1)
+
+
 def wave_mellin(A, t_grid, alpha: float, m: int):
     """Both sides of the wave-to-imaginary-powers Mellin identity.
 
@@ -581,7 +590,6 @@ def wave_mellin(A, t_grid, alpha: float, m: int):
     op = sectorial(A)
     if not (0.5 < alpha < m + 0.5):
         raise DomainError("need 1/2 < alpha < m + 1/2")
-    sign = -1  # the group direction e^{i sign s A}
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     phi = 0.42
     c = 0.5 - alpha
@@ -596,23 +604,21 @@ def wave_mellin(A, t_grid, alpha: float, m: int):
     u = np.linspace(u_lo, u_hi, n_u)
     du = u[1] - u[0]
 
-    lam = op.eigenvalues.real
-    lhs = np.empty((len(t_grid), len(lam)), dtype=np.complex128)
     z_t = c + 1j * t_grid
-    pref = np.exp(1j * sign * phi * z_t)
+    pref = np.exp(-1j * phi * z_t)
     phases = np.exp(1j * np.outer(t_grid, u))  # (T, U)
     base = np.exp(c * u)
-    for j, a in enumerate(lam):
-        # rotating s = e^{-i sign phi} sigma turns e^{i sign s a} into
-        # e^{-mu sigma} with mu in the damped half plane
-        mu = a * (np.sin(phi) - 1j * sign * np.cos(phi))
-        w = np.exp(-mu * np.exp(u))
-        G = base * (w - 1.0) ** m
-        small = np.abs(mu) * np.exp(u) < 1e-8  # avoid cancellation at the left end
-        if np.any(small):
-            G[small] = base[small] * (-mu * np.exp(u[small])) ** m
-        lhs[:, j] = pref * (phases @ G) * du
-    h = special.h_kernel(t_grid, alpha, m, sign=sign)
+    eu = np.exp(u)
+    # rotating s = e^{i phi} sigma turns e^{-isa} into e^{-mu sigma} with
+    # mu in the damped half plane, one row per eigenvalue a
+    mu = op.eigenvalues.real[:, None] * (np.sin(phi) + 1j * np.cos(phi))
+    x = -mu * eu
+    G = base * (np.exp(x) - 1.0) ** m
+    # its leading term x^m at the left end, where the difference cancels
+    small = np.abs(mu) * eu < 1e-8
+    G[small] = np.broadcast_to(base, G.shape)[small] * x[small] ** m
+    lhs = pref[:, None] * _mellin_sums(phases, G) * du
+    h = special.h_kernel(t_grid, alpha, m, sign=-1)
     rhs = h[:, None] * np.exp(
         (alpha - 0.5 - 1j * t_grid[:, None]) * np.log(op.eigenvalues[None, :])
     )
@@ -644,17 +650,13 @@ def wave_taylor_mellin(A, t_grid, alpha: float, m: int):
     u = np.linspace(u_lo, u_hi, n_u)
     du = u[1] - u[0]
 
-    lam = op.eigenvalues.real
     z_t = c + 1j * t_grid
     pref = np.exp(1j * np.pi * z_t / 2.0)
     phases = np.exp(1j * np.outer(t_grid, u))
-    base = np.exp(c * u)
-    lhs = np.empty((len(t_grid), len(lam)), dtype=np.complex128)
-    for j, a in enumerate(lam):
-        x = a * np.exp(u)  # rotated |s| axis: e^{isa} -> e^{-x}
-        rem = _exp_remainder(-x, m)
-        G = base * rem
-        lhs[:, j] = pref * (phases @ G) * du
+    # rotated |s| axis: e^{isa} -> e^{-x}, x = a e^u, one row per eigenvalue a
+    x = op.eigenvalues.real[:, None] * np.exp(u)
+    G = np.exp(c * u) * _exp_remainder(-x, m)
+    lhs = pref[:, None] * _mellin_sums(phases, G) * du
     rhs = (special.gamma(z_t) * pref)[:, None] * np.exp(
         -z_t[:, None] * np.log(op.eigenvalues[None, :])
     )
@@ -703,15 +705,13 @@ def resolvent_bip_mellin(A, beta: float, theta: float, s_grid):
     lam = op.eigenvalues
     lo, hi = op.spectral_bounds()
     t, w = log_grid(lo * 1e-7, hi * 1e7, 4096)
-    e = np.exp(1j * theta)
-    lhs = np.empty((len(s_grid), len(lam)), dtype=np.complex128)
-    # eigenvalue-wise quadrature of t^{beta+is-1} / (e^{i theta} t + a)
-    for j, a in enumerate(lam):
-        integ = 1.0 / (e * t + a)
-        tpow = t**beta * integ * w  # remaining factor t^{is}
-        lhs[:, j] = (
-            np.exp(1j * np.outer(s_grid, np.log(t))) @ tpow
-        ) * np.exp(1j * theta * beta) * a ** (1.0 - beta)
+    # eigenvalue-wise quadrature of t^{beta+is-1} / (e^{i theta} t + a),
+    # one row per eigenvalue a, against the remaining factor t^{is}
+    integ = 1.0 / (np.exp(1j * theta) * t + lam[:, None])
+    tpow = t**beta * integ * w
+    phases = np.exp(1j * np.outer(s_grid, np.log(t)))
+    lhs = (_mellin_sums(phases, tpow) * np.exp(1j * theta * beta)
+           * np.power(lam, 1.0 - beta))
     rhs = (
         np.pi
         / np.sin(np.pi * (beta + 1j * s_grid))[:, None]

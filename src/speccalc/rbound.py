@@ -120,6 +120,19 @@ class OperatorFamily:
             self._stack = _eig_apply_stack(self.eigenbasis, self.symbols)
         return self._stack
 
+    def averages(self, h) -> np.ndarray:
+        """The (J, n, n) stack of N_h = sum_k w_k h[j, k] N_k (r_l2_bound's
+        N_h), one average per row of the (J, K) coefficients h.
+
+        The weights scale the (K, n) table or the (K, n, n) stack, never
+        the coefficients; a table's averages are mapped through the
+        eigenbasis once, as the (J, n) table h @ (w f).
+        """
+        if self.symbols is not None:
+            table = h @ (self.weights[:, None] * self.symbols)
+            return _eig_apply_stack(self.eigenbasis, table)
+        return np.tensordot(h, self.weights[:, None, None] * self.matrices, axes=(1, 0))
+
     def __len__(self) -> int:
         return len(self.weights)
 

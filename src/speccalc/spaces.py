@@ -227,13 +227,11 @@ def mihlin_norm(f: SampledFunction, gamma: float) -> NormResult:
     return besov_norm(fe, gamma)
 
 
-def _localized_sobolev(
-    piece_vals: np.ndarray, du: float, alpha: float, pad_factor: int = 4
-) -> float:
-    """W^alpha norm of a compactly supported piece, zero-padded for
-    frequency resolution."""
+def _localized_sobolev(piece_vals: np.ndarray, du: float, alpha: float) -> float:
+    """W^alpha norm of a compactly supported piece, zero-padded to at
+    least four times its length for frequency resolution."""
     n = len(piece_vals)
-    m = 1 << int(np.ceil(np.log2(n * pad_factor)))
+    m = 1 << int(np.ceil(np.log2(n * 4)))
     buf = np.zeros(m, dtype=np.complex128)
     buf[:n] = piece_vals
     t = 2.0 * np.pi * np.fft.fftfreq(m, d=du)

@@ -276,30 +276,30 @@ def wave_kernel_integral(z, m: int):
     return val
 
 
-def _upper_tail_series(z, c, S, terms=10):
+def _upper_tail_series(z, c, S):
     """int_S^inf s^{z-1} e^{-cs} ds by the integration-by-parts series.
 
-    Asymptotic in 1/(cS); accurate to ~|z/(cS)|^terms.  Used with
-    |c S| >~ 200 so ten terms are far below the target tolerances.
+    Asymptotic in 1/(cS); ten terms are accurate to ~|z/(cS)|^10.  Used
+    with |c S| >~ 200 so they are far below the target tolerances.
     """
     acc = 0.0 + 0.0j
     coef = 1.0 + 0.0j
-    for j in range(terms):
+    for j in range(10):
         acc += coef * S ** (z - 1 - j) / c ** (j + 1)
         coef *= z - 1 - j
     return np.exp(-c * S) * acc
 
 
-def _ray_integral_damped(z, m, lam, cut_cycles=40.0):
+def _ray_integral_damped(z, m, lam):
     """int_0^inf s^{z-1} (e^{-lam s} - 1)^m ds for Re lam > 0.
 
-    Adaptive quadrature in u = log s up to S, then the binomial tail on
-    (S, inf): the k = 0 term integrates exactly, the rest by the
-    integration-by-parts series.
+    Adaptive quadrature in u = log s up to S, at least 40 periods of
+    e^{-lam s}, then the binomial tail on (S, inf): the k = 0 term
+    integrates exactly, the rest by the integration-by-parts series.
     """
     from scipy.integrate import quad
 
-    S = max(2.0 * np.pi * cut_cycles / abs(lam), 50.0 / abs(lam), 1.0)
+    S = max(2.0 * np.pi * 40.0 / abs(lam), 50.0 / abs(lam), 1.0)
     uS = np.log(S)
 
     def integrand(u):

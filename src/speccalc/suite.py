@@ -21,6 +21,9 @@ The corpus normalization uses the plain weighted transform norm
 representation f(A) = (2 pi)^{-1} int fhat_e(t) A^{it} dt this is the
 convention for which the single-function bound and the imaginary-power
 bound differ by exactly 2 pi, which is what the bridge ratio checks.
+c1 evaluates that representation as an average of the c2 family's own
+samples (OperatorFamily.averages), so the corpus is held on the c2 grid
+of operators.family_samples and the two sides of the bridge share it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .rbound import _eig_apply_stack, r_bound, r_l2_bound, rademacher_norm
 from .spaces import PartitionOfUnity, _edge_ratio
 
 __all__ = [
-    "MultiplierCorpus",
     "Row",
     "SuiteReport",
     "condition_c1",
@@ -49,10 +51,6 @@ __all__ = [
     "sea_to_ha_decomposition",
     "sobolev_calculus_apply",
 ]
-
-# corpus transform grid: [-BIP_T, BIP_T] (the window of the c2 family)
-# at step 2^-5
-DEFAULT_DT = 2.0**-5
 
 _TOLERANCES = {
     "c1": 0.05,
@@ -95,27 +93,6 @@ class Row:
             self.passed = False
             self.extra["bracket_violation"] = violation
         return self
-
-
-@dataclass
-class MultiplierCorpus:
-    """Symbols held by their transform samples on a uniform t grid.
-
-    coefficients[j] are the samples of fhat_e for member j;
-    multiplier_corpus normalizes every member so ||<t>^alpha
-    fhat_e||_{L^2(dt)} equals 1 for the alpha it was given.
-    """
-
-    t0: float
-    dt: float
-    coefficients: np.ndarray
-
-    def __len__(self) -> int:
-        return self.coefficients.shape[0]
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.coefficients.shape[1])
 
 
 @dataclass
@@ -179,7 +156,7 @@ def sobolev_calculus_apply(A, f: SampledFunction) -> np.ndarray:
 
 # members per chunk of the corpus build, and the length B of the fine
 # phase table (k = B a + b splits the grid index; 64 gives 51 + 64 exps
-# per member on the 3201-point grid)
+# per member on the BIP_N = 3201-point grid)
 _CORPUS_CHUNK = 16
 _PHASE_BLOCK = 64
 
@@ -204,11 +181,16 @@ def multiplier_corpus(
     alpha: float,
     size: int = 200,
     seed: int = 0,
-) -> MultiplierCorpus:
+) -> np.ndarray:
     """A ball-normalized symbol corpus saturating the single-function sup.
 
-    Members are stored by their transform samples on [-BIP_T, BIP_T]
-    at spacing DEFAULT_DT.
+    Returns the (J, T) array whose row j holds the transform samples
+    fhat_e of member j, normalized so ||<t>^alpha fhat_e||_{L^2(dt)} = 1
+    for the alpha given.  The grid is that of the c2 family
+    (operators.family_samples "bip"): the BIP_N points of
+    np.linspace(-BIP_T, BIP_T, BIP_N), step 2^-5, which condition_c1
+    averages over.
+
     The mix: stationary-phase extremals <t>^{-2 alpha} e^{-it log a}
     centered at every eigenvalue (these attain the supremum for the
     weighted ball), the rational bump s/(1+s)^2 (transform rho_hat),
@@ -256,9 +238,10 @@ def multiplier_corpus(
     if size < 1:
         raise DomainError("corpus size must be positive")
     gen = np.random.default_rng(seed)
-    t = np.arange(-ops.BIP_T, ops.BIP_T + DEFAULT_DT / 2.0, DEFAULT_DT)
+    t = np.linspace(-ops.BIP_T, ops.BIP_T, ops.BIP_N)
+    dt = t[1] - t[0]
     bracket = 1.0 + t * t
-    weight = bracket**alpha * trapezoid_weights(len(t), DEFAULT_DT)
+    weight = bracket**alpha * trapezoid_weights(len(t), dt)
 
     # the center of every member and the width of every gaussian
     # (0 for the extremal shape); member `bump` is rho_hat
@@ -299,24 +282,8 @@ def multiplier_corpus(
         if np.any(norms == 0):
             raise DomainError("corpus member with zero ball norm")
         env *= (1.0 / norms)[:, None]
-        np.multiply(env, _phases(centers[js], t[0], DEFAULT_DT, len(t)), out=C[js])
-    return MultiplierCorpus(t0=float(t[0]), dt=float(DEFAULT_DT), coefficients=C)
-
-
-def _corpus_image(op: ops.SectorialOperator, corpus: MultiplierCorpus) -> np.ndarray:
-    """The stack f_j(A) over the corpus, shape (J, n, n).
-
-    The trapezoid weights and 1/(2 pi) scale the (T, n) table of the
-    eigenvalues' imaginary powers, or the (T, n, n) stack of A^{it},
-    never the (J, T) coefficients.
-    """
-    t = corpus.t
-    scale = trapezoid_weights(len(t), corpus.dt) / (2.0 * np.pi)
-    if op.diagonalizable:
-        P = np.exp(1j * np.outer(t, np.log(op.eigenvalues))) * scale[:, None]
-        return _eig_apply_stack(op.eigenbasis, corpus.coefficients @ P)
-    stack = ops.imaginary_powers(op, t) * scale[:, None, None]
-    return np.tensordot(corpus.coefficients, stack, axes=(1, 0))
+        np.multiply(env, _phases(centers[js], t[0], dt, len(t)), out=C[js])
+    return C
 
 
 def _estimate_row(condition, param, est, grid) -> Row:
@@ -328,15 +295,19 @@ def _estimate_row(condition, param, est, grid) -> Row:
     return row.check_brackets(est)
 
 
-def condition_c1(A, p: float, corpus: MultiplierCorpus, rng=None) -> Row:
+def condition_c1(A, p: float, corpus: np.ndarray, rng=None) -> Row:
     """R-bound of the corpus image {f_j(A)} on ell^p.
 
-    The members are ball-normalized at construction, so the value scales
-    linearly with the coefficients.
+    f_j(A) = (2 pi)^{-1} int fhat_j(t) A^{it} dt is the trapezoid average
+    of the c2 family at alpha = 0 (the bare A^{it}) with the (J, T)
+    coefficients of multiplier_corpus, so c1 and c2 sample A^{it} on one
+    grid.  The members are ball-normalized at construction, so the value
+    scales linearly with the coefficients.
     """
-    op = ops.sectorial(A)
-    est = r_bound(_corpus_image(op, corpus), p, rng=rng)
-    grid = {"t_max": -corpus.t0, "dt": corpus.dt, "members": len(corpus)}
+    fam = ops.family_samples(A, "bip", alpha=0.0)
+    est = r_bound(fam.averages(corpus) / (2.0 * np.pi), p, rng=rng)
+    t = fam.points
+    grid = {"t_max": float(t[-1]), "dt": float(t[1] - t[0]), "members": len(corpus)}
     return _estimate_row("c1", f"corpus:{len(corpus)}", est, grid)
 
 

@@ -10,22 +10,27 @@ ell^p witness search of rbound.r_bound run one restart after another,
 one tuple per score, its bitwise reference; per_matrix_operator_norm is
 rbound.operator_norm off p in {1, 2, inf} run one matrix at a time, its
 bitwise reference; per_member_corpus is suite.multiplier_corpus built
-one member at a time with a complex exp per entry, its reference within
-a stated rounding bound.  None of them is reached by `speccalc run`.
+one member at a time with a complex exp per entry on the grid of
+corpus_grid, its reference within a stated rounding bound;
+per_eigenvalue_wave_mellin, per_eigenvalue_wave_taylor_mellin and
+per_eigenvalue_resolvent_bip_mellin are the Mellin identities of
+operators with one quadrature loop per eigenvalue, their bitwise
+references.  None of them is reached by `speccalc run`.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from speccalc.errors import ContourError, ConvergenceError, DomainError
-from speccalc import _kernels
+from speccalc import _kernels, special
 from speccalc import operators as ops
-from speccalc.grids import SampledFunction, trapezoid_weights
-from speccalc.operators import _SOLVE_CHUNK, _tanh_sinh_nodes, sectorial
+from speccalc.grids import SampledFunction, log_grid, trapezoid_weights
+from speccalc.operators import _SOLVE_CHUNK, _exp_remainder, _tanh_sinh_nodes, sectorial
 from speccalc.rbound import OperatorFamily, operator_norm, r_l2_bound
-from speccalc.suite import DEFAULT_DT, MultiplierCorpus
+
+# the step of the corpus transform grid
+CORPUS_DT = 2.0**-5
 
 
 def inverse_fourier_transform(fhat: SampledFunction, u0: float) -> SampledFunction:
@@ -66,7 +71,7 @@ def scale_corpus(corpus, c: float):
     """The corpus with every member multiplied by c (ball radius c)."""
     if not c > 0:
         raise DomainError("scale factor must be positive")
-    return replace(corpus, coefficients=corpus.coefficients * c)
+    return corpus * c
 
 
 def node_by_node_calculus(A, f) -> np.ndarray:
@@ -186,10 +191,16 @@ def per_matrix_operator_norm(T, p):
     return norms[0] if T.ndim == 2 else np.array(norms)
 
 
+def corpus_grid() -> np.ndarray:
+    """The transform grid [-BIP_T, BIP_T] at step CORPUS_DT, built by
+    arange instead of the linspace of operators.family_samples."""
+    return np.arange(-ops.BIP_T, ops.BIP_T + CORPUS_DT / 2.0, CORPUS_DT)
+
+
 def per_member_corpus(A, alpha: float, size: int = 200, seed: int = 0):
-    """suite.multiplier_corpus built one member at a time, with one
-    complex exp per member and grid point and the ball norms taken from
-    the moduli of the complex members.
+    """suite.multiplier_corpus built one member at a time on corpus_grid,
+    with one complex exp per member and grid point and the ball norms
+    taken from the moduli of the complex members.
 
     Draws the same centers and widths in the same order, so the two
     builds agree entry by entry within the rounding bound of the
@@ -199,8 +210,8 @@ def per_member_corpus(A, alpha: float, size: int = 200, seed: int = 0):
     if size < 1:
         raise DomainError("corpus size must be positive")
     gen = np.random.default_rng(seed)
-    t = np.arange(-ops.BIP_T, ops.BIP_T + DEFAULT_DT / 2.0, DEFAULT_DT)
-    w = trapezoid_weights(len(t), DEFAULT_DT)
+    t = corpus_grid()
+    w = trapezoid_weights(len(t), CORPUS_DT)
     bracket = 1.0 + t * t
 
     members = []
@@ -235,5 +246,141 @@ def per_member_corpus(A, alpha: float, size: int = 200, seed: int = 0):
     norms = np.sqrt(np.sum(bracket**alpha * np.abs(C) ** 2 * w, axis=1))
     if np.any(norms == 0):
         raise DomainError("corpus member with zero ball norm")
-    C = C / norms[:, None]
-    return MultiplierCorpus(t0=float(t[0]), dt=float(DEFAULT_DT), coefficients=C)
+    return C / norms[:, None]
+
+
+def per_eigenvalue_wave_mellin(A, t_grid, alpha: float, m: int):
+    """operators.wave_mellin with one quadrature loop per eigenvalue,
+    its bitwise reference.
+
+    Both sides of the wave-to-imaginary-powers Mellin identity.
+
+    lhs(t) = int_0^inf s^{(1/2-alpha)+it} (e^{-isA} - 1)^m ds/s
+    rhs(t) = h_{-1}(t) A^{alpha-1/2-it}, h_sign from special.h_kernel
+
+    The lhs is computed after rotating the ray by phi = 0.42 into the
+    damped quadrant (the arcs vanish for 1/2 < alpha < m + 1/2).
+    """
+    op = sectorial(A)
+    if not (0.5 < alpha < m + 0.5):
+        raise DomainError("need 1/2 < alpha < m + 1/2")
+    sign = -1  # the group direction e^{i sign s A}
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    phi = 0.42
+    c = 0.5 - alpha
+    left_rate = m + c
+    right_rate = -c
+    u_lo = -32.0 / left_rate - 2.0
+    u_hi = 32.0 / right_rate + 2.0
+    # oscillation: the damped exponential rings at ~ 30 cot(phi) per unit u
+    freq = 30.0 * m / np.tan(phi) + float(np.max(np.abs(t_grid))) + 10.0
+    du = min(0.5 * np.pi / freq, 0.02)
+    n_u = int(np.ceil((u_hi - u_lo) / du))
+    u = np.linspace(u_lo, u_hi, n_u)
+    du = u[1] - u[0]
+
+    lam = op.eigenvalues.real
+    lhs = np.empty((len(t_grid), len(lam)), dtype=np.complex128)
+    z_t = c + 1j * t_grid
+    pref = np.exp(1j * sign * phi * z_t)
+    phases = np.exp(1j * np.outer(t_grid, u))  # (T, U)
+    base = np.exp(c * u)
+    for j, a in enumerate(lam):
+        # rotating s = e^{-i sign phi} sigma turns e^{i sign s a} into
+        # e^{-mu sigma} with mu in the damped half plane
+        mu = a * (np.sin(phi) - 1j * sign * np.cos(phi))
+        w = np.exp(-mu * np.exp(u))
+        G = base * (w - 1.0) ** m
+        small = np.abs(mu) * np.exp(u) < 1e-8  # avoid cancellation at the left end
+        if np.any(small):
+            G[small] = base[small] * (-mu * np.exp(u[small])) ** m
+        lhs[:, j] = pref * (phases @ G) * du
+    h = special.h_kernel(t_grid, alpha, m, sign=sign)
+    rhs = h[:, None] * np.exp(
+        (alpha - 0.5 - 1j * t_grid[:, None]) * np.log(op.eigenvalues[None, :])
+    )
+    return lhs, rhs
+
+
+def per_eigenvalue_wave_taylor_mellin(A, t_grid, alpha: float, m: int):
+    """operators.wave_taylor_mellin with one quadrature loop per
+    eigenvalue, its bitwise reference.
+
+    Both sides of the Mellin identity of the Taylor-regularized wave.
+
+    lhs(t) = int_0^inf s^{(1/2-alpha)+it} (e^{isA} - T_m(isA)) ds/s
+    rhs(t) = e^{i pi z_t / 2} Gamma(z_t) A^{-z_t},  z_t = 1/2 - alpha + it
+
+    The lhs is computed on the fully rotated ray (the integrand is entire
+    and the arcs vanish when alpha - 1/2 is inside (m, m+1)), where it
+    becomes a real-damped remainder integral.
+    """
+    op = sectorial(A)
+    if not (m < alpha - 0.5 < m + 1):
+        raise DomainError("need alpha - 1/2 strictly inside (m, m+1)")
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    c = 0.5 - alpha
+    left_rate = m + 1 + c
+    right_rate = alpha - 0.5 - m
+    u_lo = -32.0 / left_rate - 2.0
+    u_hi = 34.0 / right_rate + 2.0
+    freq = float(np.max(np.abs(t_grid))) + 12.0
+    du = min(0.5 * np.pi / freq, 0.05)
+    n_u = int(np.ceil((u_hi - u_lo) / du))
+    u = np.linspace(u_lo, u_hi, n_u)
+    du = u[1] - u[0]
+
+    lam = op.eigenvalues.real
+    z_t = c + 1j * t_grid
+    pref = np.exp(1j * np.pi * z_t / 2.0)
+    phases = np.exp(1j * np.outer(t_grid, u))
+    base = np.exp(c * u)
+    lhs = np.empty((len(t_grid), len(lam)), dtype=np.complex128)
+    for j, a in enumerate(lam):
+        x = a * np.exp(u)  # rotated |s| axis: e^{isa} -> e^{-x}
+        rem = _exp_remainder(-x, m)
+        G = base * rem
+        lhs[:, j] = pref * (phases @ G) * du
+    rhs = (special.gamma(z_t) * pref)[:, None] * np.exp(
+        -z_t[:, None] * np.log(op.eigenvalues[None, :])
+    )
+    return lhs, rhs
+
+
+def per_eigenvalue_resolvent_bip_mellin(A, beta: float, theta: float, s_grid):
+    """operators.resolvent_bip_mellin with the phase table built and
+    summed once per eigenvalue, its bitwise reference.
+
+    Both sides of the resolvent-to-imaginary-powers Mellin identity.
+
+    lhs(s) = e^{i theta beta} A^{1-beta} int_0^inf t^{beta+is} (e^{i theta} t + A)^{-1} dt/t
+    rhs(s) = pi / sin(pi (beta + is)) e^{theta s} A^{is}
+
+    Returns (lhs, rhs) as (S, n) eigenvalue tables.  theta must avoid pi,
+    where the integration ray would cross the spectrum.
+    """
+    op = sectorial(A)
+    if not (0.0 < beta < 1.0):
+        raise DomainError("need 0 < beta < 1")
+    if abs(abs(theta) - np.pi) < 1e-9:
+        raise DomainError("theta = pi puts the pole on the integration ray")
+    s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
+    lam = op.eigenvalues
+    lo, hi = op.spectral_bounds()
+    t, w = log_grid(lo * 1e-7, hi * 1e7, 4096)
+    e = np.exp(1j * theta)
+    lhs = np.empty((len(s_grid), len(lam)), dtype=np.complex128)
+    # eigenvalue-wise quadrature of t^{beta+is-1} / (e^{i theta} t + a)
+    for j, a in enumerate(lam):
+        integ = 1.0 / (e * t + a)
+        tpow = t**beta * integ * w  # remaining factor t^{is}
+        lhs[:, j] = (
+            np.exp(1j * np.outer(s_grid, np.log(t))) @ tpow
+        ) * np.exp(1j * theta * beta) * a ** (1.0 - beta)
+    rhs = (
+        np.pi
+        / np.sin(np.pi * (beta + 1j * s_grid))[:, None]
+        * np.exp(theta * s_grid)[:, None]
+        * np.exp(1j * np.outer(s_grid, np.log(lam)))
+    )
+    return lhs, rhs

@@ -17,7 +17,12 @@ from speccalc import _kernels, rbound, special
 from speccalc.errors import DomainError, NotSectorialError
 from speccalc.rbound import OperatorFamily, _eig_apply_stack, r_l2_bound
 
-from oracles import node_by_node_calculus
+from oracles import (
+    node_by_node_calculus,
+    per_eigenvalue_resolvent_bip_mellin,
+    per_eigenvalue_wave_mellin,
+    per_eigenvalue_wave_taylor_mellin,
+)
 
 
 def jordan2(a=1.0):
@@ -776,6 +781,33 @@ class TestMellinIdentities:
             lhs, rhs = (_eig_apply_stack(op.eigenbasis, side) for side in tables)
             assert _stack_rel(rhs, np.stack(dense)) < 1e-12
             assert _stack_rel(lhs, rhs) < tol
+
+    @pytest.mark.parametrize("spec", [
+        "diag-logspaced:16", "diag:1,2", "diag:1,10,100", "diag:0.2,0.9,4,11,30",
+        "diag-logspaced:6", "path-laplacian:8", "cycle-laplacian:6", "diag:3",
+        "similar:3,30",
+    ])
+    def test_tables_match_the_per_eigenvalue_loops(self, spec):
+        # bit for bit, at the CLI's parameters and one other valid pair
+        # each: the identities' residuals are roundoff-sized, so their
+        # kernels are summed one GEMV per eigenvalue, as the loops did
+        op = _similar(3, 30.0, seed=3) if spec.startswith("similar") else (
+            ops.operator_from_spec(spec))
+        t, s = np.linspace(-3.0, 3.0, 13), np.linspace(-1.5, 1.5, 5)
+        cases = [
+            (ops.wave_mellin, per_eigenvalue_wave_mellin, (op, t, 1.0, 2)),
+            (ops.wave_mellin, per_eigenvalue_wave_mellin, (op, t, 2.2, 3)),
+            (ops.wave_taylor_mellin, per_eigenvalue_wave_taylor_mellin, (op, t, 1.7, 1)),
+            (ops.wave_taylor_mellin, per_eigenvalue_wave_taylor_mellin, (op, t, 2.9, 2)),
+            (ops.resolvent_bip_mellin, per_eigenvalue_resolvent_bip_mellin,
+             (op, 0.5, np.pi / 2, s)),
+            (ops.resolvent_bip_mellin, per_eigenvalue_resolvent_bip_mellin,
+             (op, 0.3, np.pi / 4, s)),
+        ]
+        for identity, oracle, args in cases:
+            for got, want in zip(identity(*args), oracle(*args)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want), (identity.__name__, args[1:])
 
     def test_resolvent_bip_rejects_cut_angle(self):
         op = ops.sectorial(np.diag([1.0, 2.0]))

@@ -637,6 +637,20 @@ class TestAveragedFamilies:
                 OperatorFamily("bad", ts, w, measure="dt/t", symbols=np.ones((16, 2)),
                                eigenbasis=(np.eye(2), Vinv))
 
+    @pytest.mark.parametrize("n, K, J", [(3, 40, 7), (8, 200, 1), (1, 5, 3)])
+    def test_average_branches_agree(self, n, K, J):
+        # the table's (J, n) averages mapped through the eigenbasis against
+        # the same family held as a stack, and against sum_k w_k h_jk N_k
+        table = random_table(n, K, n + K, cond=1e3)
+        stack = OperatorFamily("stack", table.points, table.weights, table.matrices, "dt")
+        gen = np.random.default_rng(J)
+        h = gen.standard_normal((J, K)) + 1j * gen.standard_normal((J, K))
+        got, want = table.averages(h), stack.averages(h)
+        assert got.shape == want.shape == (J, n, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        direct = np.einsum("jk,k,kil->jil", h, table.weights, table.matrices)
+        assert np.max(np.abs(want - direct)) <= 1e-12 * np.max(np.abs(direct))
+
     def test_the_eigenbasis_helper_needs_an_eigenbasis(self):
         # SectorialOperator.eigenbasis is None on a defective operator
         with pytest.raises(NotSectorialError, match="eigenbasis"):

@@ -12,7 +12,6 @@ integrals:
     imaginary powers, T=50:    sqrt(pi) (as T -> inf)
 """
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -27,10 +26,10 @@ from speccalc.errors import (
     DomainError,
     NotSectorialError,
 )
-from speccalc.grids import SampledFunction
+from speccalc.grids import SampledFunction, trapezoid_weights
 from speccalc.spaces import PartitionOfUnity
 
-from oracles import per_member_corpus, scale_corpus
+from oracles import CORPUS_DT, corpus_grid, per_member_corpus, scale_corpus
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +81,9 @@ class TestCalculusApply:
 class TestCorpus:
     def test_ball_normalization(self, corpus124):
         # every member sits on the sphere of the weighted transform norm
-        t = corpus124.t
+        t = corpus_grid()
         w = (1.0 + t * t) ** (CORPUS_ALPHA / 2.0)
-        dt = corpus124.dt
-        norms = np.sqrt(np.sum(np.abs(corpus124.coefficients * w) ** 2, axis=1) * dt)
+        norms = np.sqrt(np.sum(np.abs(corpus124 * w) ** 2, axis=1) * CORPUS_DT)
         # members that do not vanish at the grid edge differ from the
         # plain Riemann sum by the trapezoid half-weight, about 2e-6 here
         assert np.allclose(norms, 1.0, rtol=1e-5)
@@ -104,18 +102,17 @@ class TestCorpus:
         c_max = max(abs(math.log(lo)), abs(math.log(hi))) + 1.0
         m = len({round(math.log(a), 9) for a in op.eigenvalues.real}) + 1
         u = np.finfo(float).eps / 2.0
+        t, block = corpus_grid(), suite._PHASE_BLOCK * CORPUS_DT
         for seed in (0, 3):
             for alpha in (0.75, 1.0, 1.7):
                 for size in sorted({1, m - 1, m, m + 1, 60, 200}):
                     got = suite.multiplier_corpus(op, alpha, size=size, seed=seed)
                     want = per_member_corpus(op, alpha, size=size, seed=seed)
-                    assert got.coefficients.shape == want.coefficients.shape
-                    assert (got.t0, got.dt) == (want.t0, want.dt)
-                    t, n_t = np.abs(want.t), len(want.t)
-                    block = suite._PHASE_BLOCK * want.dt
-                    rel = (2.0 * c_max * (t + block) + n_t + 32) * u
-                    bound = rel * np.abs(want.coefficients) + 2.0**-1072
-                    err = np.abs(got.coefficients - want.coefficients)
+                    assert isinstance(want, np.ndarray)
+                    assert got.shape == want.shape == (size, len(t))
+                    rel = (2.0 * c_max * (np.abs(t) + block) + len(t) + 32) * u
+                    bound = rel * np.abs(want) + 2.0**-1072
+                    err = np.abs(got - want)
                     assert np.all(err <= bound), (seed, alpha, size)
 
     def test_build_memory_stays_bounded(self):
@@ -128,24 +125,21 @@ class TestCorpus:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * corpus.coefficients.nbytes, peak
+        assert peak <= 1.5 * corpus.nbytes, peak
 
-    @pytest.mark.parametrize("spec", ["diag:1,10,100", "path-laplacian:8"])
-    def test_image_branches_agree(self, spec):
-        # the eigenbasis branch against the imaginary-powers one, forced
-        # by dropping the eigenbasis of the same operator
+    @pytest.mark.parametrize("spec", ["diag:1,10,100", "path-laplacian:8", "jordan:1,3"])
+    def test_grid_is_the_c2_grid(self, spec):
+        # the bridge c2 / (2 pi c1) needs c1's corpus on the c2 family's
+        # grid: the arange grid at step 2^-5 is its linspace, bit for bit
         op = ops.operator_from_spec(spec)
-        corpus = suite.multiplier_corpus(op, 1.0, size=60, seed=0)
-        bare = dataclasses.replace(op, eigenvectors=None, eigenvectors_inv=None)
-        assert op.diagonalizable and not bare.diagonalizable
-        eig = suite._corpus_image(op, corpus)
-        powers = suite._corpus_image(bare, corpus)
-        assert np.max(np.abs(eig - powers)) <= 1e-10 * np.max(np.abs(eig))
+        fam = ops.family_samples(op, "bip")
+        assert np.array_equal(corpus_grid(), fam.points)
+        assert suite.multiplier_corpus(op, 1.0, size=3).shape == (3, len(fam))
 
     def test_scaling_is_exact(self, corpus124):
         double = scale_corpus(corpus124, 2.0)
-        assert np.array_equal(double.coefficients, 2.0 * corpus124.coefficients)
-        assert (double.t0, double.dt) == (corpus124.t0, corpus124.dt)
+        assert isinstance(double, np.ndarray)
+        assert np.array_equal(double, 2.0 * corpus124)
 
 
 class TestConditionOne:
@@ -166,6 +160,25 @@ class TestConditionOne:
         violation = res.extra["bracket_violation"]
         assert violation["lower"] == res.value
         assert violation["proven_upper"] == res.extra["upper"] < res.value
+
+    @pytest.mark.parametrize("spec", ["diag:1,10,100", "path-laplacian:8", "jordan:1,3"])
+    def test_image_is_the_imaginary_power_average(self, spec, monkeypatch):
+        # the stack c1 bounds is (2 pi)^{-1} sum_k w_k fhat_j(t_k) A^{it_k},
+        # summed here over the dense A^{it} of every grid point
+        op = ops.operator_from_spec(spec)
+        corpus = suite.multiplier_corpus(op, 1.0, size=12, seed=0)
+        seen = []
+
+        def r_bound(mats, p, rng=None):
+            seen.append(mats)
+            return rbound.r_bound(mats, p, rng=rng)
+
+        monkeypatch.setattr(suite, "r_bound", r_bound)
+        suite.condition_c1(op, 2.0, corpus)
+        t = corpus_grid()
+        w = trapezoid_weights(len(t), CORPUS_DT)
+        want = np.tensordot(corpus * w, ops.imaginary_powers(op, t), axes=(1, 0)) / (2 * np.pi)
+        assert np.max(np.abs(seen[0] - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_scales_with_radius(self, diag124, corpus124):
         base = suite.condition_c1(diag124, 2.0, corpus124)

@@ -1,5 +1,5 @@
 """Every function and method of the package has a caller in it, and
-every option a public one defaults is set by one.
+every option one defaults is set by one.
 
 The library is what `speccalc run` reaches: a function that no module of
 the package references is reachable only from tests, and is either
@@ -15,9 +15,10 @@ are matched by spelling, so two methods of one name share their
 references.
 
 The same goes one level down for options: a defaulted parameter of a
-public function or method must be passed by some call in the package,
-by keyword, by position, or through `*args` or `**kwargs`, otherwise it
-is a setting only tests can change and is folded into its default.  A
+function or method, public or private (dunder methods aside), must be
+passed by some call in the package, by keyword, by position, or through
+`*args` or `**kwargs`, otherwise it is a setting only tests can change
+and is folded into its default.  A
 `**name` argument counts as passing the parameters spelled by the string
 keys of the dict literals in the calling module (where such a dict is
 built), and a `*` argument every positional parameter from its place on.
@@ -86,7 +87,6 @@ SCIPY_IMPORTERS = {
 # stored values no package code reads, kept for a reason
 ALLOWED_FIELDS = {
     "RBoundEstimate.witness": "the tuple and vectors tests re-evaluate to certify the lower end",
-    "OperatorFamily.points": "the sample parameters tests re-evaluate closed forms on",
     "RangeReduction.basis": "Q of the lift Q N Q^H that carries a core result back",
     "RangeReduction.original_dim": "the dimension of that lift",
     "RangeReduction.residual": "the compression residual, which tests hold near roundoff",
@@ -129,12 +129,12 @@ def _functions(stem, node):
             yield prefix + item.name, item
 
 
-def _public_functions(stem, node):
-    """(qualified name, function node, is_method) for each public function
-    or method a top-level node defines."""
-    for qual, item in _functions(stem, node):
-        if not item.name.startswith("_"):
-            yield qual, item, isinstance(node, ast.ClassDef)
+def _option_holders(stem, node):
+    """(function node, is_method) for each function or method other than
+    a dunder method that a top-level node defines."""
+    for _, item in _functions(stem, node):
+        if not item.name.startswith("__"):
+            yield item, isinstance(node, ast.ClassDef)
 
 
 def scan():
@@ -248,11 +248,11 @@ def _passes(call, param, index, keys) -> bool:
 
 
 def unpassed_options():
-    """"name(param)" for each defaulted parameter of a public function or
-    method that no package call passes."""
+    """"name(param)" for each defaulted parameter of a function or method
+    (dunders aside) that no package call passes."""
     defs, calls, keys = [], [], {}
     for stem, node in _top_level():
-        for _, item, is_method in _public_functions(stem, node):
+        for item, is_method in _option_holders(stem, node):
             defs.append((item.name, _defaulted(item, is_method)))
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
@@ -279,6 +279,13 @@ def unpassed_options():
 def test_every_option_is_set_by_a_package_call():
     unset = sorted(unpassed_options() - set(ALLOWED_OPTIONS))
     assert not unset, "defaulted parameters no package call passes: " + ", ".join(unset)
+
+
+def test_the_option_check_covers_private_functions():
+    holders = {item.name for stem, node in _top_level()
+               for item, _ in _option_holders(stem, node)}
+    assert {"_samples", "_localized_sobolev", "family_samples"} <= holders
+    assert not any(name.startswith("__") for name in holders)
 
 
 def test_option_allowlist_names_only_unset_options():
