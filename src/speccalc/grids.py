@@ -117,12 +117,18 @@ def fourier_grid(n: int, du: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, d=du))
 
 
+def fourier_values(values: np.ndarray, u0: float, du: float):
+    """(t, fhat) for the samples values[..., k] of f(u0 + k du), each row
+    transformed on its own: the conjugate grid t and
+    fhat(t) = int f(u) e^{-iut} du along the last axis."""
+    t = fourier_grid(values.shape[-1], du)
+    raw = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
+    return t, du * np.exp(-1j * t * u0) * raw
+
+
 def fourier_transform(f: SampledFunction) -> SampledFunction:
     """fhat(t) = int f(u) e^{-iut} du on the conjugate grid."""
-    n, du = f.n, f.du
-    t = fourier_grid(n, du)
-    raw = np.fft.fftshift(np.fft.fft(f.values))
-    vals = du * np.exp(-1j * t * f.u0) * raw
+    t, vals = fourier_values(f.values, f.u0, f.du)
     return SampledFunction("linear", t[0], t[1] - t[0], vals, name=f"F[{f.name}]")
 
 

@@ -14,10 +14,12 @@ imaginary powers.  Every family element is scale * g(z, A) * A^power
 with g one of five cores (imaginary power, resolvent, semigroup, wave,
 Taylor-regularized wave), evaluated on the eigenvalues when the
 eigenbasis is usable and by stacked dense matrix functions otherwise
-(_samples).  Each Mellin identity returns its two sides as eigenvalue
-tables.  Every V diag(f) V^{-1} in the package, a table mapped through
-the eigenbasis, is one call of rbound._eig_apply_stack, which raises
-NotSectorialError on an operator without a usable eigenbasis.
+(_samples).  The contour calculus sums the resolvent core of _samples
+over its nodes, so it takes the same two paths.  Each Mellin identity
+returns its two sides as eigenvalue tables.  Every V diag(f) V^{-1} in
+the package, a table mapped through the eigenbasis, is one call of
+rbound._eig_apply_stack, which raises NotSectorialError on an operator
+without a usable eigenbasis.
 scipy.linalg is imported inside fractional_power and the defective
 branch of _samples only, the two places that call expm and logm.
 """
@@ -38,7 +40,7 @@ from .errors import (
     NotSectorialError,
 )
 from .grids import log_grid, trapezoid_weights
-from .rbound import OperatorFamily
+from .rbound import OperatorFamily, _eig_apply_stack
 
 MAX_DIM = 512
 
@@ -251,10 +253,10 @@ def _tanh_sinh_nodes(a: float, b: float, n: int):
     return mid + half * g, half * gp * dtau
 
 
-# contour nodes per stacked resolvent solve: bounds the (chunk, n, n)
-# resolvent stack; one 6144-node stack was slower than 256-node chunks at
-# n = 16
-_SOLVE_CHUNK = 256
+# contour nodes per _samples call: bounds the (chunk, n, n) resolvent
+# stack of a defective operator; one 6144-node stack was slower than
+# 256-node chunks at n = 16
+_NODE_CHUNK = 256
 
 
 def holomorphic_calculus(A, f: Callable) -> np.ndarray:
@@ -268,17 +270,15 @@ def holomorphic_calculus(A, f: Callable) -> np.ndarray:
     384 * 2^k nodes, k = 0..4; the node count doubles until the result
     changes by less than 1e-9 relative.
 
-    A real matrix pays one LU per node pair: the lower ray's node is the
-    conjugate of the upper ray's, and for real A
-    (conj(z) - A)^{-1} = conj((z - A)^{-1}); LU with partial pivoting on
-    conj(M) is the bitwise conjugate of LU on M, since IEEE rounding is
-    sign-symmetric and pivoting compares moduli only.  So the upper
-    ray's resolvents are read as the conjugates of the lower ray's
-    solves, bit for bit.  A complex matrix solves every node of both
-    rays.  Each ray keeps its own coefficients w_k r_k f(z_k), so f
-    needs no conjugate symmetry.  Each chunk of nodes is summed in node
-    order, one slice after another, so the rounding of the sum is the
-    node-by-node loop's.
+    Each ray keeps its own coefficients c_k = w_k r_k f(z_k), so f needs
+    no conjugate symmetry, and each chunk of its nodes is the resolvent
+    core of _samples scaled by c_k, which chooses the path: with an
+    eigenbasis the (chunk, n) table c_k / (z_k - lambda_j), whose two ray
+    sums are combined on the eigenvalues and mapped through the
+    eigenbasis once per node count; on a defective operator the
+    (chunk, n, n) stack c_k (z_k - A)^{-1}, one dense inverse per node.
+    Either is summed in node order, one slice after another, so the
+    rounding of the sum is the node-by-node loop's.
     """
     op = sectorial(A)
     lo, hi = op.spectral_bounds()
@@ -290,37 +290,28 @@ def holomorphic_calculus(A, f: Callable) -> np.ndarray:
     # lambda_j; an absolute 1e-9 max|lambda| would reject the nodes passing
     # the small end of a wide spectrum (diag-logspaced:30 spans 2^29)
     near = 1e-9 * np.abs(op.eigenvalues)
-    # (sign, e^{i sign angle}) of each ray, lower ray first
-    rays = [(sgn, np.exp(1j * sgn * angle)) for sgn in (-1.0, +1.0)]
-    real = not np.any(op.matrix.imag)
-    I = np.eye(op.dim)
 
     def evaluate(n_nodes: int) -> np.ndarray:
         u, w = _tanh_sinh_nodes(u_min, u_max, n_nodes)
         r = np.exp(u)
         wr = w * r  # dr = r du
-        zs, cs = [], []
-        for _, e in rays:
+        total = 0.0
+        for sgn in (-1.0, +1.0):
+            e = np.exp(1j * sgn * angle)
             z = r * e
             if np.any(np.abs(z[:, None] - op.eigenvalues[None, :]) < near[None, :]):
                 raise ContourError("contour node too close to the spectrum")
-            zs.append(z)
-            cs.append(wr * np.asarray(f(z), dtype=np.complex128))
-        accs = [np.zeros_like(op.matrix) for _ in rays]
-        for lo_k in range(0, n_nodes, _SOLVE_CHUNK):
-            ks = slice(lo_k, lo_k + _SOLVE_CHUNK)
-            for j in range(len(rays)):
-                if j == 0 or not real:
-                    Rs = np.linalg.solve(zs[j][ks, None, None] * I - op.matrix, I)
-                else:
-                    Rs = Rs.conj()  # the upper ray's nodes conjugate the lower's
-                P = cs[j][ks, None, None] * Rs
-                P[0] += accs[j]
-                accs[j] = np.add.reduce(P, axis=0)  # slice by slice, in node order
-        total = np.zeros_like(op.matrix)
-        for (sgn, e), acc in zip(rays, accs):
-            total += (-sgn) * e * acc  # down the upper ray, out the lower
-        return total / (2.0j * np.pi)
+            c = wr * np.asarray(f(z), dtype=np.complex128)
+            acc = 0.0
+            for lo_k in range(0, n_nodes, _NODE_CHUNK):
+                ks = slice(lo_k, lo_k + _NODE_CHUNK)
+                sample = _samples(op, "resolvent", z[ks], c[ks], 0.0)
+                part = sample["symbols"] if "symbols" in sample else sample["matrices"]
+                part[0] += acc
+                acc = np.add.reduce(part, axis=0)  # slice by slice, in node order
+            total = total + (-sgn) * e * acc  # down the upper ray, out the lower
+        total = total / (2.0j * np.pi)
+        return total if total.ndim == 2 else _eig_apply_stack(op.eigenbasis, total[None])[0]
 
     n = 384
     prev = evaluate(n)
@@ -378,8 +369,9 @@ def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -
     matrix_power) times the dense A^power, giving the (K, n, n) stack;
     the Taylor remainder switches to its power series where
     |z| ||A|| < 1/2, where the direct difference cancels.
-    family_samples and imaginary_powers choose between the two paths
-    only here.
+    family_samples, imaginary_powers and holomorphic_calculus choose
+    between the two paths only here.  A^0 is the identity on both paths
+    and is not multiplied in on the stack.
     """
     if op.diagonalizable:
         lam = op.eigenvalues
@@ -426,7 +418,9 @@ def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -
                 if np.all(tail < 1e-18 * np.maximum(np.linalg.norm(acc, 2, axis=(1, 2)), 1e-300)):
                     break
             G[small] = acc
-    return {"matrices": scale[:, None, None] * (G @ fractional_power(op, power))}
+    if power != 0.0:  # A^0 = I exactly, where expm(0 logm(A)) costs milliseconds
+        G = G @ fractional_power(op, power)
+    return {"matrices": scale[:, None, None] * G}
 
 
 def family_samples(

@@ -4,8 +4,14 @@ fourier_at and inverse_fourier_transform are the direct-summation and
 inverse oracles of grids.fourier_transform; dilate and scale_corpus
 build the dilated symbols and scaled corpora of the dilation-stability
 and c1 scaling checks; node_by_node_calculus is the contour calculus
-summed one node at a time, the bitwise reference of
-operators.holomorphic_calculus; sequential_witness_search is the
+with one dense solve per node, summed one node at a time, the bitwise
+reference of operators.holomorphic_calculus on an operator without an
+eigenbasis and its dense reference on one with an eigenbasis;
+per_node_eigenvalue_calculus is the contour calculus summed on the
+eigenvalues one node at a time, the bitwise reference of
+operators.holomorphic_calculus on an operator with an eigenbasis;
+per_block_besov_value is the value of spaces.besov_norm with one
+inverse transform per dyadic block, its bitwise reference; sequential_witness_search is the
 ell^p witness search of rbound.r_bound run one restart after another,
 one tuple per score, its bitwise reference; per_matrix_operator_norm is
 rbound.operator_norm off p in {1, 2, inf} run one matrix at a time, its
@@ -25,9 +31,10 @@ import numpy as np
 from speccalc.errors import ContourError, ConvergenceError, DomainError
 from speccalc import _kernels, special
 from speccalc import operators as ops
-from speccalc.grids import SampledFunction, log_grid, trapezoid_weights
-from speccalc.operators import _SOLVE_CHUNK, _exp_remainder, _tanh_sinh_nodes, sectorial
-from speccalc.rbound import OperatorFamily, operator_norm, r_l2_bound
+from speccalc.grids import SampledFunction, fourier_transform, log_grid, trapezoid_weights
+from speccalc.operators import _NODE_CHUNK, _exp_remainder, _tanh_sinh_nodes, sectorial
+from speccalc.rbound import OperatorFamily, _eig_apply_stack, operator_norm, r_l2_bound
+from speccalc.spaces import PartitionOfUnity
 
 # the step of the corpus transform grid
 CORPUS_DT = 2.0**-5
@@ -74,15 +81,11 @@ def scale_corpus(corpus, c: float):
     return corpus * c
 
 
-def node_by_node_calculus(A, f) -> np.ndarray:
-    """operators.holomorphic_calculus as two solves per node pair.
-
-    Same contour, node rules and stopping test; each ray solves its own
-    resolvents in chunks of _SOLVE_CHUNK and adds c_k R_k to its sum one
-    node at a time (skipping a node whose f(z_k) and w_k r_k are both
-    exactly 0), so the result is the one holomorphic_calculus must
-    reproduce bit for bit.
-    """
+def _contour_calculus(A, f, ray_sum, finish):
+    """The contour, node rules and stopping test of
+    operators.holomorphic_calculus, with ray_sum(op, z, c) the sum of
+    c_k times the resolvent at z_k over one ray and finish(op, total)
+    the matrix of the combined sum."""
     op = sectorial(A)
     lo, hi = op.spectral_bounds()
     angle = min(max(1.5 * op.omega, 0.35), 0.5 * (op.omega + np.pi))
@@ -93,23 +96,15 @@ def node_by_node_calculus(A, f) -> np.ndarray:
         u, w = _tanh_sinh_nodes(u_min, u_max, n_nodes)
         r = np.exp(u)
         wr = w * r
-        total = np.zeros_like(op.matrix)
-        I = np.eye(op.dim)
+        total = 0.0
         for sgn in (-1.0, +1.0):
             e = np.exp(1j * sgn * angle)
             z = r * e
             if np.any(np.abs(z[:, None] - op.eigenvalues[None, :]) < near[None, :]):
                 raise ContourError("contour node too close to the spectrum")
-            fz = np.asarray(f(z), dtype=np.complex128)
-            acc = np.zeros_like(op.matrix)
-            nodes = np.flatnonzero((fz != 0.0) | (wr != 0.0))
-            for lo_k in range(0, len(nodes), _SOLVE_CHUNK):
-                ks = nodes[lo_k : lo_k + _SOLVE_CHUNK]
-                Rs = np.linalg.solve(z[ks, None, None] * I - op.matrix, I)
-                for c, Rm in zip(wr[ks] * fz[ks], Rs):
-                    acc += c * Rm
-            total += (-sgn) * e * acc
-        return total / (2.0j * np.pi)
+            c = wr * np.asarray(f(z), dtype=np.complex128)
+            total = total + (-sgn) * e * ray_sum(op, z, c)
+        return finish(op, total / (2.0j * np.pi))
 
     n = 384
     prev = evaluate(n)
@@ -124,6 +119,54 @@ def node_by_node_calculus(A, f) -> np.ndarray:
         prev = cur
     raise ConvergenceError(
         f"contour quadrature did not stabilize (last relative change {gap:.2e})"
+    )
+
+
+def _dense_ray_sum(op, z, c):
+    acc = np.zeros_like(op.matrix)
+    I = np.eye(op.dim)
+    for lo_k in range(0, len(z), _NODE_CHUNK):
+        ks = slice(lo_k, lo_k + _NODE_CHUNK)
+        Rs = np.linalg.solve(z[ks, None, None] * I - op.matrix, I)
+        for ck, Rm in zip(c[ks], Rs):
+            acc += ck * Rm
+    return acc
+
+
+def node_by_node_calculus(A, f) -> np.ndarray:
+    """operators.holomorphic_calculus as one dense solve per node.
+
+    Same contour, node rules and stopping test; each ray solves its own
+    resolvents in chunks of _NODE_CHUNK and adds c_k R_k to its sum one
+    node at a time, so the result is the one holomorphic_calculus must
+    reproduce bit for bit on an operator without an eigenbasis, and
+    within roundoff on one with an eigenbasis.
+    """
+    return _contour_calculus(A, f, _dense_ray_sum, lambda op, total: total)
+
+
+def _eigenvalue_ray_sum(op, z, c):
+    lam = op.eigenvalues
+    acc = np.zeros_like(lam)
+    for zk, ck in zip(z, c):
+        acc += ck * (1.0 / (zk - lam)) * lam**0.0
+    return acc
+
+
+def per_node_eigenvalue_calculus(A, f) -> np.ndarray:
+    """operators.holomorphic_calculus on an operator with an eigenbasis,
+    one node at a time.
+
+    Same contour, node rules and stopping test; each ray adds
+    c_k / (z_k - lambda) * lambda^0, the resolvent row of
+    operators._samples, to its (n,) sum one node at a time, and the
+    combined sum is mapped through the eigenbasis once per node count,
+    so the result is the one holomorphic_calculus must reproduce bit
+    for bit.
+    """
+    return _contour_calculus(
+        A, f, _eigenvalue_ray_sum,
+        lambda op, total: _eig_apply_stack(op.eigenbasis, total[None])[0],
     )
 
 
@@ -384,3 +427,20 @@ def per_eigenvalue_resolvent_bip_mellin(A, beta: float, theta: float, s_grid):
         * np.exp(1j * np.outer(s_grid, np.log(lam)))
     )
     return lhs, rhs
+
+
+def per_block_besov_value(f: SampledFunction, alpha: float) -> float:
+    """The value of spaces.besov_norm with one fourier_transform per
+    dyadic block, its bitwise reference:
+    sum_n 2^{|n| alpha} sup |(fhat phi_n)^vee|."""
+    fh = fourier_transform(f)
+    t = fh.u
+    pou = PartitionOfUnity("fourier-dyadic")
+    blocks = []
+    for n in pou.indices_for(float(t[0]), float(t[-1])):
+        win = pou.window(n)(t)
+        piece_hat = SampledFunction("linear", fh.u0, fh.du, fh.values * win)
+        back = fourier_transform(piece_hat)
+        sup = float(np.max(np.abs(back.values))) / (2.0 * np.pi)
+        blocks.append(2.0 ** (abs(n) * alpha) * sup)
+    return float(sum(blocks))

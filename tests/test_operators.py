@@ -5,6 +5,7 @@ f(aI + N) = f(a) I + f'(a) N, which sidesteps the ill-conditioned
 eigenbasis entirely.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ from speccalc.rbound import OperatorFamily, _eig_apply_stack, r_l2_bound
 
 from oracles import (
     node_by_node_calculus,
+    per_node_eigenvalue_calculus,
     per_eigenvalue_resolvent_bip_mellin,
     per_eigenvalue_wave_mellin,
     per_eigenvalue_wave_taylor_mellin,
@@ -215,36 +217,70 @@ def _rotated_rho(z):
     return np.exp(0.3j) * z / (1.0 + z) ** 2
 
 
-# a complex diagonal: its resolvents on the two rays are not conjugates
+# a complex diagonal: its spectrum is not symmetric about the real axis
 COMPLEX_DIAG = np.diag([1.0 + 0.5j, 2.0, 3.0 - 0.2j])
 # real and non-normal, with the conjugate eigenpair 1 +- 0.5i
 REAL_NONNORMAL = np.array([[1.0, -0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.0, 2.0]])
 
 
+# the diagonalizable contour cases: (spec, f), spec a preset or a key of
+# _CONTOUR_MATRICES
+_CONTOUR_CASES = [
+    ("diag-logspaced:16", _rho),
+    ("diag:1,10,100", _rho),
+    ("path-laplacian:8", _rho),
+    ("cycle-laplacian:6", _rho),
+    ("complex-diag", _rho),
+    ("cycle-laplacian:6", _rotated_rho),
+]
+_CONTOUR_MATRICES = {"complex-diag": COMPLEX_DIAG, "real-nonnormal": REAL_NONNORMAL}
+
+
+def _contour_operator(spec):
+    if spec in _CONTOUR_MATRICES:
+        return ops.sectorial(_CONTOUR_MATRICES[spec])
+    return ops.operator_from_spec(spec)
+
+
+def _forced_dense(op):
+    """op without its eigenbasis, so _samples takes the stack path."""
+    return dataclasses.replace(op, eigenvectors=None, eigenvectors_inv=None)
+
+
 class TestContourCalculus:
-    """holomorphic_calculus against its node-by-node form and the eigenbasis."""
+    """holomorphic_calculus on both paths of _samples against its
+    node-by-node forms and the eigenbasis."""
+
+    # the contour-vs-eigen rows are gated at 1e-6 relative drift on values
+    # of 1e-10..1e-8, so each path's sum may not move by one rounding
+    @pytest.mark.parametrize(
+        "spec, f, dense",
+        [("jordan:1.5,4", _rho, False)] + [(s, f, True) for s, f in _CONTOUR_CASES],
+    )
+    def test_stack_path_is_bitwise_the_node_by_node_sum(self, spec, f, dense):
+        op = _contour_operator(spec)
+        if dense:
+            op = _forced_dense(op)
+        assert not op.diagonalizable
+        got = ops.holomorphic_calculus(op, f)
+        assert np.array_equal(got, node_by_node_calculus(op, f))
+
+    @pytest.mark.parametrize("spec, f", _CONTOUR_CASES)
+    def test_table_path_is_bitwise_the_per_node_eigenvalue_sum(self, spec, f):
+        op = _contour_operator(spec)
+        assert op.diagonalizable
+        got = ops.holomorphic_calculus(op, f)
+        assert np.array_equal(got, per_node_eigenvalue_calculus(op, f))
 
     @pytest.mark.parametrize(
         "spec, f",
-        [
-            ("diag-logspaced:16", _rho),
-            ("diag:1,10,100", _rho),
-            ("path-laplacian:8", _rho),
-            ("cycle-laplacian:6", _rho),
-            ("jordan:1.5,4", _rho),
-            ("complex-diag", _rho),
-            ("cycle-laplacian:6", _rotated_rho),
-        ],
+        _CONTOUR_CASES + [("real-nonnormal", _rho), ("diag-logspaced:30", _rho)],
     )
-    def test_bitwise_equal_to_the_node_by_node_sum(self, spec, f):
-        # the contour-vs-eigen rows are gated at 1e-6 relative drift on
-        # values of 1e-10..1e-8, so the sum may not move by one rounding
-        if spec == "complex-diag":
-            op = ops.sectorial(COMPLEX_DIAG)
-        else:
-            op = ops.operator_from_spec(spec)
+    def test_table_path_agrees_with_the_dense_resolvents(self, spec, f):
+        op = _contour_operator(spec)
         got = ops.holomorphic_calculus(op, f)
-        assert np.array_equal(got, node_by_node_calculus(op, f))
+        want = node_by_node_calculus(op, f)
+        assert np.linalg.norm(got - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
 
     @pytest.mark.parametrize(
         "A", [REAL_NONNORMAL, COMPLEX_DIAG], ids=["real-nonnormal", "complex-diag"]
@@ -256,13 +292,14 @@ class TestContourCalculus:
         want = _eig_apply_stack(op.eigenbasis, _rho(op.eigenvalues)[None])[0]
         assert np.linalg.norm(got - want, 2) < 1e-7 * np.linalg.norm(want, 2)
 
-    def test_a_real_matrix_solves_one_node_per_pair(self, monkeypatch):
-        solve = np.linalg.solve
+    def test_the_table_path_makes_no_dense_solve(self, monkeypatch):
         counts = {"solved": 0, "nodes": 0}
 
-        def counting_solve(a, b):
-            counts["solved"] += a.shape[0] if a.ndim == 3 else 1
-            return solve(a, b)
+        def counting(fn):
+            def call(a, *args):
+                counts["solved"] += a.shape[0] if a.ndim == 3 else 1
+                return fn(a, *args)
+            return call
 
         rule = ops._tanh_sinh_nodes
 
@@ -270,15 +307,17 @@ class TestContourCalculus:
             counts["nodes"] += n
             return rule(a, b, n)
 
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        op = ops.operator_from_spec("diag-logspaced:16")  # sectorial inverts V
+        monkeypatch.setattr(np.linalg, "solve", counting(np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv))
         monkeypatch.setattr(ops, "_tanh_sinh_nodes", counting_rule)
-        ops.holomorphic_calculus(ops.operator_from_spec("diag-logspaced:16"), _rho)
-        # 384 + 768 + ... + 6144 nodes per ray, one solve per node pair
-        assert counts == {"solved": 11904, "nodes": 11904}
+        ops.holomorphic_calculus(op, _rho)
+        # 384 + 768 + ... + 6144 nodes per ray, each on the eigenvalues
+        assert counts == {"solved": 0, "nodes": 11904}
 
+        # without its eigenbasis, one inverse per node of each ray
         counts.update(solved=0, nodes=0)
-        lam = 2.0 ** (np.arange(16) - 7.5) * np.exp(0.01j)
-        ops.holomorphic_calculus(np.diag(lam), _rho)
+        ops.holomorphic_calculus(_forced_dense(op), _rho)
         assert counts == {"solved": 2 * 11904, "nodes": 11904}
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speccalc.corpus import load_corpus
 from speccalc.errors import DomainError
 from speccalc.grids import SampledFunction
 from speccalc.spaces import (
@@ -19,7 +20,7 @@ from speccalc.spaces import (
     sobolev_norm,
 )
 
-from oracles import dilate
+from oracles import dilate, per_block_besov_value
 
 
 def log_gauss(s):
@@ -170,6 +171,13 @@ class TestBesovScale:
             lambda u: np.exp(-(u**2) / 2.0), "linear", -40.0, 40.0, 1 << 12
         )
         assert besov_norm(f, 1.5).value >= besov_norm(f, 1.0).value
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_batched_blocks_are_bitwise_the_per_block_loop(self, alpha):
+        for f in load_corpus():
+            if f.coordinate == "log":
+                f = SampledFunction("linear", f.u0, f.du, f.values, name=f.name)
+            assert besov_norm(f, alpha).value == per_block_besov_value(f, alpha), f.name
 
     def test_mihlin_finite_for_decaying_symbol(self):
         f = SampledFunction.from_callable(rho, "log", 1e-8, 1e8, 1 << 11)
