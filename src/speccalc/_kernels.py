@@ -48,7 +48,12 @@ def random_signs(gen, samples, K):
 
 
 def row_norms(Y, p):
-    """Row-wise l^p norms of a complex matrix; p = inf takes the max."""
+    """Row-wise l^p norms of a complex matrix; p = inf takes the max.
+
+    Off p in {1, 2, inf} each row is divided by its largest entry before
+    the power, so |y|^p neither underflows to 0 nor overflows to inf at
+    large p; a zero row stays 0 and a row with an infinite entry inf.
+    """
     A = np.abs(Y)
     if p == 2.0:
         return np.sqrt(np.einsum("ij,ij->i", A, A))
@@ -56,7 +61,9 @@ def row_norms(Y, p):
         return A.sum(axis=1)
     if np.isinf(p):
         return A.max(axis=1)
-    return (A**p).sum(axis=1) ** (1.0 / p)
+    top = A.max(axis=1)
+    scale = np.where((top > 0) & (top < np.inf), top, 1.0)
+    return top * ((A / scale[:, None]) ** p).sum(axis=1) ** (1.0 / p)
 
 
 def enum_mean_norm(X, p):

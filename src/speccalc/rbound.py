@@ -427,9 +427,8 @@ def _ball_top(M, v, r):
         return best, e
 
     def form(u):
-        # einsum rounds a lone 2 x 2 form unlike a stack: score it twice
-        w, W = (u, M) if len(u) > 1 else (np.tile(u, (2, 1)), np.tile(M, (2, 1, 1)))
-        return np.einsum("si,sij,sj->s", w.conj(), W, w).real[: len(u)]
+        # u^H (M u) as stacked matmuls: a lone form rounds like a stack's
+        return np.matmul(u.conj()[:, None, :], np.matmul(M, u[:, :, None]))[:, 0, 0].real
 
     fv = form(v)
     v = np.where((fv >= best)[:, None], v, e)

@@ -5,22 +5,24 @@ Norms implemented (all on SampledFunction grids, FFT-based):
     sobolev_norm    W^alpha:  (2 pi)^{-1/2} ||(1+|t|)^alpha fhat||_2
     sobexp_norm     S^alpha:  the same applied to f(e^u), the symbol in
                     logarithmic coordinates
-    besov_norm      dyadic frequency blocks, l^q over 2^{|n| alpha} weights
-    mihlin_norm     sup_{t>0, k <= k_max} |t^k f^(k)(t)|
+    besov_norm      dyadic frequency blocks, l^1 sum of their sups with
+                    weights 2^{|n| alpha}
+    mihlin_norm     besov_norm of the symbol in logarithmic coordinates
     hoermander_norm H^alpha:  sup over unit translates of the localized
                     W^alpha norm in log coordinates
 
-The three partition kinds share one construction: a C-infinity ramp S
-with S = 0 left of 0 and S = 1 right of 1, differenced into a bump.
-Their pointwise sums telescope to 1 exactly, including in floating
-point, because adjacent windows reuse identical ramp evaluations.
+The windows share one construction: a C-infinity ramp S with S = 0
+left of 0 and S = 1 right of 1, evaluated once per ramp row of a stack;
+each window is the difference of two adjacent rows.  Unit-spaced bumps
+(_unit_bumps: hoermander_norm in u, suite.paley_littlewood_check in
+log2 of the spectrum) and the fourier-dyadic blocks of besov_norm
+(_frequency_blocks) therefore sum to exactly 1, in floating point too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -48,69 +50,42 @@ def _ramp_smooth(x):
     return out
 
 
-@dataclass
-class PartitionOfUnity:
-    """A family of C-infinity windows summing to one.
+def _unit_bumps(y, lo: int, hi: int) -> np.ndarray:
+    """The (hi - lo + 1, N) stack of windows phi(y - n), n = lo..hi, on
+    the points y.
 
-    kind "equidistant": windows phi(u - n) on the line, unit spacing;
-    kind "dyadic": windows phi(log2 x - n) on (0, inf);
-    kind "fourier-dyadic": symmetric frequency blocks: a central window
-    around 0 and dyadic annuli at +-[2^{n-1}, 2^{n+1}].
+    Row n is R_{n-1} - R_n with R_k = S(y - k), so phi(y - n) lives on
+    (n - 1, n + 1).  Adjacent windows share their ramp row, and the rows
+    sum to exactly 1 on [lo, hi]: at most two are nonzero there,
+    (1 - r) + r, which rounds to 1 for every r in [0, 1].
     """
+    ramps = _ramp_smooth(np.asarray(y, dtype=float) - np.arange(lo - 1, hi + 1)[:, None])
+    return ramps[:-1] - ramps[1:]
 
-    kind: str
 
-    def __post_init__(self):
-        if self.kind not in ("equidistant", "dyadic", "fourier-dyadic"):
-            raise DomainError(f"unknown partition kind {self.kind!r}")
+def _frequency_blocks(t):
+    """The fourier-dyadic blocks that meet [t_0, t_{-1}]: (indices, stack).
 
-    # base bump on [-1, 1] with value 1 at 0
-    def _bump(self, y):
-        return _ramp_smooth(y + 1.0) - _ramp_smooth(y)
-
-    def window(self, n: int) -> Callable:
-        """The n-th window as a callable in the natural coordinate."""
-        if self.kind == "equidistant":
-            return lambda u: self._bump(np.asarray(u, dtype=float) - n)
-        if self.kind == "dyadic":
-            return lambda x: self._bump(np.log2(np.asarray(x, dtype=float)) - n)
-        # fourier-dyadic
-        def u_half(t):  # 0 below 1/2, 1 above 1
-            return _ramp_smooth(2.0 * np.asarray(t, dtype=float) - 1.0)
-
-        if n == 0:
-            return lambda t: 1.0 - u_half(t) - u_half(-np.asarray(t, dtype=float))
-        k = abs(n)
-        sgn = 1.0 if n > 0 else -1.0
-
-        def win(t):
-            t = sgn * np.asarray(t, dtype=float)
-            return u_half(t / 2.0 ** (k - 1)) - u_half(t / 2.0**k)
-
-        return win
-
-    def indices_for(self, lo: float, hi: float):
-        """Window indices whose support meets [lo, hi]."""
-        if self.kind == "equidistant":
-            return list(range(math.floor(lo), math.ceil(hi) + 1))
-        if self.kind == "dyadic":
-            if not (0 < lo <= hi):
-                raise DomainError("dyadic windows live on (0, inf)")
-            n0 = math.floor(math.log2(lo))
-            n1 = math.ceil(math.log2(hi))
-            return list(range(n0, n1 + 1))
-        out = []
-        if lo <= 1.0 and hi >= -1.0:
-            out.append(0)
-        top = max(abs(lo), abs(hi), 2.0)
-        kmax = int(math.ceil(math.log2(top))) + 2
-        for k in range(1, kmax + 1):
-            s_lo, s_hi = 2.0 ** (k - 2), 2.0**k
-            if hi > s_lo and lo < s_hi:
-                out.append(k)
-            if lo < -s_lo and hi > -s_hi:
-                out.append(-k)
-        return sorted(out)
+    With U(t) = S(2t - 1) (0 below 1/2, 1 above 1), block 0 is
+    1 - U(t) - U(-t) on (-1, 1) and block +-k is
+    U(+-t / 2^{k-1}) - U(+-t / 2^k) on +-(2^{k-2}, 2^k); the blocks are
+    differences of the rows U(+-t / 2^k), so they sum to exactly 1 like
+    _unit_bumps.
+    """
+    t = np.asarray(t, dtype=float)
+    lo, hi = float(t[0]), float(t[-1])
+    # block k meets [lo, hi] only if 2^{k-2} < max(|lo|, |hi|)
+    kmax = int(math.ceil(math.log2(max(abs(lo), abs(hi), 2.0)))) + 1
+    scale = 2.0 ** np.arange(kmax + 1)[:, None]
+    up = _ramp_smooth(2.0 * (t / scale) - 1.0)
+    down = _ramp_smooth(2.0 * (-t / scale) - 1.0)
+    stack = np.vstack([(down[:-1] - down[1:])[::-1], 1.0 - up[0] - down[0], up[:-1] - up[1:]])
+    idx = np.arange(-kmax, kmax + 1)
+    k = np.abs(idx)
+    inner = np.where(k > 0, 2.0 ** (k - 2.0), -1.0)
+    outer = np.where(k > 0, 2.0**k, 1.0)
+    keep = np.where(idx >= 0, (hi > inner) & (lo < outer), (lo < -inner) & (hi > -outer))
+    return idx[keep], stack[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +167,9 @@ def besov_norm(f: SampledFunction, alpha: float) -> NormResult:
         raise DomainError("alpha must be nonnegative")
     fh = fourier_transform(f)
     t = fh.u
-    pou = PartitionOfUnity("fourier-dyadic")
-    idx = pou.indices_for(float(t[0]), float(t[-1]))
+    idx, windows = _frequency_blocks(t)
     # the (B, N) stack of windowed blocks, transformed back in one FFT
-    pieces = fh.values * np.stack([pou.window(n)(t) for n in idx])
+    pieces = fh.values * windows
     _, back = fourier_values(pieces, fh.u0, fh.du)
     sups = np.max(np.abs(back), axis=-1) / (2.0 * np.pi)
     blocks = {n: 2.0 ** (abs(n) * alpha) * float(sup) for n, sup in zip(idx, sups)}
@@ -225,56 +199,44 @@ def mihlin_norm(f: SampledFunction, gamma: float) -> NormResult:
     return besov_norm(fe, gamma)
 
 
-def _localized_sobolev(piece_vals: np.ndarray, du: float, alpha: float) -> float:
-    """W^alpha norm of a compactly supported piece, zero-padded to at
-    least four times its length for frequency resolution."""
-    n = len(piece_vals)
-    m = 1 << int(np.ceil(np.log2(n * 4)))
-    buf = np.zeros(m, dtype=np.complex128)
-    buf[:n] = piece_vals
-    t = 2.0 * np.pi * np.fft.fftfreq(m, d=du)
-    fh = np.fft.fft(buf) * du
-    w = (1.0 + np.abs(t)) ** alpha
-    dt = 2.0 * np.pi / (m * du)
-    return float(np.sqrt(np.sum(np.abs(fh * w) ** 2) * dt / (2.0 * np.pi)))
-
-
 def hoermander_norm(f: SampledFunction, alpha: float) -> NormResult:
     """H^alpha norm: sup over window translates of the localized W^alpha
     norm of the log-coordinate symbol.
 
-    Uses the equidistant partition in u (unit spacing, smooth windows).
-    Windows whose support leaves the grid are skipped.
+    Uses the unit-spaced windows phi(u - n) of _unit_bumps, for the n
+    whose support (n - 1, n + 1) lies inside the grid.  Each windowed
+    piece is gathered from the first point of its support, zero-padded
+    to the power of two at least four times the longest support (for
+    frequency resolution) and transformed in one batched FFT.
     """
     _require_log(f)
     if alpha <= 0.5:
         raise DomainError("the localized norm needs alpha > 1/2")
-    partition = PartitionOfUnity("equidistant")
     u = f.u
     n_lo = int(np.ceil(u[0])) + 1
     n_hi = int(np.floor(u[-1])) - 1
     if n_hi < n_lo:
         raise CoverageError("grid too short for even one interior window")
-    per_window = {}
-    best = 0.0
-    for n in range(n_lo, n_hi + 1):
-        wvals = partition.window(n)(u)
-        sel = wvals > 0
-        if not np.any(sel):
-            continue
-        piece = wvals[sel] * f.values[sel]
-        val = _localized_sobolev(piece, f.du, alpha)
-        per_window[n] = val
-        best = max(best, val)
+    windows = _unit_bumps(u, n_lo, n_hi)
+    live = windows > 0
+    span = np.arange(live.sum(axis=1).max())
+    # past its support a window is exactly 0, and so is its piece
+    cols = np.minimum(live.argmax(axis=1)[:, None] + span, len(u) - 1)
+    pieces = np.take_along_axis(windows, cols, axis=1) * f.values[cols]
+    m = 1 << int(np.ceil(np.log2(len(span) * 4)))
+    fh = np.fft.fft(pieces, n=m, axis=-1) * f.du
+    t = 2.0 * np.pi * np.fft.fftfreq(m, d=f.du)
+    w = (1.0 + np.abs(t)) ** alpha
+    dt = 2.0 * np.pi / (m * f.du)
+    vals = np.sqrt(np.sum(np.abs(fh * w) ** 2, axis=-1) * dt / (2.0 * np.pi))
+    best = float(vals.max())
     # a localized norm does not need |f| to decay (constant-modulus
     # symbols are its central inhabitants); the sup is untrustworthy only
     # when the window values are still growing at the boundary, i.e. the
     # true sup lives beyond the grid
     edge_growth = 1.0
-    ns = sorted(per_window)
-    if len(ns) >= 4 and best > 0:
-        lo_run = [per_window[n] for n in ns[:4]]
-        hi_run = [per_window[n] for n in ns[-4:]]
+    if len(vals) >= 4 and best > 0:
+        lo_run, hi_run = vals[:4], vals[-4:]
         tiny = 1e-300
         edge_growth = max(
             lo_run[0] / max(lo_run[-1], tiny), hi_run[-1] / max(hi_run[0], tiny)

@@ -38,7 +38,7 @@ from . import operators as ops
 from .errors import ConvergenceError, CoverageError, DomainError
 from .grids import SampledFunction, fourier_transform, log_grid, trapezoid_weights
 from .rbound import _eig_apply_stack, r_bound, r_l2_bound, rademacher_norm
-from .spaces import PartitionOfUnity, _edge_ratio
+from .spaces import _edge_ratio, _unit_bumps
 
 __all__ = [
     "Row",
@@ -541,10 +541,10 @@ def paley_littlewood_check(A, p: float, trials: int = 100, seed: int = 0):
     lam = op.eigenvalues
     if float(np.max(np.abs(lam.imag))) > 1e-9 * float(np.max(np.abs(lam))):
         raise DomainError("dyadic blocks slice the positive axis; spectrum is complex")
-    pou = PartitionOfUnity("dyadic")
     lo, hi = op.spectral_bounds()
-    # one row of window values on the spectrum per dyadic block
-    windows = np.array([pou.window(n)(lam.real) for n in pou.indices_for(lo, hi)])
+    # one row of window values phi(log2 lambda - n) per dyadic block
+    n_lo, n_hi = math.floor(math.log2(lo)), math.ceil(math.log2(hi))
+    windows = _unit_bumps(np.log2(lam.real), n_lo, n_hi)
     unity = windows.sum(axis=0)
     if float(np.max(np.abs(unity - 1.0))) > 1e-8:
         raise CoverageError(

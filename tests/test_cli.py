@@ -378,6 +378,18 @@ class TestLpRuns:
         assert main(["compare", str(out / "manifest.json"), str(oracle / "manifest.json")]) == 0
         assert "IDENTICAL" in capsys.readouterr().out
 
+    def test_a_large_exponent_keeps_the_paley_littlewood_ratios(self, tmp_path):
+        # at p = 700 a unit vector's |x_j|^p underflows; unscaled l^p
+        # norms read 0 and failed pl-lower
+        path = write_config(
+            tmp_path, operators=["diag-logspaced:4"], suites=["paley-littlewood"], space=700,
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        rows = {r["condition"]: r for r in read_rows(out / "paley-littlewood.csv")}
+        assert rows["pl-lower"]["pass"] == "true"
+        assert 0.1 <= float(rows["pl-lower"]["value"]) <= float(rows["pl-upper"]["value"]) <= 10.0
+
     def test_scalar_operators_pass_c1_off_l2(self, tmp_path):
         # on C^1 the R-bound is max |t_j| exactly; a roundoff-inverted
         # bracket used to fail both c1 rows

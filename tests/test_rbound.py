@@ -177,6 +177,16 @@ class TestRademacherSums:
         with pytest.raises(DomainError):
             rademacher_norm(np.ones((2, 3, 4)), 2.0)
 
+    @pytest.mark.parametrize("p", [300.0, 700.0, 5000.0])
+    @pytest.mark.parametrize("c", [1e-300, 1e-3, 1e200])
+    def test_large_p_norms_neither_underflow_nor_overflow(self, p, c):
+        # ||(c, c, c, c)||_p = c 4^{1/p}; |c|^p alone leaves the float range
+        Y = np.array([[c] * 4, [1j * c, 0.0, 0.0, c / 2.0], [0.0] * 4])
+        got = _kernels.row_norms(Y, p)
+        assert got[0] == pytest.approx(c * 4.0 ** (1.0 / p), rel=1e-14)
+        assert got[1] == pytest.approx(c * (1.0 + 2.0**-p) ** (1.0 / p), rel=1e-14)
+        assert got[2] == 0.0
+
 
 class TestOperatorNorm:
     def test_closed_forms(self):

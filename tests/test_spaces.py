@@ -5,14 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from speccalc.corpus import load_corpus
 from speccalc.errors import DomainError
 from speccalc.grids import SampledFunction
 from speccalc.spaces import (
-    PartitionOfUnity,
+    _frequency_blocks,
+    _unit_bumps,
     besov_norm,
     hoermander_norm,
     mihlin_norm,
@@ -20,7 +19,7 @@ from speccalc.spaces import (
     sobolev_norm,
 )
 
-from oracles import dilate, per_block_besov_value
+from oracles import PartitionOfUnity, dilate, per_block_besov_value, per_window_hoermander
 
 
 def log_gauss(s):
@@ -32,9 +31,35 @@ def rho(s):
     return s / (1.0 + s) ** 2
 
 
-def window_sum(pou, x):
-    """Sum at the point x of every window whose support meets it."""
-    return sum(pou.window(n)(np.array([x]))[0] for n in pou.indices_for(x, x))
+def window_stack(kind, x):
+    """(stack, closures): the windows of kind whose support meets the
+    sorted points x, as the package's stack and one closure at a time."""
+    pou = PartitionOfUnity(kind)
+    if kind == "fourier-dyadic":
+        idx, stack = _frequency_blocks(x)
+        closure_idx = pou.indices_for(x[0], x[-1])
+        assert list(idx) == closure_idx
+    else:
+        y = x if kind == "equidistant" else np.log2(x)
+        lo, hi = math.floor(y[0]), math.ceil(y[-1])
+        stack = _unit_bumps(y, lo, hi)
+        closure_idx = range(lo, hi + 1)
+        assert list(closure_idx) == pou.indices_for(x[0], x[-1])
+    return stack, np.array([pou.window(n)(x) for n in closure_idx])
+
+
+def dense_points(kind, count=20_000):
+    """Sorted random points: uniform on [-30, 30] (equidistant), log-uniform
+    on [1e-6, 1e6] (dyadic), uniform on [-200, 200] (fourier-dyadic)."""
+    gen = np.random.default_rng(0)
+    if kind == "equidistant":
+        return np.sort(gen.uniform(-30.0, 30.0, count))
+    if kind == "dyadic":
+        return np.sort(10.0 ** gen.uniform(-6.0, 6.0, count))
+    return np.sort(gen.uniform(-200.0, 200.0, count))
+
+
+KINDS = ("equidistant", "dyadic", "fourier-dyadic")
 
 
 @pytest.fixture()
@@ -48,49 +73,46 @@ def rho_log():
 
 
 class TestPartitions:
-    @given(st.floats(min_value=-30.0, max_value=30.0))
-    @settings(max_examples=50, deadline=None)
-    def test_equidistant_unity(self, u):
-        pou = PartitionOfUnity("equidistant")
-        assert window_sum(pou, u) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_windows_sum_to_exactly_one(self, kind):
+        stack, _ = window_stack(kind, dense_points(kind))
+        assert np.all(stack.sum(axis=0) == 1.0)
 
-    @given(st.floats(min_value=-6.0, max_value=6.0))
-    @settings(max_examples=50, deadline=None)
-    def test_dyadic_unity(self, e):
-        pou = PartitionOfUnity("dyadic")
-        assert window_sum(pou, 10.0**e) == pytest.approx(1.0, abs=1e-12)
-
-    @given(st.floats(min_value=-200.0, max_value=200.0))
-    @settings(max_examples=50, deadline=None)
-    def test_fourier_dyadic_unity(self, t):
-        pou = PartitionOfUnity("fourier-dyadic")
-        assert window_sum(pou, t) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stacks_match_the_closures(self, kind):
+        stack, closures = window_stack(kind, dense_points(kind))
+        if kind == "dyadic":
+            # log2(x) - (n - 1) against (log2(x) - n) + 1
+            assert np.max(np.abs(stack - closures)) <= 2.0**-52
+        else:
+            assert np.array_equal(stack, closures)
 
     def test_unity_next_to_a_window_edge_warns_nothing(self):
         # at x below ~1e-308 the ramp's -1/x overflows to -inf; the value
         # must stay the exact limit without a RuntimeWarning
-        pou = PartitionOfUnity("equidistant")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for x in (5e-324, 1e-310, 1e-300):
-                assert window_sum(pou, x) == 1.0
-                assert pou.window(1)(np.array([x]))[0] == 0.0
+                stack = _unit_bumps(np.array([x]), 0, 1)
+                assert stack.sum() == 1.0
+                assert stack[1, 0] == 0.0
 
     def test_window_supports(self):
-        # window 3 is supported on [4, 16] and peaks at 8
-        w = PartitionOfUnity("dyadic").window(3)
-        assert w(np.array([3.9]))[0] == 0.0
-        assert w(np.array([8.0]))[0] == pytest.approx(1.0)
-        assert w(np.array([16.1]))[0] == 0.0
+        # dyadic window 3 is supported on [4, 16] and peaks at 8
+        w = _unit_bumps(np.log2([3.9, 8.0, 16.1]), 3, 3)[0]
+        assert w[0] == 0.0
+        assert w[1] == pytest.approx(1.0)
+        assert w[2] == 0.0
 
     def test_indices_cover_range(self):
-        pou = PartitionOfUnity("fourier-dyadic")
-        idx = pou.indices_for(-10.0, 10.0)
+        idx, stack = _frequency_blocks(np.linspace(-10.0, 10.0, 101))
         assert 0 in idx and max(idx) >= 4 and min(idx) <= -4
-
-    def test_parameter_guards(self):
-        with pytest.raises(DomainError):
-            PartitionOfUnity("triadic")
+        assert stack.shape == (len(idx), 101)
+        # a one-sided range keeps only the blocks that meet it
+        for lo, hi, want in ((3.0, 200.0, range(2, 10)), (-200.0, -3.0, range(-9, -1))):
+            idx, _ = _frequency_blocks(np.linspace(lo, hi, 101))
+            assert list(idx) == list(want)
+            assert list(idx) == PartitionOfUnity("fourier-dyadic").indices_for(lo, hi)
 
 
 class TestSobolevScale:
@@ -164,6 +186,15 @@ class TestLocalizedNorms:
         loc = hoermander_norm(f, 1.0)
         assert not loc.divergent
         assert loc.value < glob.value
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_batched_norm_is_bitwise_the_per_window_loop(self, alpha):
+        # every window of a corpus symbol pads to the same power of two,
+        # so one shared FFT length reproduces the per-window transforms
+        for f in load_corpus():
+            if f.coordinate == "log":
+                assert hoermander_norm(f, alpha) == per_window_hoermander(f, alpha), f.name
+
 
 class TestBesovScale:
     def test_alpha_monotone(self):

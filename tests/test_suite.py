@@ -27,7 +27,6 @@ from speccalc.errors import (
     NotSectorialError,
 )
 from speccalc.grids import SampledFunction, trapezoid_weights
-from speccalc.spaces import PartitionOfUnity
 
 from oracles import CORPUS_DT, corpus_grid, per_member_corpus, scale_corpus
 
@@ -311,7 +310,8 @@ class TestPaleyLittlewood:
 
     def test_partition_must_cover(self, monkeypatch):
         # two dyadic windows cannot cover a spectrum spanning 2^15
-        monkeypatch.setattr(PartitionOfUnity, "indices_for", lambda self, lo, hi: (0, 1))
+        bumps = suite._unit_bumps
+        monkeypatch.setattr(suite, "_unit_bumps", lambda y, lo, hi: bumps(y, 0, 1))
         op = ops.operator_from_spec("diag-logspaced:16")
         with pytest.raises(CoverageError):
             suite.paley_littlewood_check(op, 2.0, trials=5, seed=0)

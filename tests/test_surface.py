@@ -29,7 +29,7 @@ and every attribute an `__init__` sets on `self` (OperatorFamily's),
 must be read as an attribute (`obj.field`, loaded) by package code,
 otherwise it is carried to no report and goes.  Fields are matched by
 spelling too, so a field shares its reads with every attribute of its
-name: `NormResult.kind` would pass on `PartitionOfUnity.kind`'s reads,
+name: `NormResult.value` would pass on `Row.value`'s reads alone,
 and such shared names are removed by hand, not found here.
 
 Every name the benchmark worker (`perfbench/worker.py`) traces or
@@ -284,7 +284,7 @@ def test_every_option_is_set_by_a_package_call():
 def test_the_option_check_covers_private_functions():
     holders = {item.name for stem, node in _top_level()
                for item, _ in _option_holders(stem, node)}
-    assert {"_samples", "_localized_sobolev", "family_samples"} <= holders
+    assert {"_samples", "_unit_bumps", "family_samples"} <= holders
     assert not any(name.startswith("__") for name in holders)
 
 
