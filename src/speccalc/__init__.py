@@ -4,7 +4,7 @@ Subpackage map:
     special    Gamma, finite-difference symbols, kernel integrals
     grids      uniform sample grids, Fourier transforms, quadrature grids
     spaces     partitions of unity and multiplier norms
-    corpus     named test-function corpus
+    corpus     the built-in symbols of the norms suite
     operators  sectorial matrices, calculi, operator families
     rbound     Rademacher averages and R-bound estimation
     suite      equivalence-condition experiments

@@ -79,7 +79,11 @@ SKIP_ERRORS = (ConvergenceError, CoverageError, DomainError, NotSectorialError)
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration; unknown file keys are rejected."""
+    """Run configuration; unknown file keys are rejected.
+
+    validate checks the values that run, so cmd_run calls it once, after
+    the command line has overridden the file's suites and seed.
+    """
 
     operators: list
     suites: list = field(default_factory=lambda: list(SUITES))
@@ -107,9 +111,7 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if "operators" not in raw:
             raise ConfigError("config needs an 'operators' list")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
     def validate(self):
         """Check the type and range of every field; operator specs are
@@ -134,8 +136,17 @@ class RunConfig:
                 f"unknown suites: {', '.join(bad)} (known: {', '.join(SUITES)})"
             )
         a, b, p, tol = self.alpha, self.beta, self.space, self.fit_tol
+        # c7 and c8 need m - 1/2 < alpha < m + 1/2 with m = round(alpha) and
+        # m < alpha - 1/2 < m + 1 with m = floor(alpha - 1/2) >= 0
+        wave = real(a) and 0.5 < a < math.inf and a - 0.5 != math.floor(a - 0.5)
         rules = (
             ("alpha", real(a) and 0 < a < math.inf, "a finite number > 0"),
+            (
+                "alpha",
+                wave or "theorem-equivalence" not in self.suites,
+                "a number > 1/2 with alpha - 1/2 not an integer when "
+                "theorem-equivalence runs",
+            ),
             ("beta", real(b) and 0 < b < 1, "a number in (0, 1)"),
             ("space", real(p) and p >= 1, "an exponent p >= 1"),
             ("fit_tol", real(tol) and 0 <= tol < math.inf, "a finite number >= 0"),

@@ -1,124 +1,64 @@
-"""Named test functions loadable from a structured JSON file.
+"""The built-in symbols of the norms suite.
 
-Each corpus entry gives a closed form from the registry below plus a
-grid specification, so every function can be evaluated off-grid exactly
-(needed when symbols are applied at matrix eigenvalues).
-
-File schema: a JSON list of objects
-    {"name": str, "form": str, "params": {...},
-     "grid": {"coordinate": "log"|"linear", "lo": f, "hi": f, "n": int}}
+Each symbol is a closed form plus the grid it is sampled on, so every
+function can be evaluated off the grid exactly (needed when symbols are
+applied at matrix eigenvalues).  The table order is the report order.
 """
 
 from __future__ import annotations
 
-import json
-from importlib import resources
-
 import numpy as np
 
-from .errors import ConfigError
 from .grids import SampledFunction
 
 
-def _form_rho(params):
-    return lambda s: s * np.exp(-s)
+def _bump_log(s):
+    y = np.log(np.asarray(s, dtype=float)) / 2.0
+    out = np.zeros_like(y)
+    mid = np.abs(y) < 1.0
+    out[mid] = np.exp(1.0 - 1.0 / (1.0 - y[mid] ** 2))
+    return out
 
 
-def _form_inverse_power(params):
+# (name, closed form, coordinate, lo, hi, n)
+_SYMBOLS = (
+    ("rho", lambda s: s * np.exp(-s), "log", 1e-6, 1e6, 4096),
     # s / (1+s)^2 = (1/4) sech^2(u/2): smooth, decays both ways in u
-    return lambda s: s / (1.0 + s) ** 2
-
-
-def _form_gaussian_log(params):
-    c = float(params.get("center", 0.0))
-    w = float(params.get("width", 1.0))
-    return lambda s: np.exp(-((np.log(s) - c) ** 2) / (2.0 * w * w))
-
-
-def _form_imag_power(params):
-    sexp = float(params.get("s", 1.0))
-    return lambda x: np.exp(1j * sexp * np.log(x))
-
-
-def _form_gaussian_log_phase(params):
-    c = float(params.get("center", 0.0))
-    w = float(params.get("width", 1.0))
-    sexp = float(params.get("s", 1.0))
-    return lambda x: np.exp(
-        -((np.log(x) - c) ** 2) / (2.0 * w * w) + 1j * sexp * np.log(x)
-    )
-
-
-def _form_bump_log(params):
-    c = float(params.get("center", 0.0))
-    w = float(params.get("width", 2.0))
-
-    def fn(s):
-        y = (np.log(np.asarray(s, dtype=float)) - c) / w
-        out = np.zeros_like(y)
-        mid = np.abs(y) < 1.0
-        if np.any(mid):
-            out[mid] = np.exp(1.0 - 1.0 / (1.0 - y[mid] ** 2))
-        return out
-
-    return fn
-
-
-def _form_resolvent_symbol(params):
-    theta = float(params.get("theta", 2.0))
-    beta = float(params.get("beta", 0.5))
-    w = np.exp(1j * theta)
-    return lambda s: s**beta / (w * s + 1.0)
-
-
-def _form_semigroup_symbol(params):
-    z = complex(params.get("z_re", 1.0), params.get("z_im", 0.0))
-    return lambda s: s * np.exp(-z * s)
-
-
-def _form_gaussian(params):
-    c = float(params.get("center", 0.0))
-    w = float(params.get("width", 1.0))
-    return lambda u: np.exp(-((u - c) ** 2) / (2.0 * w * w))
-
-
-FORMS = {
-    "rho": _form_rho,
-    "inverse-power": _form_inverse_power,
-    "gaussian-log": _form_gaussian_log,
-    "imag-power": _form_imag_power,
-    "gaussian-log-phase": _form_gaussian_log_phase,
-    "bump-log": _form_bump_log,
-    "resolvent-symbol": _form_resolvent_symbol,
-    "semigroup-symbol": _form_semigroup_symbol,
-    "gaussian": _form_gaussian,
-}
-
-
-def entry_to_function(entry: dict) -> SampledFunction:
-    try:
-        form = entry["form"]
-        grid = entry["grid"]
-        name = entry.get("name", form)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed corpus entry: {entry!r}") from exc
-    if form not in FORMS:
-        raise ConfigError(f"unknown corpus form {form!r}")
-    fn = FORMS[form](entry.get("params", {}))
-    return SampledFunction.from_callable(
-        fn,
-        grid.get("coordinate", "log"),
-        float(grid["lo"]),
-        float(grid["hi"]),
-        int(grid["n"]),
-        name=name,
-    )
+    ("inverse-power", lambda s: s / (1.0 + s) ** 2, "log", 1e-6, 1e6, 4096),
+    (
+        "gaussian-log",
+        lambda s: np.exp(-(np.log(s) ** 2) / 2.0),
+        "log", 1e-6, 1e6, 4096,
+    ),
+    (
+        "gaussian-log-wide",
+        lambda s: np.exp(-(np.log(s) ** 2) / (2.0 * 2.5 * 2.5)),
+        "log", 1e-8, 1e8, 4096,
+    ),
+    ("bump-log", _bump_log, "log", 1e-6, 1e6, 4096),
+    (
+        "gaussian-log-phase-2",
+        lambda x: np.exp(-(np.log(x) ** 2) / 2.0 + 1j * 2.0 * np.log(x)),
+        "log", 1e-6, 1e6, 4096,
+    ),
+    ("imag-power-3", lambda x: np.exp(1j * 3.0 * np.log(x)), "log", 1e-6, 1e6, 4096),
+    (
+        "resolvent-symbol",
+        lambda s: s**0.5 / (np.exp(1j * 2.0) * s + 1.0),
+        "log", 1e-6, 1e6, 4096,
+    ),
+    (
+        "semigroup-symbol",
+        lambda s: s * np.exp(-complex(1.0, 0.0) * s),
+        "log", 1e-6, 1e6, 4096,
+    ),
+    ("gaussian", lambda u: np.exp(-(u**2) / 2.0), "linear", -20.0, 20.0, 2048),
+)
 
 
 def load_corpus() -> list[SampledFunction]:
-    """Load the corpus shipped in data/corpus.json."""
-    text = resources.files("speccalc").joinpath("data/corpus.json").read_text()
-    entries = json.loads(text)
-    if not isinstance(entries, list):
-        raise ConfigError("corpus file must hold a JSON list")
-    return [entry_to_function(e) for e in entries]
+    """The built-in symbols, sampled on their grids, in report order."""
+    return [
+        SampledFunction.from_callable(fn, coordinate, lo, hi, n, name=name)
+        for name, fn, coordinate, lo, hi, n in _SYMBOLS
+    ]

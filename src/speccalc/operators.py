@@ -207,7 +207,11 @@ def operator_from_spec(spec: str) -> SectorialOperator:
         return sectorial(A)
     if kind == "jordan":
         parts = arg.split(",")
+        if len(parts) != 2:
+            raise DomainError(f"jordan needs exactly a,n, got {spec!r}")
         a, n = float(parts[0]), int(parts[1])
+        if n < 1:
+            raise DomainError(f"jordan needs n >= 1, got {spec!r}")
         if a <= 0:
             raise NotSectorialError("jordan block eigenvalue must be positive")
         A = a * np.eye(n) + np.eye(n, k=1)

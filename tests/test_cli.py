@@ -12,9 +12,9 @@ import pytest
 
 import speccalc
 from speccalc import operators as ops
-from speccalc import rbound
+from speccalc import rbound, suite
 from speccalc.cli import SUITES, RunConfig, main
-from speccalc.errors import ConfigError
+from speccalc.errors import ConfigError, DomainError
 
 from oracles import per_matrix_operator_norm
 
@@ -53,9 +53,11 @@ class TestConfig:
         path = write_config(tmp_path, typo_field=1)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
-    def test_bad_operator_is_rejected(self, tmp_path):
-        path = write_config(tmp_path, operators=["diag:1,2", "moebius:7"])
+    @pytest.mark.parametrize("spec", ["moebius:7", "jordan:1,2,3", "jordan:1"])
+    def test_bad_operator_is_rejected(self, tmp_path, capsys, spec):
+        path = write_config(tmp_path, operators=["diag:1,2", spec])
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"operator {spec!r}" in capsys.readouterr().err
 
     def test_bad_suite_is_rejected(self, tmp_path):
         path = write_config(tmp_path, suites=["sea-to-ha", "astrology"])
@@ -77,6 +79,8 @@ class TestConfig:
         "overrides",
         [
             {"alpha": -1.0},
+            {"alpha": 0.5},
+            {"alpha": 1.5},
             {"beta": 1.5},
             {"space": 0.5},
             {"seed": -2},
@@ -102,11 +106,42 @@ class TestConfig:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_alpha_without_a_wave_window_runs_without_theorem_equivalence(
+        self, tmp_path, capsys
+    ):
+        path = write_config(tmp_path, alpha=0.4, suites=list(SUITES))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "alpha must be" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--suite", "norms", "--out", str(out)]) == 0
+
+    def test_alpha_rule_is_the_wave_families_domain(self):
+        # validate rejects exactly the alpha at which c7 or c8 cannot
+        # sample its family, so no such run ends in a skipped report
+        op = ops.operator_from_spec("diag:1,2")
+        grid = [0.25, 0.4, 0.5, math.nextafter(0.5, 1.0), 0.75, 1.0,
+                math.nextafter(1.5, 0.0), 1.5, math.nextafter(1.5, 2.0), 2.5, 3.7]
+        for alpha in grid:
+            cfg = RunConfig(operators=["diag:1,2"], alpha=alpha)
+            try:
+                cfg.validate()
+                rejected = False
+            except ConfigError:
+                rejected = True
+            raises = False
+            for _, _, family, kwargs in suite._condition_table(alpha, 0.5):
+                if family in ("wave", "wave-taylor"):
+                    try:
+                        ops.family_samples(op, family, n=16, **kwargs)
+                    except DomainError:
+                        raises = True
+            assert rejected == raises, alpha
+
     def test_hash_ignores_key_order(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        a.write_text('{"operators": ["diag:1,2"], "alpha": 1.5}')
-        b.write_text('{"alpha": 1.5, "operators": ["diag:1,2"]}')
+        a.write_text('{"operators": ["diag:1,2"], "alpha": 1.25}')
+        b.write_text('{"alpha": 1.25, "operators": ["diag:1,2"]}')
         assert RunConfig.from_file(a).hash() == RunConfig.from_file(b).hash()
 
     def test_hash_tracks_every_field(self, tmp_path):

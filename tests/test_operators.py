@@ -96,6 +96,16 @@ class TestPresets:
         with pytest.raises(NotSectorialError):
             ops.operator_from_spec("jordan:-1,3")
 
+    @pytest.mark.parametrize("spec", ["jordan:1,2,3", "jordan:1", "jordan:1,0"])
+    def test_jordan_needs_exactly_a_and_n(self, spec):
+        with pytest.raises(DomainError, match="jordan"):
+            ops.operator_from_spec(spec)
+
+    @pytest.mark.parametrize("spec, a, n", [("jordan:1,1", 1.0, 1), ("jordan:(2.5,3)", 2.5, 3)])
+    def test_jordan_block(self, spec, a, n):
+        op = ops.operator_from_spec(spec)
+        assert np.array_equal(op.matrix, a * np.eye(n) + np.eye(n, k=1))
+
     @pytest.mark.parametrize(
         "kind", ["cycle-laplacian", "path-laplacian", "diag-logspaced"]
     )

@@ -1,4 +1,4 @@
-"""Partitions of unity and the multiplier norm family."""
+"""Partitions of unity, the multiplier norm family and the built-in symbols."""
 
 import math
 import warnings
@@ -70,6 +70,34 @@ def gauss_log():
 @pytest.fixture()
 def rho_log():
     return SampledFunction.from_callable(rho, "log", 1e-8, 1e8, 1 << 11, name="rho")
+
+
+# (name, coordinate, lo, hi, n) of the built-in symbols, in report order
+CORPUS_GRIDS = (
+    ("rho", "log", 1e-6, 1e6, 4096),
+    ("inverse-power", "log", 1e-6, 1e6, 4096),
+    ("gaussian-log", "log", 1e-6, 1e6, 4096),
+    ("gaussian-log-wide", "log", 1e-8, 1e8, 4096),
+    ("bump-log", "log", 1e-6, 1e6, 4096),
+    ("gaussian-log-phase-2", "log", 1e-6, 1e6, 4096),
+    ("imag-power-3", "log", 1e-6, 1e6, 4096),
+    ("resolvent-symbol", "log", 1e-6, 1e6, 4096),
+    ("semigroup-symbol", "log", 1e-6, 1e6, 4096),
+    ("gaussian", "linear", -20.0, 20.0, 2048),
+)
+
+
+class TestCorpus:
+    def test_names_and_grids_in_report_order(self):
+        corpus = load_corpus()
+        assert [f.name for f in corpus] == [g[0] for g in CORPUS_GRIDS]
+        for f, (name, coordinate, lo, hi, n) in zip(corpus, CORPUS_GRIDS):
+            u0, u1 = (np.log(lo), np.log(hi)) if coordinate == "log" else (lo, hi)
+            assert (f.coordinate, f.n, f.u0, f.du) == (coordinate, n, u0, (u1 - u0) / n), name
+
+    def test_samples_are_the_closed_form_on_the_grid(self):
+        for f in load_corpus():
+            assert f.values.tobytes() == f.eval(f.x).tobytes(), f.name
 
 
 class TestPartitions:
