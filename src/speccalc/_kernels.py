@@ -8,7 +8,10 @@ Kernels:
   mc_mean_norm(X, p, S)    the same average over a precomputed sign batch
 
 rbound.rademacher_norm averages through enum_mean_norm (at most 2^11
-sign rows, one batch) and mc_mean_norm over a random_signs batch; the
+sign rows, one batch) and mc_mean_norm over a random_signs batch.  A
+run reaches it only through the rbound suite's moment-order row, six
+vectors enumerated; the paley-littlewood rows compute square functions
+and draw no signs, so no run reaches mc_mean_norm or random_signs.  The
 witness search of rbound.r_bound groups its restarts by subset size,
 scores each group at every step on one shared full sign_rows
 enumeration and does its own products.  row_norms is the one l^p vector

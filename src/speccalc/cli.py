@@ -504,7 +504,7 @@ def run_paley_littlewood(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
     for spec in cfg.operators:
         try:
-            lo, hi, stderr = experiments.paley_littlewood_check(
+            lo, hi = experiments.paley_littlewood_check(
                 operators[spec], cfg.space, trials=cfg.trials, seed=cfg.seed
             )
         except SKIP_ERRORS as e:
@@ -512,10 +512,8 @@ def run_paley_littlewood(cfg: RunConfig, operators: dict):
             continue
         spread = hi / lo if lo > 0 else float("inf")
         param = f"trials={cfg.trials}"
-        rows.append((spec, Row("pl-lower", param, lo, 0.1, {"space": cfg.space},
-                               lo >= 0.1, {"mc_stderr": stderr})))
-        rows.append((spec, Row("pl-upper", param, hi, 10.0, {"space": cfg.space},
-                               hi <= 10.0, {"mc_stderr": stderr})))
+        rows.append((spec, Row("pl-lower", param, lo, 0.1, {"space": cfg.space}, lo >= 0.1)))
+        rows.append((spec, Row("pl-upper", param, hi, 10.0, {"space": cfg.space}, hi <= 10.0)))
         rows.append((spec, Row("pl-spread", param, spread, 10.0, {}, spread <= 10.0)))
     return rows, plots
 

@@ -167,6 +167,18 @@ def sectorial(A) -> SectorialOperator:
     )
 
 
+def _number(convert, text: str, spec: str, form: str):
+    """convert(text), int or float, for one argument of a preset, or a
+    DomainError naming the spec and the form it should have."""
+    try:
+        return convert(text)
+    except ValueError:
+        what = "an integer" if convert is int else "a number"
+        raise DomainError(
+            f"{spec!r} is not of the form {form}: {text.strip()!r} is not {what}"
+        ) from None
+
+
 def operator_from_spec(spec: str) -> SectorialOperator:
     """Parse operator presets.
 
@@ -176,7 +188,9 @@ def operator_from_spec(spec: str) -> SectorialOperator:
     path-laplacian:12      path graph Laplacian (zero mode compressed)
     jordan:(3,4)           a I + nilpotent shift, dimension 4
 
-    Parentheses around the argument list are optional.
+    Parentheses around the argument list are optional.  An argument that
+    does not parse as its number raises DomainError naming the spec and
+    the preset's form.
     """
     kind, _, arg = spec.partition(":")
     kind = kind.strip()
@@ -184,12 +198,14 @@ def operator_from_spec(spec: str) -> SectorialOperator:
     if arg.startswith("(") and arg.endswith(")"):
         arg = arg[1:-1]
     if kind == "diag":
-        vals = np.array([float(v) for v in arg.split(",") if v.strip()])
+        vals = np.array(
+            [_number(float, v, spec, "diag:a,b,...") for v in arg.split(",") if v.strip()]
+        )
         if len(vals) == 0:
             raise DomainError("diag needs at least one entry")
         return sectorial(np.diag(vals.astype(np.complex128)))
     if kind in ("diag-logspaced", "cycle-laplacian", "path-laplacian"):
-        n = int(arg)
+        n = _number(int, arg, spec, f"{kind}:n")
         if n < 2:
             raise DomainError(f"{kind} needs n >= 2")
     if kind == "diag-logspaced":
@@ -209,7 +225,8 @@ def operator_from_spec(spec: str) -> SectorialOperator:
         parts = arg.split(",")
         if len(parts) != 2:
             raise DomainError(f"jordan needs exactly a,n, got {spec!r}")
-        a, n = float(parts[0]), int(parts[1])
+        a = _number(float, parts[0], spec, "jordan:a,n")
+        n = _number(int, parts[1], spec, "jordan:a,n")
         if n < 1:
             raise DomainError(f"jordan needs n >= 1, got {spec!r}")
         if a <= 0:

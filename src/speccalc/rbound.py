@@ -164,12 +164,12 @@ class RBoundEstimate:
 # randomized sums of vectors
 
 
-def rademacher_norm(X, p: float, rng=None):
+def rademacher_norm(X, p: float):
     """E || sum_k eps_k X[k] ||_p over independent signs.
 
     Exact enumeration for K <= EXACT_LIMIT, otherwise Monte Carlo with
-    SAMPLES draws.  Returns (mean, stderr); stderr is 0.0 for the
-    enumerated case.
+    SAMPLES draws from a generator seeded with DEFAULT_SEED.  Returns
+    (mean, stderr); stderr is 0.0 for the enumerated case.
     """
     X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.ndim != 2:
@@ -178,15 +178,18 @@ def rademacher_norm(X, p: float, rng=None):
     K = X.shape[0]
     if K <= EXACT_LIMIT:
         return _kernels.enum_mean_norm(X, p), 0.0
-    signs = _kernels.random_signs(_rng(rng), SAMPLES, K)
+    signs = _kernels.random_signs(_rng(None), SAMPLES, K)
     return _kernels.mc_mean_norm(X, p, signs)
 
 
-def square_sum_norm(X, p: float) -> float:
-    """|| (sum_k |X[k]|^2)^{1/2} ||_p, the square function of the rows."""
+def square_sum_norm(X, p: float):
+    """|| (sum_k |X[k]|^2)^{1/2} ||_p, the square function of the rows of
+    a (K, n) array; for a (T, K, n) stack, the T norms of X[0], ..., X[T-1]
+    in one pass."""
     X = np.asarray(X, dtype=np.complex128)
-    square = np.sqrt(np.sum(np.abs(X) ** 2, axis=0))
-    return float(_kernels.row_norms(square[None], p)[0])
+    square = np.sqrt(np.sum(np.abs(X) ** 2, axis=-2))
+    norms = _kernels.row_norms(np.atleast_2d(square), p)
+    return float(norms[0]) if X.ndim == 2 else norms
 
 
 # ---------------------------------------------------------------------------

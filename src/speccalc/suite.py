@@ -37,7 +37,7 @@ from . import _kernels
 from . import operators as ops
 from .errors import ConvergenceError, CoverageError, DomainError
 from .grids import SampledFunction, fourier_transform, log_grid, trapezoid_weights
-from .rbound import _eig_apply_stack, r_bound, r_l2_bound, rademacher_norm
+from .rbound import _eig_apply_stack, r_bound, r_l2_bound, square_sum_norm
 from .spaces import _edge_ratio, _unit_bumps
 
 __all__ = [
@@ -519,20 +519,49 @@ def equivalence_report(
 
 
 # ---------------------------------------------------------------------------
-# randomized block two-sidedness
+# dyadic block two-sidedness
+
+
+def _unit_draws(gen, trials: int, n: int, p: float) -> np.ndarray:
+    """trials random unit vectors of ell^p, the rows of a (trials, n) array.
+
+    Real and imaginary parts are standard normal, drawn from gen as one
+    (trials, 2, n) block: the draws of a loop that takes the real and
+    then the imaginary part of one vector at a time, in the same order.
+    """
+    z = gen.standard_normal((trials, 2, n))
+    x = z[:, 0] + 1j * z[:, 1]
+    x /= _kernels.row_norms(x, p)[:, None]
+    return x
 
 
 def paley_littlewood_check(A, p: float, trials: int = 100, seed: int = 0):
-    """Two-sided randomized square-function ratios over dyadic blocks on ell^p.
+    """Two-sided square-function ratios over dyadic spectral blocks on ell^p.
 
-    For each random unit x the ratio E || sum_n eps_n psi_n(A) x || / ||x||
-    is collected (first moment over independent signs); the return value
-    is (min, max, stderr): the least and largest ratio over the trials
-    and the largest Monte Carlo standard error among them.  The windows
-    must sum to one on the spectrum, otherwise CoverageError.  Sign
-    enumeration is exact up to 12 blocks, with stderr 0.0, and Monte
-    Carlo with 4096 draws beyond.  A reduced operator off ell^2 raises
-    DomainError (_require_original_basis), and one without an eigenbasis
+    For `trials` random unit x (_unit_draws, from the seed) the ratio
+    ||(sum_n |psi_n(A) x|^2)^{1/2}||_p / ||x||_p is computed exactly, as
+    rbound.square_sum_norm does, with every image psi_n(A) x from one
+    product of the block stack; the return value is (min, max) over the
+    trials.  No signs are drawn or enumerated.
+
+    These are the paper's square sums, and they stand for the Rademacher
+    averages E||sum_n eps_n psi_n(A) x||_p that define R-boundedness:
+      * on ell^2 the ratio is the Rademacher square moment exactly, since
+        E||sum eps_n X_n||_2^2 = sum ||X_n||_2^2 by orthogonality;
+      * for 1 <= p < inf, Khintchine's inequality in each coordinate and
+        Fubini put (E||sum eps_n X_n||_p^p)^{1/p} between A_p and B_p
+        times ||(sum |X_n|^2)^{1/2}||_p; at p = 1 that is the first moment,
+        with A_1 = 1/sqrt(2) (Szarek 1976; for complex coordinates
+        Latala-Oleszkiewicz, Studia Math. 109, 1994) and B_1 = 1;
+      * at p = inf only the lower relation holds: each coordinate gives
+        E||sum eps_n X_n||_inf >= ||(sum |X_n|^2)^{1/2}||_inf / sqrt(2),
+        and no upper constant is free of the dimension.
+    So two-sided ratios here are two-sided Rademacher ratios, up to these
+    constants.
+
+    The windows must sum to one on the spectrum, otherwise CoverageError.
+    A reduced operator off ell^2 raises DomainError
+    (_require_original_basis), and one without an eigenbasis
     NotSectorialError (_eig_apply_stack): dyadic windows are not
     analytic, so no contour calculus stands in for it.
     """
@@ -556,15 +585,12 @@ def paley_littlewood_check(A, p: float, trials: int = 100, seed: int = 0):
         raise CoverageError("no window meets the spectrum")
     blocks = _eig_apply_stack(op.eigenbasis, windows)
 
-    gen = np.random.default_rng(seed)
-    ratios, stderr = np.empty(trials), 0.0
-    for i in range(trials):
-        x = gen.standard_normal(op.dim) + 1j * gen.standard_normal(op.dim)
-        x /= _kernels.row_norms(x[None], p)[0]
-        X = np.stack([B @ x for B in blocks])
-        ratios[i], err = rademacher_norm(X, p, rng=gen)
-        stderr = max(stderr, float(err))
-    return float(ratios.min()), float(ratios.max()), stderr
+    x = _unit_draws(np.random.default_rng(seed), trials, op.dim, p)
+    K, n = len(blocks), op.dim
+    # images[t, k] = psi_k(A) x_t
+    images = (x @ blocks.reshape(K * n, n).T).reshape(trials, K, n)
+    ratios = square_sum_norm(images, p)
+    return float(ratios.min()), float(ratios.max())
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,11 @@ bitwise reference; sequential_witness_search is the
 ell^p witness search of rbound.r_bound run one restart after another,
 one tuple per score, its bitwise reference; per_matrix_operator_norm is
 rbound.operator_norm off p in {1, 2, inf} run one matrix at a time, its
-bitwise reference; per_member_corpus is suite.multiplier_corpus built
+bitwise reference; per_trial_paley_littlewood is
+suite.paley_littlewood_check one random x at a time, the loop that
+drew Rademacher signs (the bitwise reference of its x's on at most 12
+blocks) and the reference of its square-function ratios within
+roundoff; per_member_corpus is suite.multiplier_corpus built
 one member at a time with a complex exp per entry on the grid of
 corpus_grid, its reference within a stated rounding bound;
 per_eigenvalue_wave_mellin, per_eigenvalue_wave_taylor_mellin and
@@ -39,8 +43,16 @@ from speccalc import _kernels, special
 from speccalc import operators as ops
 from speccalc.grids import SampledFunction, fourier_transform, log_grid, trapezoid_weights
 from speccalc.operators import _NODE_CHUNK, _exp_remainder, _tanh_sinh_nodes, sectorial
-from speccalc.rbound import OperatorFamily, _eig_apply_stack, operator_norm, r_l2_bound
-from speccalc.spaces import NormResult, _ramp_smooth
+from speccalc.rbound import (
+    EXACT_LIMIT,
+    SAMPLES,
+    OperatorFamily,
+    _eig_apply_stack,
+    operator_norm,
+    r_l2_bound,
+    square_sum_norm,
+)
+from speccalc.spaces import NormResult, _ramp_smooth, _unit_bumps
 
 # the step of the corpus transform grid
 CORPUS_DT = 2.0**-5
@@ -238,6 +250,41 @@ def per_matrix_operator_norm(T, p):
         one = OperatorFamily("T", np.zeros(1), np.ones(1), S[None], "point")
         norms.append(r_l2_bound(one, p).lower)
     return norms[0] if T.ndim == 2 else np.array(norms)
+
+
+def per_trial_paley_littlewood(A, p, trials=100, seed=0, signs=True):
+    """(xs, first, square) of suite.paley_littlewood_check, one trial at a
+    time: the unit x's as rows, the first Rademacher moments
+    E||sum_n eps_n psi_n(A) x||_p / ||x||_p as rbound.rademacher_norm
+    takes them, and the square-function ratios by rbound.square_sum_norm,
+    each image psi_n(A) x formed one block at a time.
+
+    With signs=True this is the loop the suite ran before it computed
+    square functions: beyond EXACT_LIMIT blocks it draws SAMPLES Monte
+    Carlo signs from the generator of the x's, so only on at most 12
+    blocks are the x's those of the suite.  With signs=False no moment is
+    taken (first is None) and the x's are the suite's at any size.
+    """
+    op = sectorial(A)
+    lam = op.eigenvalues.real
+    lo, hi = op.spectral_bounds()
+    windows = _unit_bumps(np.log2(lam), math.floor(math.log2(lo)), math.ceil(math.log2(hi)))
+    windows = windows[np.max(np.abs(windows), axis=1) >= 1e-14]
+    blocks = _eig_apply_stack(op.eigenbasis, windows)
+    K = len(blocks)
+    gen = np.random.default_rng(seed)
+    xs, first, square = [], [], []
+    for _ in range(trials):
+        x = gen.standard_normal(op.dim) + 1j * gen.standard_normal(op.dim)
+        x /= _kernels.row_norms(x[None], p)[0]
+        X = np.stack([B @ x for B in blocks])
+        if signs and K <= EXACT_LIMIT:
+            first.append(_kernels.enum_mean_norm(X, p))
+        elif signs:
+            first.append(_kernels.mc_mean_norm(X, p, _kernels.random_signs(gen, SAMPLES, K))[0])
+        square.append(square_sum_norm(X, p))
+        xs.append(x)
+    return np.array(xs), (np.array(first) if signs else None), np.array(square)
 
 
 def corpus_grid() -> np.ndarray:

@@ -268,7 +268,7 @@ def test_12_dyadic_blocks_are_two_sided():
     op = ops.operator_from_spec("diag-logspaced:32")
     lo, hi = op.spectral_bounds()
     blocks = range(math.floor(math.log2(lo)), math.ceil(math.log2(hi)) + 1)
-    lo_r, hi_r, _ = experiments.paley_littlewood_check(
+    lo_r, hi_r = experiments.paley_littlewood_check(
         op, 2.0, trials=100, seed=0
     )
     elapsed = time.monotonic() - t0

@@ -53,11 +53,20 @@ class TestConfig:
         path = write_config(tmp_path, typo_field=1)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("spec", ["moebius:7", "jordan:1,2,3", "jordan:1"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "moebius:7", "jordan:1,2,3", "jordan:1", "diag-logspaced:2.5",
+            "cycle-laplacian:", "jordan:1,2.5", "diag:1,x",
+        ],
+    )
     def test_bad_operator_is_rejected(self, tmp_path, capsys, spec):
         path = write_config(tmp_path, operators=["diag:1,2", spec])
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert f"operator {spec!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"operator {spec!r}" in err
+        # the preset's own error, not a bare int() or float() one
+        assert "invalid literal" not in err and "could not convert" not in err
 
     def test_bad_suite_is_rejected(self, tmp_path):
         path = write_config(tmp_path, suites=["sea-to-ha", "astrology"])
@@ -347,25 +356,26 @@ class TestRun:
             assert violation["lower"] == r["value"]
             assert violation["proven_upper"] == r["extra"]["upper"] < r["value"]
 
-    def test_paley_littlewood_rows_carry_the_mc_stderr(self, tmp_path):
-        # diag-logspaced:16 spans more than 12 dyadic blocks, so its sign
-        # averages are Monte Carlo; the three blocks of diag:1,2,4 enumerate
+    def test_paley_littlewood_rows_are_the_library_call(self, tmp_path):
+        # diag-logspaced:16 spans more than 12 dyadic blocks and diag:1,2,4
+        # three; neither row carries a Monte Carlo error any more
+        specs = ["diag-logspaced:16", "diag:1,2,4"]
         path = write_config(
-            tmp_path, operators=["diag-logspaced:16", "diag:1,2,4"],
-            suites=["paley-littlewood"], trials=3,
+            tmp_path, operators=specs, suites=["paley-littlewood"], trials=3, seed=5,
         )
         out = tmp_path / "o"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         doc = json.loads((out / "paley-littlewood.json").read_text())
-        stderr = {}
-        for r in doc["rows"]:
-            if r["condition"] in ("pl-lower", "pl-upper"):
-                stderr.setdefault(r["operator"], set()).add(r["extra"]["mc_stderr"])
-            else:
-                assert "extra" not in r
-        assert len(stderr["diag-logspaced:16"]) == 1
-        assert stderr["diag-logspaced:16"].pop() > 0.0
-        assert stderr["diag:1,2,4"] == {0.0}
+        got = {(r["operator"], r["condition"]): r for r in doc["rows"]}
+        assert len(got) == 6
+        assert all("extra" not in r for r in doc["rows"])
+        for spec in specs:
+            lo, hi = suite.paley_littlewood_check(
+                ops.operator_from_spec(spec), 2.0, trials=3, seed=5
+            )
+            assert got[spec, "pl-lower"]["value"] == lo
+            assert got[spec, "pl-upper"]["value"] == hi
+            assert got[spec, "pl-spread"]["value"] == hi / lo
 
 
 class TestLpRuns:

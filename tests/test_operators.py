@@ -107,6 +107,37 @@ class TestPresets:
         assert np.array_equal(op.matrix, a * np.eye(n) + np.eye(n, k=1))
 
     @pytest.mark.parametrize(
+        "spec", ["diag-logspaced:2.5", "cycle-laplacian:", "jordan:1,2.5", "diag:1,x", "jordan:y,2"]
+    )
+    def test_unparsable_arguments_name_the_form(self, spec):
+        kind = spec.partition(":")[0]
+        with pytest.raises(DomainError) as info:
+            ops.operator_from_spec(spec)
+        assert repr(spec) in str(info.value)
+        assert f"of the form {kind}:" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "spec, diagonal",
+        [
+            ("diag:(1, 2.5,4)", [1.0, 2.5, 4.0]),
+            ("diag:1e-3,7,", [1e-3, 7.0]),
+            ("diag-logspaced: 3 ", [0.5, 1.0, 2.0]),
+            ("diag-logspaced:(4)", [2**-1.5, 2**-0.5, 2**0.5, 2**1.5]),
+        ],
+    )
+    def test_diagonal_presets_parse_their_entries(self, spec, diagonal):
+        op = ops.operator_from_spec(spec)
+        assert np.array_equal(op.matrix, np.diag(np.array(diagonal, dtype=np.complex128)))
+
+    @pytest.mark.parametrize(
+        "spec, eigenvalues",
+        [("cycle-laplacian:4", [2.0, 2.0, 4.0]), ("path-laplacian:(3)", [1.0, 3.0])],
+    )
+    def test_laplacian_presets_parse_their_size(self, spec, eigenvalues):
+        op = ops.operator_from_spec(spec)
+        assert np.allclose(np.sort(op.eigenvalues.real), eigenvalues)
+
+    @pytest.mark.parametrize(
         "kind", ["cycle-laplacian", "path-laplacian", "diag-logspaced"]
     )
     @pytest.mark.parametrize("n", [0, 1])

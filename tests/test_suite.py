@@ -18,8 +18,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from speccalc import _kernels, rbound, suite
 from speccalc import operators as ops
-from speccalc import rbound, suite
 from speccalc.errors import (
     ConvergenceError,
     CoverageError,
@@ -28,7 +28,13 @@ from speccalc.errors import (
 )
 from speccalc.grids import SampledFunction, trapezoid_weights
 
-from oracles import CORPUS_DT, corpus_grid, per_member_corpus, scale_corpus
+from oracles import (
+    CORPUS_DT,
+    corpus_grid,
+    per_member_corpus,
+    per_trial_paley_littlewood,
+    scale_corpus,
+)
 
 
 @pytest.fixture(scope="module")
@@ -290,23 +296,123 @@ class TestEquivalenceReport:
         assert bridge.value == pytest.approx(1.0, rel=1e-3)
 
 
+# the six operators of perfbench's many-small workload
+MANY_SMALL = [
+    "diag:1,2", "diag:1,10,100", "diag:0.2,0.9,4,11,30",
+    "diag-logspaced:6", "path-laplacian:8", "cycle-laplacian:6",
+]
+
+
+def _spy(monkeypatch, name):
+    """Record (args, result) of every call of suite.<name>."""
+    calls, real = [], getattr(suite, name)
+
+    def recorded(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(suite, name, recorded)
+    return calls
+
+
+def _assert_rademacher_bracket(X, S, p):
+    """Check the square function S of the rows of X against the Rademacher
+    averages of X, enumerated.  On ell^2, S^2 is the square moment
+    (orthogonality); on ell^1, S / sqrt(2) <= E||sum eps_k X_k||_1 <= S
+    (Khintchine with Szarek's A_1), the lower end an equality where each
+    coordinate meets two equal coefficients, as on diag-logspaced:6."""
+    K = X.shape[0]
+    norms = _kernels.row_norms(_kernels.sign_rows(K, 0, 1 << (K - 1)) @ X, p)
+    if p == 2.0:
+        assert S**2 == pytest.approx(float(np.mean(norms**2)), rel=1e-12)
+    else:
+        first = float(np.mean(norms))
+        assert S / math.sqrt(2) <= first * (1 + 1e-12)
+        assert first <= S * (1 + 1e-12)
+
+
 class TestPaleyLittlewood:
     def test_two_sided_frame_on_log_spectrum(self):
         op = ops.operator_from_spec("diag-logspaced:16")
-        lo, hi, _ = suite.paley_littlewood_check(
+        lo, hi = suite.paley_littlewood_check(
             op, 2.0, trials=50, seed=0
         )
         assert 0.1 <= lo <= hi <= 10.0
         assert hi / lo <= 1.5  # ell^2 blocks are nearly tight frames
 
     def test_sup_norm_ratios_are_contractions(self):
-        # the windows are nonnegative and sum to one on the spectrum, so
-        # each coordinate of sum_n eps_n psi_n(A) x is at most |x_j|
+        # every eigenvalue of diag-logspaced:6 sits at a half-integer of
+        # log2, where two windows take 1/2 each, so each coordinate of the
+        # square function is |x_j| / sqrt(2) and so is every ratio
         op = ops.operator_from_spec("diag-logspaced:6")
-        lo, hi, _ = suite.paley_littlewood_check(
-            op, np.inf, trials=20, seed=0
-        )
+        lo, hi = suite.paley_littlewood_check(op, np.inf, trials=20, seed=0)
+        assert lo == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert hi == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        # the windows are nonnegative and sum to one, so each coordinate
+        # weight (sum_n psi_n(lambda_j)^2)^{1/2} is at most one
+        op = ops.operator_from_spec("diag:1,10,100")
+        lo, hi = suite.paley_littlewood_check(op, np.inf, trials=20, seed=0)
         assert 0.0 < lo < hi <= 1.0 + 1e-12
+
+    def test_square_function_brackets_enumerated_averages(self):
+        gen = np.random.default_rng(7)
+        for _ in range(40):
+            K, n = int(gen.integers(1, 11)), int(gen.integers(1, 7))
+            X = gen.standard_normal((K, n)) + 1j * gen.standard_normal((K, n))
+            for p in (2.0, 1.0):
+                _assert_rademacher_bracket(X, rbound.square_sum_norm(X, p), p)
+
+    @pytest.mark.parametrize("spec", MANY_SMALL)
+    def test_square_function_brackets_enumerated_averages_on_blocks(self, monkeypatch, spec):
+        # the block stacks of the suite itself, at its seed-0 x's
+        calls = _spy(monkeypatch, "square_sum_norm")
+        op = ops.operator_from_spec(spec)
+        # the compressed Laplacians run on ell^2 only
+        spaces = (2.0, 1.0) if op.reduction is None else (2.0,)
+        for p in spaces:
+            suite.paley_littlewood_check(op, p, trials=100, seed=0)
+            (images, _), ratios = calls.pop()
+            assert len(ratios) == 100
+            for X, S in zip(images, ratios):
+                _assert_rademacher_bracket(X, S, p)
+
+    @pytest.mark.parametrize("spec", MANY_SMALL + ["diag-logspaced:16"])
+    def test_batched_ratios_match_the_per_trial_loop(self, monkeypatch, spec):
+        calls = _spy(monkeypatch, "square_sum_norm")
+        op = ops.operator_from_spec(spec)
+        spaces = (2.0, 1.0, 3.0, np.inf) if op.reduction is None else (2.0,)
+        for p in spaces:
+            lo, hi = suite.paley_littlewood_check(op, p, trials=30, seed=3)
+            ratios = calls.pop()[1]
+            _, _, square = per_trial_paley_littlewood(op, p, trials=30, seed=3, signs=False)
+            np.testing.assert_allclose(ratios, square, rtol=1e-13, atol=0)
+            assert (lo, hi) == (ratios.min(), ratios.max())
+
+    @pytest.mark.parametrize("spec", MANY_SMALL)
+    def test_unit_draws_are_those_of_the_sign_drawing_loop(self, monkeypatch, spec):
+        # at most 12 blocks: the loop drew no signs, so its x's are the
+        # batched ones bit for bit; per x, the first moment it reported
+        # lies below the square moment reported now
+        calls = _spy(monkeypatch, "_unit_draws")
+        op = ops.operator_from_spec(spec)
+        suite.paley_littlewood_check(op, 2.0, trials=100, seed=0)
+        xs, first, square = per_trial_paley_littlewood(op, 2.0, trials=100, seed=0)
+        assert np.array_equal(calls.pop()[1], xs)
+        assert np.all(first <= square * (1 + 1e-12))
+
+    @pytest.mark.parametrize("spec", ["diag-logspaced:16", "diag:1,10,100"])
+    def test_no_signs_are_drawn_or_enumerated(self, monkeypatch, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sign average on the square-function path")
+
+        for name in ("random_signs", "sign_rows", "enum_mean_norm", "mc_mean_norm"):
+            monkeypatch.setattr(_kernels, name, refuse)
+        monkeypatch.setattr(rbound, "rademacher_norm", refuse)
+        op = ops.operator_from_spec(spec)
+        for p in (2.0, 1.0):
+            lo, hi = suite.paley_littlewood_check(op, p, trials=100, seed=0)
+            assert 0.1 <= lo <= hi <= 1.0 + 1e-12
 
     def test_partition_must_cover(self, monkeypatch):
         # two dyadic windows cannot cover a spectrum spanning 2^15
