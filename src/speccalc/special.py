@@ -13,8 +13,9 @@ converges and equals Gamma(z) f_m(z).  The module evaluates the product
 stably near its removable singularities (the integer points -1, ..,
 -(m-1), where the Gamma pole cancels against a zero of f_m), computes the
 integral by quadrature as an independent check, and continues it to rays
-lambda near the imaginary axis.  scipy's quad is imported inside the two
-quadrature functions only, so importing the module loads numpy alone.
+lambda near the imaginary axis.  Both integrals go through _log_quad, the
+one function that imports scipy (its quad), so importing the module loads
+numpy alone.
 """
 
 from __future__ import annotations
@@ -102,27 +103,24 @@ def f_m(z, m: int):
 
     Entire in z; vanishes at z = -1, .., -(m-1) and f_m(0) = (-1)^{m+1}.
     """
-    _check_order(m)
-    z = np.asarray(z, dtype=np.complex128)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.zeros_like(z)
-    for k in range(1, m + 1):
-        c = math.comb(m, k) * (-1) ** (m - k)
-        out = out + c * np.exp(-z * math.log(k))
-    return out[0] if scalar else out
+    return _binomial_sum(z, m, 1, lambda k: 1)
 
 
 def f_m_prime(z, m: int):
     """d/dz of f_m."""
+    return _binomial_sum(z, m, 2, lambda k: -math.log(k))
+
+
+def _binomial_sum(z, m, first, weight):
+    """sum_{k=first}^m C(m,k)(-1)^{m-k} weight(k) k^{-z}, elementwise in z."""
     _check_order(m)
     z = np.asarray(z, dtype=np.complex128)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     out = np.zeros_like(z)
-    for k in range(2, m + 1):
+    for k in range(first, m + 1):
         c = math.comb(m, k) * (-1) ** (m - k)
-        out = out + c * (-math.log(k)) * np.exp(-z * math.log(k))
+        out = out + c * weight(k) * np.exp(-z * math.log(k))
     return out[0] if scalar else out
 
 
@@ -231,13 +229,10 @@ def wave_kernel_integral(z, m: int):
     integral is evaluated in u = log s, where the integrand decays like
     e^{(m + Re z) u} to the left and e^{Re z u} to the right.
     """
-    from scipy.integrate import IntegrationWarning, quad
-
     _check_order(m)
     z = complex(z)
     if not (-m < z.real < 0):
         raise DomainError(f"need -m < Re z < 0, got Re z = {z.real} with m = {m}")
-    opts = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 400}
 
     def integrand(u):
         # stable at both ends: e^{(z+m)u} growth cap on the left,
@@ -249,30 +244,30 @@ def wave_kernel_integral(z, m: int):
         eu = np.exp(min(u, 700.0))
         return np.exp(z * u) * np.expm1(-eu) ** m
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        re, re_err = quad(lambda u: integrand(u).real, -np.inf, np.inf, **opts)
-        im, im_err = quad(lambda u: integrand(u).imag, -np.inf, np.inf, **opts)
-    val = re + 1j * im
-    err = abs(re_err) + abs(im_err)
-    notes = []
-    for w in caught:
-        if issubclass(w.category, IntegrationWarning):
-            note = " ".join(str(w.message).split())
-            if note not in notes:
-                notes.append(note)
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return _log_quad(integrand, np.inf, 400, f"wave_kernel_integral(z={z}, m={m})")
+
+
+def _log_quad(integrand, hi, limit, where):
+    """int_{-inf}^{hi} of a complex integrand by quad, real part then imaginary.
+
+    Tolerances epsabs 1e-13, epsrel 1e-12, at most `limit` subintervals.
+    Raises ConvergenceError when the summed error estimate exceeds
+    1e-6 max(1, |value|); QUADPACK's messages leave as one
+    IntegrationWarning that names `where` and the estimate.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    (re, re_err, _, *re_msg), (im, im_err, _, *im_msg) = (
+        quad(part, -np.inf, hi, full_output=1, epsabs=1e-13, epsrel=1e-12, limit=limit)
+        for part in (lambda u: integrand(u).real, lambda u: integrand(u).imag)
+    )
+    val, err = re + 1j * im, abs(re_err) + abs(im_err)
+    notes = dict.fromkeys(" ".join(m.split()) for m in re_msg + im_msg)
     if notes:
-        # scipy's warning names neither the point nor the estimate
-        warnings.warn(
-            f"wave_kernel_integral(z={z}, m={m}): {' / '.join(notes)} "
-            f"(error estimate {err:.2e})",
-            IntegrationWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"{where}: {' / '.join(notes)} (error estimate {err:.2e})",
+                      IntegrationWarning, stacklevel=3)
     if err > 1e-6 * max(1.0, abs(val)):
-        raise ConvergenceError(f"quadrature error estimate {err:.2e} too large")
+        raise ConvergenceError(f"{where}: quadrature error estimate {err:.2e} too large")
     return val
 
 
@@ -297,10 +292,7 @@ def _ray_integral_damped(z, m, lam):
     e^{-lam s}, then the binomial tail on (S, inf): the k = 0 term
     integrates exactly, the rest by the integration-by-parts series.
     """
-    from scipy.integrate import quad
-
     S = max(2.0 * np.pi * 40.0 / abs(lam), 50.0 / abs(lam), 1.0)
-    uS = np.log(S)
 
     def integrand(u):
         if (m + z.real) * u < -700.0:
@@ -309,17 +301,15 @@ def _ray_integral_damped(z, m, lam):
             return (-lam) ** m * np.exp((z + m) * u)
         return np.exp(z * u) * _cexpm1(-lam * np.exp(u)) ** m
 
-    opts = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 800}
-    re, re_err = quad(lambda u: integrand(u).real, -np.inf, uS, **opts)
-    im, im_err = quad(lambda u: integrand(u).imag, -np.inf, uS, **opts)
-    val = re + 1j * im
+    where = f"_ray_integral_damped(z={z}, m={m}, lam={lam})"
+    val = _log_quad(integrand, np.log(S), 800, where)
 
     # (e^{-lam s} - 1)^m = sum_k C(m,k)(-1)^{m-k} e^{-k lam s}
     tail = math.comb(m, 0) * (-1) ** m * (-(S**z) / z)
     for k in range(1, m + 1):
         c = math.comb(m, k) * (-1) ** (m - k)
         tail += c * _upper_tail_series(z, k * lam, S)
-    return val + tail, abs(re_err) + abs(im_err)
+    return val + tail
 
 
 def contour_shifted_integral(z, m: int, lam):
@@ -342,13 +332,10 @@ def contour_shifted_integral(z, m: int, lam):
         raise DomainError("lambda must lie in the closed right half-plane")
 
     if lam.real > 1e-6 * abs(lam):
-        val, _ = _ray_integral_damped(z, m, lam)
-        return val
+        return _ray_integral_damped(z, m, lam)
 
     eps = np.array([1e-2, 1e-3, 1e-4])
-    vals = np.array(
-        [_ray_integral_damped(z, m, lam + e * abs(lam))[0] for e in eps]
-    )
+    vals = np.array([_ray_integral_damped(z, m, lam + e * abs(lam)) for e in eps])
     # Neville extrapolation of the quadratic through (eps_i, v_i) to eps = 0
     p = vals.copy()
     x = eps.copy()

@@ -31,7 +31,11 @@ corpus_grid, its reference within a stated rounding bound;
 per_eigenvalue_wave_mellin, per_eigenvalue_wave_taylor_mellin and
 per_eigenvalue_resolvent_bip_mellin are the Mellin identities of
 operators with one quadrature loop per eigenvalue, their bitwise
-references.  None of them is reached by `speccalc run`.
+references; two_call_wave_kernel_integral and
+two_call_contour_shifted_integral are the Gamma integrals with one quad
+call per real and imaginary part, the bitwise references of
+special.wave_kernel_integral and special.contour_shifted_integral.
+None of them is reached by `speccalc run`.
 """
 
 import math
@@ -582,3 +586,68 @@ def per_block_besov_value(f: SampledFunction, alpha: float) -> float:
         sup = float(np.max(np.abs(back.values))) / (2.0 * np.pi)
         blocks.append(2.0 ** (abs(n) * alpha) * sup)
     return float(sum(blocks))
+
+
+def _two_call_quad(integrand, hi, limit):
+    """quad on the real part, then on the imaginary part, over (-inf, hi]:
+    the value and summed error estimate, scipy's warnings left as they are."""
+    from scipy.integrate import quad
+
+    opts = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": limit}
+    re, re_err = quad(lambda u: integrand(u).real, -np.inf, hi, **opts)
+    im, im_err = quad(lambda u: integrand(u).imag, -np.inf, hi, **opts)
+    return re + 1j * im, abs(re_err) + abs(im_err)
+
+
+def two_call_wave_kernel_integral(z, m: int):
+    """special.wave_kernel_integral with its two quad calls written out,
+    its bitwise reference, raising ConvergenceError on the same test."""
+    z = complex(z)
+
+    def integrand(u):
+        if (m + z.real) * u < -700.0:
+            return 0.0 + 0.0j
+        if u < -30.0:
+            return (-1.0) ** m * np.exp((z + m) * u)
+        eu = np.exp(min(u, 700.0))
+        return np.exp(z * u) * np.expm1(-eu) ** m
+
+    val, err = _two_call_quad(integrand, np.inf, 400)
+    if err > 1e-6 * max(1.0, abs(val)):
+        raise ConvergenceError(f"quadrature error estimate {err:.2e} too large")
+    return val
+
+
+def _two_call_ray_integral(z, m, lam):
+    """special._ray_integral_damped with its two quad calls written out;
+    it returns the error estimate and tests nothing."""
+    S = max(2.0 * np.pi * 40.0 / abs(lam), 50.0 / abs(lam), 1.0)
+
+    def integrand(u):
+        if (m + z.real) * u < -700.0:
+            return 0.0 + 0.0j
+        if u < -30.0:
+            return (-lam) ** m * np.exp((z + m) * u)
+        return np.exp(z * u) * special._cexpm1(-lam * np.exp(u)) ** m
+
+    val, err = _two_call_quad(integrand, np.log(S), 800)
+    tail = math.comb(m, 0) * (-1) ** m * (-(S**z) / z)
+    for k in range(1, m + 1):
+        c = math.comb(m, k) * (-1) ** (m - k)
+        tail += c * special._upper_tail_series(z, k * lam, S)
+    return val + tail, err
+
+
+def two_call_contour_shifted_integral(z, m: int, lam):
+    """special.contour_shifted_integral on _two_call_ray_integral, its
+    bitwise reference; like the code it replaced, it drops the error
+    estimates."""
+    z, lam = complex(z), complex(lam)
+    if lam.real > 1e-6 * abs(lam):
+        return _two_call_ray_integral(z, m, lam)[0]
+    eps = np.array([1e-2, 1e-3, 1e-4])
+    p = np.array([_two_call_ray_integral(z, m, lam + e * abs(lam))[0] for e in eps])
+    for level in range(1, len(eps)):
+        for i in range(len(eps) - level):
+            p[i] = p[i + 1] + (p[i + 1] - p[i]) * eps[i + level] / (eps[i] - eps[i + level])
+    return p[0]

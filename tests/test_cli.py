@@ -12,9 +12,9 @@ import pytest
 
 import speccalc
 from speccalc import operators as ops
-from speccalc import rbound, suite
+from speccalc import rbound, special, suite
 from speccalc.cli import SUITES, RunConfig, main
-from speccalc.errors import ConfigError, DomainError
+from speccalc.errors import ConfigError, ConvergenceError, DomainError
 
 from oracles import per_matrix_operator_norm
 
@@ -355,6 +355,34 @@ class TestRun:
             violation = r["extra"]["bracket_violation"]
             assert violation["lower"] == r["value"]
             assert violation["proven_upper"] == r["extra"]["upper"] < r["value"]
+
+    def test_a_failed_quadrature_fails_its_row_not_the_run(self, tmp_path, monkeypatch):
+        # a Gamma integral that cannot vouch for its value fails its own
+        # row: no traceback, no skip, and every other row as before
+        path = write_config(tmp_path, suites=["identities"])
+        clean = tmp_path / "clean"
+        assert main(["run", "--config", str(path), "--out", str(clean)]) == 0
+
+        def refuse(integrand, hi, limit, where):
+            raise ConvergenceError(f"{where}: quadrature error estimate 1.00e+00 too large")
+
+        monkeypatch.setattr(special, "_log_quad", refuse)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        before = json.loads((clean / "identities.json").read_text())["rows"]
+        after = json.loads((out / "identities.json").read_text())["rows"]
+        key = lambda r: (r["operator"], r["condition"], r["param"])
+        assert [key(r) for r in after] == [key(r) for r in before]
+        failed = [r for r in after if not r["pass"]]
+        assert [r["condition"] for r in failed] == ["kernel-integral"] * 3 + ["contour-shift"]
+        for r in failed:
+            assert math.isnan(r["value"])
+            assert "too large" in r["extra"]["error"]
+        failed_keys = {key(r) for r in failed}
+        assert [r for r in after if r["pass"]] == [
+            r for r in before if key(r) not in failed_keys
+        ]
+        assert not any(r["condition"].startswith("skipped-") for r in after)
 
     def test_paley_littlewood_rows_are_the_library_call(self, tmp_path):
         # diag-logspaced:16 spans more than 12 dyadic blocks and diag:1,2,4

@@ -6,17 +6,22 @@ checked against mpmath at 30 digits directly.
 """
 
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
 from speccalc import operators as ops
 from speccalc import special
-from speccalc.errors import DomainError, PoleError
+from speccalc.errors import ConvergenceError, DomainError, PoleError
+
+from oracles import two_call_contour_shifted_integral, two_call_wave_kernel_integral
 
 
 class TestGamma:
@@ -234,6 +239,88 @@ class TestContourShift:
             special.contour_shifted_integral(-1.0, 2, -1.0 + 0.1j)
         with pytest.raises(DomainError):
             special.contour_shifted_integral(-1.0, 2, 0.0)
+
+
+def _outcome(fn, *args):
+    """The repr of fn's value (bitwise, signed zeros included), or the
+    type of the ConvergenceError it raised; warnings are silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        try:
+            return repr(complex(fn(*args)))
+        except ConvergenceError as err:
+            return type(err)
+
+
+def _complaining_quad(quad, estimate=None):
+    """scipy's quad with a QUADPACK message on each full_output result,
+    and its error estimate replaced by `estimate` when one is given."""
+
+    def fake(*args, **kwargs):
+        value, err, info, *_ = quad(*args, **kwargs)
+        err = err if estimate is None else estimate
+        return value, err, info, "The occurrence of roundoff\n  error"
+
+    return fake
+
+
+class TestLogQuad:
+    """wave_kernel_integral and contour_shifted_integral through the one
+    quad helper: the same bits as two quad calls, one warning that names
+    its point, and an error test on both paths."""
+
+    @pytest.mark.parametrize(
+        "z,m",
+        [(-0.5 + 0.3j, 1), (-1.3, 2), (-2.2, 3),  # the kernel-integral rows
+         (-1.92 + 1.2j, 2), (-0.01 + 20j, 1), (-3.99 + 5j, 4)],
+    )
+    def test_wave_kernel_integral_is_bitwise_the_two_call_reference(self, z, m):
+        assert _outcome(special.wave_kernel_integral, z, m) == _outcome(
+            two_call_wave_kernel_integral, z, m
+        )
+
+    @pytest.mark.parametrize(
+        "z,m,lam",
+        [(-1.0, 2, 1j),  # the contour-shift row
+         (-1.0, 2, 2.0), (-1.0, 2, 0.3 + 1j), (-1.3, 2, 2.0), (-0.5 + 0.3j, 1, 0.3 + 1j)],
+    )
+    def test_contour_shift_is_bitwise_the_two_call_reference(self, z, m, lam):
+        got = _outcome(special.contour_shifted_integral, z, m, lam)
+        assert got == _outcome(two_call_contour_shifted_integral, z, m, lam)
+        assert got is not ConvergenceError
+
+    def test_a_large_estimate_raises_naming_its_point(self):
+        # the two points, far from the rows, where the estimate blows up
+        for z, m in ((-0.01 + 20j, 1), (-3.99 + 5j, 4)):
+            with pytest.raises(ConvergenceError, match=rf"z={re.escape(str(complex(z)))}"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", IntegrationWarning)
+                    special.wave_kernel_integral(z, m)
+
+    @pytest.mark.parametrize("lam", [2.0, 1j])
+    def test_contour_shift_raises_on_a_large_estimate(self, monkeypatch, lam):
+        quad = scipy.integrate.quad
+        monkeypatch.setattr(scipy.integrate, "quad", _complaining_quad(quad, estimate=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            with pytest.raises(ConvergenceError, match=r"m=2, lam=.*too large"):
+                special.contour_shifted_integral(-1.0, 2, lam)
+
+    def test_a_complaint_on_the_ray_leaves_one_warning_naming_its_point(self, monkeypatch):
+        z, m, lam = -1.3, 2, 2.0
+        want = special.contour_shifted_integral(z, m, lam)
+        monkeypatch.setattr(scipy.integrate, "quad", _complaining_quad(scipy.integrate.quad))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = special.contour_shifted_integral(z, m, lam)
+        assert got == want
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, IntegrationWarning)
+        text = str(caught[0].message)
+        # both parts complained with one message, which is written once
+        assert text.count("roundoff error") == 1
+        assert f"z={complex(z)}, m={m}, lam={complex(lam)}" in text
+        assert "error estimate" in text
 
 
 class TestHKernel:

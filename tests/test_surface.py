@@ -78,8 +78,7 @@ EIGENBASIS_OWNERS = {
 
 # the functions that may import scipy, each in its body, and why
 SCIPY_IMPORTERS = {
-    "special.wave_kernel_integral": "quad, the identities suite's kernel-integral rows",
-    "special._ray_integral_damped": "quad, the identities suite's contour-shift row",
+    "special._log_quad": "quad, the identities suite's kernel-integral and contour-shift rows",
     "operators.fractional_power": "expm and logm, the dense A^gamma of a defective operator",
     "operators._samples": "expm and logm, the family samples of a defective operator",
 }
