@@ -16,10 +16,12 @@ Taylor-regularized wave), evaluated on the eigenvalues when the
 eigenbasis is usable and by stacked dense matrix functions otherwise
 (_samples).  The contour calculus sums the resolvent core of _samples
 over its nodes, so it takes the same two paths.  Each Mellin identity
-returns its two sides as eigenvalue tables.  Every V diag(f) V^{-1} in
-the package, a table mapped through the eigenbasis, is one call of
-rbound._eig_apply_stack, which raises NotSectorialError on an operator
-without a usable eigenbasis.
+returns its two sides as eigenvalue tables, the lhs one _mellin_table
+on the nodes of _uniform_axis.  Every table e^{w log lambda} of powers
+A^w, the bip core and the three rhs, is one call of _powers, and every
+V diag(f) V^{-1} in the package, a table mapped through the eigenbasis,
+is one call of rbound._eig_apply_stack, which raises NotSectorialError
+on an operator without a usable eigenbasis.
 scipy.linalg is imported inside fractional_power and the defective
 branch of _samples only, the two places that call expm and logm.
 """
@@ -106,6 +108,9 @@ def sectorial(A) -> SectorialOperator:
         raise DomainError("operator must be a square matrix")
     if A.shape[0] > MAX_DIM:
         raise DomainError(f"dimension {A.shape[0]} exceeds the supported {MAX_DIM}")
+    if not np.all(np.isfinite(A)):
+        i, j = np.argwhere(~np.isfinite(A))[0]
+        raise DomainError(f"matrix entry ({i}, {j}) is {A[i, j]}, not a finite number")
     scale = float(np.linalg.norm(A, 2))
     if scale == 0.0:
         raise NotSectorialError("the zero matrix has no sectorial calculus")
@@ -142,9 +147,10 @@ def sectorial(A) -> SectorialOperator:
     # roundoff leaves about 1e-16 ||A||^2 on the Hermitian Laplacian
     # cores; a departure from normality d moves the closed-form values of
     # a normal operator's families by O(d) while the commutator is
-    # O(d^2), so the threshold stays near roundoff
-    AH = A.conj().T
-    normal = float(np.linalg.norm(A @ AH - AH @ A, 2)) <= 1e-12 * scale**2
+    # O(d^2), so the threshold stays near roundoff; on A / ||A|| the
+    # products cannot overflow
+    B, BH = A / scale, A.conj().T / scale
+    normal = float(np.linalg.norm(B @ BH - BH @ B, 2)) <= 1e-12
 
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
@@ -258,6 +264,12 @@ def fractional_power(A, gamma: float) -> np.ndarray:
     import scipy.linalg
 
     return scipy.linalg.expm(gamma * scipy.linalg.logm(sectorial(A).matrix))
+
+
+def _powers(op: SectorialOperator, w) -> np.ndarray:
+    """The (K, n) table e^{w_k log lambda_j}: row k the eigenvalues of
+    A^{w_k}, principal branch."""
+    return np.exp(np.outer(w, np.log(op.eigenvalues)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +415,7 @@ def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -
     if op.diagonalizable:
         lam = op.eigenvalues
         if core == "bip":
-            g = np.exp(1j * np.outer(z, np.log(lam)))
+            g = _powers(op, 1j * z)
         elif core == "resolvent":
             g = 1.0 / (z[:, None] - lam[None, :])
         elif core == "semigroup":
@@ -592,10 +604,21 @@ def family_samples(
 # row k the functions of the eigenvalues at the k-th grid point
 
 
-def _mellin_sums(phases, kernels):
-    """The (T, n) table with column j the quadrature sum phases @ kernels[j]
-    of the (n, U) kernels: one GEMV per eigenvalue, since one GEMM rounds
-    differently and the identities' residuals are roundoff-sized."""
+def _uniform_axis(u_lo: float, u_hi: float, freq: float, cap: float):
+    """Uniform nodes u on [u_lo, u_hi] and their step du, at most
+    min(pi / (2 freq), cap): four nodes per period of the fastest phase
+    e^{i freq u} of the integrand."""
+    du = min(0.5 * np.pi / freq, cap)
+    u = np.linspace(u_lo, u_hi, int(np.ceil((u_hi - u_lo) / du)))
+    return u, u[1] - u[0]
+
+
+def _mellin_table(t, u, kernels) -> np.ndarray:
+    """The (T, n) table with column j the sum over the nodes u of
+    e^{i t u} kernels[j], the (n, U) kernels one row per eigenvalue: one
+    GEMV per eigenvalue, since one GEMM rounds differently and the
+    identities' residuals are roundoff-sized."""
+    phases = np.exp(1j * np.outer(t, u))  # (T, U)
     return np.stack([phases @ g for g in kernels], axis=1)
 
 
@@ -614,20 +637,12 @@ def wave_mellin(A, t_grid, alpha: float, m: int):
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     phi = 0.42
     c = 0.5 - alpha
-    left_rate = m + c
-    right_rate = -c
-    u_lo = -32.0 / left_rate - 2.0
-    u_hi = 32.0 / right_rate + 2.0
-    # oscillation: the damped exponential rings at ~ 30 cot(phi) per unit u
+    # the integrand decays like e^{(m + c) u} on the left and e^{c u} on
+    # the right; the damped exponential rings at ~ 30 cot(phi) per unit u
     freq = 30.0 * m / np.tan(phi) + float(np.max(np.abs(t_grid))) + 10.0
-    du = min(0.5 * np.pi / freq, 0.02)
-    n_u = int(np.ceil((u_hi - u_lo) / du))
-    u = np.linspace(u_lo, u_hi, n_u)
-    du = u[1] - u[0]
+    u, du = _uniform_axis(-32.0 / (m + c) - 2.0, 32.0 / -c + 2.0, freq, 0.02)
 
-    z_t = c + 1j * t_grid
-    pref = np.exp(-1j * phi * z_t)
-    phases = np.exp(1j * np.outer(t_grid, u))  # (T, U)
+    pref = np.exp(-1j * phi * (c + 1j * t_grid))
     base = np.exp(c * u)
     eu = np.exp(u)
     # rotating s = e^{i phi} sigma turns e^{-isa} into e^{-mu sigma} with
@@ -638,12 +653,9 @@ def wave_mellin(A, t_grid, alpha: float, m: int):
     # its leading term x^m at the left end, where the difference cancels
     small = np.abs(mu) * eu < 1e-8
     G[small] = np.broadcast_to(base, G.shape)[small] * x[small] ** m
-    lhs = pref[:, None] * _mellin_sums(phases, G) * du
+    lhs = pref[:, None] * _mellin_table(t_grid, u, G) * du
     h = special.h_kernel(t_grid, alpha, m, sign=-1)
-    rhs = h[:, None] * np.exp(
-        (alpha - 0.5 - 1j * t_grid[:, None]) * np.log(op.eigenvalues[None, :])
-    )
-    return lhs, rhs
+    return lhs, h[:, None] * _powers(op, alpha - 0.5 - 1j * t_grid)
 
 
 def wave_taylor_mellin(A, t_grid, alpha: float, m: int):
@@ -661,27 +673,17 @@ def wave_taylor_mellin(A, t_grid, alpha: float, m: int):
         raise DomainError("need alpha - 1/2 strictly inside (m, m+1)")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     c = 0.5 - alpha
-    left_rate = m + 1 + c
-    right_rate = alpha - 0.5 - m
-    u_lo = -32.0 / left_rate - 2.0
-    u_hi = 34.0 / right_rate + 2.0
-    freq = float(np.max(np.abs(t_grid))) + 12.0
-    du = min(0.5 * np.pi / freq, 0.05)
-    n_u = int(np.ceil((u_hi - u_lo) / du))
-    u = np.linspace(u_lo, u_hi, n_u)
-    du = u[1] - u[0]
+    # decay rates m + 1 + c on the left and alpha - 1/2 - m on the right
+    u, du = _uniform_axis(-32.0 / (m + 1 + c) - 2.0, 34.0 / (alpha - 0.5 - m) + 2.0,
+                          float(np.max(np.abs(t_grid))) + 12.0, 0.05)
 
     z_t = c + 1j * t_grid
     pref = np.exp(1j * np.pi * z_t / 2.0)
-    phases = np.exp(1j * np.outer(t_grid, u))
     # rotated |s| axis: e^{isa} -> e^{-x}, x = a e^u, one row per eigenvalue a
     x = op.eigenvalues.real[:, None] * np.exp(u)
     G = np.exp(c * u) * _exp_remainder(-x, m)
-    lhs = pref[:, None] * _mellin_sums(phases, G) * du
-    rhs = (special.gamma(z_t) * pref)[:, None] * np.exp(
-        -z_t[:, None] * np.log(op.eigenvalues[None, :])
-    )
-    return lhs, rhs
+    lhs = pref[:, None] * _mellin_table(t_grid, u, G) * du
+    return lhs, (special.gamma(z_t) * pref)[:, None] * _powers(op, -z_t)
 
 
 def _exp_remainder(w, m):
@@ -730,13 +732,7 @@ def resolvent_bip_mellin(A, beta: float, theta: float, s_grid):
     # one row per eigenvalue a, against the remaining factor t^{is}
     integ = 1.0 / (np.exp(1j * theta) * t + lam[:, None])
     tpow = t**beta * integ * w
-    phases = np.exp(1j * np.outer(s_grid, np.log(t)))
-    lhs = (_mellin_sums(phases, tpow) * np.exp(1j * theta * beta)
+    lhs = (_mellin_table(s_grid, np.log(t), tpow) * np.exp(1j * theta * beta)
            * np.power(lam, 1.0 - beta))
-    rhs = (
-        np.pi
-        / np.sin(np.pi * (beta + 1j * s_grid))[:, None]
-        * np.exp(theta * s_grid)[:, None]
-        * np.exp(1j * np.outer(s_grid, np.log(lam)))
-    )
-    return lhs, rhs
+    h = np.pi / np.sin(np.pi * (beta + 1j * s_grid)) * np.exp(theta * s_grid)
+    return lhs, h[:, None] * _powers(op, 1j * s_grid)

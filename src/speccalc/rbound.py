@@ -48,6 +48,15 @@ def _rng(rng):
     return np.random.default_rng(DEFAULT_SEED) if rng is None else rng
 
 
+def _exponent(p) -> float:
+    """p as a float, or DomainError unless p >= 1 (nan included): below 1
+    the ell^p "norm" is no norm, and nothing computed from it a bound."""
+    p = float(p)
+    if not p >= 1.0:
+        raise DomainError(f"the exponent p must be >= 1, got {p!r}")
+    return p
+
+
 # ---------------------------------------------------------------------------
 # containers
 
@@ -174,7 +183,7 @@ def rademacher_norm(X, p: float):
     X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.ndim != 2:
         raise DomainError("X must be (K, n)")
-    p = float(p)
+    p = _exponent(p)
     K = X.shape[0]
     if K <= EXACT_LIMIT:
         return _kernels.enum_mean_norm(X, p), 0.0
@@ -186,6 +195,7 @@ def square_sum_norm(X, p: float):
     """|| (sum_k |X[k]|^2)^{1/2} ||_p, the square function of the rows of
     a (K, n) array; for a (T, K, n) stack, the T norms of X[0], ..., X[T-1]
     in one pass."""
+    p = _exponent(p)
     X = np.asarray(X, dtype=np.complex128)
     square = np.sqrt(np.sum(np.abs(X) ** 2, axis=-2))
     norms = _kernels.row_norms(np.atleast_2d(square), p)
@@ -211,6 +221,7 @@ def operator_norm(T, p: float):
     r_l2_bound of {T_k} alone.
     """
     T = np.asarray(T, dtype=np.complex128)
+    p = _exponent(p)
     if p == 1.0:
         return np.abs(T).sum(axis=-2).max(axis=-1)  # largest column sum
     if np.isinf(p):
@@ -314,7 +325,7 @@ def r_bound(mats, p: float, rng=None) -> RBoundEstimate:
     if mats.ndim == 2:
         mats = mats[None]
     K, n, _ = mats.shape
-    p = float(p)
+    p = _exponent(p)
     norms_2 = operator_norm(mats, 2.0)
     if p == 2.0 or n == 1:
         v = float(norms_2.max())
@@ -551,7 +562,7 @@ def r_l2_bound(family: OperatorFamily, p: float, rng=None) -> RBoundEstimate:
     the rest is the same.
     """
     n = family.dim
-    p = float(p)
+    p = _exponent(p)
     if family.symbols is not None:
         V = family.eigenbasis[0]
         if (family.normal and p == 2.0) or np.count_nonzero(V) == n:

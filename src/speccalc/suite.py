@@ -37,7 +37,7 @@ from . import _kernels
 from . import operators as ops
 from .errors import ConvergenceError, CoverageError, DomainError
 from .grids import SampledFunction, fourier_transform, log_grid, trapezoid_weights
-from .rbound import _eig_apply_stack, r_bound, r_l2_bound, square_sum_norm
+from .rbound import _eig_apply_stack, _exponent, r_bound, r_l2_bound, square_sum_norm
 from .spaces import _edge_ratio, _unit_bumps
 
 __all__ = [
@@ -422,7 +422,7 @@ def condition_c2_to_c8(
 def _require_original_basis(op, p: float):
     """A reduced core is written in an orthonormal basis of the range, an
     isometry on ell^2 only: reject every other ell^p."""
-    if op.reduction is not None and float(p) != 2.0:
+    if op.reduction is not None and p != 2.0:
         lp = f"l{p:g}"
         raise DomainError(f"{lp} of a reduced core is not {lp} of the operator")
 
@@ -450,6 +450,7 @@ def equivalence_report(
     their values are finite.  A reduced operator off ell^2 raises
     DomainError (_require_original_basis).
     """
+    p = _exponent(p)
     op = ops.sectorial(A)
     _require_original_basis(op, p)
     alpha, beta, fit_tol = float(alpha), float(beta), float(fit_tol)
@@ -565,6 +566,7 @@ def paley_littlewood_check(A, p: float, trials: int = 100, seed: int = 0):
     NotSectorialError (_eig_apply_stack): dyadic windows are not
     analytic, so no contour calculus stands in for it.
     """
+    p = _exponent(p)
     op = ops.sectorial(A)
     _require_original_basis(op, p)
     lam = op.eigenvalues

@@ -68,6 +68,16 @@ class TestConfig:
         # the preset's own error, not a bare int() or float() one
         assert "invalid literal" not in err and "could not convert" not in err
 
+    @pytest.mark.parametrize("spec", ["diag:nan", "diag:inf"])
+    def test_non_finite_operator_is_a_config_error(self, tmp_path, capsys, spec):
+        path = write_config(tmp_path, operators=[spec])
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        entry = spec.split(":")[1]
+        err = capsys.readouterr().err
+        assert (f"config error: operator {spec!r}: matrix entry (0, 0) is ({entry}+0j), "
+                "not a finite number") in err
+        assert "SVD" not in err and "infs or NaNs" not in err
+
     def test_bad_suite_is_rejected(self, tmp_path):
         path = write_config(tmp_path, suites=["sea-to-ha", "astrology"])
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2

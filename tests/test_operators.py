@@ -6,8 +6,10 @@ eigenbasis entirely.
 """
 
 import dataclasses
+import importlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import scipy.linalg
 
 from speccalc import operators as ops
 from speccalc import _kernels, rbound, special
-from speccalc.errors import DomainError, NotSectorialError
+from speccalc.errors import ConvergenceError, DomainError, NotSectorialError
 from speccalc.rbound import OperatorFamily, _eig_apply_stack, r_l2_bound
 
 from oracles import (
@@ -75,6 +77,26 @@ class TestSectorialWrapper:
     def test_idempotent_wrap(self):
         op = ops.sectorial(np.diag([1.0, 2.0]))
         assert ops.sectorial(op) is op
+
+    @pytest.mark.parametrize("spec", ["diag:1e200,1e-200", "jordan:1e300,2"])
+    def test_huge_norms_build(self, spec):
+        # ||A A^H - A^H A|| would overflow past ||A|| ~ 1.3e154; the
+        # normality test runs on A / ||A|| instead
+        op = ops.operator_from_spec(spec)
+        assert np.all(np.isfinite(op.eigenvalues))
+        if spec.startswith("diag"):
+            assert op.normal
+
+    @pytest.mark.parametrize("spec", ["diag:nan", "diag:inf"])
+    def test_non_finite_entries_are_rejected_before_lapack(self, spec, monkeypatch):
+        def decomposition(*args, **kwargs):
+            raise AssertionError("a decomposition ran on a non-finite matrix")
+
+        for name in ("norm", "eig", "svd", "inv"):
+            monkeypatch.setattr(np.linalg, name, decomposition)
+        entry = spec.split(":")[1]
+        with pytest.raises(DomainError, match=rf"matrix entry \(0, 0\) is \({entry}\+0j\)"):
+            ops.operator_from_spec(spec)
 
 
 class TestPresets:
@@ -332,6 +354,17 @@ class TestContourCalculus:
         got = ops.holomorphic_calculus(op, _rho)
         want = _eig_apply_stack(op.eigenbasis, _rho(op.eigenvalues)[None])[0]
         assert np.linalg.norm(got - want, 2) < 1e-7 * np.linalg.norm(want, 2)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the cut rays' tail error "
+                       "is absolute, 109% of f at the small end of diag:1e-8,1")
+    def test_small_end_of_a_wide_spectrum_is_accurate_or_an_error(self):
+        op = ops.operator_from_spec("diag:1e-8,1")
+        try:
+            got = np.diag(ops.holomorphic_calculus(op, _rho))
+        except ConvergenceError:
+            return
+        want = _rho(op.eigenvalues)
+        assert np.all(np.abs(got - want) <= 1e-8 * np.abs(want))
 
     def test_the_table_path_makes_no_dense_solve(self, monkeypatch):
         counts = {"solved": 0, "nodes": 0}
@@ -722,6 +755,18 @@ class TestNormalClosedForm:
         # the Laplacians are normal on their reduced core
         assert (op.reduction is not None) == ("laplacian" in spec)
 
+    def test_workload_operators_keep_their_normal_flag(self, monkeypatch):
+        # the scaled test reads what ||A A^H - A^H A|| <= 1e-12 ||A||^2 read
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        specs = {s for w in workloads.WORKLOADS.values() for s in w["operators"]}
+        assert len(specs) == 7
+        for spec in sorted(specs):
+            op = ops.operator_from_spec(spec)
+            A, AH = op.matrix, op.matrix.conj().T
+            unscaled = np.linalg.norm(A @ AH - AH @ A, 2) <= 1e-12 * np.linalg.norm(A, 2) ** 2
+            assert op.normal is bool(unscaled) is True, spec
+
     def test_a_nonnormal_table_keeps_the_loop(self):
         op = _similar(3, 30.0, seed=3)
         assert op.diagonalizable and not op.normal
@@ -888,6 +933,21 @@ class TestMellinIdentities:
             for got, want in zip(identity(*args), oracle(*args)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got, want), (identity.__name__, args[1:])
+
+    @pytest.mark.parametrize("spec", ["diag:1,2", "diag-logspaced:16", "cycle-laplacian:6",
+                                      "similar:3,30"])
+    def test_bip_table_is_the_inline_exponential(self, spec):
+        # the bip core of _samples reads its powers from ops._powers; the
+        # c1, c2 and bip-group-law rows need the table of the inline form
+        op = _similar(3, 30.0, seed=3) if spec.startswith("similar") else (
+            ops.operator_from_spec(spec))
+        lam = op.eigenvalues
+        for alpha in (0.0, 1.0):
+            fam = ops.family_samples(op, "bip", alpha=alpha)
+            t = fam.points
+            scale = (1.0 + t * t) ** (-alpha / 2.0)
+            want = scale[:, None] * np.exp(1j * np.outer(t, np.log(lam))) * lam**0.0
+            assert np.array_equal(fam.symbols.view(np.uint64), want.view(np.uint64))
 
     def test_resolvent_bip_rejects_cut_angle(self):
         op = ops.sectorial(np.diag([1.0, 2.0]))

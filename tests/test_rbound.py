@@ -275,6 +275,31 @@ class TestOperatorNorm:
         assert peak < 32e6, peak
 
 
+class TestExponent:
+    """Every ell^p entry point reads p through rbound._exponent, which
+    refuses p < 1 and nan: below 1 the "norm" is no norm, and at p = 0.5
+    r_bound's lower end of {I, diag(1, -1)} was 11.40, above its upper 2.0."""
+
+    ENTRY_POINTS = {
+        "r_bound": lambda p: r_bound([np.eye(2), np.diag([1.0, -1.0])], p),
+        "r_l2_bound": lambda p: r_l2_bound(random_family(2, 3, 0), p),
+        "rademacher_norm": lambda p: rademacher_norm(np.ones((2, 2)), p),
+        "operator_norm": lambda p: operator_norm(np.eye(2), p),
+        "square_sum_norm": lambda p: square_sum_norm(np.ones((2, 2)), p),
+    }
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, math.nan])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_below_one_and_nan_are_refused(self, entry, p):
+        with pytest.raises(DomainError, match="p must be >= 1"):
+            self.ENTRY_POINTS[entry](p)
+
+    @pytest.mark.parametrize("p", [1, 1.0, 2.5, math.inf, np.float32(3.0)])
+    def test_exponents_from_one_on_pass_as_floats(self, p):
+        got = rbound._exponent(p)
+        assert type(got) is float and got == float(p)
+
+
 class TestRBound:
     def test_hilbert_case_is_exact(self):
         mats = [np.diag([1.0, 2.0]), np.array([[0.0, 3.0], [0.0, 0.0]])]

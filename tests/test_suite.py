@@ -287,6 +287,20 @@ class TestEquivalenceReport:
         assert not 0.95 <= uncapped["bridge"].value <= 1.05
         assert all(np.isfinite(r.value) and r.passed for r in uncapped.values())
 
+    @pytest.mark.parametrize("p", [0.0, 0.5, math.nan])
+    def test_exponent_below_one_is_refused(self, diag124, p):
+        with pytest.raises(DomainError, match="p must be >= 1"):
+            suite.equivalence_report(diag124, p, corpus_size=30)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: r_l2_bound's lower end "
+                       "lands 1-4 ulp above its upper end on l2")
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_jordan_block_passes_every_row_on_l2(self, seed):
+        # six rows (c2, c4, c6, c7 and both refined) fail at either seed
+        op = ops.operator_from_spec("jordan:1,2")
+        rep = suite.equivalence_report(op, 2.0, seed=seed)
+        assert [(r.condition, r.param) for r in rep.rows if not r.passed] == []
+
     def test_zero_mode_reduction_is_flagged(self):
         op = ops.operator_from_spec("cycle-laplacian:8")
         rep = suite.equivalence_report(op, 2.0, corpus_size=30, seed=0)
@@ -421,6 +435,11 @@ class TestPaleyLittlewood:
         op = ops.operator_from_spec("diag-logspaced:16")
         with pytest.raises(CoverageError):
             suite.paley_littlewood_check(op, 2.0, trials=5, seed=0)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, math.nan])
+    def test_exponent_below_one_is_refused(self, p):
+        with pytest.raises(DomainError, match="p must be >= 1"):
+            suite.paley_littlewood_check(ops.operator_from_spec("diag-logspaced:6"), p)
 
     def test_defective_is_refused(self):
         op = ops.operator_from_spec("jordan:1,3")

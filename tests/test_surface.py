@@ -42,6 +42,9 @@ V diag(f) V^{-1} has one implementation: no function but
 `rbound._eig_apply_stack` reads `eigenvectors_inv` or unpacks an
 eigenbasis (assigns it to a tuple, indexes it or star-expands it), the
 `SectorialOperator.eigenbasis` property that packs the pair aside.
+Likewise A^w on the eigenvalues has one implementation: no function but
+those in EIGENVALUE_LOGS calls a `log` on an operator's eigenvalues (an
+expression reading an `eigenvalues` attribute, or a name bound to one).
 
 Last, scipy stays off the import path: no module imports it at its top
 level, and only the functions named in SCIPY_IMPORTERS import it, in
@@ -74,6 +77,16 @@ EIGENBASIS_OWNERS = {
     "rbound._eig_apply_stack",
     "operators.SectorialOperator.eigenbasis",
     "rbound.r_l2_bound",
+}
+
+# the functions that may take the log of an operator's eigenvalues, and why
+EIGENVALUE_LOGS = {
+    "operators._powers": "the (K, n) table e^{w_k log lambda_j} of the powers A^{w_k}",
+    "suite.sobolev_calculus_apply": (
+        "its (n, T) phase table feeds one GEMV; no product order over the "
+        "transposed table of _powers gave the same bits, and its applied-error "
+        "rows are as small as 6.8e-14"
+    ),
 }
 
 # the functions that may import scipy, each in its body, and why
@@ -385,6 +398,63 @@ def test_only_the_helper_takes_an_eigenbasis_apart():
     extra = sorted(eigenbasis_readers() - EIGENBASIS_OWNERS)
     assert not extra, "V diag(f) V^-1 outside _eig_apply_stack: " + ", ".join(extra)
     assert EIGENBASIS_OWNERS <= eigenbasis_readers()
+
+
+def _reads_eigenvalues(node, names) -> bool:
+    return any(
+        (isinstance(sub, ast.Attribute) and sub.attr == "eigenvalues")
+        or (isinstance(sub, ast.Name) and sub.id in names)
+        for sub in ast.walk(node)
+    )
+
+
+def _eigenvalue_names(fn) -> set:
+    """The names fn assigns from an expression that reads eigenvalues,
+    directly or through another such name."""
+    bindings = [
+        (target, sub.value)
+        for sub in ast.walk(fn)
+        if isinstance(sub, ast.Assign)
+        for target in sub.targets
+    ]
+    names = set()
+    while True:
+        more = {
+            leaf.id
+            for target, value in bindings
+            if _reads_eigenvalues(value, names)
+            for leaf in ast.walk(target)
+            if isinstance(leaf, ast.Name)
+        } - names
+        if not more:
+            return names
+        names |= more
+
+
+def _is_log(call) -> bool:
+    return (getattr(call.func, "attr", None) or getattr(call.func, "id", None)) == "log"
+
+
+def eigenvalue_log_callers():
+    """Qualified names of the functions that call a `log` on eigenvalues."""
+    found = set()
+    for stem, node in _top_level():
+        for qual, fn in _functions(stem, node):
+            names = _eigenvalue_names(fn)
+            if any(
+                isinstance(sub, ast.Call) and _is_log(sub)
+                and any(_reads_eigenvalues(arg, names) for arg in sub.args)
+                for sub in ast.walk(fn)
+            ):
+                found.add(qual)
+    return found
+
+
+def test_only_the_power_table_takes_logs_of_eigenvalues():
+    extra = sorted(eigenvalue_log_callers() - set(EIGENVALUE_LOGS))
+    assert not extra, "log of the eigenvalues outside operators._powers: " + ", ".join(extra)
+    stale = sorted(set(EIGENVALUE_LOGS) - eigenvalue_log_callers())
+    assert not stale, "EIGENVALUE_LOGS entries that take no log: " + ", ".join(stale)
 
 
 def _imports_scipy(node) -> bool:
