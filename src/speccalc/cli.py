@@ -7,8 +7,10 @@
 writes one CSV and one JSON per suite, plot data for the angle sweeps
 and slope fits, and a manifest tying everything to the sha256 of the
 resolved configuration.  All randomness is seeded, so two runs from the
-same configuration produce byte-identical CSV bodies; wallclock and
-creation time live only in the manifest.  The exit status is 0 when
+same configuration produce byte-identical CSV bodies; timings (the
+operator build, each suite's seconds, and the whole run from the build
+on) and the creation time live only in the manifest, where `compare`
+does not read them.  The exit status is 0 when
 every asserted invariant held, 1 when at least one row failed, 2 for a
 configuration problem.  Rows whose preconditions fail (a defective
 matrix asked for an eigenbasis test, a symbol the grid cannot resolve)
@@ -48,7 +50,7 @@ from .errors import (
     DomainError,
     NotSectorialError,
 )
-from .grids import log_grid
+from .grids import SampledFunction, log_grid
 from .rbound import (
     OperatorFamily,
     _eig_apply_stack,
@@ -280,9 +282,37 @@ def _skip(condition, param, err) -> Row:
     )
 
 
+def _grid_stacks(symbols):
+    """The log-grid symbols grouped by grid, in order of first appearance:
+    [(members, one SampledFunction whose rows are their samples)]."""
+    groups = {}
+    for f in symbols:
+        if f.coordinate == "log":
+            groups.setdefault((f.u0, f.du, f.n), []).append(f)
+    return [
+        (members, SampledFunction("log", members[0].u0, members[0].du,
+                                  np.stack([f.values for f in members])))
+        for members in groups.values()
+    ]
+
+
 def run_norms(cfg: RunConfig, operators: dict):
     rows, plots = [], {}
     symbols = load_corpus()
+    stacks = _grid_stacks(symbols)
+    # each norm and the calculus run once per grid, on the stack of its
+    # symbols; the rows keep the corpus order
+    hoermander, mihlin, applied = {}, {}, {}
+    for members, stack in stacks:
+        names = [f.name for f in members]
+        if cfg.alpha > 0.5:
+            hoermander.update(zip(names, hoermander_norm(stack, cfg.alpha)))
+        mihlin.update(zip(names, mihlin_norm(stack, cfg.alpha)))
+        per_operator = experiments.sobolev_calculus_apply(
+            [operators[spec] for spec in cfg.operators], stack)
+        for spec, outcomes in zip(cfg.operators, per_operator):
+            applied.update(((spec, name), out) for name, out in zip(names, outcomes))
+
     for f in symbols:
         if f.coordinate != "log":
             res = sobolev_norm(f, cfg.alpha)
@@ -293,10 +323,10 @@ def run_norms(cfg: RunConfig, operators: dict):
         rows.append(("-", Row("sobexp-norm", f.name, res.value, 0.0,
                               {"alpha": cfg.alpha, "divergent": res.divergent})))
         if cfg.alpha > 0.5:
-            res = hoermander_norm(f, cfg.alpha)
+            res = hoermander[f.name]
             rows.append(("-", Row("hoermander-norm", f.name, res.value, 0.0,
                                   {"alpha": cfg.alpha, "divergent": res.divergent})))
-        res = mihlin_norm(f, cfg.alpha)
+        res = mihlin[f.name]
         rows.append(("-", Row("mihlin-norm", f.name, res.value, 0.0,
                               {"gamma": cfg.alpha, "divergent": res.divergent})))
     for spec in cfg.operators:
@@ -304,25 +334,24 @@ def run_norms(cfg: RunConfig, operators: dict):
         for f in symbols:
             if f.coordinate != "log":
                 continue
-            try:
-                applied = experiments.sobolev_calculus_apply(op, f)
-            except SKIP_ERRORS as e:
-                rows.append((spec, _skip("applied-error", f.name, e)))
+            out = applied[spec, f.name]
+            if isinstance(out, SKIP_ERRORS):
+                rows.append((spec, _skip("applied-error", f.name, out)))
                 continue
             if op.diagonalizable:
                 table = f.eval(np.abs(op.eigenvalues))[None]
                 ref = _eig_apply_stack(op.eigenbasis, table)[0]
                 scale = float(np.linalg.norm(ref, 2))
                 err = (
-                    float(np.linalg.norm(applied - ref, 2) / scale)
+                    float(np.linalg.norm(out - ref, 2) / scale)
                     if scale > 0
-                    else float(np.linalg.norm(applied, 2))
+                    else float(np.linalg.norm(out, 2))
                 )
                 rows.append((spec, Row("applied-error", f.name, err, 1e-5,
                                        {"grid_n": f.n}, err <= 1e-5)))
             else:
                 rows.append((spec, Row("applied-norm", f.name,
-                                       float(np.linalg.norm(applied, 2)), 0.0,
+                                       float(np.linalg.norm(out, 2)), 0.0,
                                        {"grid_n": f.n, "reference": "none"})))
     return rows, plots
 
@@ -567,18 +596,21 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     cfg.validate()
+    started = time.perf_counter()
     operators = cfg.build_operators()
+    build_seconds = time.perf_counter() - started
     cfg_hash = cfg.hash()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     plot_dir = out / "plots"
 
-    started = time.perf_counter()
     outputs, plot_files = {}, []
     failed_total = 0
     for name in cfg.suites:
+        suite_started = time.perf_counter()
         rows, plots = RUNNERS[name](cfg, operators)
+        seconds = time.perf_counter() - suite_started
         csv_path = out / f"{name}.csv"
         json_path = out / f"{name}.json"
         write_suite_csv(csv_path, name, rows, cfg_hash)
@@ -594,6 +626,7 @@ def cmd_run(args) -> int:
             "passed": len(rows) - failed - skipped,
             "failed": failed,
             "skipped": skipped,
+            "seconds": round(seconds, 4),
         }
         for stem, (columns, data, comments) in sorted(plots.items()):
             plot_dir.mkdir(parents=True, exist_ok=True)
@@ -610,6 +643,7 @@ def cmd_run(args) -> int:
         "suites": list(cfg.suites),
         "outputs": outputs,
         "plot_files": plot_files,
+        "build_seconds": round(build_seconds, 4),
         "wallclock_seconds": round(time.perf_counter() - started, 3),
         "created": datetime.now(timezone.utc).isoformat(),
     }

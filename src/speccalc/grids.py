@@ -36,6 +36,8 @@ class SampledFunction:
 
     coordinate: "linear" holds samples of f(u) on u0 + k du;
                 "log" holds samples of f(s) at s = exp(u0 + k du).
+    values:     the samples, (N,) for one function or (S, N) for a
+                stack of S functions on one grid, one per row.
     fn:         optional callable in the natural coordinate (u for linear,
                 s for log); eval needs it.
     """
@@ -51,9 +53,9 @@ class SampledFunction:
         if self.coordinate not in COORDINATES:
             raise DomainError(f"unknown coordinate kind {self.coordinate!r}")
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 1:
-            raise DomainError("values must be one-dimensional")
-        n = len(self.values)
+        if self.values.ndim not in (1, 2):
+            raise DomainError("values must be one row or a stack of rows")
+        n = self.n
         if n < 16 or not _is_power_of_two(n):
             raise DomainError(f"grid size must be a power of two >= 16, got {n}")
         if not (self.du > 0 and np.isfinite(self.du) and np.isfinite(self.u0)):
@@ -61,7 +63,8 @@ class SampledFunction:
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        """The number of grid points (the length of a row)."""
+        return self.values.shape[-1]
 
     @property
     def u(self) -> np.ndarray:

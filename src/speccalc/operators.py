@@ -688,7 +688,15 @@ def wave_taylor_mellin(A, t_grid, alpha: float, m: int):
 
 def _exp_remainder(w, m):
     """e^w - sum_{j<=m} w^j/j!, stable for small |w| (w a real or complex
-    array)."""
+    array).
+
+    On |w| < 1/2 the series runs until every term's modulus is below
+    2^-54 times the smallest modulus of a part of its total (|total| for
+    real w, min(|Re total|, |Im total|) for complex w), half an ulp of
+    that part at most: each later term is smaller still (|w| / j < 1), so
+    none of them can change a bit of the total, which is that of the full
+    38-term sum.  A total with a zero part takes all 38 terms.
+    """
     w = np.asarray(w)
     out = np.exp(w)
     term = np.ones_like(w)
@@ -703,9 +711,16 @@ def _exp_remainder(w, m):
         ws = w[small]
         term = ws ** (m + 1) / math.factorial(m + 1)
         total = term.copy()
+        complex_total = np.iscomplexobj(total)
         for j in range(m + 2, m + 40):
             term = term * ws / j
             total += term
+            if complex_total:
+                floor = np.minimum(np.abs(total.real), np.abs(total.imag))
+            else:
+                floor = np.abs(total)
+            if np.all(np.abs(term) < 2.0**-54 * floor):
+                break
         direct[small] = total
     return direct
 

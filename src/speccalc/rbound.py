@@ -277,8 +277,11 @@ def _ratio(mats, X, p, signs) -> np.ndarray:
     width = max(1, (1 << 13) // rows)
     for lo in range(0, G, width):
         S = (signs @ Z[lo : lo + width]).view(np.complex128).reshape(-1, 2 * n)
-        den = np.mean((_kernels.row_norms(S[:, :n], p) ** 2).reshape(-1, rows), axis=1)
-        num = np.mean((_kernels.row_norms(S[:, n:], p) ** 2).reshape(-1, rows), axis=1)
+        den = (_kernels.row_norms(S[:, :n], p) ** 2).reshape(-1, rows)
+        num = (_kernels.row_norms(S[:, n:], p) ** 2).reshape(-1, rows)
+        # np.mean's own arithmetic, without its dispatch
+        den = np.add.reduce(den, axis=1) / rows
+        num = np.add.reduce(num, axis=1) / rows
         pos = den > 0
         ratio[lo : lo + width][pos] = np.sqrt(num[pos] / den[pos])
     return ratio

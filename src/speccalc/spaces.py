@@ -17,6 +17,15 @@ each window is the difference of two adjacent rows.  Unit-spaced bumps
 (_unit_bumps: hoermander_norm in u, suite.paley_littlewood_check in
 log2 of the spectrum) and the fourier-dyadic blocks of besov_norm
 (_frequency_blocks) therefore sum to exactly 1, in floating point too.
+
+besov_norm, mihlin_norm and hoermander_norm also take a stack of
+functions on one grid (SampledFunction values of shape (S, N)) and then
+return a list of S results, each bit-equal to the function's own.  The
+stack builds its window stack once and transforms one function's pieces
+at a time, in one batched FFT each: one FFT over all S functions' pieces
+was slower (its arrays leave the cache) and raised peak memory.  A
+single function takes the same code as a one-row stack and returns one
+NormResult.
 """
 
 from __future__ import annotations
@@ -153,25 +162,33 @@ def sobexp_norm(f: SampledFunction, alpha: float) -> NormResult:
     return sobolev_norm(fe, alpha)
 
 
-def besov_norm(f: SampledFunction, alpha: float) -> NormResult:
+def besov_norm(f: SampledFunction, alpha: float):
     """Dyadic-block Besov norm sum_n 2^{|n| alpha} sup |(fhat phi_n)^vee|.
 
     fhat is split over the fourier-dyadic partition; each block is
     transformed back to the original variable and its sup over the grid
     enters an l^1 sum with weight 2^{|n| alpha}.  The outermost resolved
     blocks give the tail's geometric ratio; a tail that fails to contract
-    marks the value divergent.
+    marks the value divergent.  A stack of S functions on one grid shares
+    the forward transform and the window stack and gets S results, one
+    per row.
     """
     _require_linear(f)
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
     fh = fourier_transform(f)
-    t = fh.u
-    idx, windows = _frequency_blocks(t)
-    # the (B, N) stack of windowed blocks, transformed back in one FFT
-    pieces = fh.values * windows
-    _, back = fourier_values(pieces, fh.u0, fh.du)
-    sups = np.max(np.abs(back), axis=-1) / (2.0 * np.pi)
+    idx, windows = _frequency_blocks(fh.u)
+    results = []
+    for values, fhat in zip(np.atleast_2d(f.values), np.atleast_2d(fh.values)):
+        # the (B, N) stack of windowed blocks, transformed back in one FFT
+        _, back = fourier_values(fhat * windows, fh.u0, fh.du)
+        sups = np.max(np.abs(back), axis=-1) / (2.0 * np.pi)
+        results.append(_besov_result(values, idx, sups, alpha))
+    return results if f.values.ndim == 2 else results[0]
+
+
+def _besov_result(values, idx, sups, alpha: float) -> NormResult:
+    """besov_norm of the samples `values` from the sups of their blocks idx."""
     blocks = {n: 2.0 ** (abs(n) * alpha) * float(sup) for n, sup in zip(idx, sups)}
     total = float(sum(blocks.values()))
     ks = sorted({abs(n) for n in idx})
@@ -182,24 +199,25 @@ def besov_norm(f: SampledFunction, alpha: float) -> NormResult:
         if a > 0 and b > 0:
             ratio = math.sqrt(b / a)
     divergent = bool(
-        _edge_ratio(f.values) > 1e-2
+        _edge_ratio(values) > 1e-2
         or (ratio >= 0.95 and total > 0 and per_k[ks[-1]] > 1e-10 * total)
     )
     return NormResult(value=total, divergent=divergent)
 
 
-def mihlin_norm(f: SampledFunction, gamma: float) -> NormResult:
+def mihlin_norm(f: SampledFunction, gamma: float):
     """M^gamma norm: the Besov norm of the log-coordinate symbol.
 
     The samples of a log-grid function are read as f_e(u) = f(e^u) on a
-    uniform grid and fed to besov_norm with smoothness gamma.
+    uniform grid and fed to besov_norm with smoothness gamma; a stack
+    gets one result per row.
     """
     _require_log(f)
     fe = SampledFunction("linear", f.u0, f.du, f.values, name=f"{f.name}|log")
     return besov_norm(fe, gamma)
 
 
-def hoermander_norm(f: SampledFunction, alpha: float) -> NormResult:
+def hoermander_norm(f: SampledFunction, alpha: float):
     """H^alpha norm: sup over window translates of the localized W^alpha
     norm of the log-coordinate symbol.
 
@@ -207,7 +225,9 @@ def hoermander_norm(f: SampledFunction, alpha: float) -> NormResult:
     whose support (n - 1, n + 1) lies inside the grid.  Each windowed
     piece is gathered from the first point of its support, zero-padded
     to the power of two at least four times the longest support (for
-    frequency resolution) and transformed in one batched FFT.
+    frequency resolution) and transformed in one batched FFT.  A stack
+    of S symbols on one grid shares the windows and their gather indices
+    and gets S results, one per row.
     """
     _require_log(f)
     if alpha <= 0.5:
@@ -222,13 +242,21 @@ def hoermander_norm(f: SampledFunction, alpha: float) -> NormResult:
     span = np.arange(live.sum(axis=1).max())
     # past its support a window is exactly 0, and so is its piece
     cols = np.minimum(live.argmax(axis=1)[:, None] + span, len(u) - 1)
-    pieces = np.take_along_axis(windows, cols, axis=1) * f.values[cols]
+    gathered = np.take_along_axis(windows, cols, axis=1)
     m = 1 << int(np.ceil(np.log2(len(span) * 4)))
-    fh = np.fft.fft(pieces, n=m, axis=-1) * f.du
     t = 2.0 * np.pi * np.fft.fftfreq(m, d=f.du)
     w = (1.0 + np.abs(t)) ** alpha
     dt = 2.0 * np.pi / (m * f.du)
-    vals = np.sqrt(np.sum(np.abs(fh * w) ** 2, axis=-1) * dt / (2.0 * np.pi))
+    results = []
+    for values in np.atleast_2d(f.values):
+        fh = np.fft.fft(gathered * values[cols], n=m, axis=-1) * f.du
+        vals = np.sqrt(np.sum(np.abs(fh * w) ** 2, axis=-1) * dt / (2.0 * np.pi))
+        results.append(_localized_sup(vals))
+    return results if f.values.ndim == 2 else results[0]
+
+
+def _localized_sup(vals) -> NormResult:
+    """hoermander_norm from the localized norms vals of the windows."""
     best = float(vals.max())
     # a localized norm does not need |f| to decay (constant-modulus
     # symbols are its central inhabitants); the sup is untrustworthy only

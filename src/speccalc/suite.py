@@ -107,8 +107,9 @@ class SuiteReport:
 # the calculus through imaginary powers
 
 
-def sobolev_calculus_apply(A, f: SampledFunction) -> np.ndarray:
-    """f(A) through the imaginary-power representation.
+def sobolev_calculus_apply(operators, f: SampledFunction) -> list:
+    """f(A) through the imaginary-power representation, for each operator
+    A of `operators` and each symbol row of f.
 
     With f_e(u) = f(e^u) on the log grid,
 
@@ -117,37 +118,70 @@ def sobolev_calculus_apply(A, f: SampledFunction) -> np.ndarray:
     evaluated by trapezoid sums on the transform grid.  The symbol grid
     must cover the spectrum, the samples must decay toward both grid
     edges, and the transform must decay within its frequency band; a
-    symbol the grid cannot resolve raises ConvergenceError instead of
-    returning a silently truncated answer.
+    symbol the grid cannot resolve gets a CoverageError or
+    ConvergenceError instead of a silently truncated answer.
+
+    Returns one list per operator with one entry per row of f: the
+    matrix f(A), or the error.  Each entry is checked in this order:
+    coverage, then the zero symbol (whose f(A) is 0), then edge decay,
+    then band decay.  The transforms and their checks read no operator
+    and run once per call; the (n, T) table e^{i t log lambda_j} (the
+    A^{it} stack without an eigenbasis) is built once per operator and
+    applied to each symbol in one GEMV.
     """
-    op = ops.sectorial(A)
     if f.coordinate != "log":
         raise DomainError("the imaginary-power calculus expects a log-grid symbol")
-    lo, hi = op.spectral_bounds()
-    f.require_cover(lo, hi, "symbol grid")
-    if float(np.max(np.abs(f.values))) == 0.0:
-        return np.zeros((op.dim, op.dim), dtype=np.complex128)
-    edge = _edge_ratio(f.values, 50)
-    if edge > 1e-2:
-        raise ConvergenceError(
-            f"symbol has not decayed at the grid edges (edge ratio {edge:.2e}); "
-            "enlarge the span"
-        )
-    fe = SampledFunction("linear", f.u0, f.du, f.values, name=f.name)
-    fh = fourier_transform(fe)
-    band = _edge_ratio(fh.values, 50)
-    if band > 1e-3:
-        raise ConvergenceError(
-            f"transform has not decayed within the frequency band "
-            f"(edge ratio {band:.2e}); refine the grid"
-        )
-    coef = fh.values * fh.du / (2.0 * np.pi)
+    rows = np.atleast_2d(f.values)
+    fh = fourier_transform(SampledFunction("linear", f.u0, f.du, rows))
     t = fh.u
-    if op.diagonalizable:
-        g = np.exp(1j * np.outer(np.log(op.eigenvalues), t)) @ coef
-        return _eig_apply_stack(op.eigenbasis, g[None])[0]
-    stack = ops.imaginary_powers(op, t)
-    return np.tensordot(coef, stack, axes=(0, 0))
+    # per row: None for the zero symbol, its ConvergenceError, or the
+    # trapezoid coefficients of the representation
+    symbols = []
+    for values, fhat in zip(rows, fh.values):
+        if float(np.max(np.abs(values))) == 0.0:
+            symbols.append(None)
+            continue
+        edge = _edge_ratio(values, 50)
+        band = _edge_ratio(fhat, 50)
+        if edge > 1e-2:
+            symbols.append(ConvergenceError(
+                f"symbol has not decayed at the grid edges (edge ratio {edge:.2e}); "
+                "enlarge the span"
+            ))
+        elif band > 1e-3:
+            symbols.append(ConvergenceError(
+                f"transform has not decayed within the frequency band "
+                f"(edge ratio {band:.2e}); refine the grid"
+            ))
+        else:
+            symbols.append(fhat * fh.du / (2.0 * np.pi))
+
+    out = []
+    for A in operators:
+        op = ops.sectorial(A)
+        lo, hi = op.spectral_bounds()
+        try:
+            f.require_cover(lo, hi, "symbol grid")
+        except CoverageError as err:
+            out.append([err] * len(rows))
+            continue
+        table = None  # built for the first symbol that needs it
+        applied = []
+        for coef in symbols:
+            if coef is None:
+                applied.append(np.zeros((op.dim, op.dim), dtype=np.complex128))
+            elif isinstance(coef, ConvergenceError):
+                applied.append(coef)
+            elif op.diagonalizable:
+                if table is None:
+                    table = np.exp(1j * np.outer(np.log(op.eigenvalues), t))
+                applied.append(_eig_apply_stack(op.eigenbasis, (table @ coef)[None])[0])
+            else:
+                if table is None:
+                    table = ops.imaginary_powers(op, t)
+                applied.append(np.tensordot(coef, table, axes=(0, 0)))
+        out.append(applied)
+    return out
 
 
 # ---------------------------------------------------------------------------

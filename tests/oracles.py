@@ -33,9 +33,14 @@ per_eigenvalue_resolvent_bip_mellin are the Mellin identities of
 operators with one quadrature loop per eigenvalue, their bitwise
 references; two_call_wave_kernel_integral and
 two_call_contour_shifted_integral are the Gamma integrals with one quad
-call per real and imaginary part, the bitwise references of
-special.wave_kernel_integral and special.contour_shifted_integral.
-None of them is reached by `speccalc run`.
+call per real and imaginary part, numpy's complex exp and one integrand
+evaluation per quad call, the bitwise references of
+special.wave_kernel_integral and special.contour_shifted_integral;
+per_symbol_calculus_apply is suite.sobolev_calculus_apply on one
+operator and one symbol, transform and phase table built per call, its
+bitwise reference; full_series_exp_remainder is
+operators._exp_remainder with all 38 terms of its series, its bitwise
+reference.  None of them is reached by `speccalc run`.
 """
 
 import math
@@ -56,7 +61,7 @@ from speccalc.rbound import (
     r_l2_bound,
     square_sum_norm,
 )
-from speccalc.spaces import NormResult, _ramp_smooth, _unit_bumps
+from speccalc.spaces import NormResult, _edge_ratio, _ramp_smooth, _unit_bumps
 
 # the step of the corpus transform grid
 CORPUS_DT = 2.0**-5
@@ -618,6 +623,14 @@ def two_call_wave_kernel_integral(z, m: int):
     return val
 
 
+def _numpy_cexpm1(w):
+    """special._cexpm1 on numpy's complex exp."""
+    w = complex(w)
+    if abs(w) < 1e-4:
+        return w * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0)))
+    return complex(np.exp(w)) - 1.0
+
+
 def _two_call_ray_integral(z, m, lam):
     """special._ray_integral_damped with its two quad calls written out;
     it returns the error estimate and tests nothing."""
@@ -628,7 +641,7 @@ def _two_call_ray_integral(z, m, lam):
             return 0.0 + 0.0j
         if u < -30.0:
             return (-lam) ** m * np.exp((z + m) * u)
-        return np.exp(z * u) * special._cexpm1(-lam * np.exp(u)) ** m
+        return np.exp(z * u) * _numpy_cexpm1(-lam * np.exp(u)) ** m
 
     val, err = _two_call_quad(integrand, np.log(S), 800)
     tail = math.comb(m, 0) * (-1) ** m * (-(S**z) / z)
@@ -651,3 +664,56 @@ def two_call_contour_shifted_integral(z, m: int, lam):
         for i in range(len(eps) - level):
             p[i] = p[i + 1] + (p[i + 1] - p[i]) * eps[i + level] / (eps[i] - eps[i + level])
     return p[0]
+
+
+def per_symbol_calculus_apply(A, f: SampledFunction) -> np.ndarray:
+    """suite.sobolev_calculus_apply on one operator and one symbol, its
+    bitwise reference: f(A), or the CoverageError or ConvergenceError
+    raised by the first check that fails."""
+    op = sectorial(A)
+    lo, hi = op.spectral_bounds()
+    f.require_cover(lo, hi, "symbol grid")
+    if float(np.max(np.abs(f.values))) == 0.0:
+        return np.zeros((op.dim, op.dim), dtype=np.complex128)
+    edge = _edge_ratio(f.values, 50)
+    if edge > 1e-2:
+        raise ConvergenceError(
+            f"symbol has not decayed at the grid edges (edge ratio {edge:.2e}); "
+            "enlarge the span"
+        )
+    fh = fourier_transform(SampledFunction("linear", f.u0, f.du, f.values))
+    band = _edge_ratio(fh.values, 50)
+    if band > 1e-3:
+        raise ConvergenceError(
+            f"transform has not decayed within the frequency band "
+            f"(edge ratio {band:.2e}); refine the grid"
+        )
+    coef = fh.values * fh.du / (2.0 * np.pi)
+    t = fh.u
+    if op.diagonalizable:
+        g = np.exp(1j * np.outer(np.log(op.eigenvalues), t)) @ coef
+        return _eig_apply_stack(op.eigenbasis, g[None])[0]
+    return np.tensordot(coef, ops.imaginary_powers(op, t), axes=(0, 0))
+
+
+def full_series_exp_remainder(w, m):
+    """operators._exp_remainder with all 38 terms of its small-|w|
+    series, its bitwise reference."""
+    w = np.asarray(w)
+    out = np.exp(w)
+    term = np.ones_like(w)
+    acc = term.copy()
+    for j in range(1, m + 1):
+        term = term * w / j
+        acc += term
+    direct = out - acc
+    small = np.abs(w) < 0.5
+    if np.any(small):
+        ws = w[small]
+        term = ws ** (m + 1) / math.factorial(m + 1)
+        total = term.copy()
+        for j in range(m + 2, m + 40):
+            term = term * ws / j
+            total += term
+        direct[small] = total
+    return direct

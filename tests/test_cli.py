@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,24 @@ class TestRun:
         doc = json.loads((out / "sea-to-ha.json").read_text())
         assert doc["config_hash"] == man["config_hash"]
         assert len(doc["rows"]) == len(rows) == man["outputs"]["sea-to-ha"]["rows"]
+
+    def test_manifest_times_the_build_and_each_suite(self, tmp_path, monkeypatch):
+        build = ops.operator_from_spec
+
+        def slow_build(spec):
+            time.sleep(0.2)
+            return build(spec)
+
+        monkeypatch.setattr(ops, "operator_from_spec", slow_build)
+        path = write_config(tmp_path, suites=["norms", "sea-to-ha"])
+        out = tmp_path / "timed"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        seconds = [man["outputs"][name]["seconds"] for name in ("norms", "sea-to-ha")]
+        assert all(s > 0 for s in seconds)
+        # the run's clock starts before the operators are built
+        assert man["build_seconds"] >= 0.2
+        assert man["wallclock_seconds"] + 1e-3 >= man["build_seconds"] + sum(seconds)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         path = write_config(tmp_path, suites=["rbound", "sea-to-ha"], seed=3)
@@ -527,6 +546,22 @@ class TestCompare:
         out1, out2 = tmp_path / "c1", tmp_path / "c2"
         main(["run", "--config", str(path), "--out", str(out1)])
         main(["run", "--config", str(path), "--out", str(out2)])
+        rc = main(
+            ["compare", str(out1 / "manifest.json"), str(out2 / "manifest.json")]
+        )
+        assert rc == 0
+        assert "IDENTICAL" in capsys.readouterr().out
+
+    def test_timings_do_not_enter_the_comparison(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out1, out2 = tmp_path / "s1", tmp_path / "s2"
+        main(["run", "--config", str(path), "--out", str(out1)])
+        main(["run", "--config", str(path), "--out", str(out2)])
+        man = json.loads((out2 / "manifest.json").read_text())
+        man["outputs"]["sea-to-ha"]["seconds"] += 1.0
+        man["build_seconds"] += 1.0
+        man["wallclock_seconds"] += 2.0
+        (out2 / "manifest.json").write_text(json.dumps(man))
         rc = main(
             ["compare", str(out1 / "manifest.json"), str(out2 / "manifest.json")]
         )

@@ -29,6 +29,14 @@ class TestSampledFunction:
             SampledFunction("linear", 0.0, 0.1, np.ones(48))
         SampledFunction("linear", 0.0, 0.1, np.ones(16))
 
+    def test_a_stack_holds_one_function_per_row(self):
+        f = SampledFunction("linear", 0.0, 0.1, np.ones((3, 16)))
+        assert f.n == 16 and len(f.u) == 16
+        with pytest.raises(DomainError):
+            SampledFunction("linear", 0.0, 0.1, np.ones((3, 15)))
+        with pytest.raises(DomainError):
+            SampledFunction("linear", 0.0, 0.1, np.ones((2, 3, 16)))
+
     def test_coordinate_and_spacing_guards(self):
         with pytest.raises(DomainError):
             SampledFunction("polar", 0.0, 0.1, np.ones(16))

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from speccalc.cli import _grid_stacks
 from speccalc.corpus import load_corpus
 from speccalc.errors import DomainError
 from speccalc.grids import SampledFunction
@@ -223,6 +224,15 @@ class TestLocalizedNorms:
             if f.coordinate == "log":
                 assert hoermander_norm(f, alpha) == per_window_hoermander(f, alpha), f.name
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_a_stack_is_bitwise_the_per_window_loop_row_by_row(self, alpha):
+        # the corpus's two grids: eight symbols on one, one on the other
+        stacks = _grid_stacks(load_corpus())
+        assert [len(members) for members, _ in stacks] == [8, 1]
+        for members, stack in stacks:
+            got = hoermander_norm(stack, alpha)
+            assert got == [per_window_hoermander(f, alpha) for f in members]
+
 
 class TestBesovScale:
     def test_alpha_monotone(self):
@@ -237,6 +247,22 @@ class TestBesovScale:
             if f.coordinate == "log":
                 f = SampledFunction("linear", f.u0, f.du, f.values, name=f.name)
             assert besov_norm(f, alpha).value == per_block_besov_value(f, alpha), f.name
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_a_stack_is_bitwise_the_per_block_loop_row_by_row(self, alpha):
+        for members, stack in _grid_stacks(load_corpus()):
+            got = mihlin_norm(stack, alpha)
+            assert len(got) == len(members)
+            for res, f in zip(got, members):
+                linear = SampledFunction("linear", f.u0, f.du, f.values)
+                assert res.value == per_block_besov_value(linear, alpha), f.name
+                assert res == mihlin_norm(f, alpha), f.name
+
+    def test_a_one_row_stack_gets_a_list_of_one(self):
+        f = SampledFunction.from_callable(rho, "log", 1e-8, 1e8, 1 << 11)
+        one = SampledFunction("log", f.u0, f.du, f.values[None])
+        assert mihlin_norm(one, 1.0) == [mihlin_norm(f, 1.0)]
+        assert hoermander_norm(one, 1.0) == [hoermander_norm(f, 1.0)]
 
     def test_mihlin_finite_for_decaying_symbol(self):
         f = SampledFunction.from_callable(rho, "log", 1e-8, 1e8, 1 << 11)

@@ -21,7 +21,11 @@ from speccalc import operators as ops
 from speccalc import special
 from speccalc.errors import ConvergenceError, DomainError, PoleError
 
-from oracles import two_call_contour_shifted_integral, two_call_wave_kernel_integral
+from oracles import (
+    full_series_exp_remainder,
+    two_call_contour_shifted_integral,
+    two_call_wave_kernel_integral,
+)
 
 
 class TestGamma:
@@ -289,6 +293,32 @@ class TestLogQuad:
         assert got == _outcome(two_call_contour_shifted_integral, z, m, lam)
         assert got is not ConvergenceError
 
+    @pytest.mark.parametrize(
+        "integral,args,calls,nodes",
+        [(special.contour_shifted_integral, (-1.0, 2, 1j), 22410, 12705),
+         (special.wave_kernel_integral, (-1.3, 2), None, None)],
+    )
+    def test_the_integrand_runs_once_per_distinct_node(
+        self, monkeypatch, integral, args, calls, nodes
+    ):
+        asked, evaluated = [], []
+        quad, log_quad = scipy.integrate.quad, special._log_quad
+
+        def recording_quad(func, *rest, **kwargs):
+            return quad(lambda u: asked.append(u) or func(u), *rest, **kwargs)
+
+        def counting_log_quad(integrand, *rest):
+            return log_quad(lambda u: evaluated.append(u) or integrand(u), *rest)
+
+        monkeypatch.setattr(scipy.integrate, "quad", recording_quad)
+        monkeypatch.setattr(special, "_log_quad", counting_log_quad)
+        integral(*args)
+        # both passes ask for the nodes; each distinct one is computed once
+        assert sorted(evaluated) == sorted(set(asked))
+        assert len(asked) > len(evaluated)
+        if calls is not None:  # the contour-shift row, on three damped rays
+            assert (len(asked), len(evaluated)) == (calls, nodes)
+
     def test_a_large_estimate_raises_naming_its_point(self):
         # the two points, far from the rows, where the estimate blows up
         for z, m in ((-0.01 + 20j, 1), (-3.99 + 5j, 4)):
@@ -365,6 +395,15 @@ class TestTaylorKernel:
         got = ops._exp_remainder(1j * s, 1)
         direct = np.exp(1j * s) - 1.0 - 1j * s
         assert np.allclose(got, direct, rtol=1e-10)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_early_stop_is_bitwise_the_full_series(self, m):
+        gen = np.random.default_rng(m)
+        w = 0.5 * np.sqrt(gen.random(400)) * np.exp(2j * np.pi * gen.random(400))
+        # totals with a zero part: real and imaginary arguments, and zero
+        for arg in (w, 1j * w.imag, w.real + 0j, w.real, np.zeros(3, complex)):
+            got, want = ops._exp_remainder(arg, m), full_series_exp_remainder(arg, m)
+            assert got.tobytes() == want.tobytes()
 
     def test_asymptotic_orders(self):
         # |w|^{m+1}/(m+1)! at zero, at most |w|^m-sized at infinity

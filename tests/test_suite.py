@@ -26,12 +26,15 @@ from speccalc.errors import (
     DomainError,
     NotSectorialError,
 )
+from speccalc.cli import _grid_stacks
+from speccalc.corpus import load_corpus
 from speccalc.grids import SampledFunction, trapezoid_weights
 
 from oracles import (
     CORPUS_DT,
     corpus_grid,
     per_member_corpus,
+    per_symbol_calculus_apply,
     per_trial_paley_littlewood,
     scale_corpus,
 )
@@ -56,10 +59,24 @@ def rho_symbol():
     )
 
 
+def _apply_one(A, f):
+    """sobolev_calculus_apply on one operator and one symbol: f(A), or
+    its error raised."""
+    ((out,),) = suite.sobolev_calculus_apply([A], f)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _comparable(out):
+    """A matrix as its bytes, an error as its type and text."""
+    return (type(out), str(out)) if isinstance(out, Exception) else out.tobytes()
+
+
 class TestCalculusApply:
     def test_matches_eigen_action(self, diag124):
         f = rho_symbol()
-        got = suite.sobolev_calculus_apply(diag124, f)
+        got = _apply_one(diag124, f)
         want = np.diag(f.eval(np.array([1.0, 2.0, 4.0])))
         assert np.linalg.norm(got - want, 2) < 1e-9
 
@@ -67,7 +84,7 @@ class TestCalculusApply:
         f = SampledFunction.from_callable(
             lambda s: np.zeros_like(np.asarray(s)), "log", 1e-6, 1e6, 1 << 10
         )
-        out = suite.sobolev_calculus_apply(diag124, f)
+        out = _apply_one(diag124, f)
         assert np.all(out == 0)
 
     def test_undecayed_symbol_is_refused(self, diag124):
@@ -75,12 +92,52 @@ class TestCalculusApply:
             lambda s: 1.0 / (1.0 + s), "log", 1e-2, 1e2, 64
         )
         with pytest.raises(ConvergenceError):
-            suite.sobolev_calculus_apply(diag124, f)
+            _apply_one(diag124, f)
 
     def test_coverage_guard(self):
         f = SampledFunction.from_callable(lambda s: 1.0 / (1.0 + s), "log", 0.5, 2.0, 16)
         with pytest.raises(CoverageError):
-            suite.sobolev_calculus_apply(np.diag([0.1, 10.0]), f)
+            _apply_one(np.diag([0.1, 10.0]), f)
+
+    def test_coverage_is_reported_before_edge_decay(self):
+        # 1/(1+s) on [0.5, 2] neither covers [0.1, 10] nor decays
+        f = SampledFunction.from_callable(lambda s: 1.0 / (1.0 + s), "log", 0.5, 2.0, 16)
+        with pytest.raises(ConvergenceError, match="grid edges"):
+            _apply_one(np.diag([0.6, 1.5]), f)
+        with pytest.raises(CoverageError, match=r"\[0\.1, 10\] is needed"):
+            _apply_one(np.diag([0.1, 10.0]), f)
+
+    def test_each_row_and_operator_gets_its_own_outcome(self, diag124):
+        # a zero row, an undecayed row and a resolvable row on one grid,
+        # for an operator the grid covers and one it does not
+        rho = SampledFunction.from_callable(
+            lambda s: s / (1.0 + s) ** 2, "log", 1e-6, 1e6, 1 << 10)
+        x = rho.x
+        rows = np.stack([np.zeros_like(x), 1.0 / (1.0 + x), rho.values.real])
+        stack = SampledFunction("log", rho.u0, rho.du, rows)
+        covered, uncovered = suite.sobolev_calculus_apply(
+            [diag124, np.diag([1e-8, 1.0])], stack)
+        assert np.all(covered[0] == 0)
+        assert isinstance(covered[1], ConvergenceError)
+        want = np.diag([1 / 4, 2 / 9, 4 / 25])
+        assert np.linalg.norm(covered[2] - want, 2) < 1e-9
+        # coverage comes first, even for the zero row
+        assert all(isinstance(out, CoverageError) for out in uncovered)
+
+    @pytest.mark.parametrize(
+        "spec", ["diag-logspaced:16", "path-laplacian:8", "diag:1e-7,1", "jordan:1,3"]
+    )
+    def test_per_grid_apply_is_bitwise_the_per_symbol_oracle(self, spec):
+        op = ops.operator_from_spec(spec)
+        for members, stack in _grid_stacks(load_corpus()):
+            (outcomes,) = suite.sobolev_calculus_apply([op], stack)
+            assert len(outcomes) == len(members)
+            for f, got in zip(members, outcomes):
+                try:
+                    want = per_symbol_calculus_apply(op, f)
+                except (ConvergenceError, CoverageError) as err:
+                    want = err
+                assert _comparable(got) == _comparable(want), (spec, f.name)
 
 
 class TestCorpus:

@@ -48,7 +48,10 @@ expression reading an `eigenvalues` attribute, or a name bound to one).
 
 Last, scipy stays off the import path: no module imports it at its top
 level, and only the functions named in SCIPY_IMPORTERS import it, in
-their bodies, so a run that reaches none of them loads numpy only.
+their bodies, so a run that reaches none of them loads numpy only.  And
+no function memoizes its results with functools' cache or lru_cache: a
+value computed once is shared within the loop that uses it, and a cache
+that outlives the loop holds its tables to the end of the process.
 """
 
 import ast
@@ -83,7 +86,8 @@ EIGENBASIS_OWNERS = {
 EIGENVALUE_LOGS = {
     "operators._powers": "the (K, n) table e^{w_k log lambda_j} of the powers A^{w_k}",
     "suite.sobolev_calculus_apply": (
-        "its (n, T) phase table feeds one GEMV; no product order over the "
+        "its (n, T) phase table, one per operator and grid, feeds one GEMV "
+        "per symbol; no product order over the "
         "transposed table of _powers gave the same bits, and its applied-error "
         "rows are as small as 6.8e-14"
     ),
@@ -489,3 +493,38 @@ def test_scipy_is_imported_only_where_it_is_used():
     assert not extra, "scipy imported outside SCIPY_IMPORTERS: " + ", ".join(extra)
     stale = sorted(set(SCIPY_IMPORTERS) - scipy_importers())
     assert not stale, "SCIPY_IMPORTERS entries that import no scipy: " + ", ".join(stale)
+
+
+MEMOIZERS = {"cache", "lru_cache"}
+
+
+def memoizer_uses(modules):
+    """"<module>: <name>" for each functools cache or lru_cache that one
+    of the (module stem, top-level node) pairs imports or reads."""
+    found = set()
+    for stem, node in modules:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.ImportFrom) and sub.module == "functools":
+                found |= {f"{stem}: {a.name}" for a in sub.names if a.name in MEMOIZERS}
+            elif (
+                isinstance(sub, ast.Attribute)
+                and sub.attr in MEMOIZERS
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "functools"
+            ):
+                found.add(f"{stem}: functools.{sub.attr}")
+    return found
+
+
+def test_no_function_memoizes_its_results():
+    found = sorted(memoizer_uses(_top_level()))
+    assert not found, "memoized functions: " + ", ".join(found)
+
+
+def test_the_memoizer_check_sees_both_spellings():
+    tree = ast.parse(
+        "import functools\nfrom functools import lru_cache\n"
+        "@functools.cache\ndef f(x):\n    return x\n"
+    )
+    found = memoizer_uses(("m", node) for node in tree.body)
+    assert found == {"m: lru_cache", "m: functools.cache"}
