@@ -563,7 +563,9 @@ def run_sea_to_ha(cfg: RunConfig, operators: dict):
         hs.append(h)
         rows.append(("-", Row("bounded-part", f"re={x:g}", g, 1e-9,
                               {"reference": 1.0}, abs(g - 1.0) <= 1e-9)))
-        rows.append(("-", Row("square-part", f"re={x:g}", h, 0.0, {}, math.isfinite(h))))
+        exact = experiments._h_norm_closed_form(z)
+        rows.append(("-", Row("square-part", f"re={x:g}", h, 1e-10, {},
+                              abs(h - exact) <= 1e-10 * exact, {"closed_form": exact})))
     slope = float(np.polyfit(np.log(xs), np.log(hs), 1)[0])
     rows.append(("-", Row("h-slope", "re z -> 0", slope, 0.2,
                           {"points": list(xs)}, -1.2 <= slope <= -0.8)))

@@ -18,12 +18,15 @@ eigenbasis is usable and by stacked dense matrix functions otherwise
 over its nodes, so it takes the same two paths.  Each Mellin identity
 returns its two sides as eigenvalue tables, the lhs one _mellin_table
 on the nodes of _uniform_axis.  Every table e^{w log lambda} of powers
-A^w, the bip core and the three rhs, is one call of _powers, and every
+A^w, the bip core, the three rhs and the phase table of
+suite.sobolev_calculus_apply, is one call of _powers, and every
 V diag(f) V^{-1} in the package, a table mapped through the eigenbasis,
 is one call of rbound._eig_apply_stack, which raises NotSectorialError
-on an operator without a usable eigenbasis.
+on an operator without a usable eigenbasis.  Without one, every dense
+A^w, the bip core's stack included, is one call of fractional_power, the
+only caller of logm.
 scipy.linalg is imported inside fractional_power and the defective
-branch of _samples only, the two places that call expm and logm.
+branch of _samples only, the two places that call expm.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ class SectorialOperator:
 
     eigenvectors is None when the eigenbasis is too ill-conditioned to
     trust; matrix functions then act on the dense matrix, by stacked
-    calls of scipy's expm and logm, inv and matrix_power in _samples,
-    and by the power series of the Taylor remainder where |z| ||A|| < 1/2.
+    calls of fractional_power, scipy's expm, inv and matrix_power in
+    _samples, and by the power series of the Taylor remainder where
+    |z| ||A|| < 1/2.
     normal records ||A A^H - A^H A|| <= 1e-12 ||A||^2 (on the core of a
     reduced matrix), read from the matrix by sectorial.
     """
@@ -257,19 +261,26 @@ def imaginary_powers(A, t):
     return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
-def fractional_power(A, gamma: float) -> np.ndarray:
+def fractional_power(A, gamma) -> np.ndarray:
     """A^gamma = exp(gamma log A) with the principal branch, by dense
     matrix functions (a diagonalizable operator's powers act on its
-    eigenvalues in _samples instead)."""
+    eigenvalues in _samples instead).  gamma is a number, giving one
+    matrix, or an array of exponents, giving the stack of their powers,
+    one expm over all of them."""
     import scipy.linalg
 
-    return scipy.linalg.expm(gamma * scipy.linalg.logm(sectorial(A).matrix))
+    return scipy.linalg.expm(np.multiply.outer(gamma, scipy.linalg.logm(sectorial(A).matrix)))
 
 
 def _powers(op: SectorialOperator, w) -> np.ndarray:
     """The (K, n) table e^{w_k log lambda_j}: row k the eigenvalues of
-    A^{w_k}, principal branch."""
-    return np.exp(np.outer(w, np.log(op.eigenvalues)))
+    A^{w_k}, principal branch, for a 1-D array w.  numpy's complex exp
+    runs about 17% faster on the (n, K) layout (1.65 against 1.99 ms at
+    K = 3201, n = 16), and each product keeps the operand order of
+    np.outer(w, log lambda), which a fused multiply-add does not ignore.
+    """
+    logs = np.log(op.eigenvalues)
+    return np.ascontiguousarray(np.exp(np.multiply(w[None, :], logs[:, None])).T)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +415,11 @@ def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -
     as the OperatorFamily arguments of one of its two forms.  With an
     eigenbasis, g and the power act on the eigenvalues, giving the (K, n)
     eigenvalue table, which carries the operator's normality.  On a
-    defective operator each core is one stacked dense call (expm, inv,
-    matrix_power) times the dense A^power, giving the (K, n, n) stack;
-    the Taylor remainder switches to its power series where
-    |z| ||A|| < 1/2, where the direct difference cancels.
+    defective operator each core is one stacked dense call
+    (fractional_power, inv, expm, matrix_power) times the dense A^power,
+    giving the (K, n, n) stack; the Taylor remainder takes its power
+    series on the samples with |z| ||A|| < 1/2, where the direct
+    difference cancels, and expm on the others only.
     family_samples, imaginary_powers and holomorphic_calculus choose
     between the two paths only here.  A^0 is the identity on both paths
     and is not multiplied in on the stack.
@@ -431,7 +443,7 @@ def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -
     A = op.matrix
     I = np.eye(op.dim)
     if core == "bip":
-        G = scipy.linalg.expm(1j * z[:, None, None] * scipy.linalg.logm(A))
+        G = fractional_power(op, 1j * z)
     elif core == "resolvent":
         G = np.linalg.inv(z[:, None, None] * I - A)
     elif core == "semigroup":
@@ -440,12 +452,16 @@ def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -
         G = np.linalg.matrix_power(scipy.linalg.expm(1j * z[:, None, None] * A) - I, m)
     else:
         B = 1j * z[:, None, None] * A
-        G = scipy.linalg.expm(B) - I
-        P = I
-        for j in range(1, m + 1):
-            P = P @ B / j
-            G = G - P
         small = np.abs(z) * np.linalg.norm(A, 2) < 0.5
+        G = np.empty_like(B)
+        if not np.all(small):
+            Bl = B[~small]
+            Gl = scipy.linalg.expm(Bl) - I
+            P = I
+            for j in range(1, m + 1):
+                P = P @ Bl / j
+                Gl = Gl - P
+            G[~small] = Gl
         if np.any(small):
             Bs = B[small]
             term = np.linalg.matrix_power(Bs, m + 1) / math.factorial(m + 1)
@@ -626,7 +642,7 @@ def wave_mellin(A, t_grid, alpha: float, m: int):
     """Both sides of the wave-to-imaginary-powers Mellin identity.
 
     lhs(t) = int_0^inf s^{(1/2-alpha)+it} (e^{-isA} - 1)^m ds/s
-    rhs(t) = h_{-1}(t) A^{alpha-1/2-it}, h_sign from special.h_kernel
+    rhs(t) = h(t) A^{alpha-1/2-it}, h from special.h_kernel
 
     The lhs is computed after rotating the ray by phi = 0.42 into the
     damped quadrant (the arcs vanish for 1/2 < alpha < m + 1/2).
@@ -654,7 +670,7 @@ def wave_mellin(A, t_grid, alpha: float, m: int):
     small = np.abs(mu) * eu < 1e-8
     G[small] = np.broadcast_to(base, G.shape)[small] * x[small] ** m
     lhs = pref[:, None] * _mellin_table(t_grid, u, G) * du
-    h = special.h_kernel(t_grid, alpha, m, sign=-1)
+    h = special.h_kernel(t_grid, alpha, m)
     return lhs, h[:, None] * _powers(op, alpha - 0.5 - 1j * t_grid)
 
 
@@ -690,7 +706,9 @@ def _exp_remainder(w, m):
     """e^w - sum_{j<=m} w^j/j!, stable for small |w| (w a real or complex
     array).
 
-    On |w| < 1/2 the series runs until every term's modulus is below
+    Each entry takes one branch: the direct difference where |w| >= 1/2,
+    the power series where |w| < 1/2, where the difference cancels.  On
+    |w| < 1/2 the series runs until every term's modulus is below
     2^-54 times the smallest modulus of a part of its total (|total| for
     real w, min(|Re total|, |Im total|) for complex w), half an ulp of
     that part at most: each later term is smaller still (|w| / j < 1), so
@@ -698,15 +716,16 @@ def _exp_remainder(w, m):
     38-term sum.  A total with a zero part takes all 38 terms.
     """
     w = np.asarray(w)
-    out = np.exp(w)
-    term = np.ones_like(w)
-    acc = term.copy()
-    for j in range(1, m + 1):
-        term = term * w / j
-        acc += term
-    direct = out - acc
-    # series for the small-|w| region
     small = np.abs(w) < 0.5
+    direct = np.empty_like(w)
+    if not np.all(small):
+        wl = w[~small]
+        term = np.ones_like(wl)
+        acc = term.copy()
+        for j in range(1, m + 1):
+            term = term * wl / j
+            acc += term
+        direct[~small] = np.exp(wl) - acc
     if np.any(small):
         ws = w[small]
         term = ws ** (m + 1) / math.factorial(m + 1)

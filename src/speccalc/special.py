@@ -199,21 +199,18 @@ def gamma_f_m(z, m: int):
     return out[0] if scalar else out
 
 
-def h_kernel(t, alpha: float, m: int, sign: int = -1):
+def h_kernel(t, alpha: float, m: int):
     """Mellin symbol of the regularized wave kernel.
 
-    For the group direction e^{i sign s A},
+    For the group direction e^{-isA},
 
-        h(t) = exp(i sign (pi/2)(1/2 - alpha)) exp(-sign pi t / 2)
+        h(t) = exp(-i (pi/2)(1/2 - alpha)) exp(pi t / 2)
                * Gamma(1/2 - alpha + it) f_m(1/2 - alpha + it).
 
     Requires m > alpha - 1/2 so the Gamma argument stays right of the
     last genuine pole; alpha = 1/2 puts a non-removable pole at t = 0.
-    The two directions are reflections: h_plus(-t) = conj(h_minus(t)).
     """
     _check_order(m)
-    if sign not in (-1, 1):
-        raise DomainError("sign must be -1 or +1")
     if not (alpha > 0):
         raise DomainError("alpha must be positive")
     if not (m > alpha - 0.5):
@@ -225,7 +222,7 @@ def h_kernel(t, alpha: float, m: int, sign: int = -1):
     z = c + 1j * t
     if abs(c) < 1e-12 and np.any(np.abs(t) < 1e-12):
         raise PoleError("alpha = 1/2 puts a Gamma pole at t = 0")
-    pref = np.exp(1j * sign * (np.pi / 2.0) * c) * np.exp(-sign * np.pi * t / 2.0)
+    pref = np.exp(-1j * (np.pi / 2.0) * c) * np.exp(np.pi * t / 2.0)
     out = pref * gamma_f_m(z, m)
     return out[0] if scalar else out
 

@@ -24,6 +24,9 @@ bound differ by exactly 2 pi, which is what the bridge ratio checks.
 c1 evaluates that representation as an average of the c2 family's own
 samples (OperatorFamily.averages), so the corpus is held on the c2 grid
 of operators.family_samples and the two sides of the bridge share it.
+sobolev_calculus_apply evaluates it symbol by symbol on the A^{it} of
+operators: the power table operators._powers, or the dense stack of
+operators.imaginary_powers without an eigenbasis.
 """
 
 from __future__ import annotations
@@ -125,9 +128,10 @@ def sobolev_calculus_apply(operators, f: SampledFunction) -> list:
     matrix f(A), or the error.  Each entry is checked in this order:
     coverage, then the zero symbol (whose f(A) is 0), then edge decay,
     then band decay.  The transforms and their checks read no operator
-    and run once per call; the (n, T) table e^{i t log lambda_j} (the
-    A^{it} stack without an eigenbasis) is built once per operator and
-    applied to each symbol in one GEMV.
+    and run once per call; the (n, T) table e^{i t log lambda_j}, the
+    contiguous transpose of operators._powers (the A^{it} stack without
+    an eigenbasis), is built once per operator and applied to each symbol
+    in one GEMV.
     """
     if f.coordinate != "log":
         raise DomainError("the imaginary-power calculus expects a log-grid symbol")
@@ -174,7 +178,7 @@ def sobolev_calculus_apply(operators, f: SampledFunction) -> list:
                 applied.append(coef)
             elif op.diagonalizable:
                 if table is None:
-                    table = np.exp(1j * np.outer(np.log(op.eigenvalues), t))
+                    table = np.ascontiguousarray(ops._powers(op, 1j * t).T)
                 applied.append(_eig_apply_stack(op.eigenbasis, (table @ coef)[None])[0])
             else:
                 if table is None:
@@ -666,3 +670,23 @@ def sea_to_ha_decomposition(z):
         ray = np.exp(sgn * 1j * np.pi / 8.0)
         g_norm = max(g_norm, float(np.max(np.exp(-r * ((z + 1.0) * ray).real))))
     return float(g_norm), float(h_norm)
+
+
+def _h_norm_closed_form(z) -> float:
+    """||h_z|| of sea_to_ha_decomposition in closed form, x = Re z > 0:
+
+        ||h_z||^2 = log((2x+1)^2 / (2x (2x+2))) + |1+z|^2 / (2x+2)^2
+                    - 2 Re((1+z) conj z) / (2x+1)^2 + |z|^2 / (2x)^2.
+
+    |h_z|^2 = e^{-2xt} - 2 e^{-(2x+1)t} + e^{-(2x+2)t} has coefficients
+    summing to 0, so its dt/t integral is the Frullani sum of the logs;
+    t h_z' = t (-z e^{-zt} + (1+z) e^{-(1+z)t}), and
+    int_0^inf t e^{-at} dt = 1/a^2 gives the other three terms.
+    """
+    z = complex(z)
+    x = z.real
+    sq = (math.log((2 * x + 1) ** 2 / (2 * x * (2 * x + 2)))
+          + abs(1 + z) ** 2 / (2 * x + 2) ** 2
+          - 2 * ((1 + z) * z.conjugate()).real / (2 * x + 1) ** 2
+          + abs(z) ** 2 / (2 * x) ** 2)
+    return math.sqrt(sq)

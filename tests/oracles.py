@@ -39,8 +39,11 @@ special.wave_kernel_integral and special.contour_shifted_integral;
 per_symbol_calculus_apply is suite.sobolev_calculus_apply on one
 operator and one symbol, transform and phase table built per call, its
 bitwise reference; full_series_exp_remainder is
-operators._exp_remainder with all 38 terms of its series, its bitwise
-reference.  None of them is reached by `speccalc run`.
+operators._exp_remainder with both branches on every entry and all 38
+terms of its series, its bitwise reference; full_stack_taylor_remainder
+is the Taylor remainder core of operators._samples on a defective
+operator with expm on every sample, its bitwise reference.  None of
+them is reached by `speccalc run`.
 """
 
 import math
@@ -361,7 +364,7 @@ def per_eigenvalue_wave_mellin(A, t_grid, alpha: float, m: int):
     Both sides of the wave-to-imaginary-powers Mellin identity.
 
     lhs(t) = int_0^inf s^{(1/2-alpha)+it} (e^{-isA} - 1)^m ds/s
-    rhs(t) = h_{-1}(t) A^{alpha-1/2-it}, h_sign from special.h_kernel
+    rhs(t) = h(t) A^{alpha-1/2-it}, h from special.h_kernel
 
     The lhs is computed after rotating the ray by phi = 0.42 into the
     damped quadrant (the arcs vanish for 1/2 < alpha < m + 1/2).
@@ -400,7 +403,7 @@ def per_eigenvalue_wave_mellin(A, t_grid, alpha: float, m: int):
         if np.any(small):
             G[small] = base[small] * (-mu * np.exp(u[small])) ** m
         lhs[:, j] = pref * (phases @ G) * du
-    h = special.h_kernel(t_grid, alpha, m, sign=sign)
+    h = special.h_kernel(t_grid, alpha, m)
     rhs = h[:, None] * np.exp(
         (alpha - 0.5 - 1j * t_grid[:, None]) * np.log(op.eigenvalues[None, :])
     )
@@ -669,7 +672,8 @@ def two_call_contour_shifted_integral(z, m: int, lam):
 def per_symbol_calculus_apply(A, f: SampledFunction) -> np.ndarray:
     """suite.sobolev_calculus_apply on one operator and one symbol, its
     bitwise reference: f(A), or the CoverageError or ConvergenceError
-    raised by the first check that fails."""
+    raised by the first check that fails.  It builds its own phase table
+    e^{i t log lambda_j}, not the transpose of operators._powers."""
     op = sectorial(A)
     lo, hi = op.spectral_bounds()
     f.require_cover(lo, hi, "symbol grid")
@@ -697,8 +701,10 @@ def per_symbol_calculus_apply(A, f: SampledFunction) -> np.ndarray:
 
 
 def full_series_exp_remainder(w, m):
-    """operators._exp_remainder with all 38 terms of its small-|w|
-    series, its bitwise reference."""
+    """operators._exp_remainder with both branches on every entry and
+    all 38 terms of its small-|w| series, its bitwise reference: the
+    exp and the Taylor part run on all of w, and the series overwrites
+    the |w| < 1/2 entries."""
     w = np.asarray(w)
     out = np.exp(w)
     term = np.ones_like(w)
@@ -717,3 +723,31 @@ def full_series_exp_remainder(w, m):
             total += term
         direct[small] = total
     return direct
+
+
+def full_stack_taylor_remainder(A, z, m):
+    """The Taylor remainder core e^{izA} - T_m(izA) of operators._samples
+    on a defective operator, with expm on every sample and the series
+    overwriting the samples with |z| ||A|| < 1/2: its bitwise reference."""
+    import scipy.linalg
+
+    I = np.eye(A.shape[0])
+    B = 1j * z[:, None, None] * A
+    G = scipy.linalg.expm(B) - I
+    P = I
+    for j in range(1, m + 1):
+        P = P @ B / j
+        G = G - P
+    small = np.abs(z) * np.linalg.norm(A, 2) < 0.5
+    if np.any(small):
+        Bs = B[small]
+        term = np.linalg.matrix_power(Bs, m + 1) / math.factorial(m + 1)
+        acc = term.copy()
+        for j in range(m + 2, m + 30):
+            term = term @ Bs / j
+            acc += term
+            tail = np.linalg.norm(term, 2, axis=(1, 2))
+            if np.all(tail < 1e-18 * np.maximum(np.linalg.norm(acc, 2, axis=(1, 2)), 1e-300)):
+                break
+        G[small] = acc
+    return G

@@ -122,7 +122,7 @@ def test_04_wave_mellin_equals_imaginary_power_bilinearly():
     half = ops.fractional_power(A, -0.5)
     lhs, _ = ops.wave_mellin(A, t_grid, alpha=1.0, m=2)
     lhs = half[None] @ _eig_apply_stack(ops.sectorial(A).eigenbasis, lhs)
-    h = special.h_kernel(t_grid, 1.0, 2, sign=-1)
+    h = special.h_kernel(t_grid, 1.0, 2)
     rhs = h[:, None, None] * ops.imaginary_powers(A, -t_grid)
     worst = 0.0
     for x, y in unit_pairs(4, 20, seed=11):

@@ -413,6 +413,34 @@ class TestRun:
         ]
         assert not any(r["condition"].startswith("skipped-") for r in after)
 
+    def test_square_part_rows_hold_the_closed_form(self, tmp_path, monkeypatch):
+        # each square-part row passes only within 1e-10 relative of the
+        # closed-form ||h_z|| its JSON carries, so an h off by 1e-9
+        # fails the three rows and nothing else
+        path = write_config(tmp_path)
+
+        def run(out, status):
+            assert main(["run", "--config", str(path), "--out", str(out)]) == status
+            return json.loads((out / "sea-to-ha.json").read_text())["rows"]
+
+        clean = [r for r in run(tmp_path / "clean", 0) if r["condition"] == "square-part"]
+        exact = [suite._h_norm_closed_form(complex(x, math.sqrt(1.0 - x * x)))
+                 for x in (1e-1, 1e-2, 1e-3)]
+        assert [r["extra"]["closed_form"] for r in clean] == exact
+        for r in clean:
+            assert r["pass"] and r["tolerance"] == 1e-10
+            assert abs(r["value"] - r["extra"]["closed_form"]) <= 1e-12 * r["value"]
+
+        real = suite.sea_to_ha_decomposition
+
+        def perturbed(z):
+            g, h = real(z)
+            return g, h * (1.0 + 1e-9)
+
+        monkeypatch.setattr(suite, "sea_to_ha_decomposition", perturbed)
+        rows = run(tmp_path / "bad", 1)
+        assert [r["condition"] for r in rows if not r["pass"]] == ["square-part"] * 3
+
     def test_paley_littlewood_rows_are_the_library_call(self, tmp_path):
         # diag-logspaced:16 spans more than 12 dyadic blocks and diag:1,2,4
         # three; neither row carries a Monte Carlo error any more

@@ -21,6 +21,7 @@ from speccalc.errors import ConvergenceError, DomainError, NotSectorialError
 from speccalc.rbound import OperatorFamily, _eig_apply_stack, r_l2_bound
 
 from oracles import (
+    full_stack_taylor_remainder,
     node_by_node_calculus,
     per_node_eigenvalue_calculus,
     per_eigenvalue_resolvent_bip_mellin,
@@ -167,6 +168,12 @@ class TestPresets:
         with pytest.raises(DomainError, match="n >= 2"):
             ops.operator_from_spec(f"{kind}:{n}")
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 17: sectorial compresses every "
+                       "eigenvalue below 1e-10 ||A|| as kernel, so this injective "
+                       "diagonal runs as a 1 x 1 operator")
+    def test_an_injective_diagonal_keeps_its_small_eigenvalue(self):
+        assert ops.operator_from_spec("diag:1e-11,1").dim == 2
+
     def test_smallest_path_laplacian(self):
         # [[1, -1], [-1, 1]] with its zero mode compressed
         op = ops.operator_from_spec("path-laplacian:2")
@@ -223,6 +230,17 @@ class TestMatrixFunctions:
             op = ops.operator_from_spec(spec)
             H = ops.fractional_power(op, 0.5)
             assert np.allclose(H @ H, op.matrix, atol=1e-9)
+
+    @pytest.mark.parametrize("spec", ["jordan:1,3", "jordan:0.1,4", "diag:1,2,5"])
+    def test_fractional_power_stacks_its_exponents(self, spec):
+        # an array of exponents gives one matrix per exponent, each the
+        # bits of its own call
+        op = ops.operator_from_spec(spec)
+        for gamma in (np.array([0.5, -0.5, 0.25, -1.2]), np.array([0.5, 0.3j, -2.1j, 1 + 1j])):
+            got = ops.fractional_power(op, gamma)
+            assert got.shape == (len(gamma), op.dim, op.dim)
+            for g, mat in zip(gamma, got):
+                assert mat.tobytes() == ops.fractional_power(op, g.item()).tobytes()
 
     def test_semigroup_matches_expm(self):
         # (tA)^{1/2} e^{-ztA} on the ray z = e^{i theta}, against scipy's
@@ -612,6 +630,29 @@ class TestDenseReference:
             err = np.linalg.norm(fam.matrices[k] - want, 2)
             assert err <= 1e-9 * np.linalg.norm(want, 2), (k, fam.points[k])
 
+    @pytest.mark.parametrize("spec", ["jordan:1,3", "jordan:1,2", "jordan:0.1,4"])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_taylor_remainder_exponentiates_only_the_large_samples(self, spec, m, monkeypatch):
+        # expm runs on the samples with |z| ||A|| >= 1/2 only, the series
+        # on the others, and the stack is the all-samples expm's bit for bit
+        op = ops.operator_from_spec(spec)
+        s = np.geomspace(1e-4, 1e3, 40) / np.linalg.norm(op.matrix, 2)
+        z = np.concatenate([s, -s])
+        scale = np.ones(len(z))
+        want = scale[:, None, None] * full_stack_taylor_remainder(op.matrix, z, m)
+        exponentiated = []
+        expm = scipy.linalg.expm
+
+        def counting(a):
+            exponentiated.append(len(a))
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        got = ops._samples(op, "wave-taylor", z, scale, 0.0, m)["matrices"]
+        assert exponentiated == [int(np.sum(np.abs(z) * np.linalg.norm(op.matrix, 2) >= 0.5))]
+        assert 0 < exponentiated[0] < len(z)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("spec", ["diag:1,2", "jordan:1,2"])
     @pytest.mark.parametrize("alpha, m", [(1.0, 1), (1.5, 1), (0.5, 0)])
     def test_wave_taylor_window_on_both_paths(self, spec, alpha, m):
@@ -891,7 +932,7 @@ class TestMellinIdentities:
         t = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
         s = np.array([-1.0, 0.0, 0.7])
         zt = 0.5 - 1.7 + 1j * t
-        h = special.h_kernel(t, 1.0, 2, sign=-1)
+        h = special.h_kernel(t, 1.0, 2)
         gam = special.gamma(zt) * np.exp(1j * np.pi * zt / 2.0)
         cases = [
             (ops.wave_mellin(op, t, alpha=1.0, m=2), 1e-6,

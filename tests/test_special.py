@@ -355,26 +355,18 @@ class TestLogQuad:
 
 class TestHKernel:
     def test_frozen_values(self):
-        got = special.h_kernel(0.7, 1.0, 2, sign=-1)
+        got = special.h_kernel(0.7, 1.0, 2)
         want = -0.015185036698725718 + 2.8903872647046334j
         assert abs(got - want) <= 1e-12 * abs(want)
-        got = special.h_kernel(-2.0, 1.7, 2, sign=-1)
+        got = special.h_kernel(-2.0, 1.7, 2)
         want = -0.00046397757569441072 + 0.0033481215136550921j
         assert abs(got - want) <= 1e-12 * abs(want)
-
-    def test_direction_reflection(self):
-        t = np.linspace(-3.0, 3.0, 17)
-        plus = special.h_kernel(-t, 1.0, 2, sign=1)
-        minus = special.h_kernel(t, 1.0, 2, sign=-1)
-        assert np.allclose(plus, np.conj(minus), rtol=1e-13)
 
     def test_parameter_guards(self):
         with pytest.raises(DomainError):
             special.h_kernel(0.5, 1.7, 1)  # needs m > alpha - 1/2
         with pytest.raises(DomainError):
             special.h_kernel(0.5, -1.0, 2)
-        with pytest.raises(DomainError):
-            special.h_kernel(0.5, 1.0, 2, sign=2)
         with pytest.raises(PoleError):
             special.h_kernel(0.0, 0.5, 2)
 
@@ -404,6 +396,28 @@ class TestTaylorKernel:
         for arg in (w, 1j * w.imag, w.real + 0j, w.real, np.zeros(3, complex)):
             got, want = ops._exp_remainder(arg, m), full_series_exp_remainder(arg, m)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_each_entry_takes_one_branch(self, m, monkeypatch):
+        # exp and the Taylor part run on the |w| >= 1/2 entries only, and
+        # the result is the both-branches code's bit for bit
+        gen = np.random.default_rng(10 + m)
+        w = 1.5 * gen.random(500) * np.exp(2j * np.pi * gen.random(500))
+        args = (w, w.real)
+        want = [full_series_exp_remainder(arg, m) for arg in args]
+        exponentiated = []
+        exp = np.exp
+
+        def counting(x):
+            exponentiated.append(np.size(x))
+            return exp(x)
+
+        monkeypatch.setattr(np, "exp", counting)
+        got = [ops._exp_remainder(arg, m) for arg in args]
+        monkeypatch.undo()
+        assert exponentiated == [int(np.sum(np.abs(arg) >= 0.5)) for arg in args]
+        for g, wt in zip(got, want):
+            assert g.tobytes() == wt.tobytes()
 
     def test_asymptotic_orders(self):
         # |w|^{m+1}/(m+1)! at zero, at most |w|^m-sized at infinity

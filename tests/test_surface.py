@@ -44,7 +44,9 @@ eigenbasis (assigns it to a tuple, indexes it or star-expands it), the
 `SectorialOperator.eigenbasis` property that packs the pair aside.
 Likewise A^w on the eigenvalues has one implementation: no function but
 those in EIGENVALUE_LOGS calls a `log` on an operator's eigenvalues (an
-expression reading an `eigenvalues` attribute, or a name bound to one).
+expression reading an `eigenvalues` attribute, or a name bound to one),
+and the dense A^w has one: no function but `operators.fractional_power`
+calls `logm`.
 
 Last, scipy stays off the import path: no module imports it at its top
 level, and only the functions named in SCIPY_IMPORTERS import it, in
@@ -85,19 +87,17 @@ EIGENBASIS_OWNERS = {
 # the functions that may take the log of an operator's eigenvalues, and why
 EIGENVALUE_LOGS = {
     "operators._powers": "the (K, n) table e^{w_k log lambda_j} of the powers A^{w_k}",
-    "suite.sobolev_calculus_apply": (
-        "its (n, T) phase table, one per operator and grid, feeds one GEMV "
-        "per symbol; no product order over the "
-        "transposed table of _powers gave the same bits, and its applied-error "
-        "rows are as small as 6.8e-14"
-    ),
 }
+
+# the one function that may call logm: the dense A^w of an operator
+# without a usable eigenbasis, for one exponent or a stack of them
+LOGM_CALLERS = {"operators.fractional_power"}
 
 # the functions that may import scipy, each in its body, and why
 SCIPY_IMPORTERS = {
     "special._log_quad": "quad, the identities suite's kernel-integral and contour-shift rows",
     "operators.fractional_power": "expm and logm, the dense A^gamma of a defective operator",
-    "operators._samples": "expm and logm, the family samples of a defective operator",
+    "operators._samples": "expm, the family samples of a defective operator",
 }
 
 # stored values no package code reads, kept for a reason
@@ -435,8 +435,9 @@ def _eigenvalue_names(fn) -> set:
         names |= more
 
 
-def _is_log(call) -> bool:
-    return (getattr(call.func, "attr", None) or getattr(call.func, "id", None)) == "log"
+def _callee(call) -> str:
+    """The name a call calls, plain or as an attribute."""
+    return getattr(call.func, "attr", None) or getattr(call.func, "id", None)
 
 
 def eigenvalue_log_callers():
@@ -446,7 +447,7 @@ def eigenvalue_log_callers():
         for qual, fn in _functions(stem, node):
             names = _eigenvalue_names(fn)
             if any(
-                isinstance(sub, ast.Call) and _is_log(sub)
+                isinstance(sub, ast.Call) and _callee(sub) == "log"
                 and any(_reads_eigenvalues(arg, names) for arg in sub.args)
                 for sub in ast.walk(fn)
             ):
@@ -459,6 +460,31 @@ def test_only_the_power_table_takes_logs_of_eigenvalues():
     assert not extra, "log of the eigenvalues outside operators._powers: " + ", ".join(extra)
     stale = sorted(set(EIGENVALUE_LOGS) - eigenvalue_log_callers())
     assert not stale, "EIGENVALUE_LOGS entries that take no log: " + ", ".join(stale)
+
+
+def logm_callers(modules):
+    """Qualified names of the functions that call a `logm`, by name or
+    as an attribute, among the (module stem, top-level node) pairs."""
+    return {
+        qual
+        for stem, node in modules
+        for qual, fn in _functions(stem, node)
+        if any(isinstance(sub, ast.Call) and _callee(sub) == "logm" for sub in ast.walk(fn))
+    }
+
+
+def test_only_fractional_power_takes_a_matrix_log():
+    assert logm_callers(_top_level()) == LOGM_CALLERS
+
+
+def test_the_logm_check_sees_both_spellings():
+    tree = ast.parse(
+        "import scipy.linalg\nfrom scipy.linalg import logm\n"
+        "def f(a):\n    return scipy.linalg.expm(scipy.linalg.logm(a))\n"
+        "class C:\n    def g(self, a):\n        return logm(a)\n"
+        "def h(a):\n    return a\n"
+    )
+    assert logm_callers(("m", node) for node in tree.body) == {"m.f", "m.C.g"}
 
 
 def _imports_scipy(node) -> bool:
