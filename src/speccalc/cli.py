@@ -9,8 +9,9 @@ and slope fits, and a manifest tying everything to the sha256 of the
 resolved configuration.  All randomness is seeded, so two runs from the
 same configuration produce byte-identical CSV bodies; timings (the
 operator build, each suite's seconds, and the whole run from the build
-on) and the creation time live only in the manifest, where `compare`
-does not read them.  The exit status is 0 when
+on), the process's peak resident memory after the build and after each
+suite (ru_maxrss, in MiB), and the creation time live only in the
+manifest, where `compare` does not read them.  The exit status is 0 when
 every asserted invariant held, 1 when at least one row failed, 2 for a
 configuration problem.  Rows whose preconditions fail (a defective
 matrix asked for an eigenbasis test, a symbol the grid cannot resolve)
@@ -592,6 +593,13 @@ RUNNERS = {
 
 
 def cmd_run(args) -> int:
+    # imported here, so that `import speccalc.cli` does not load it
+    import resource
+
+    def max_rss_mb() -> float:
+        # the peak resident set of the process so far (KiB on Linux)
+        return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+
     cfg = RunConfig.from_file(args.config)
     if args.suite:
         cfg.suites = list(args.suite)
@@ -601,6 +609,7 @@ def cmd_run(args) -> int:
     started = time.perf_counter()
     operators = cfg.build_operators()
     build_seconds = time.perf_counter() - started
+    build_max_rss_mb = max_rss_mb()
     cfg_hash = cfg.hash()
 
     out = Path(args.out)
@@ -629,6 +638,7 @@ def cmd_run(args) -> int:
             "failed": failed,
             "skipped": skipped,
             "seconds": round(seconds, 4),
+            "max_rss_mb": max_rss_mb(),
         }
         for stem, (columns, data, comments) in sorted(plots.items()):
             plot_dir.mkdir(parents=True, exist_ok=True)
@@ -646,6 +656,7 @@ def cmd_run(args) -> int:
         "outputs": outputs,
         "plot_files": plot_files,
         "build_seconds": round(build_seconds, 4),
+        "build_max_rss_mb": build_max_rss_mb,
         "wallclock_seconds": round(time.perf_counter() - started, 3),
         "created": datetime.now(timezone.utc).isoformat(),
     }

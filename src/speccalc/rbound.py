@@ -569,7 +569,8 @@ def r_l2_bound(family: OperatorFamily, p: float, rng=None) -> RBoundEstimate:
     if family.symbols is not None:
         V = family.eigenbasis[0]
         if (family.normal and p == 2.0) or np.count_nonzero(V) == n:
-            sq = family.weights @ (np.abs(family.symbols) ** 2)
+            moduli = np.abs(family.symbols)
+            sq = family.weights @ np.square(moduli, out=moduli)
             j = int(np.argmax(sq))
             v = V[:, j] / np.linalg.norm(V[:, j])
             value = math.sqrt(float(sq[j]))

@@ -245,7 +245,9 @@ def multiplier_corpus(
     k = B a + b (B = _PHASE_BLOCK) the phase is the product of two short
     tables (_phases): no member takes an exp per grid point.  The corpus
     is filled _CORPUS_CHUNK members at a time, so one chunk's envelopes
-    and phases are the only temporaries.
+    and phases are the only temporaries.  At the default size the corpus
+    is the largest array of a report (200 x 3201 complex, 10.2 MB), and
+    equivalence_report holds it only while condition_c1 runs.
 
     Rounding bound, to first order in the unit roundoff u.  Let e_jk be
     the computed envelope and N_j the exact norm of the computed
@@ -340,10 +342,13 @@ def condition_c1(A, p: float, corpus: np.ndarray, rng=None) -> Row:
     of the c2 family at alpha = 0 (the bare A^{it}) with the (J, T)
     coefficients of multiplier_corpus, so c1 and c2 sample A^{it} on one
     grid.  The members are ball-normalized at construction, so the value
-    scales linearly with the coefficients.
+    scales linearly with the coefficients.  The (J, n, n) averages are
+    divided by 2 pi in place.
     """
     fam = ops.family_samples(A, "bip", alpha=0.0)
-    est = r_bound(fam.averages(corpus) / (2.0 * np.pi), p, rng=rng)
+    mats = fam.averages(corpus)
+    mats /= 2.0 * np.pi
+    est = r_bound(mats, p, rng=rng)
     t = fam.points
     grid = {"t_max": float(t[-1]), "dt": float(t[1] - t[0]), "members": len(corpus)}
     return _estimate_row("c1", f"corpus:{len(corpus)}", est, grid)
@@ -487,6 +492,13 @@ def equivalence_report(
     claimed equal, and the exponent and bridge rows assert only that
     their values are finite.  A reduced operator off ell^2 raises
     DomainError (_require_original_basis).
+
+    One full-size working table at a time: the corpus of
+    multiplier_corpus is handed straight to condition_c1 and is freed
+    when c1 returns, before any c2..c8 family is sampled, and each family
+    table is built in one buffer (operators._samples) and dropped once
+    its row is made.  So the report's peak memory is that of c1, the
+    corpus beside c1's own samples.
     """
     p = _exponent(p)
     op = ops.sectorial(A)
@@ -494,8 +506,8 @@ def equivalence_report(
     alpha, beta, fit_tol = float(alpha), float(beta), float(fit_tol)
     beta_sweep = (0.25, 0.5, 0.75)
     gen = np.random.default_rng(seed)
-    corpus = multiplier_corpus(op, alpha, size=corpus_size, seed=seed)
-    c1 = condition_c1(op, p, corpus, rng=gen)
+    c1 = condition_c1(op, p, multiplier_corpus(op, alpha, size=corpus_size, seed=seed),
+                      rng=gen)
     rows = [c1]
 
     conds = condition_c2_to_c8(op, p, alpha, beta, fit_tol, rng=gen)

@@ -42,7 +42,11 @@ bitwise reference; full_series_exp_remainder is
 operators._exp_remainder with both branches on every entry and all 38
 terms of its series, its bitwise reference; full_stack_taylor_remainder
 is the Taylor remainder core of operators._samples on a defective
-operator with expm on every sample, its bitwise reference.  None of
+operator with expm on every sample, its bitwise reference;
+one_line_eigenvalue_samples is the eigenvalue path of
+operators._samples with each core a one-line expression on fresh
+temporaries and the scaling scale[:, None] * g * lam**power, the
+bitwise reference of the tables it builds in one buffer.  None of
 them is reached by `speccalc run`.
 """
 
@@ -751,3 +755,23 @@ def full_stack_taylor_remainder(A, z, m):
                 break
         G[small] = acc
     return G
+
+
+def one_line_eigenvalue_samples(op, core, z, scale, power, m=None) -> np.ndarray:
+    """The (K, n) table scale_k g(z_k, lambda_j) lambda_j^power of
+    operators._samples on an operator with an eigenbasis, each core one
+    expression that allocates a new array per operation: its bitwise
+    reference."""
+    lam = op.eigenvalues
+    if core == "bip":
+        w = 1j * z
+        g = np.ascontiguousarray(np.exp(np.multiply(w[None, :], np.log(lam)[:, None])).T)
+    elif core == "resolvent":
+        g = 1.0 / (z[:, None] - lam[None, :])
+    elif core == "semigroup":
+        g = np.exp(-z[:, None] * lam[None, :])
+    elif core == "wave":
+        g = (np.exp(1j * z[:, None] * lam[None, :]) - 1.0) ** m
+    else:
+        g = _exp_remainder(1j * z[:, None] * lam[None, :], m)
+    return scale[:, None] * g * lam**power

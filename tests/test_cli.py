@@ -596,6 +596,26 @@ class TestCompare:
         assert rc == 0
         assert "IDENTICAL" in capsys.readouterr().out
 
+    def test_peak_memory_does_not_enter_the_comparison(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out1, out2 = tmp_path / "m1", tmp_path / "m2"
+        main(["run", "--config", str(path), "--out", str(out1)])
+        main(["run", "--config", str(path), "--out", str(out2)])
+        man = json.loads((out2 / "manifest.json").read_text())
+        # the peak resident set so far, after the build and after each suite
+        peaks = [man["build_max_rss_mb"]] + [
+            man["outputs"][name]["max_rss_mb"] for name in man["suites"]
+        ]
+        assert all(p > 0 for p in peaks) and peaks == sorted(peaks)
+        man["outputs"]["sea-to-ha"]["max_rss_mb"] += 100.0
+        man["build_max_rss_mb"] += 100.0
+        (out2 / "manifest.json").write_text(json.dumps(man))
+        rc = main(
+            ["compare", str(out1 / "manifest.json"), str(out2 / "manifest.json")]
+        )
+        assert rc == 0
+        assert "IDENTICAL" in capsys.readouterr().out
+
     def test_differing_runs_are_flagged(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out1, out2 = tmp_path / "d1", tmp_path / "d2"

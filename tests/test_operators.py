@@ -23,6 +23,7 @@ from speccalc.rbound import OperatorFamily, _eig_apply_stack, r_l2_bound
 from oracles import (
     full_stack_taylor_remainder,
     node_by_node_calculus,
+    one_line_eigenvalue_samples,
     per_node_eigenvalue_calculus,
     per_eigenvalue_resolvent_bip_mellin,
     per_eigenvalue_wave_mellin,
@@ -168,11 +169,42 @@ class TestPresets:
         with pytest.raises(DomainError, match="n >= 2"):
             ops.operator_from_spec(f"{kind}:{n}")
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 17: sectorial compresses every "
-                       "eigenvalue below 1e-10 ||A|| as kernel, so this injective "
-                       "diagonal runs as a 1 x 1 operator")
-    def test_an_injective_diagonal_keeps_its_small_eigenvalue(self):
-        assert ops.operator_from_spec("diag:1e-11,1").dim == 2
+    @pytest.mark.parametrize("spec", ["diag:1e-11,1", "diag:1e-5,1,1e5", "diag:1e-6,1e6"])
+    def test_an_injective_diagonal_keeps_its_small_eigenvalue(self, spec):
+        op = ops.operator_from_spec(spec)
+        assert op.reduction is None and op.dim == len(spec.split(","))
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_the_kernel_cut_is_eight_n_u_norm(self, k):
+        # on diag(10^-k, 1) the cut 8 n u ||A||_2 is 16 u = 1.8e-15: every
+        # entry above it is provably nonzero and kept, 1e-15 is compressed
+        small = float(f"1e-{k}")
+        op = ops.operator_from_spec(f"diag:{small!r},1")
+        kept = small > 8 * 2 * 2.0**-53
+        assert kept is (k <= 14)
+        assert op.dim == (2 if kept else 1)
+        assert (op.reduction is None) is kept
+        if kept:
+            assert op.eigenvalues[0] == small
+
+    @pytest.mark.parametrize("kind", ["cycle-laplacian", "path-laplacian"])
+    @pytest.mark.parametrize("n", [2, 3, 6, 8, 12, 64, 128])
+    def test_laplacians_compress_exactly_their_zero_mode(self, kind, n):
+        op = ops.operator_from_spec(f"{kind}:{n}")
+        assert op.reduction.original_dim == n and op.dim == n - 1
+        assert op.reduction.residual < 1e-14
+
+    def test_a_rounding_zero_without_an_orthogonal_kernel_raises(self):
+        # the eigenvalue 1e-16 of this Jordan block is below the cut, and
+        # the block's kernel is not orthogonal to its range
+        with pytest.raises(NotSectorialError, match=r"eigenvalue \(1e-16\+0j\) is zero"):
+            ops.operator_from_spec("jordan:1e-16,2")
+
+    def test_a_kernel_off_orthogonal_by_more_than_rounding_raises(self):
+        # compressing away this kernel, 1e-9 off orthogonal to the range,
+        # would change the matrix by 1e-9 of its norm, far above rounding
+        with pytest.raises(NotSectorialError, match="residual 1.00e-09"):
+            ops.sectorial(np.array([[0.0, 1e-9], [0.0, 1.0]]))
 
     def test_smallest_path_laplacian(self):
         # [[1, -1], [-1, 1]] with its zero mode compressed
@@ -675,6 +707,66 @@ def _similar(n, cond, seed):
     return ops.sectorial(S @ np.diag(np.geomspace(0.5, 4.0, n)) @ np.linalg.inv(S))
 
 
+# the seven workload operators, one with complex eigenvectors and a
+# nonnormal eigenbasis, and one spanning seven decades
+_TABLE_SPECS = [
+    "diag-logspaced:16", "diag:1,2", "diag:1,10,100", "diag:0.2,0.9,4,11,30",
+    "diag-logspaced:6", "path-laplacian:8", "cycle-laplacian:6", "similar:3,30",
+    "diag:1e-7,1",
+]
+
+
+def _table_operator(spec):
+    if spec.startswith("similar"):
+        return _similar(3, 30.0, seed=3)
+    return ops.operator_from_spec(spec)
+
+
+class TestOneBufferTables:
+    """The eigenvalue path of _samples builds each table in one buffer,
+    in place, each operation with the operands of the one-line
+    expression it replaces: the tables are those bit for bit."""
+
+    # the family powers 0, 1/2, 1/2 - alpha and 1 - beta, at alpha in
+    # {1, 1.7} and beta in {0.5, 0.25}
+    POWERS = (0.0, 0.5, -0.5, -1.2, 0.75)
+
+    @staticmethod
+    def _cases():
+        """(core, z, scale, orders m) on grids like the families'."""
+        s = np.geomspace(1e-3, 1e3, 61)
+        s2 = np.concatenate([s, -s])
+        t = np.linspace(-50.0, 50.0, 257)
+        return [
+            ("bip", t, (1.0 + t * t) ** -0.5, [None]),
+            ("resolvent", np.exp(2.0j) * s, s**0.5, [None]),
+            # holomorphic_calculus scales the resolvent by complex weights
+            ("resolvent", np.exp(-0.4j) * s, s * np.exp(0.3j * s), [None]),
+            ("semigroup", (1.0 + 0.5j) * s, np.sqrt(s), [None]),
+            ("wave", s2, np.abs(s2) ** -1.0, [0, 1, 2, 3]),
+            ("wave-taylor", s2, np.abs(s2) ** -1.5, [0, 1, 2]),
+        ]
+
+    @pytest.mark.parametrize("spec", _TABLE_SPECS)
+    def test_tables_are_the_one_line_expressions(self, spec):
+        op = _table_operator(spec)
+        assert op.diagonalizable
+        for core, z, scale, orders in self._cases():
+            for m in orders:
+                for power in self.POWERS:
+                    got = ops._samples(op, core, z, scale, power, m)["symbols"]
+                    want = one_line_eigenvalue_samples(op, core, z, scale, power, m)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (core, m, power)
+
+    @pytest.mark.parametrize("spec", _TABLE_SPECS)
+    def test_the_contour_calculus_keeps_its_bits(self, spec):
+        # holomorphic_calculus sums the resolvent core of _samples
+        op = _table_operator(spec)
+        got = ops.holomorphic_calculus(op, _rho)
+        assert np.array_equal(got, per_node_eigenvalue_calculus(op, _rho))
+
+
 class TestEigenvalueTable:
     """A diagonalizable operator's family is its (K, n) eigenvalue table;
     r_l2_bound factors the table without the (K, n, n) stack and must
@@ -755,6 +847,18 @@ class TestEigenvalueTable:
             tracemalloc.stop()
         assert len(fam) == 18432 and est.lower <= est.upper
         assert peak < 24e6, peak
+
+    def test_a_table_is_built_in_one_buffer(self):
+        # every core and its scaling run in place on the one (K, n) table:
+        # 3.3 times its bytes when each operation took a new array
+        op = ops.operator_from_spec("diag-logspaced:16")
+        tracemalloc.start()
+        try:
+            fam = ops.family_samples(op, "resolvent-2d")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * fam.symbols.nbytes, peak
 
 
 def _unitary_conjugate(n, seed):

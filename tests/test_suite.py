@@ -14,6 +14,7 @@ integrals:
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -389,6 +390,38 @@ class TestEquivalenceReport:
         op = ops.operator_from_spec("jordan:1,2")
         rep = suite.equivalence_report(op, 2.0, alpha=1.0, corpus_size=30)
         assert not rep.flags["all_finite"]
+
+    def test_one_working_table_at_a_time(self):
+        # the (200, 3201) corpus lives through c1 only and every family
+        # table is built in one buffer, so the peak is the corpus and c1's
+        # samples (24.8 MiB when the corpus sat beside the c4 table and its
+        # three temporaries)
+        op = ops.operator_from_spec("diag-logspaced:16")
+        tracemalloc.start()
+        try:
+            suite.equivalence_report(op, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.5 * 2**20, peak
+
+    def test_the_corpus_is_freed_before_c2(self, monkeypatch):
+        refs, alive = [], []
+        build, conditions = suite.multiplier_corpus, suite.condition_c2_to_c8
+
+        def corpus(*args, **kwargs):
+            C = build(*args, **kwargs)
+            refs.append(weakref.ref(C))
+            return C
+
+        def later(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return conditions(*args, **kwargs)
+
+        monkeypatch.setattr(suite, "multiplier_corpus", corpus)
+        monkeypatch.setattr(suite, "condition_c2_to_c8", later)
+        suite.equivalence_report(ops.operator_from_spec("diag:1,2"), 2.0, corpus_size=30)
+        assert alive == [False]
 
     def test_zero_mode_reduction_is_flagged(self):
         op = ops.operator_from_spec("cycle-laplacian:8")
