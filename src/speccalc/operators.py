@@ -14,8 +14,9 @@ imaginary powers.  Every family element is scale * g(z, A) * A^power
 with g one of five cores (imaginary power, resolvent, semigroup, wave,
 Taylor-regularized wave), evaluated on the eigenvalues when the
 eigenbasis is usable and by stacked dense matrix functions otherwise
-(_samples).  The contour calculus sums the resolvent core of _samples
-over its nodes, so it takes the same two paths.  Each Mellin identity
+(_samples), and held either way as one (K, r) table, which
+rbound._table_stack alone turns into matrices: the families, the contour
+calculus and A^{it} take one path each.  Each Mellin identity
 returns its two sides as eigenvalue tables, the lhs one _mellin_table
 on the nodes of _uniform_axis.  Every table e^{w log lambda} of powers
 A^w, the bip core, the three rhs and the phase table of
@@ -45,7 +46,7 @@ from .errors import (
     NotSectorialError,
 )
 from .grids import log_grid, trapezoid_weights
-from .rbound import OperatorFamily, _eig_apply_stack
+from .rbound import OperatorFamily, _table_stack
 
 MAX_DIM = 512
 
@@ -68,11 +69,11 @@ class RangeReduction:
 class SectorialOperator:
     """An injective matrix with spectral angle omega, plus decompositions.
 
-    eigenvectors is None when the eigenbasis is too ill-conditioned to
-    trust; matrix functions then act on the dense matrix, by stacked
-    calls of fractional_power, scipy's expm, inv and matrix_power in
-    _samples, and by the power series of the Taylor remainder where
-    |z| ||A|| < 1/2.
+    eigenbasis holds the pair (V, V^{-1}), or None when V is too
+    ill-conditioned to trust (sectorial); matrix functions then act on
+    the dense matrix, by stacked calls of fractional_power, scipy's expm,
+    inv and matrix_power in _samples, and by the power series of the
+    Taylor remainder where |z| ||A|| < 1/2.
     normal records ||A A^H - A^H A|| <= 1e-12 ||A||^2 (on the core of a
     reduced matrix), read from the matrix by sectorial.
     """
@@ -80,8 +81,7 @@ class SectorialOperator:
     matrix: np.ndarray
     omega: float
     eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray]
-    eigenvectors_inv: Optional[np.ndarray]
+    eigenbasis: Optional[tuple]  # (V, V^{-1}), or None
     reduction: Optional[RangeReduction] = None
     normal: bool = False
 
@@ -91,12 +91,7 @@ class SectorialOperator:
 
     @property
     def diagonalizable(self) -> bool:
-        return self.eigenvectors is not None
-
-    @property
-    def eigenbasis(self):
-        """(V, V^{-1}), or None without a usable eigenbasis."""
-        return (self.eigenvectors, self.eigenvectors_inv) if self.diagonalizable else None
+        return self.eigenbasis is not None
 
     def spectral_bounds(self):
         a = np.abs(self.eigenvalues)
@@ -127,6 +122,20 @@ def sectorial(A) -> SectorialOperator:
     diag(1e-15, 1), whose small eigenvalue no rounding-level argument can
     tell from zero, is compressed, and [[0, 1e-9], [0, 1]], whose kernel
     is 1e-9 off orthogonal to its range, is rejected.
+
+    The eigenbasis V is kept while cond(V) <= 1e8: V diag(f) V^{-1} errs
+    by about cond(V) u max_j |f_j| even for exact f, 1.1e-8 at the switch,
+    a tenth of the contour-vs-eigen gate (1e-7), and the dense path's
+    error has no factor cond(V).  [[1, 1], [0, 1 + d]] keeps V at d = 2e-8
+    (cond 1.0e8) and loses it at 1e-8 (2.0e8); at 2e-8 each family sample
+    N_k but wave's, whose e^{isz} - 1 cancels first, lies within
+    4 cond(V) u ||N_k||_2 of the dense path's (2.3 measured).  An
+    eigenvalue with Re lambda < 0 and |Im lambda| <= 1e-10 |lambda| raises
+    NotSectorialError: eig moves a negative eigenvalue of condition kappa
+    off the axis by at most 0.51 n u kappa ||A||_2 (measured, complex
+    similarity transforms, n <= 64, of condition up to 1e6), so it is
+    caught while n kappa ||A||_2 / |lambda| <= 1.7e6; within 1e-10 of the
+    cut, every contour around an eigenvalue passes within 1e-10 |lambda|.
     """
     if isinstance(A, SectorialOperator):
         return A
@@ -189,14 +198,11 @@ def sectorial(A) -> SectorialOperator:
         cond = np.linalg.norm(V, 2) * np.linalg.norm(Vinv, 2)
     except np.linalg.LinAlgError:
         cond = np.inf
-    if not np.isfinite(cond) or cond > 1e8:
-        V = Vinv = None
     return SectorialOperator(
         matrix=A,
         omega=omega,
         eigenvalues=lam,
-        eigenvectors=V,
-        eigenvectors_inv=Vinv,
+        eigenbasis=(V, Vinv) if np.isfinite(cond) and cond <= 1e8 else None,
         reduction=reduction,
         normal=normal,
     )
@@ -278,11 +284,8 @@ def operator_from_spec(spec: str) -> SectorialOperator:
 def imaginary_powers(A, t):
     """A^{it}; t scalar gives one matrix, t array gives a (T, n, n) stack."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    ones = np.ones(len(t_arr))
-    out = OperatorFamily(
-        "A^{it}", t_arr, ones, measure="point",
-        **_samples(sectorial(A), "bip", t_arr, ones, 0.0),
-    ).matrices
+    op = sectorial(A)
+    out = _table_stack(op.eigenbasis, _samples(op, "bip", t_arr, np.ones(len(t_arr)), 0.0))
     return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
@@ -347,13 +350,12 @@ def holomorphic_calculus(A, f: Callable) -> np.ndarray:
 
     Each ray keeps its own coefficients c_k = w_k r_k f(z_k), so f needs
     no conjugate symmetry, and each chunk of its nodes is the resolvent
-    core of _samples scaled by c_k, which chooses the path: with an
-    eigenbasis the (chunk, n) table c_k / (z_k - lambda_j), whose two ray
-    sums are combined on the eigenvalues and mapped through the
-    eigenbasis once per node count; on a defective operator the
-    (chunk, n, n) stack c_k (z_k - A)^{-1}, one dense inverse per node.
-    Either is summed in node order, one slice after another, so the
-    rounding of the sum is the node-by-node loop's.
+    core's table of _samples scaled by c_k: with an eigenbasis the rows
+    c_k / (z_k - lambda_j), on a defective operator the flattened
+    c_k (z_k - A)^{-1}, one dense inverse per node.  The table is summed
+    in node order, one slice after another, so the rounding of the sum is
+    the node-by-node loop's; the two ray sums are combined on the table's
+    row and turned into a matrix once per node count (rbound._table_stack).
     """
     op = sectorial(A)
     lo, hi = op.spectral_bounds()
@@ -380,13 +382,11 @@ def holomorphic_calculus(A, f: Callable) -> np.ndarray:
             acc = 0.0
             for lo_k in range(0, n_nodes, _NODE_CHUNK):
                 ks = slice(lo_k, lo_k + _NODE_CHUNK)
-                sample = _samples(op, "resolvent", z[ks], c[ks], 0.0)
-                part = sample["symbols"] if "symbols" in sample else sample["matrices"]
+                part = _samples(op, "resolvent", z[ks], c[ks], 0.0)
                 part[0] += acc
                 acc = np.add.reduce(part, axis=0)  # slice by slice, in node order
             total = total + (-sgn) * e * acc  # down the upper ray, out the lower
-        total = total / (2.0j * np.pi)
-        return total if total.ndim == 2 else _eig_apply_stack(op.eigenbasis, total[None])[0]
+        return _table_stack(op.eigenbasis, (total / (2.0j * np.pi))[None])[0]
 
     n = 384
     prev = evaluate(n)
@@ -428,7 +428,7 @@ _FAMILY_ARGS = {
 }
 
 
-def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -> dict:
+def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -> np.ndarray:
     """The samples scale_k g(z_k, A) A^power for one of the cores
 
       bip           A^{iz}
@@ -437,23 +437,23 @@ def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -
       wave          (e^{izA} - 1)^m
       wave-taylor   e^{izA} - T_m(izA), T_m the Taylor polynomial of degree m
 
-    as the OperatorFamily arguments of one of its two forms.  With an
+    as the (K, r) table of an OperatorFamily on op.eigenbasis.  With an
     eigenbasis, g and the power act on the eigenvalues, giving the (K, n)
-    eigenvalue table, which carries the operator's normality.  The table
-    is built in one buffer: the core's first operation allocates it (the
-    bip core's _powers, a transposed copy), and every later one, the
-    scaling by scale_k and lambda_j^power included, writes into it in
-    the operand order of the one-line form scale[:, None] * g * lam**power,
-    so the bits are that form's (g **= m takes the scalar-power shortcuts
-    of g ** m, where np.power(g, 2) would round differently).  On a
+    eigenvalue table, built in one buffer: the core's first operation
+    allocates it (the bip core's _powers, a transposed copy), and every
+    later one, the scaling by scale_k and lambda_j^power included, writes
+    into it in the operand order of the one-line form
+    scale[:, None] * g * lam**power, so the bits are that form's
+    (g **= m takes the scalar-power shortcuts of g ** m, where
+    np.power(g, 2) would round differently).  On a
     defective operator each core is one stacked dense call
     (fractional_power, inv, expm, matrix_power) times the dense A^power,
-    giving the (K, n, n) stack; the Taylor remainder takes its power
-    series on the samples with |z| ||A|| < 1/2, where the direct
-    difference cancels, and expm on the others only.
-    family_samples, imaginary_powers and holomorphic_calculus choose
-    between the two paths only here.  A^0 is the identity on both paths
-    and is not multiplied in on the stack.
+    giving the (K, n, n) stack, returned flattened to (K, n^2); the
+    Taylor remainder takes its power series on the samples with
+    |z| ||A|| < 1/2, where the direct difference cancels, and expm on the
+    others only.  family_samples, imaginary_powers and
+    holomorphic_calculus choose between the two paths only here.  A^0 is
+    the identity on both paths and is not multiplied in on the stack.
     """
     if op.diagonalizable:
         lam = op.eigenvalues
@@ -475,7 +475,7 @@ def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -
             _exp_remainder(g, m, out=g)
         np.multiply(scale[:, None], g, out=g)
         g *= lam**power
-        return {"symbols": g, "eigenbasis": op.eigenbasis, "normal": op.normal}
+        return g
     import scipy.linalg
 
     A = op.matrix
@@ -513,7 +513,7 @@ def _samples(op: SectorialOperator, core: str, z, scale, power: float, m=None) -
             G[small] = acc
     if power != 0.0:  # A^0 = I exactly, where expm(0 logm(A)) costs milliseconds
         G = G @ fractional_power(op, power)
-    return {"matrices": scale[:, None, None] * G}
+    return (scale[:, None, None] * G).reshape(len(z), -1)
 
 
 def family_samples(
@@ -588,10 +588,13 @@ def family_samples(
         t, w_t = log_grid(lo * 1e-4, hi * 1e4, n_t)
         th, w_th = np.concatenate([th_abs, -th_abs]), np.tile(w_th, 2)
         keep = np.abs(th) > op.omega
-        th, w_th = np.repeat(th[keep], n_t), np.repeat(w_th[keep], n_t)
-        t, w_t = np.tile(t, keep.sum()), np.tile(w_t, keep.sum())
+        th, w_th, n_kept = th[keep], w_th[keep], int(keep.sum())
+        # each factor once per angle or radius, then spread over the pairs
+        scale = np.repeat(np.abs(th) ** (alpha - 0.5), n_t) * np.tile(t**beta, n_kept)
+        z = np.repeat(np.exp(1j * th), n_t) * np.tile(t, n_kept)
+        th, w_th = np.repeat(th, n_t), np.repeat(w_th, n_t)
+        t, w_t = np.tile(t, n_kept), np.tile(w_t, n_kept)
         points, weights = np.column_stack([th, t]), w_th * w_t
-        scale, z = np.abs(th) ** (alpha - 0.5) * t**beta, np.exp(1j * th) * t
         core, power, measure = "resolvent", 1.0 - beta, "dtheta*dt/t"
         label = f"resolvent-2d[{alpha:g}]"
         diagnostics = {"theta_min": th_min, "theta0": theta0}
@@ -611,15 +614,15 @@ def family_samples(
             raise DomainError("semigroup-2d angles reach outside the decay sector")
         x, wx = log_grid(1e-6 / hi, 60.0 / lo, n_x)  # wx: dx/x weights
         psi = np.linspace(-np.pi / 2 + eps_psi, np.pi / 2 - eps_psi, n_psi)
-        wpsi = trapezoid_weights(n_psi, psi[1] - psi[0])
-        psi, wpsi = np.repeat(psi, n_x), np.repeat(wpsi, n_x)
+        wpsi = np.repeat(trapezoid_weights(n_psi, psi[1] - psi[0]), n_x)
+        # cos and tan once per angle; x + iy = x (1 + i v) with v = tan(psi)
+        cos, v = np.repeat(np.cos(psi), n_x), np.repeat(np.tan(psi), n_x)
         x, wx = np.tile(x, n_psi), np.tile(wx, n_psi)
-        v = np.tan(psi)  # x + iy = x (1 + i v)
         points = np.column_stack([x, v * x])
         # dx dy = x^2 sec^2(psi) (dx/x) dpsi
-        weights = wx * x * x / np.cos(psi) ** 2 * wpsi
+        weights = wx * x * x / cos**2 * wpsi
         # weight (x/|x+iy|)^alpha = cos(psi)^alpha
-        scale, z = np.cos(psi) ** alpha * x ** (-0.5), (1.0 + 1j * v) * x
+        scale, z = cos**alpha * x ** (-0.5), (1.0 + 1j * v) * x
         core, power, measure = "semigroup", 0.5, "dxdy"
         label = f"semigroup-2d[{alpha:g}]"
 
@@ -649,7 +652,9 @@ def family_samples(
         weights=weights,
         measure=measure,
         diagnostics=diagnostics,
-        **_samples(op, core, z, scale, power, m),
+        symbols=_samples(op, core, z, scale, power, m),
+        eigenbasis=op.eigenbasis,
+        normal=op.normal,
     )
 
 

@@ -22,7 +22,10 @@ the largest ell^p norm of the averages sum_k w_k h_k N_k over the unit
 ball of L2(w), by one alternating bilinear iteration for every p: a
 feasible witness pair gives the lower end, the flattened Gram bound
 times the ell^2 -> ell^p transfer factor the upper end; operator_norm
-runs the same iteration on a batch of one-matrix families.  A normal
+runs the same iteration on a batch of one-matrix families.  A family is
+one (K, r) table, eigenvalue samples on an eigenbasis or flattened
+matrices without one, and _table_stack is the one place that turns its
+rows into matrices.  A normal
 operator's eigenvalue table on ell^2, and a diagonal one's on every
 ell^p, give the value in closed form instead.
 """
@@ -75,21 +78,29 @@ def _eig_apply_stack(eigenbasis, fvals) -> np.ndarray:
     return np.einsum("ij,kj,jl->kil", V, fvals, Vinv)
 
 
+def _table_stack(eigenbasis, table) -> np.ndarray:
+    """The (K, n, n) matrices of the rows of a (K, r) family table: each
+    row through the eigenbasis (_eig_apply_stack, r = n), or unflattened
+    when eigenbasis is None (r = n^2); the one reader of the form."""
+    if eigenbasis is None:
+        n = math.isqrt(table.shape[1])
+        return table.reshape(len(table), n, n)
+    return _eig_apply_stack(eigenbasis, table)
+
+
 class OperatorFamily:
-    """Weighted samples N_k = N(t_k) of an operator family, in one of two forms.
+    """Weighted samples N_k = N(t_k) of an operator family, as one (K, r)
+    table `symbols`: on an eigenbasis (V, V^{-1}), row k holds the
+    eigenvalues of N_k = V diag(symbols[k]) V^{-1} (r = n, 1/n of the
+    stack's memory); without one, N_k flattened (r = n^2).  _table_stack
+    turns rows into matrices.  Pass `symbols`, with `eigenbasis` for an
+    eigenvalue table, or a (K, n, n) stack as `matrices`, flattened on
+    entry.  `normal` records that an eigenvalue table's operator is
+    normal (SectorialOperator.normal), which lets r_l2_bound read its
+    ell^2 value off the table.
 
-    A stack holds the (K, n, n) samples themselves.  An eigenvalue table
-    holds a diagonalizable operator's eigenbasis (V, V^{-1}) and the
-    (K, n) table `symbols` with N_k = V diag(symbols[k]) V^{-1}, which
-    fixes the family in 1/n of the stack's memory; reading `matrices`
-    builds its stack once (_eig_apply_stack).  Pass `matrices` for a
-    stack, `symbols` and `eigenbasis` for a table.  A table's `normal`
-    records that its operator is normal (operators._samples passes
-    SectorialOperator.normal), which lets r_l2_bound read its ell^2
-    value off the table; a stack ignores it.
-
-    label names the family in the error a non-finite sample raises;
-    points holds the parameter values (K,) or (K, d); weights the
+    label names the family in the error a non-finite sample or weight
+    raises; points holds the parameter values (K,) or (K, d); weights the
     quadrature weights of the measure named in `measure`.
     """
 
@@ -98,56 +109,42 @@ class OperatorFamily:
         self.points, self.measure = points, measure
         self.diagnostics = {} if diagnostics is None else diagnostics
         self.weights = np.asarray(weights, dtype=float)
-        one_form = (matrices is None) != (symbols is None)
-        if not one_form or (symbols is None) != (eigenbasis is None):
-            raise DomainError("give either matrices or symbols with their eigenbasis")
-        self.normal = bool(normal)
-        if matrices is not None:
-            self._stack = np.asarray(matrices, dtype=np.complex128)
-            self.symbols = self.eigenbasis = None
-            shape = self._stack.shape
-            if len(shape) != 3 or shape[1] != shape[2]:
-                raise DomainError("matrices must be a (K, n, n) stack")
-        else:
-            self._stack = None
-            self.symbols = np.asarray(symbols, dtype=np.complex128)
-            self.eigenbasis = eigenbasis
-            shape = self.symbols.shape
-            if len(shape) != 2 or any(np.shape(M) != (shape[1],) * 2 for M in eigenbasis):
-                raise DomainError("symbols must be a (K, n) table on an n x n eigenbasis")
-        if not np.all(np.isfinite(self.symbols if self._stack is None else self._stack)):
+        self.eigenbasis, self.normal = eigenbasis, bool(normal)
+        if (matrices is None) == (symbols is None):
+            raise DomainError("give either matrices or symbols")
+        table = np.asarray(symbols if matrices is None else matrices, dtype=np.complex128)
+        self.symbols = table.reshape(len(table), math.prod(table.shape[1:]))
+        r = self.symbols.shape[1]
+        self.dim = n = r if eigenbasis is not None else math.isqrt(r)
+        rows = (n, n) if matrices is not None else (n,) if eigenbasis is not None else (n * n,)
+        if table.shape[1:] != rows or any(np.shape(M) != (n, n) for M in eigenbasis or ()):
+            raise DomainError("matrices must be a (K, n, n) stack, and symbols a (K, n) "
+                              "table on an n x n eigenbasis or a (K, n^2) one without")
+        if not np.all(np.isfinite(self.symbols)):
             raise DomainError(f"family {label!r} has non-finite samples")
-        if len(self.weights) != shape[0]:
+        if not np.all(np.isfinite(self.weights)):
+            raise DomainError(f"family {label!r} has non-finite weights")
+        if len(self.weights) != len(table):
             raise DomainError("one weight per sample required")
         if np.any(self.weights < 0):
             raise DomainError("weights must be nonnegative")
 
     @property
     def matrices(self) -> np.ndarray:
-        """The (K, n, n) stack, built from a table on first read."""
-        if self._stack is None:
-            self._stack = _eig_apply_stack(self.eigenbasis, self.symbols)
-        return self._stack
+        """The (K, n, n) stack of the samples, built on each read."""
+        return _table_stack(self.eigenbasis, self.symbols)
 
     def averages(self, h) -> np.ndarray:
         """The (J, n, n) stack of N_h = sum_k w_k h[j, k] N_k (r_l2_bound's
         N_h), one average per row of the (J, K) coefficients h.
 
-        The weights scale the (K, n) table or the (K, n, n) stack, never
-        the coefficients; a table's averages are mapped through the
-        eigenbasis once, as the (J, n) table h @ (w f).
+        The weights scale the table, never the coefficients, and the (J, r)
+        table h @ (w f) of the averages is turned into matrices once.
         """
-        if self.symbols is not None:
-            table = h @ (self.weights[:, None] * self.symbols)
-            return _eig_apply_stack(self.eigenbasis, table)
-        return np.tensordot(h, self.weights[:, None, None] * self.matrices, axes=(1, 0))
+        return _table_stack(self.eigenbasis, h @ (self.weights[:, None] * self.symbols))
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    @property
-    def dim(self) -> int:
-        return (self._stack if self.symbols is None else self.symbols).shape[-1]
 
 
 @dataclass
@@ -470,29 +467,23 @@ def _ball_top(M, v, r):
 
 
 def _gram_factor(family: OperatorFamily):
-    """(P, mean): m <= min(K, n^2) unit-weight matrices with the family's
+    """(P, mean): m <= min(K, r) unit-weight matrices with the family's
     Gram, and the weighted mean sum_k w_k N_k.
 
     Write flat for the (K, n^2) matrix of rows sqrt(w_k) vec(N_k)^T, so
-    Gram = sum_k w_k conj(vec N_k) vec(N_k)^T = flat^H flat.  With the thin
-    SVD flat = U S W^H, the rows of S W^H give Gram = (S W^H)^H (S W^H),
-    and they unflatten to P.  An eigenvalue table N_k = V diag(f_k) V^{-1}
-    has vec N_k = B f_k with B[(i, l), j] = V[i, j] V^{-1}[j, l], so flat
-    is (sqrt(w) f) B^T; the thin SVD of the (K, n) table sqrt(w_k) f_k^T
-    then gives P_c = V diag((S W^H)_c) V^{-1}, min(K, n) members, and the
-    (K, n, n) stack is never built.
+    Gram = sum_k w_k conj(vec N_k) vec(N_k)^T = flat^H flat.  A table row
+    f_k gives vec N_k = B f_k for a fixed (n^2, r) basis B (the identity
+    on a flattened stack, B[(i, l), j] = V[i, j] V^{-1}[j, l] on an
+    eigenbasis), so flat = (sqrt(w) f) B^T.  With the thin SVD
+    sqrt(w) f = U S W^H, the rows of S W^H, turned into matrices P by
+    _table_stack, have flat(P) = S W^H B^T and so the family's Gram.  The
+    mean's row sum_k w_k f_k rides along, and an eigenvalue table never
+    builds its (K, n, n) stack.
     """
-    w, n = family.weights, family.dim
-    root = np.sqrt(w)[:, None]
-    if family.symbols is not None:
-        _, s, Wh = np.linalg.svd(root * family.symbols, full_matrices=False)
-        # the mean's table sum_k w_k f_k rides along as one more row
-        rows = np.vstack([s[:, None] * Wh, w @ family.symbols])
-        P = _eig_apply_stack(family.eigenbasis, rows)
-        return P[:-1], P[-1]
-    N = family.matrices
-    _, s, Wh = np.linalg.svd(root * N.reshape(len(w), n * n), full_matrices=False)
-    return (s[:, None] * Wh).reshape(-1, n, n), np.tensordot(w, N, axes=(0, 0))
+    w = family.weights
+    _, s, Wh = np.linalg.svd(np.sqrt(w)[:, None] * family.symbols, full_matrices=False)
+    P = _table_stack(family.eigenbasis, np.vstack([s[:, None] * Wh, w @ family.symbols]))
+    return P[:-1], P[-1]
 
 
 def r_l2_bound(family: OperatorFamily, p: float, rng=None) -> RBoundEstimate:
@@ -566,7 +557,7 @@ def r_l2_bound(family: OperatorFamily, p: float, rng=None) -> RBoundEstimate:
     """
     n = family.dim
     p = _exponent(p)
-    if family.symbols is not None:
+    if family.eigenbasis is not None:
         V = family.eigenbasis[0]
         if (family.normal and p == 2.0) or np.count_nonzero(V) == n:
             moduli = np.abs(family.symbols)

@@ -46,8 +46,15 @@ operator with expm on every sample, its bitwise reference;
 one_line_eigenvalue_samples is the eigenvalue path of
 operators._samples with each core a one-line expression on fresh
 temporaries and the scaling scale[:, None] * g * lam**power, the
-bitwise reference of the tables it builds in one buffer.  None of
-them is reached by `speccalc run`.
+bitwise reference of the tables it builds in one buffer;
+repeated_grid_arguments is the grid and the arguments of the 2-D
+families of operators.family_samples with every factor taken on the
+repeated grid, their bitwise reference; stack_gram_factor,
+stack_averages and stack_r_l2_bound are rbound._gram_factor,
+OperatorFamily.averages and the bilinear loop of rbound.r_l2_bound on a
+family's (K, n, n) stack, the bitwise references of the flattened table
+of a family without an eigenbasis.  None of them is reached by
+`speccalc run`.
 """
 
 import math
@@ -63,7 +70,11 @@ from speccalc.rbound import (
     EXACT_LIMIT,
     SAMPLES,
     OperatorFamily,
+    RBoundEstimate,
+    _alternate,
     _eig_apply_stack,
+    _rng,
+    _transfer_constant,
     operator_norm,
     r_l2_bound,
     square_sum_norm,
@@ -775,3 +786,64 @@ def one_line_eigenvalue_samples(op, core, z, scale, power, m=None) -> np.ndarray
     else:
         g = _exp_remainder(1j * z[:, None] * lam[None, :], m)
     return scale[:, None] * g * lam**power
+
+
+def repeated_grid_arguments(op, family, alpha=1.0, beta=0.5):
+    """(points, weights, scale, z) of the 2-D family ("resolvent-2d" or
+    "semigroup-2d") of operators.family_samples on op, with every factor
+    taken on the repeated (K,) grid, one exp, power, cos or tan per
+    sample: the bitwise reference of the grids that take each factor once
+    per angle or radius."""
+    lo, hi = op.spectral_bounds()
+    if family == "resolvent-2d":
+        th_abs, w_th = log_grid(1e-2, np.pi, 48)
+        w_th = w_th * th_abs
+        t, w_t = log_grid(lo * 1e-4, hi * 1e4, 192)
+        th, w_th = np.concatenate([th_abs, -th_abs]), np.tile(w_th, 2)
+        keep = np.abs(th) > op.omega
+        th, w_th = np.repeat(th[keep], 192), np.repeat(w_th[keep], 192)
+        t, w_t = np.tile(t, keep.sum()), np.tile(w_t, keep.sum())
+        points, weights = np.column_stack([th, t]), w_th * w_t
+        return points, weights, np.abs(th) ** (alpha - 0.5) * t**beta, np.exp(1j * th) * t
+    x, wx = log_grid(1e-6 / hi, 60.0 / lo, 48)
+    psi = np.linspace(-np.pi / 2 + 5e-3, np.pi / 2 - 5e-3, 49)
+    wpsi = trapezoid_weights(49, psi[1] - psi[0])
+    psi, wpsi = np.repeat(psi, 48), np.repeat(wpsi, 48)
+    x, wx = np.tile(x, 49), np.tile(wx, 49)
+    v = np.tan(psi)
+    points = np.column_stack([x, v * x])
+    weights = wx * x * x / np.cos(psi) ** 2 * wpsi
+    return points, weights, np.cos(psi) ** alpha * x ** (-0.5), (1.0 + 1j * v) * x
+
+
+def stack_gram_factor(family):
+    """rbound._gram_factor on the family's (K, n, n) stack: the thin SVD
+    of the flattened stack, and the mean by tensordot over the samples."""
+    N, w = family.matrices, family.weights
+    n = N.shape[-1]
+    _, s, Wh = np.linalg.svd(np.sqrt(w)[:, None] * N.reshape(len(w), n * n),
+                             full_matrices=False)
+    return (s[:, None] * Wh).reshape(-1, n, n), np.tensordot(w, N, axes=(0, 0))
+
+
+def stack_averages(family, h):
+    """OperatorFamily.averages on the family's (K, n, n) stack, by
+    tensordot over the samples."""
+    return np.tensordot(h, family.weights[:, None, None] * family.matrices, axes=(1, 0))
+
+
+def stack_r_l2_bound(family, p, rng=None):
+    """rbound.r_l2_bound's bilinear loop on stack_gram_factor; with the
+    two above, the bitwise reference of the one table path on a family
+    without an eigenbasis."""
+    n = family.dim
+    P, mean = stack_gram_factor(family)
+    flat = P.reshape(len(P), n * n)
+    top = float(np.linalg.eigvalsh(flat @ flat.conj().T)[-1])
+    val, x, xp = _alternate(P[None], mean[None], p, _rng(rng))
+    return RBoundEstimate(
+        lower=float(val[0]),
+        upper=_transfer_constant(p, n) * math.sqrt(max(top, 0.0)),
+        method="bilinear-power",
+        witness={"x": x[0], "x_prime": xp[0]},
+    )

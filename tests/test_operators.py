@@ -18,6 +18,7 @@ import scipy.linalg
 from speccalc import operators as ops
 from speccalc import _kernels, rbound, special
 from speccalc.errors import ConvergenceError, DomainError, NotSectorialError
+from speccalc.grids import log_grid
 from speccalc.rbound import OperatorFamily, _eig_apply_stack, r_l2_bound
 
 from oracles import (
@@ -28,6 +29,10 @@ from oracles import (
     per_eigenvalue_resolvent_bip_mellin,
     per_eigenvalue_wave_mellin,
     per_eigenvalue_wave_taylor_mellin,
+    repeated_grid_arguments,
+    stack_averages,
+    stack_gram_factor,
+    stack_r_l2_bound,
 )
 
 
@@ -66,7 +71,7 @@ class TestSectorialWrapper:
     def test_jordan_block_is_marked_defective(self):
         op = jordan2()
         assert not op.diagonalizable
-        assert op.eigenvectors is None
+        assert op.eigenbasis is None
 
     def test_zero_mode_compression(self):
         op = ops.operator_from_spec("cycle-laplacian:6")
@@ -213,6 +218,72 @@ class TestPresets:
         assert np.allclose(op.eigenvalues, [2.0])
 
 
+class TestSectorialConstants:
+    """sectorial's eigenbasis switch cond(V) <= 1e8 and its on-cut test
+    |Im lambda| <= 1e-10 |lambda|, each pinned on both sides."""
+
+    U = 2.0**-53
+
+    @staticmethod
+    def _near_defective(d):
+        return ops.sectorial(np.array([[1.0, 1.0], [0.0, 1.0 + d]]))
+
+    @staticmethod
+    def _cond(op):
+        V, Vinv = op.eigenbasis
+        return np.linalg.norm(V, 2) * np.linalg.norm(Vinv, 2)
+
+    def test_the_eigenbasis_switch_is_cond_1e8(self):
+        kept = self._near_defective(2e-8)
+        assert 0.99e8 <= self._cond(kept) <= 1e8
+        lost = self._near_defective(1e-8)
+        assert lost.eigenbasis is None and not lost.diagonalizable
+        assert np.linalg.cond(np.linalg.eig(lost.matrix)[1]) > 1.9e8
+
+    # wave's e^{isz} - 1 cancels at small |s lambda| before cond(V) acts
+    @pytest.mark.parametrize(
+        "family", ["bip", "resolvent-ray", "resolvent-2d", "semigroup-ray",
+                   "semigroup-2d", "wave-taylor"],
+    )
+    def test_the_table_keeps_cond_v_u_accuracy_at_the_switch(self, family):
+        # each sample within 4 cond(V) u ||N_k||_2 of the dense path's
+        op = self._near_defective(2e-8)
+        args = TestDenseReference.ARGS[family]
+        table = ops.family_samples(op, family, **args).matrices
+        dense = ops.family_samples(_forced_dense(op), family, **args).matrices
+        err = np.linalg.norm(table - dense, 2, axis=(1, 2))
+        bound = 4.0 * self._cond(op) * self.U * np.linalg.norm(dense, 2, axis=(1, 2))
+        assert np.all(err <= bound), float(np.max(err / bound))
+
+    def test_the_cut_refuses_an_angle_within_1e_10_of_pi(self):
+        with pytest.raises(NotSectorialError, match="negative real axis"):
+            ops.sectorial(np.diag([np.exp(1j * (np.pi - 5e-11)), 1.0]))
+        op = ops.sectorial(np.diag([np.exp(1j * (np.pi - 2e-10)), 1.0]))
+        assert np.pi - op.omega == pytest.approx(2e-10, rel=1e-6)
+
+    @pytest.mark.parametrize("n, cond", [(3, 1e2), (8, 1e3), (16, 1e4)])
+    def test_the_cut_catches_a_negative_eigenvalue_off_the_axis(self, n, cond):
+        # a complex similarity transform moves the computed -1 off the
+        # axis by at most 0.51 n u kappa ||A||_2, here below 1e-10
+        gen = np.random.default_rng(n)
+
+        def unitary():
+            Z = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+            return np.linalg.qr(Z)[0]
+
+        S = unitary() @ np.diag(np.geomspace(1.0, cond, n)) @ unitary()
+        lam = np.concatenate([[-1.0], np.geomspace(0.5, 2.0, n - 1)])
+        A = S @ np.diag(lam) @ np.linalg.inv(S)
+        computed, V = np.linalg.eig(A)
+        i = int(np.argmin(np.abs(computed + 1.0)))
+        kappa = np.linalg.norm(V[:, i]) * np.linalg.norm(np.linalg.inv(V)[i])
+        drift = abs(computed[i].imag)
+        assert drift <= 0.51 * n * self.U * kappa * np.linalg.norm(A, 2)
+        assert 0.0 < drift <= 1e-10
+        with pytest.raises(NotSectorialError, match="negative real axis"):
+            ops.sectorial(A)
+
+
 class TestSectorialityCheck:
     def test_positive_diagonal_is_sectorial_everywhere(self):
         op = ops.sectorial(np.diag([1.0, 3.0, 9.0]))
@@ -357,7 +428,7 @@ def _contour_operator(spec):
 
 def _forced_dense(op):
     """op without its eigenbasis, so _samples takes the stack path."""
-    return dataclasses.replace(op, eigenvectors=None, eigenvectors_inv=None)
+    return dataclasses.replace(op, eigenbasis=None)
 
 
 class TestContourCalculus:
@@ -680,7 +751,7 @@ class TestDenseReference:
             return expm(a)
 
         monkeypatch.setattr(scipy.linalg, "expm", counting)
-        got = ops._samples(op, "wave-taylor", z, scale, 0.0, m)["matrices"]
+        got = ops._samples(op, "wave-taylor", z, scale, 0.0, m).reshape(len(z), op.dim, op.dim)
         assert exponentiated == [int(np.sum(np.abs(z) * np.linalg.norm(op.matrix, 2) >= 0.5))]
         assert 0 < exponentiated[0] < len(z)
         assert got.tobytes() == want.tobytes()
@@ -754,7 +825,7 @@ class TestOneBufferTables:
         for core, z, scale, orders in self._cases():
             for m in orders:
                 for power in self.POWERS:
-                    got = ops._samples(op, core, z, scale, power, m)["symbols"]
+                    got = ops._samples(op, core, z, scale, power, m)
                     want = one_line_eigenvalue_samples(op, core, z, scale, power, m)
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (core, m, power)
@@ -825,14 +896,22 @@ class TestEigenvalueTable:
         assert np.array_equal(table.matrices, stack.matrices)
 
     @pytest.mark.parametrize("family", list(TestDenseReference.ARGS))
-    def test_a_short_table_never_builds_its_stack(self, family):
-        # K = 32 samples on the 5-dimensional core: the bound reads the
-        # table's n-member factor, never the (K, n, n) stack
+    def test_a_short_table_never_builds_its_stack(self, family, monkeypatch):
+        # K >= 32 samples on the 5-dimensional core: the bound maps the
+        # table's n-member factor and its mean through the eigenbasis, n + 1
+        # rows, never the (K, n, n) stack (ell^2 is the normal closed form)
         op = ops.operator_from_spec("cycle-laplacian:6")
         table = ops.family_samples(op, family, **TestDenseReference.ARGS[family])
+        rows, apply = [], rbound._eig_apply_stack
+
+        def counting(eigenbasis, fvals):
+            rows.append(len(fvals))
+            return apply(eigenbasis, fvals)
+
+        monkeypatch.setattr(rbound, "_eig_apply_stack", counting)
         for p in (2.0, 3.0):
             r_l2_bound(table, p, rng=np.random.default_rng(5))
-        assert table._stack is None
+        assert len(table) >= 32 and rows == [op.dim + 1]
 
     def test_the_long_table_never_builds_its_stack(self):
         # the 18432-sample resolvent-2d stack of diag-logspaced:16 alone is
@@ -859,6 +938,83 @@ class TestEigenvalueTable:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * fam.symbols.nbytes, peak
+
+
+# the seven operators of the benchmark workloads
+_WORKLOAD_SPECS = [
+    "diag-logspaced:16", "diag:1,2", "diag:1,10,100", "diag:0.2,0.9,4,11,30",
+    "diag-logspaced:6", "path-laplacian:8", "cycle-laplacian:6",
+]
+
+
+class TestFlattenedStack:
+    """A family without an eigenbasis is its flattened (K, n^2) table on
+    the one path of _gram_factor, averages and r_l2_bound: bit for bit the
+    stack-form reductions of the oracles."""
+
+    @staticmethod
+    def _check(fam):
+        assert fam.eigenbasis is None and fam.symbols.shape == (len(fam), fam.dim**2)
+        gen = np.random.default_rng(len(fam))
+        h = gen.standard_normal((3, len(fam))) + 1j * gen.standard_normal((3, len(fam)))
+        assert fam.averages(h).tobytes() == stack_averages(fam, h).tobytes()
+        got, want = rbound._gram_factor(fam), stack_gram_factor(fam)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        for p in (2.0, 3.0):
+            got = r_l2_bound(fam, p, rng=np.random.default_rng(7))
+            want = stack_r_l2_bound(fam, p, rng=np.random.default_rng(7))
+            assert got.method == want.method == "bilinear-power"
+            assert (got.lower, got.upper) == (want.lower, want.upper)
+            for key in ("x", "x_prime"):
+                assert got.witness[key].tobytes() == want.witness[key].tobytes()
+
+    @pytest.mark.parametrize("family", list(TestDenseReference.ARGS))
+    @pytest.mark.parametrize("spec", ["jordan:1,2", "jordan:1,3", "jordan:0.1,4"])
+    def test_defective_families(self, spec, family):
+        op = ops.operator_from_spec(spec)
+        self._check(ops.family_samples(op, family, **TestDenseReference.ARGS[family]))
+
+    # all but the 18432 x 16 x 16 resolvent-2d stack, 75 MB a copy
+    @pytest.mark.parametrize(
+        "spec, family",
+        [(s, f) for s in _WORKLOAD_SPECS for f in TestDenseReference.ARGS
+         if (s, f) != ("diag-logspaced:16", "resolvent-2d")],
+    )
+    def test_forced_dense_workload_families(self, spec, family):
+        op = _forced_dense(ops.operator_from_spec(spec))
+        self._check(ops.family_samples(op, family, **TestDenseReference.ARGS[family]))
+
+    def test_the_cli_decay_family(self):
+        ts, w = log_grid(1e-8, 1e3, 1024)
+        mats = (np.sqrt(ts) * np.exp(-ts))[:, None, None] * np.eye(2)[None, :, :]
+        self._check(OperatorFamily("decay", ts, w, matrices=mats, measure="dt/t"))
+        # a complex stack is flattened as a view, not copied
+        mats = mats.astype(np.complex128)
+        fam = OperatorFamily("decay", ts, w, matrices=mats, measure="dt/t")
+        assert np.shares_memory(fam.symbols, mats)
+
+
+class TestTwoDimensionalGrids:
+    """The 2-D families take each factor once per angle or radius and
+    spread it over the grid: the grids, weights and tables are those of
+    the factors taken on the repeated grid, bit for bit."""
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (1.3, 0.25)])
+    @pytest.mark.parametrize("family", ["resolvent-2d", "semigroup-2d"])
+    @pytest.mark.parametrize("spec", _WORKLOAD_SPECS + ["jordan:1,2"])
+    def test_factors_once_per_grid_value_keep_their_bits(self, spec, family, alpha, beta):
+        op = ops.operator_from_spec(spec)
+        if family == "resolvent-2d":
+            fam = ops.family_samples(op, family, alpha=alpha, beta=beta)
+            core, power = "resolvent", 1.0 - beta
+        else:
+            fam = ops.family_samples(op, family, alpha=alpha)
+            core, power = "semigroup", 0.5
+        points, weights, scale, z = repeated_grid_arguments(op, family, alpha, beta)
+        assert fam.points.tobytes() == points.tobytes()
+        assert fam.weights.tobytes() == weights.tobytes()
+        assert fam.symbols.tobytes() == ops._samples(op, core, z, scale, power).tobytes()
 
 
 def _unitary_conjugate(n, seed):
@@ -1027,7 +1183,7 @@ class TestMellinIdentities:
             op = _similar(int(n), float(cond), seed=int(n))
         else:
             op = ops.operator_from_spec(spec)
-        assert np.linalg.cond(op.eigenvectors) > 1.2
+        assert np.linalg.cond(op.eigenbasis[0]) > 1.2
         log_a = scipy.linalg.logm(op.matrix)
 
         def power(z):

@@ -665,6 +665,18 @@ class TestAveragedFamilies:
             OperatorFamily("bad", ts, w, measure="dt/t", symbols=symbols,
                            eigenbasis=(np.eye(2), np.eye(2)))
 
+    def test_family_rejects_non_finite_weights(self):
+        # a nan weight no longer passes the sign check into an SVD that
+        # does not converge (stack) or a spectral value of nan (table)
+        ts = np.arange(3.0)
+        mats = np.ones((3, 2, 2), dtype=complex)
+        with pytest.raises(DomainError, match="family 'stack' has non-finite weights"):
+            OperatorFamily("stack", ts, [np.nan, 1.0, np.inf], mats, "dt")
+        with pytest.raises(DomainError, match="family 'table' has non-finite weights"):
+            OperatorFamily("table", ts, [np.nan, 1.0, 1.0], measure="dt",
+                           symbols=np.ones((3, 2)), eigenbasis=(np.eye(2), np.eye(2)),
+                           normal=True)
+
     def test_family_rejects_an_inverse_of_the_wrong_shape(self):
         ts, w = log_grid(0.1, 1.0, 16)
         for Vinv in (np.eye(3), np.eye(2)[:1], np.eye(2)[0]):

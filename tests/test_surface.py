@@ -39,9 +39,11 @@ run as written and print what its comments say, so a changed signature
 fails here and not first in a reader's session.
 
 V diag(f) V^{-1} has one implementation: no function but
-`rbound._eig_apply_stack` reads `eigenvectors_inv` or unpacks an
-eigenbasis (assigns it to a tuple, indexes it or star-expands it), the
-`SectorialOperator.eigenbasis` property that packs the pair aside.
+`rbound._eig_apply_stack` unpacks an eigenbasis (assigns it to a tuple,
+indexes it or star-expands it), r_l2_bound's closed form aside.  And a
+family has one form, its (K, r) table, read in one place: in `rbound`
+and `operators` no function but those in FORM_READERS branches on
+whether a family or an operator has an eigenbasis.
 Likewise A^w on the eigenvalues has one implementation: no function but
 those in EIGENVALUE_LOGS calls a `log` on an operator's eigenvalues (an
 expression reading an `eigenvalues` attribute, or a name bound to one),
@@ -72,16 +74,26 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # names kept without a caller in the package, and why
 ALLOWED = {
     "main": "the console entry point named in pyproject.toml",
+    "matrices": "OperatorFamily's (K, n, n) stack, whose bytes perfbench/worker.py counts",
 }
 
 # the functions that may take an eigenbasis apart: the one helper that
-# applies it, the property that packs (V, V^{-1}), and r_l2_bound's closed
-# form, which reads V's columns as witness eigenvectors and V's nonzero
-# pattern, and applies nothing
+# applies it, and r_l2_bound's closed form, which reads V's columns as
+# witness eigenvectors and V's nonzero pattern, and applies nothing
 EIGENBASIS_OWNERS = {
     "rbound._eig_apply_stack",
-    "operators.SectorialOperator.eigenbasis",
     "rbound.r_l2_bound",
+}
+
+# the functions of rbound and operators that may branch on whether a
+# family or an operator has an eigenbasis, and why
+FORM_READERS = {
+    "rbound._table_stack": "the helper: a row through the eigenbasis, or unflattened without one",
+    "rbound._eig_apply_stack": "raises NotSectorialError without an eigenbasis",
+    "rbound.OperatorFamily.__init__": "checks that a row fits the form: n entries on an "
+                                      "n x n eigenbasis, n^2 without one",
+    "operators._samples": "a core on the eigenvalues, or by dense matrix functions",
+    "rbound.r_l2_bound": "the closed form of an eigenvalue table",
 }
 
 # the functions that may take the log of an operator's eigenvalues, and why
@@ -365,7 +377,7 @@ def test_every_field_is_read_by_package_code():
 def test_the_field_check_covers_dataclasses_and_init():
     fields = stored_fields()
     assert {"NormResult.value", "Row.passed", "Row.extra", "RBoundEstimate.lower"} <= fields
-    assert {"OperatorFamily.weights", "OperatorFamily._stack"} <= fields
+    assert {"OperatorFamily.weights", "OperatorFamily.symbols"} <= fields
 
 
 def test_field_allowlist_names_only_unread_fields():
@@ -380,16 +392,13 @@ def _is_eigenbasis(node) -> bool:
 
 
 def _takes_apart(node) -> bool:
-    if isinstance(node, ast.Attribute) and node.attr == "eigenvectors_inv":
-        return isinstance(node.ctx, ast.Load)
     if isinstance(node, ast.Assign) and _is_eigenbasis(node.value):
         return any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)
     return isinstance(node, (ast.Subscript, ast.Starred)) and _is_eigenbasis(node.value)
 
 
 def eigenbasis_readers():
-    """Qualified names of the functions that read `eigenvectors_inv` or
-    unpack an eigenbasis."""
+    """Qualified names of the functions that unpack an eigenbasis."""
     return {
         qual
         for stem, node in _top_level()
@@ -402,6 +411,58 @@ def test_only_the_helper_takes_an_eigenbasis_apart():
     extra = sorted(eigenbasis_readers() - EIGENBASIS_OWNERS)
     assert not extra, "V diag(f) V^-1 outside _eig_apply_stack: " + ", ".join(extra)
     assert EIGENBASIS_OWNERS <= eigenbasis_readers()
+
+
+# what tells a family's or an operator's form: an eigenbasis, by name or
+# as an attribute, the flags and tables that stood for one, and the keys
+# of a samples dict in either form
+FORM_ATTRIBUTES = {"eigenbasis", "diagonalizable", "symbols", "_stack"}
+FORM_KEYS = {"symbols", "matrices"}
+
+
+def _reads_form(node) -> bool:
+    return any(
+        (isinstance(sub, ast.Name) and sub.id == "eigenbasis")
+        or (isinstance(sub, ast.Attribute) and sub.attr in FORM_ATTRIBUTES)
+        or (isinstance(sub, ast.Constant) and sub.value in FORM_KEYS)
+        for sub in ast.walk(node)
+    )
+
+
+def form_branches(modules):
+    """Qualified names of the functions with an if, conditional
+    expression or while whose test reads a form (_reads_form), among the
+    (module stem, top-level node) pairs."""
+    return {
+        qual
+        for stem, node in modules
+        for qual, fn in _functions(stem, node)
+        if any(
+            isinstance(sub, (ast.If, ast.IfExp, ast.While)) and _reads_form(sub.test)
+            for sub in ast.walk(fn)
+        )
+    }
+
+
+def test_only_the_helper_reads_a_family_form():
+    found = form_branches((s, n) for s, n in _top_level() if s in ("rbound", "operators"))
+    extra = sorted(found - set(FORM_READERS))
+    assert not extra, "branches on a family's form outside FORM_READERS: " + ", ".join(extra)
+    stale = sorted(set(FORM_READERS) - found)
+    assert not stale, "FORM_READERS entries that read no form: " + ", ".join(stale)
+
+
+def test_the_form_check_sees_every_marker():
+    tree = ast.parse(
+        "def a(op):\n    return 1 if op.diagonalizable else 2\n"
+        "def b(sample):\n    if 'symbols' in sample:\n        return 1\n"
+        "class C:\n    def c(self):\n        while self._stack is None:\n            pass\n"
+        "def d(eigenbasis):\n    if eigenbasis is None:\n        return 1\n"
+        "def e(family):\n    return family.symbols.shape if family.eigenbasis else 0\n"
+        "def f(op):\n    return op.eigenbasis\n"
+    )
+    found = form_branches(("m", node) for node in tree.body)
+    assert found == {"m.a", "m.b", "m.C.c", "m.d", "m.e"}
 
 
 def _reads_eigenvalues(node, names) -> bool:
